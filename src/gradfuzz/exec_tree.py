@@ -255,7 +255,8 @@ class ExecTree:
             if rec.nbytes > self.max_nbytes:
                 self.max_nbytes = rec.nbytes
             weight += rec.value * rec.value
-            if weight < node.best_weight:
+            # a new node takes its first trace even at infinite weight
+            if weight < node.best_weight or not node.best_trace:
                 node.best_weight = weight
                 node.best_input = result.bytes_read
                 node.best_tags = result.type_tags

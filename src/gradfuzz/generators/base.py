@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult, input_hash
+from ..target_abi import ExecutionResult
 
 
 class AnalysisKind(Enum):
@@ -33,11 +33,11 @@ class AnalysisSession:
         self.executions = 0       # real target executions
         self.call_budget: Optional[int] = None
         self.exhausted = False
-        self.cache: dict[int, float] = {}
+        self.cache: dict[bytes, float] = {}  # keyed by the input itself
         self._gen = self._run()
         self._started = False
         self._feed_value = None
-        self._pending_hash: Optional[int] = None
+        self._pending_input: Optional[bytes] = None
         self._pending = False
         # structural snapshot of the path for trace-mapping checks
         path = node.path()
@@ -71,11 +71,10 @@ class AnalysisSession:
                 break
             self.calls += 1
             if self.uses_cache:
-                h = input_hash(item)
-                if h in self.cache:
-                    self._feed_value = self.cache[h]
+                if item in self.cache:
+                    self._feed_value = self.cache[item]
                     continue
-                self._pending_hash = h
+                self._pending_input = item
             self._pending = True
             return item
         return None
@@ -86,8 +85,8 @@ class AnalysisSession:
         value = self._value_of(result)
         self.executions += 1
         if self.uses_cache:
-            self.cache[self._pending_hash] = value
-            self._pending_hash = None
+            self.cache[self._pending_input] = value
+            self._pending_input = None
         self._pending = False
         self._feed_value = value
 

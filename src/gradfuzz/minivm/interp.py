@@ -1,5 +1,14 @@
 """Instrumenting interpreter for the mini target language.
 
+A checked ``Program`` is compiled once, on its first execution, into one
+Python closure per AST node, the technique of Feeley and Lapalme, "Using
+Closures for Code Generation" (Computer Languages, 1987).  Everything
+static is resolved at compile time: each operator's function, the
+numeric conversions and wrap masks of each operand/result type pair,
+each read's tag, width and decoder, each record site's uid, variable
+slots, and the context-hash push of each call site, memoised per parent
+hash.
+
 Every execution is a pure function of (program, config, limits) and yields
 an ExecutionResult carrying the bytes read, one type tag per read call,
 and one ConditionRecord per evaluated Boolean instruction:
@@ -14,10 +23,18 @@ The xor flag on a record is true iff a ``^`` was evaluated since the most
 recent control-flow transfer (branch decision, loop back edge, call, or
 return).  Bit index s of the input lives in byte s // 8 at bit position
 7 - s % 8 (MSB first); the same convention is used engine-wide.
+
+The step budget stands in for a wall-clock timeout.  It counts one step
+per statement or expression node on entry.  Steps between two observable
+events (a record, a read, a call, a crash) are counted in one batch, and
+the budget is checked before every event and on every loop iteration, so
+a run ends with the same termination and trace as a check at every node
+would give.
 """
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass
@@ -30,14 +47,13 @@ from ..target_abi import (
     ExecutionId,
     ExecutionResult,
     TerminationKind,
-    TypeTag,
     context_hash_push,
 )
 from .parser import (
     BOOL, F32, F64, TYPE_TAGS, VOID,
     AbortStmt, Assign, Binary, Block, BoolLit, Call, Cast, Decl, ExprStmt,
-    FloatLit, Function, If, IntLit, Program, Return, Stmt, Type, Unary,
-    VarRef, While, _nondet_type,
+    FloatLit, Function, If, IntLit, Program, Return, Type, Unary, VarRef,
+    While, _nondet_type,
 )
 
 
@@ -77,48 +93,16 @@ class _Timeout(Exception):
     pass
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
 
-
-def branching_value(left, right, kind: str) -> float:
-    """Branching-function value of one Boolean instruction evaluation."""
-    if kind == "comparison":
-        return float(left) - float(right)
-    if kind in ("truncation", "bool_call"):
-        return 1.0
-    raise ValueError(f"unknown kind {kind!r}")
+# what a void function's `return;` yields: any value but None, which
+# means "fell through" to the statement that follows
+_RETURNED = object()
 
 
 def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
-
-
-def _wrap_int(value: int, ty: Type) -> int:
-    value &= (1 << ty.bits) - 1
-    if ty.signed and value >= 1 << (ty.bits - 1):
-        value -= 1 << ty.bits
-    return value
-
-
-def _convert_numeric(value, src: Type, dst: Type):
-    if src is BOOL:
-        value = int(value)
-    if dst.kind == "float":
-        value = float(value)
-        return _f32(value) if dst is F32 else value
-    # to integer: truncate floats toward zero, saturating non-finite and
-    # out-of-range values at the type bounds (NaN maps to 0)
-    if isinstance(value, float):
-        if math.isnan(value):
-            value = 0
-        else:
-            lo = -(1 << (dst.bits - 1)) if dst.signed else 0
-            hi = ((1 << (dst.bits - 1)) - 1 if dst.signed
-                  else (1 << dst.bits) - 1)
-            value = lo if value < lo else hi if value > hi else int(value)
-    return _wrap_int(int(value), dst)
+    return _F32.unpack(_F32.pack(value))[0]
 
 
 def _float_div(left: float, right: float) -> float:
@@ -129,296 +113,589 @@ def _float_div(left: float, right: float) -> float:
     return left / right
 
 
-def _int_div(left: int, right: int) -> int:
-    if right == 0:
-        raise _Crash()
+def _int_quot(left: int, right: int) -> int:
     q = abs(left) // abs(right)
     return q if (left < 0) == (right < 0) else -q
 
 
 def _int_rem(left: int, right: int) -> int:
-    return left - _int_div(left, right) * right
+    return left - _int_quot(left, right) * right
 
 
-class _RunState:
-    def __init__(self, program: Program, config: ExecutionConfig,
-                 limits: VmLimits):
-        self.program = program
-        self.config = config
-        self.limits = limits
-        self.consumed = 0
-        self.bytes_read = bytearray()
-        self.tags: list[TypeTag] = []
-        self.trace: list[ConditionRecord] = []
-        self.ctx_hashes = [FNV32_BASIS]
-        self.xor_seen = False
+def _wrapper(ty: Type):
+    """Reduce an integer to the range of ``ty`` (two's complement)."""
+    mask = (1 << ty.bits) - 1
+    if not ty.signed:
+        return lambda value: value & mask
+    half = 1 << (ty.bits - 1)
+    return lambda value: ((value + half) & mask) - half
+
+
+def _zero(ty: Type):
+    """Value of a declaration without initializer, and of a non-void
+    function falling off its end."""
+    return False if ty is BOOL else 0.0 if ty.kind == "float" else 0
+
+
+def _int_range(ty: Type) -> tuple[int, int]:
+    if ty is BOOL:
+        return 0, 1
+    if ty.signed:
+        return -(1 << (ty.bits - 1)), (1 << (ty.bits - 1)) - 1
+    return 0, (1 << ty.bits) - 1
+
+
+def _conversion(src: Type, dst: Type):
+    """Function converting a value of type ``src`` to numeric ``dst``, or
+    None when every value of ``src`` passes unchanged."""
+    if src is dst:
+        return None
+    if dst.kind == "float":
+        if src is F32 and dst is F64:
+            return None
+        # integers of up to 24 bits are exact in f32: no second rounding
+        if dst is F64 or (src.kind != "float" and src.bits <= 24):
+            return float
+        return lambda value: _f32(float(value))
+    # to integer: truncate floats toward zero, saturating non-finite and
+    # out-of-range values at the type bounds (NaN maps to 0)
+    lo, hi = _int_range(dst)
+    if src.kind == "float":
+        def saturate(value):
+            if math.isnan(value):
+                return 0
+            return lo if value < lo else hi if value > hi else int(value)
+        return saturate
+    if src is BOOL:
+        return int
+    src_lo, src_hi = _int_range(src)
+    if lo <= src_lo and src_hi <= hi:
+        return None
+    return _wrapper(dst)
+
+
+class _Run:
+    """Mutable state of one execution."""
+
+    __slots__ = ("steps", "budget", "input", "fill", "max_input",
+                 "consumed", "tags", "trace", "max_trace", "depth",
+                 "max_stack", "ctx", "xor")
+
+    def __init__(self, config: ExecutionConfig, limits: VmLimits):
         self.steps = 0
+        self.budget = limits.step_budget
+        self.input = config.input_bytes
+        self.fill = config.fill_byte
+        self.max_input = config.max_input_bytes
+        self.consumed = 0
+        self.tags = []
+        self.trace = []
+        self.max_trace = config.max_trace_length
+        self.depth = 1  # frames, the entry function's included
+        self.max_stack = config.max_stack_size
+        self.ctx = FNV32_BASIS
+        self.xor = False
 
-    def step(self) -> None:
-        self.steps += 1
-        if self.steps > self.limits.step_budget:
+    def event(self) -> None:
+        """Called before every observable event: ends the run once the
+        steps counted so far exceed the budget."""
+        if self.steps > self.budget:
             raise _Timeout()
 
-    def emit(self, uid: int, direction: bool, value: float) -> None:
-        if len(self.trace) >= self.config.max_trace_length:
+    def emit(self, ids: "_SiteIds", direction: bool, value: float) -> None:
+        if self.steps > self.budget:
+            raise _Timeout()
+        trace = self.trace
+        if len(trace) >= self.max_trace:
             raise _Boundary()
-        self.trace.append(ConditionRecord(
-            ExecutionId(uid, self.ctx_hashes[-1]), bool(direction),
-            value, self.xor_seen, self.consumed))
+        trace.append(ConditionRecord(ids[self.ctx], direction, value,
+                                     self.xor, self.consumed))
 
-    def clear_xor(self) -> None:
-        self.xor_seen = False
-
-    def push_call(self, site_uid: int) -> None:
-        # frames counted including the entry function
-        if len(self.ctx_hashes) + 1 > self.config.max_stack_size:
+    def read(self, tag, width: int) -> bytes:
+        if self.steps > self.budget:
+            raise _Timeout()
+        start = self.consumed
+        end = start + width
+        if end > self.max_input:
             raise _Boundary()
-        if len(self.ctx_hashes) - 1 < DEFAULT_CONTEXT_DEPTH:
-            self.ctx_hashes.append(
-                context_hash_push(self.ctx_hashes[-1], site_uid))
+        self.consumed = end
+        self.tags.append(tag)
+        raw = self.input[start:end]
+        if len(raw) < width:
+            raw += bytes((self.fill,)) * (width - len(raw))
+        return raw
+
+    def bytes_read(self) -> bytes:
+        raw = self.input[:self.consumed]
+        return raw + bytes((self.fill,)) * (self.consumed - len(raw))
+
+
+class _SiteIds(dict):
+    """The ExecutionId of one record site per calling context, each built
+    once."""
+
+    __slots__ = ("uid",)
+
+    def __init__(self, uid: int):
+        super().__init__()
+        self.uid = uid
+
+    def __missing__(self, ctx: int) -> ExecutionId:
+        eid = self[ctx] = ExecutionId(self.uid, ctx)
+        return eid
+
+
+class _Code:
+    """A compiled node.  ``fn(run, env)`` evaluates it and counts all of
+    its steps except the first ``pre``, which occur before any event in
+    the node and which the caller counts.  ``events`` tells whether ``fn``
+    may check the budget, so steps that follow the node in evaluation
+    order must not be counted before it.  ``const`` is the value of a
+    literal or a folded conversion of one."""
+
+    __slots__ = ("fn", "pre", "events", "const")
+
+    def __init__(self, fn, pre: int, events: bool, const=None):
+        self.fn = fn
+        self.pre = pre
+        self.events = events
+        self.const = const
+
+
+def _sequence(codes: list[_Code]) -> tuple[int, list, bool]:
+    """Compile the evaluation of ``codes`` in order: the steps the caller
+    counts up front, ``(steps, fn)`` pairs whose steps are counted right
+    before ``fn``, and whether any code has events.  Each code's leading
+    steps join the batch opened after the last eventful code before it."""
+    head = [0]
+    batch = head
+    items = []
+    for code in codes:
+        item = [0, code.fn]
+        if batch is None:
+            batch = item
+        batch[0] += code.pre
+        items.append(item)
+        if code.events:
+            batch = None
+    return (head[0], [tuple(item) for item in items],
+            any(code.events for code in codes))
+
+
+def _in_order(codes: list[_Code]) -> tuple[int, list, bool]:
+    """``_sequence`` with one function per code, for operands."""
+    pre, items, events = _sequence(codes)
+    return pre, [_counted(steps, fn) if steps else fn
+                 for steps, fn in items], events
+
+
+def _counted(steps: int, fn):
+    def counted(run, env):
+        run.steps += steps
+        return fn(run, env)
+    return counted
+
+
+def _block(items):
+    def block(run, env):
+        for steps, fn in items:
+            if steps:
+                run.steps += steps
+            result = fn(run, env)
+            if result is not None:
+                return result
+        return None
+    return block
+
+
+def _constant(value):
+    return lambda run, env: value
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _float_op(op: str, ty: Type):
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _float_div}[op]
+    if ty is F32:
+        return lambda a, b: _f32(fn(a, b))
+    return fn
+
+
+def _int_op(op: str, ty: Type):
+    """Operands are in the range of ``ty``, so ``&`` and ``|`` need no
+    wrap; ``^`` is compiled where it sets the xor flag."""
+    if op in ("&", "|"):
+        return operator.and_ if op == "&" else operator.or_
+    mask = (1 << ty.bits) - 1
+    bits = ty.bits
+    if op == "<<":
+        wrap = _wrapper(ty)
+        return lambda a, n: wrap(a << (int(n) % bits))
+    if op == ">>":
+        # arithmetic for signed, logical otherwise
+        return lambda a, n: a >> (int(n) % bits)
+    if op == "/" or op == "%":
+        wrap = _wrapper(ty)
+        fn = _int_quot if op == "/" else _int_rem
+        return lambda a, b: wrap(fn(a, b))
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    if not ty.signed:
+        return lambda a, b: fn(a, b) & mask
+    half = 1 << (bits - 1)
+    return lambda a, b: ((fn(a, b) + half) & mask) - half
+
+
+class _Function:
+    """A compiled function.  Call sites hold it before its body is
+    compiled, so recursion needs no lookup by name."""
+
+    __slots__ = ("body", "pre", "padding")
+
+
+class _Compiler:
+    def __init__(self, program: Program):
+        self.functions = {name: _Function() for name in program.functions}
+        self.ast = program.functions
+        for name, fn in program.functions.items():
+            self.function(fn, self.functions[name])
+        self.entry = self.functions[program.entry.name]
+
+    def function(self, fn: Function, target: _Function) -> None:
+        self.slots = {name: i for i, (name, _) in enumerate(fn.params)}
+        pre, items, _ = _sequence([self.stmt(s) for s in fn.body.stmts])
+        target.body = _block(items)
+        target.pre = pre
+        target.padding = [None] * (len(self.slots) - len(fn.params))
+
+    def slot(self, name: str) -> int:
+        return self.slots.setdefault(name, len(self.slots))
+
+    # -- statements -------------------------------------------------------
+
+    def stmt(self, stmt) -> _Code:
+        if isinstance(stmt, Block):
+            pre, items, events = _sequence([self.stmt(s)
+                                            for s in stmt.stmts])
+            return _Code(_block(items), pre + 1, events)
+        if isinstance(stmt, (Decl, Assign)):
+            slot = self.slot(stmt.name)
+            if isinstance(stmt, Assign):
+                code = self.converted(stmt.expr, stmt.target_type,
+                                      stmt.conv_uid)
+            elif stmt.init is not None:
+                code = self.converted(stmt.init, stmt.decl_type,
+                                      stmt.conv_uid)
+            else:
+                code = _Code(None, 0, False, const=_zero(stmt.decl_type))
+            if code.const is not None:
+                value = code.const
+
+                def store(run, env):
+                    env[slot] = value
+            else:
+                fn = code.fn
+
+                def store(run, env):
+                    env[slot] = fn(run, env)
+            return _Code(store, code.pre + 1, code.events)
+        if isinstance(stmt, If):
+            return self.if_stmt(stmt)
+        if isinstance(stmt, While):
+            return self.while_stmt(stmt)
+        if isinstance(stmt, Return):
+            if stmt.expr is None:
+                return _Code(_constant(_RETURNED), 1, False)
+            code = self.converted(stmt.expr, stmt.target_type,
+                                  stmt.conv_uid)
+            return _Code(code.fn, code.pre + 1, code.events)
+        if isinstance(stmt, ExprStmt):
+            code = self.expr(stmt.expr)
+            fn = code.fn
+
+            def discard(run, env):
+                fn(run, env)
+            return _Code(discard, code.pre + 1, code.events)
+        if isinstance(stmt, AbortStmt):
+            def abort(run, env):
+                run.event()
+                raise _Crash()
+            return _Code(abort, 1, True)
+        raise AssertionError(stmt)
+
+    def condition(self, cond, kind: str, uid: int) -> _Code:
+        """The branch decision of an ``if`` or ``while`` as a bool."""
+        code = self.expr(cond)
+        fn = code.fn
+        if kind == "trunc":
+            ids = _SiteIds(uid)
+
+            def test(run, env):
+                taken = bool(fn(run, env))
+                run.emit(ids, taken, 1.0)
+                return taken
+        elif kind == "cmp0":
+            return self.convert(code, cond.type, BOOL, uid)
         else:
-            self.ctx_hashes.append(self.ctx_hashes[-1])
+            return code
+        return _Code(test, code.pre, True)
 
-    def pop_call(self) -> None:
-        self.ctx_hashes.pop()
+    def if_stmt(self, stmt: If) -> _Code:
+        cond = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
+        then = self.stmt(stmt.then)
+        els = (self.stmt(stmt.els) if stmt.els is not None
+               else _Code(_constant(None), 0, False))
+        test, then_fn, then_pre = cond.fn, then.fn, then.pre
+        els_fn, els_pre = els.fn, els.pre
+
+        def if_(run, env):
+            taken = test(run, env)
+            run.xor = False
+            if taken:
+                run.steps += then_pre
+                result = then_fn(run, env)
+            else:
+                run.steps += els_pre
+                result = els_fn(run, env)
+            run.xor = False
+            return result
+        return _Code(if_, cond.pre + 1,
+                     cond.events or then.events or els.events)
+
+    def while_stmt(self, stmt: While) -> _Code:
+        cond = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
+        body = self.stmt(stmt.body)
+        test, cond_pre = cond.fn, cond.pre
+        body_fn, body_pre = body.fn, body.pre
+
+        def while_(run, env):
+            while test(run, env):
+                run.xor = False
+                run.steps += body_pre
+                result = body_fn(run, env)
+                if result is not None:
+                    return result
+                run.xor = False
+                run.steps += cond_pre
+                if run.steps > run.budget:  # bounds an eventless loop
+                    raise _Timeout()
+            run.xor = False
+            return None
+        return _Code(while_, cond.pre + 1, True)
+
+    # -- expressions ------------------------------------------------------
+
+    def converted(self, expr, dst: Type, conv_uid: int) -> _Code:
+        """``expr`` converted to ``dst``; numeric -> bool records."""
+        return self.convert(self.expr(expr), expr.type, dst, conv_uid)
+
+    def convert(self, code: _Code, src: Type, dst: Type,
+                conv_uid: int) -> _Code:
+        if src is dst or (dst is BOOL and src is BOOL):
+            return code
+        fn = code.fn
+        if dst is BOOL:
+            ids = _SiteIds(conv_uid)
+
+            def to_bool(run, env):
+                value = fn(run, env)
+                taken = value != 0
+                run.emit(ids, taken, float(value))
+                return taken
+            return _Code(to_bool, code.pre, True)
+        conv = _conversion(src, dst)
+        if conv is None:
+            return code
+        if code.const is not None:
+            try:
+                value = conv(code.const)
+            except OverflowError:
+                pass  # raised at run time, as an unfolded conversion
+            else:
+                return _Code(_constant(value), code.pre, code.events,
+                             const=value)
+        return _Code(lambda run, env: conv(fn(run, env)), code.pre,
+                     code.events)
+
+    def expr(self, expr) -> _Code:
+        if isinstance(expr, (IntLit, FloatLit, BoolLit)):
+            return _Code(_constant(expr.value), 1, False, const=expr.value)
+        if isinstance(expr, VarRef):
+            slot = self.slots[expr.name]
+            return _Code(lambda run, env: env[slot], 1, False)
+        if isinstance(expr, Unary):
+            return self.unary(expr)
+        if isinstance(expr, Binary):
+            return self.binary(expr)
+        if isinstance(expr, Cast):
+            code = self.convert(self.expr(expr.operand), expr.operand.type,
+                                expr.target, expr.conv_uid)
+            return _Code(code.fn, code.pre + 1, code.events, code.const)
+        if isinstance(expr, Call):
+            read_type = _nondet_type(expr.name)
+            if read_type is not None:
+                return _Code(self.read(read_type), 1, True)
+            return self.call(expr)
+        raise AssertionError(expr)
+
+    def unary(self, expr: Unary) -> _Code:
+        code = self.expr(expr.operand)
+        fn = code.fn
+        if expr.op == "-":
+            ty = expr.type
+            if ty is F32:
+                neg = lambda value: _f32(-value)  # noqa: E731
+            elif ty is F64:
+                neg = operator.neg
+            else:
+                wrap = _wrapper(ty)
+                neg = lambda value: wrap(-value)  # noqa: E731
+            if code.const is not None:
+                value = neg(code.const)
+                return _Code(_constant(value), code.pre + 1, False,
+                             const=value)
+            return _Code(lambda run, env: neg(fn(run, env)), code.pre + 1,
+                         code.events)
+        # logical not: on a numeric operand this records an `== 0` check
+        # as the `!= 0` check of a conversion to bool
+        if expr.cmp_uid:
+            code = self.convert(code, expr.operand.type, BOOL, expr.cmp_uid)
+            fn = code.fn
+        return _Code(lambda run, env: not fn(run, env), code.pre + 1,
+                     code.events)
+
+    def binary(self, expr: Binary) -> _Code:
+        op = expr.op
+        ty = expr.operand_type
+        left = self.convert(self.expr(expr.left), expr.left.type, ty, 0)
+        right = self.expr(expr.right)
+        if op not in ("<<", ">>"):
+            right = self.convert(right, expr.right.type, ty, 0)
+        pre, (lf, rf), events = _in_order([left, right])
+        pre += 1
+        # a constant right operand is read in place unless an event
+        # before it makes it count its own step
+        const = None if left.events else right.const
+        if op in _COMPARE:
+            compare = _COMPARE[op]
+            ids = _SiteIds(expr.cmp_uid)
+            sub = (operator.sub if ty.kind == "float"
+                   else lambda a, b: float(a) - float(b))
+            if const is not None:
+                def comparison(run, env):
+                    a = lf(run, env)
+                    taken = compare(a, const)
+                    run.emit(ids, taken, sub(a, const))
+                    return taken
+            else:
+                def comparison(run, env):
+                    a = lf(run, env)
+                    b = rf(run, env)
+                    taken = compare(a, b)
+                    run.emit(ids, taken, sub(a, b))
+                    return taken
+            return _Code(comparison, pre, True)
+        if op == "^":
+            def xor(run, env):
+                a = lf(run, env)
+                b = rf(run, env)
+                run.xor = True
+                return a ^ b
+            return _Code(xor, pre, events)
+        fn = (_float_op if ty.kind == "float" else _int_op)(op, ty)
+        # integer division crashes on zero unless the divisor is a
+        # nonzero constant
+        if op in ("/", "%") and ty.kind != "float" and not const:
+            def divide(run, env):
+                a = lf(run, env)
+                b = rf(run, env)
+                if b == 0:
+                    run.event()
+                    raise _Crash()
+                return fn(a, b)
+            return _Code(divide, pre, True)
+        if const is not None:
+            return _Code(lambda run, env: fn(lf(run, env), const), pre,
+                         events)
+        return _Code(lambda run, env: fn(lf(run, env), rf(run, env)), pre,
+                     events)
 
     def read(self, ty: Type):
         tag = TYPE_TAGS[ty]
         width = tag.byte_width
-        if self.consumed + width > self.config.max_input_bytes:
-            raise _Boundary()
-        provided = self.config.input_bytes
-        raw = bytearray()
-        for i in range(self.consumed, self.consumed + width):
-            raw.append(provided[i] if i < len(provided)
-                       else self.config.fill_byte)
-        self.consumed += width
-        self.bytes_read.extend(raw)
-        self.tags.append(tag)
         if ty is BOOL:
-            return bool(raw[0])
-        if ty is F32:
-            return struct.unpack("<f", raw)[0]
-        if ty is F64:
-            return struct.unpack("<d", raw)[0]
-        return int.from_bytes(raw, "little", signed=ty.signed)
-
-
-class _Evaluator:
-    def __init__(self, state: _RunState):
-        self.state = state
-        self.functions = state.program.functions
-
-    # conversion that may carry an implicit numeric -> bool record site
-    def convert(self, value, src: Type, dst: Type, conv_uid: int):
-        if src is dst:
-            return value
-        if dst is BOOL:
-            if src is BOOL:
-                return value
-            direction = value != 0
-            self.state.emit(conv_uid, direction,
-                            branching_value(value, 0, "comparison"))
-            return direction
-        return _convert_numeric(value, src, dst)
-
-    def run_condition(self, cond, kind: str, uid: int, env: dict) -> bool:
-        value = self.eval(cond, env)
-        if kind == "trunc":
-            result = bool(value)
-            self.state.emit(uid, result, branching_value(0, 0, "truncation"))
-        elif kind == "cmp0":
-            result = value != 0
-            self.state.emit(uid, result,
-                            branching_value(value, 0, "comparison"))
-        else:
-            result = bool(value)
-        self.state.clear_xor()
-        return result
-
-    def call_function(self, fn: Function, args: list):
-        env = {name: value for (name, _), value in zip(fn.params, args)}
-        self.state.clear_xor()
-        try:
-            for stmt in fn.body.stmts:
-                self.exec_stmt(stmt, env)
-        except _ReturnSignal as ret:
-            return ret.value
-        finally:
-            self.state.clear_xor()
-        if fn.return_type is VOID:
-            return None
-        return False if fn.return_type is BOOL else (
-            0.0 if fn.return_type.kind == "float" else 0)
-
-    def exec_stmt(self, stmt: Stmt, env: dict) -> None:
-        self.state.step()
-        if isinstance(stmt, Block):
-            for inner in stmt.stmts:
-                self.exec_stmt(inner, env)
-        elif isinstance(stmt, Decl):
-            if stmt.init is None:
-                ty = stmt.decl_type
-                value = (False if ty is BOOL
-                         else 0.0 if ty.kind == "float" else 0)
-            else:
-                value = self.convert(self.eval(stmt.init, env),
-                                     stmt.init.type, stmt.decl_type,
-                                     stmt.conv_uid)
-            env[stmt.name] = value
-        elif isinstance(stmt, Assign):
-            env[stmt.name] = self.convert(self.eval(stmt.expr, env),
-                                          stmt.expr.type, stmt.target_type,
-                                          stmt.conv_uid)
-        elif isinstance(stmt, If):
-            taken = self.run_condition(stmt.cond, stmt.cond_kind,
-                                       stmt.cond_uid, env)
-            if taken:
-                self.exec_stmt(stmt.then, env)
-            elif stmt.els is not None:
-                self.exec_stmt(stmt.els, env)
-            self.state.clear_xor()
-        elif isinstance(stmt, While):
-            while self.run_condition(stmt.cond, stmt.cond_kind,
-                                     stmt.cond_uid, env):
-                self.exec_stmt(stmt.body, env)
-                self.state.clear_xor()
-        elif isinstance(stmt, Return):
-            if stmt.expr is None:
-                raise _ReturnSignal(None)
-            raise _ReturnSignal(self.convert(
-                self.eval(stmt.expr, env), stmt.expr.type,
-                stmt.target_type, stmt.conv_uid))
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.expr, env)
-        elif isinstance(stmt, AbortStmt):
-            raise _Crash()
-        else:
-            raise AssertionError(stmt)
-
-    def eval(self, expr, env: dict):
-        self.state.step()
-        if isinstance(expr, (IntLit, FloatLit, BoolLit)):
-            return expr.value
-        if isinstance(expr, VarRef):
-            return env[expr.name]
-        if isinstance(expr, Unary):
-            value = self.eval(expr.operand, env)
-            if expr.op == "-":
-                ty = expr.type
-                if ty.kind == "float":
-                    return _f32(-value) if ty is F32 else -value
-                return _wrap_int(-int(value), ty)
-            # logical not: on a numeric operand this is an `== 0` check
-            if expr.cmp_uid:
-                direction = value != 0
-                self.state.emit(expr.cmp_uid, direction,
-                                branching_value(value, 0, "comparison"))
-                return not direction
-            return not value
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
-        if isinstance(expr, Cast):
-            return self.convert(self.eval(expr.operand, env),
-                                expr.operand.type, expr.target,
-                                expr.conv_uid)
-        if isinstance(expr, Call):
-            return self.eval_call(expr, env)
-        raise AssertionError(expr)
-
-    def eval_binary(self, expr: Binary, env: dict):
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        op = expr.op
-        ty = expr.operand_type
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            lc = _convert_numeric(left, expr.left.type, ty)
-            rc = _convert_numeric(right, expr.right.type, ty)
-            direction = {
-                "==": lc == rc, "!=": lc != rc, "<": lc < rc,
-                "<=": lc <= rc, ">": lc > rc, ">=": lc >= rc,
-            }[op]
-            self.state.emit(expr.cmp_uid, direction,
-                            branching_value(lc, rc, "comparison"))
-            return direction
-        if op in ("<<", ">>"):
-            lc = _convert_numeric(left, expr.left.type, ty)
-            count = int(right) % ty.bits  # shift counts reduce mod width
-            if op == "<<":
-                return _wrap_int(lc << count, ty)
-            return lc >> count  # arithmetic for signed, logical otherwise
-        lc = _convert_numeric(left, expr.left.type, ty)
-        rc = _convert_numeric(right, expr.right.type, ty)
+            return lambda run, env: bool(run.read(tag, 1)[0])
         if ty.kind == "float":
-            if op == "+":
-                value = lc + rc
-            elif op == "-":
-                value = lc - rc
-            elif op == "*":
-                value = lc * rc
-            elif op == "/":
-                value = _float_div(lc, rc)
-            else:
-                raise AssertionError(op)
-            return _f32(value) if ty is F32 else value
-        if op == "+":
-            value = lc + rc
-        elif op == "-":
-            value = lc - rc
-        elif op == "*":
-            value = lc * rc
-        elif op == "/":
-            value = _int_div(lc, rc)
-        elif op == "%":
-            value = _int_rem(lc, rc)
-        elif op == "&":
-            value = lc & rc
-        elif op == "|":
-            value = lc | rc
-        elif op == "^":
-            value = lc ^ rc
-            self.state.xor_seen = True
-        else:
-            raise AssertionError(op)
-        return _wrap_int(value, ty)
+            unpack = (_F32 if ty is F32 else _F64).unpack
+            return lambda run, env: unpack(run.read(tag, width))[0]
+        if width == 1 and not ty.signed:
+            return lambda run, env: run.read(tag, 1)[0]
+        signed = ty.signed
+        return lambda run, env: int.from_bytes(run.read(tag, width),
+                                               "little", signed=signed)
 
-    def eval_call(self, expr: Call, env: dict):
-        read_type = _nondet_type(expr.name)
-        if read_type is not None:
-            return self.state.read(read_type)
-        fn = self.functions[expr.name]
-        args = []
-        for arg, conv_uid, (_, ptype) in zip(expr.args, expr.arg_conv_uids,
-                                             fn.params):
-            args.append(self.convert(self.eval(arg, env), arg.type, ptype,
-                                     conv_uid))
-        self.state.push_call(expr.site_uid)
-        try:
-            result = self.call_function(fn, args)
-        finally:
-            self.state.pop_call()
-        if expr.bool_uid:
-            self.state.emit(expr.bool_uid, bool(result),
-                            branching_value(0, 0, "bool_call"))
-        return result
+    def call(self, expr: Call) -> _Code:
+        fn = self.ast[expr.name]
+        callee = self.functions[expr.name]
+        args = [self.converted(arg, ptype, conv_uid)
+                for arg, conv_uid, (_, ptype)
+                in zip(expr.args, expr.arg_conv_uids, fn.params)]
+        pre, arg_fns, _ = _in_order(args)
+        site = expr.site_uid
+        pushes: dict[int, int] = {}  # parent context hash -> pushed hash
+        default = None if fn.return_type is VOID else _zero(fn.return_type)
+        ids = _SiteIds(expr.bool_uid) if expr.bool_uid else None
+
+        def call(run, env):
+            frame = [f(run, env) for f in arg_fns]
+            run.event()
+            depth = run.depth
+            if depth >= run.max_stack:
+                raise _Boundary()
+            parent = run.ctx
+            if depth <= DEFAULT_CONTEXT_DEPTH:
+                ctx = pushes.get(parent)
+                if ctx is None:
+                    ctx = pushes[parent] = context_hash_push(parent, site)
+                run.ctx = ctx
+            run.depth = depth + 1
+            run.xor = False
+            run.steps += callee.pre
+            result = callee.body(run, frame + callee.padding)
+            run.xor = False
+            run.depth = depth
+            run.ctx = parent
+            if result is None or result is _RETURNED:
+                result = default
+            if ids is not None:
+                run.emit(ids, bool(result), 1.0)
+            return result
+        return _Code(call, pre + 1, True)
 
 
-# deep target recursion costs several Python frames per call
+# deep target recursion costs a few Python frames per call
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
 
 
 def execute(program: Program, config: ExecutionConfig,
             limits: VmLimits) -> ExecutionResult:
-    """Run the program on the config's input; always terminates."""
+    """Run the program on the config's input; always terminates.  The
+    program is compiled on its first execution."""
     for name, cap in (("max_trace_length", limits.max_trace_length),
                       ("max_stack_size", limits.max_stack_size),
                       ("max_input_bytes", limits.max_input_bytes)):
         if getattr(config, name) > cap:
             raise ValueError(f"config {name} exceeds executor limit {cap}")
-    state = _RunState(program, config, limits)
-    evaluator = _Evaluator(state)
+    entry = program.compiled
+    if entry is None:
+        entry = program.compiled = _Compiler(program).entry
+    run = _Run(config, limits)
     try:
-        evaluator.call_function(program.entry, [])
+        run.steps += entry.pre
+        entry.body(run, list(entry.padding))
+        run.event()
         termination = TerminationKind.NORMAL
     except _Crash:
         termination = TerminationKind.CRASH
@@ -428,5 +705,5 @@ def execute(program: Program, config: ExecutionConfig,
         termination = TerminationKind.TIMEOUT
     except RecursionError:
         termination = TerminationKind.CRASH
-    return ExecutionResult(termination, bytes(state.bytes_read),
-                           tuple(state.tags), tuple(state.trace))
+    return ExecutionResult(termination, run.bytes_read(), tuple(run.tags),
+                           tuple(run.trace))

@@ -259,6 +259,9 @@ class Program:
     num_boolean_sites: int
     num_call_sites: int
     source: str = ""
+    # the interpreter's closures, compiled on the first execution
+    compiled: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     @property
     def entry(self) -> Function:

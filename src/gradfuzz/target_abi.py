@@ -2,8 +2,8 @@
 
 Everything the engine exchanges with a target executor (the local
 interpreter or a remote serving process) is defined here: typed-read tags,
-termination flags, condition records, execution configs and results, the
-two FNV-1a hashes, and the framed wire format.
+termination flags, condition records, execution configs and results,
+the FNV-1a calling-context hash, and the framed wire format.
 
 Wire format: one frame is
 
@@ -33,8 +33,6 @@ from typing import Sequence, Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
-FNV64_BASIS = 0xCBF29CE484222325
-FNV64_PRIME = 0x00000100000001B3
 
 DEFAULT_CONTEXT_DEPTH = 32
 
@@ -190,15 +188,6 @@ def context_hash_push(h: int, uid: int) -> int:
     for b in (uid & 0xFFFFFFFF).to_bytes(4, "little"):
         h ^= b
         h = (h * FNV32_PRIME) & 0xFFFFFFFF
-    return h
-
-
-def input_hash(data: bytes) -> int:
-    """64-bit FNV-1a of a generated input, used as the execution-cache key."""
-    h = FNV64_BASIS
-    for b in data:
-        h ^= b
-        h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
 
 

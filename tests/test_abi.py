@@ -17,7 +17,6 @@ from gradfuzz.target_abi import (
     context_hash,
     flip_bit,
     get_bit,
-    input_hash,
     set_bit,
     wire_decode,
     wire_encode,
@@ -47,23 +46,6 @@ class TestContextHash:
             other = frames[:depth] + [rng.randrange(2 ** 32)
                                       for _ in range(4)]
             assert context_hash(frames, depth) == context_hash(other, depth)
-
-
-class TestInputHash:
-    def test_deterministic(self):
-        data = b"branching"
-        assert input_hash(data) == input_hash(bytes(data))
-
-    def test_empty_is_offset_basis(self):
-        assert input_hash(b"") == 14695981039346656037
-
-    def test_one_bit_difference_no_collisions(self):
-        rng = random.Random(0)
-        for _ in range(10 ** 5):
-            data = bytearray(rng.randbytes(16))
-            h1 = input_hash(bytes(data))
-            flip_bit(data, rng.randrange(128))
-            assert input_hash(bytes(data)) != h1
 
 
 class TestRecords:

@@ -96,6 +96,15 @@ class TestMapTrace:
         tree.map_trace(result_for((record(1, True, 2.5),), data=b"\x07"), 2)
         assert tree.root.best_input == b"\x02"
 
+    def test_new_node_takes_first_trace_at_infinite_weight(self):
+        tree = ExecTree()
+        trace = (record(1, True, math.inf), record(2, False, 1.0))
+        tree.map_trace(result_for(trace), 0)
+        child = tree.root.successor[True]
+        assert tree.root.value == math.inf
+        assert child.value == 1.0
+        assert child.best_trace == trace
+
     def test_empty_trace_is_ignored(self):
         tree = ExecTree()
         report = tree.map_trace(result_for((), data=b"", tags=()), 0)

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradfuzz.minivm import (
-    ParseError,
-    VmLimits,
-    branching_value,
-    execute,
-    parse_program,
-)
+from gradfuzz.minivm import ParseError, VmLimits, execute, parse_program
 from gradfuzz.target_abi import ExecutionConfig, TerminationKind, TypeTag
+from reference_interp import branching_value
 
 LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)

@@ -95,3 +95,20 @@ def test_random_targets_deterministic():
         second = run_fuzzing(program, FuzzBudget(max_executions=120), options)
         assert [t.input_bytes for t in first[0].tests] == \
             [t.input_bytes for t in second[0].tests]
+
+
+FLOAT_GATE = """
+int main() { float x = nondet_float();
+  if (x > 3.5) { int k = nondet_int(); if (k == 7) { abort(); } }
+  return 0; }
+"""
+
+
+def test_float_read_fuzzes_to_completion():
+    # NaN inputs give an infinite branching value at the float guard; the
+    # node it first reaches must still get a best trace
+    program = parse_program(FLOAT_GATE)
+    for seed in range(5):
+        suite, stats = run_fuzzing(program, FuzzBudget(max_executions=300),
+                                   FuzzOptions(seed=seed))
+        assert stats.total_executions <= 300 + len(suite.tests)
