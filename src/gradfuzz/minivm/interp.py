@@ -24,10 +24,9 @@ recent control-flow transfer (branch decision, loop back edge, call, or
 return).  Bit index s of the input lives in byte s // 8 at bit position
 7 - s % 8 (MSB first); the same convention is used engine-wide.
 
-The step budget stands in for a wall-clock timeout.  It counts one step
-per statement or expression node on entry.  Steps between two observable
-events (a record, a read, a call, a crash) are counted in one batch, and
-the budget is checked before every event and on every loop iteration, so
+The step budget stands in for a wall-clock timeout.  Each node's closure
+counts one step on entry.  The budget is checked before every observable
+event (a record, a read, a call, a crash) and on every loop iteration, so
 a run ends with the same termination and trace as a check at every node
 would give.
 """
@@ -245,73 +244,6 @@ class _SiteIds(dict):
         return eid
 
 
-class _Code:
-    """A compiled node.  ``fn(run, env)`` evaluates it and counts all of
-    its steps except the first ``pre``, which occur before any event in
-    the node and which the caller counts.  ``events`` tells whether ``fn``
-    may check the budget, so steps that follow the node in evaluation
-    order must not be counted before it.  ``const`` is the value of a
-    literal or a folded conversion of one."""
-
-    __slots__ = ("fn", "pre", "events", "const")
-
-    def __init__(self, fn, pre: int, events: bool, const=None):
-        self.fn = fn
-        self.pre = pre
-        self.events = events
-        self.const = const
-
-
-def _sequence(codes: list[_Code]) -> tuple[int, list, bool]:
-    """Compile the evaluation of ``codes`` in order: the steps the caller
-    counts up front, ``(steps, fn)`` pairs whose steps are counted right
-    before ``fn``, and whether any code has events.  Each code's leading
-    steps join the batch opened after the last eventful code before it."""
-    head = [0]
-    batch = head
-    items = []
-    for code in codes:
-        item = [0, code.fn]
-        if batch is None:
-            batch = item
-        batch[0] += code.pre
-        items.append(item)
-        if code.events:
-            batch = None
-    return (head[0], [tuple(item) for item in items],
-            any(code.events for code in codes))
-
-
-def _in_order(codes: list[_Code]) -> tuple[int, list, bool]:
-    """``_sequence`` with one function per code, for operands."""
-    pre, items, events = _sequence(codes)
-    return pre, [_counted(steps, fn) if steps else fn
-                 for steps, fn in items], events
-
-
-def _counted(steps: int, fn):
-    def counted(run, env):
-        run.steps += steps
-        return fn(run, env)
-    return counted
-
-
-def _block(items):
-    def block(run, env):
-        for steps, fn in items:
-            if steps:
-                run.steps += steps
-            result = fn(run, env)
-            if result is not None:
-                return result
-        return None
-    return block
-
-
-def _constant(value):
-    return lambda run, env: value
-
-
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -348,14 +280,31 @@ def _int_op(op: str, ty: Type):
     return lambda a, b: ((fn(a, b) + half) & mask) - half
 
 
+def _statements(fns):
+    """Run the statements ``fns`` in order, up to the first that
+    returns."""
+    def statements(run, env):
+        for fn in fns:
+            result = fn(run, env)
+            if result is not None:
+                return result
+        return None
+    return statements
+
+
 class _Function:
     """A compiled function.  Call sites hold it before its body is
     compiled, so recursion needs no lookup by name."""
 
-    __slots__ = ("body", "pre", "padding")
+    __slots__ = ("body", "padding")
 
 
 class _Compiler:
+    """Compiles each node to a closure ``fn(run, env)`` that counts the
+    node's step on entry and then evaluates it.  ``env`` is the frame's
+    list of variable slots.  A statement's closure returns None to fall
+    through to the next statement, or the value the function returns."""
+
     def __init__(self, program: Program):
         self.functions = {name: _Function() for name in program.functions}
         self.ast = program.functions
@@ -365,9 +314,8 @@ class _Compiler:
 
     def function(self, fn: Function, target: _Function) -> None:
         self.slots = {name: i for i, (name, _) in enumerate(fn.params)}
-        pre, items, _ = _sequence([self.stmt(s) for s in fn.body.stmts])
-        target.body = _block(items)
-        target.pre = pre
+        # the body's statements run without a step for the body block
+        target.body = _statements([self.stmt(s) for s in fn.body.stmts])
         target.padding = [None] * (len(self.slots) - len(fn.params))
 
     def slot(self, name: str) -> int:
@@ -375,127 +323,138 @@ class _Compiler:
 
     # -- statements -------------------------------------------------------
 
-    def stmt(self, stmt) -> _Code:
+    def stmt(self, stmt):
         if isinstance(stmt, Block):
-            pre, items, events = _sequence([self.stmt(s)
-                                            for s in stmt.stmts])
-            return _Code(_block(items), pre + 1, events)
+            fns = [self.stmt(s) for s in stmt.stmts]
+
+            def block(run, env):
+                run.steps += 1
+                for fn in fns:
+                    result = fn(run, env)
+                    if result is not None:
+                        return result
+                return None
+            return block
         if isinstance(stmt, (Decl, Assign)):
             slot = self.slot(stmt.name)
             if isinstance(stmt, Assign):
-                code = self.converted(stmt.expr, stmt.target_type,
-                                      stmt.conv_uid)
+                fn = self.converted(stmt.expr, stmt.target_type,
+                                    stmt.conv_uid)
             elif stmt.init is not None:
-                code = self.converted(stmt.init, stmt.decl_type,
-                                      stmt.conv_uid)
+                fn = self.converted(stmt.init, stmt.decl_type,
+                                    stmt.conv_uid)
             else:
-                code = _Code(None, 0, False, const=_zero(stmt.decl_type))
-            if code.const is not None:
-                value = code.const
+                zero = _zero(stmt.decl_type)
 
-                def store(run, env):
-                    env[slot] = value
-            else:
-                fn = code.fn
+                def declare(run, env):
+                    run.steps += 1
+                    env[slot] = zero
+                return declare
 
-                def store(run, env):
-                    env[slot] = fn(run, env)
-            return _Code(store, code.pre + 1, code.events)
+            def store(run, env):
+                run.steps += 1
+                env[slot] = fn(run, env)
+            return store
         if isinstance(stmt, If):
             return self.if_stmt(stmt)
         if isinstance(stmt, While):
             return self.while_stmt(stmt)
         if isinstance(stmt, Return):
             if stmt.expr is None:
-                return _Code(_constant(_RETURNED), 1, False)
-            code = self.converted(stmt.expr, stmt.target_type,
-                                  stmt.conv_uid)
-            return _Code(code.fn, code.pre + 1, code.events)
+                def return_void(run, env):
+                    run.steps += 1
+                    return _RETURNED
+                return return_void
+            fn = self.converted(stmt.expr, stmt.target_type, stmt.conv_uid)
+
+            def return_(run, env):
+                run.steps += 1
+                return fn(run, env)
+            return return_
         if isinstance(stmt, ExprStmt):
-            code = self.expr(stmt.expr)
-            fn = code.fn
+            fn = self.expr(stmt.expr)
 
             def discard(run, env):
+                run.steps += 1
                 fn(run, env)
-            return _Code(discard, code.pre + 1, code.events)
+            return discard
         if isinstance(stmt, AbortStmt):
             def abort(run, env):
+                run.steps += 1
                 run.event()
                 raise _Crash()
-            return _Code(abort, 1, True)
+            return abort
         raise AssertionError(stmt)
 
-    def condition(self, cond, kind: str, uid: int) -> _Code:
+    def condition(self, cond, kind: str, uid: int):
         """The branch decision of an ``if`` or ``while`` as a bool."""
-        code = self.expr(cond)
-        fn = code.fn
-        if kind == "trunc":
-            ids = _SiteIds(uid)
+        fn = self.expr(cond)
+        if kind == "cmp0":
+            return self.convert(fn, cond.type, BOOL, uid)
+        if kind != "trunc":
+            return fn
+        ids = _SiteIds(uid)
 
-            def test(run, env):
-                taken = bool(fn(run, env))
-                run.emit(ids, taken, 1.0)
-                return taken
-        elif kind == "cmp0":
-            return self.convert(code, cond.type, BOOL, uid)
-        else:
-            return code
-        return _Code(test, code.pre, True)
+        def test(run, env):
+            taken = bool(fn(run, env))
+            run.emit(ids, taken, 1.0)
+            return taken
+        return test
 
-    def if_stmt(self, stmt: If) -> _Code:
-        cond = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
+    def if_stmt(self, stmt: If):
+        test = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
         then = self.stmt(stmt.then)
-        els = (self.stmt(stmt.els) if stmt.els is not None
-               else _Code(_constant(None), 0, False))
-        test, then_fn, then_pre = cond.fn, then.fn, then.pre
-        els_fn, els_pre = els.fn, els.pre
+        if stmt.els is None:
+            def if_(run, env):
+                run.steps += 1
+                taken = test(run, env)
+                run.xor = False
+                if not taken:
+                    return None
+                result = then(run, env)
+                run.xor = False
+                return result
+            return if_
+        els = self.stmt(stmt.els)
 
-        def if_(run, env):
-            taken = test(run, env)
+        def if_else(run, env):
+            run.steps += 1
+            branch = then if test(run, env) else els
             run.xor = False
-            if taken:
-                run.steps += then_pre
-                result = then_fn(run, env)
-            else:
-                run.steps += els_pre
-                result = els_fn(run, env)
+            result = branch(run, env)
             run.xor = False
             return result
-        return _Code(if_, cond.pre + 1,
-                     cond.events or then.events or els.events)
+        return if_else
 
-    def while_stmt(self, stmt: While) -> _Code:
-        cond = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
+    def while_stmt(self, stmt: While):
+        test = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
         body = self.stmt(stmt.body)
-        test, cond_pre = cond.fn, cond.pre
-        body_fn, body_pre = body.fn, body.pre
 
         def while_(run, env):
+            run.steps += 1
             while test(run, env):
                 run.xor = False
-                run.steps += body_pre
-                result = body_fn(run, env)
+                result = body(run, env)
                 if result is not None:
                     return result
                 run.xor = False
-                run.steps += cond_pre
                 if run.steps > run.budget:  # bounds an eventless loop
                     raise _Timeout()
             run.xor = False
             return None
-        return _Code(while_, cond.pre + 1, True)
+        return while_
 
     # -- expressions ------------------------------------------------------
 
-    def converted(self, expr, dst: Type, conv_uid: int) -> _Code:
+    def converted(self, expr, dst: Type, conv_uid: int):
         """``expr`` converted to ``dst``; numeric -> bool records."""
         return self.convert(self.expr(expr), expr.type, dst, conv_uid)
 
-    def convert(self, code: _Code, src: Type, dst: Type,
-                conv_uid: int) -> _Code:
-        if src is dst or (dst is BOOL and src is BOOL):
-            return code
-        fn = code.fn
+    def convert(self, fn, src: Type, dst: Type, conv_uid: int):
+        """``fn``'s value converted from ``src`` to ``dst``; a conversion
+        counts no step of its own."""
+        if src is dst:
+            return fn
         if dst is BOOL:
             ids = _SiteIds(conv_uid)
 
@@ -504,45 +463,48 @@ class _Compiler:
                 taken = value != 0
                 run.emit(ids, taken, float(value))
                 return taken
-            return _Code(to_bool, code.pre, True)
+            return to_bool
         conv = _conversion(src, dst)
         if conv is None:
-            return code
-        if code.const is not None:
-            try:
-                value = conv(code.const)
-            except OverflowError:
-                pass  # raised at run time, as an unfolded conversion
-            else:
-                return _Code(_constant(value), code.pre, code.events,
-                             const=value)
-        return _Code(lambda run, env: conv(fn(run, env)), code.pre,
-                     code.events)
+            return fn
+        return lambda run, env: conv(fn(run, env))
 
-    def expr(self, expr) -> _Code:
+    def expr(self, expr):
         if isinstance(expr, (IntLit, FloatLit, BoolLit)):
-            return _Code(_constant(expr.value), 1, False, const=expr.value)
+            value = expr.value
+
+            def literal(run, env):
+                run.steps += 1
+                return value
+            return literal
         if isinstance(expr, VarRef):
             slot = self.slots[expr.name]
-            return _Code(lambda run, env: env[slot], 1, False)
+
+            def variable(run, env):
+                run.steps += 1
+                return env[slot]
+            return variable
         if isinstance(expr, Unary):
             return self.unary(expr)
         if isinstance(expr, Binary):
             return self.binary(expr)
         if isinstance(expr, Cast):
-            code = self.convert(self.expr(expr.operand), expr.operand.type,
-                                expr.target, expr.conv_uid)
-            return _Code(code.fn, code.pre + 1, code.events, code.const)
+            fn = self.convert(self.expr(expr.operand), expr.operand.type,
+                              expr.target, expr.conv_uid)
+
+            def cast(run, env):
+                run.steps += 1
+                return fn(run, env)
+            return cast
         if isinstance(expr, Call):
             read_type = _nondet_type(expr.name)
             if read_type is not None:
-                return _Code(self.read(read_type), 1, True)
+                return self.read(read_type)
             return self.call(expr)
         raise AssertionError(expr)
 
-    def unary(self, expr: Unary) -> _Code:
-        code = self.expr(expr.operand)
-        fn = code.fn
+    def unary(self, expr: Unary):
+        fn = self.expr(expr.operand)
         if expr.op == "-":
             ty = expr.type
             if ty is F32:
@@ -552,103 +514,107 @@ class _Compiler:
             else:
                 wrap = _wrapper(ty)
                 neg = lambda value: wrap(-value)  # noqa: E731
-            if code.const is not None:
-                value = neg(code.const)
-                return _Code(_constant(value), code.pre + 1, False,
-                             const=value)
-            return _Code(lambda run, env: neg(fn(run, env)), code.pre + 1,
-                         code.events)
+
+            def negate(run, env):
+                run.steps += 1
+                return neg(fn(run, env))
+            return negate
         # logical not: on a numeric operand this records an `== 0` check
         # as the `!= 0` check of a conversion to bool
         if expr.cmp_uid:
-            code = self.convert(code, expr.operand.type, BOOL, expr.cmp_uid)
-            fn = code.fn
-        return _Code(lambda run, env: not fn(run, env), code.pre + 1,
-                     code.events)
+            fn = self.convert(fn, expr.operand.type, BOOL, expr.cmp_uid)
 
-    def binary(self, expr: Binary) -> _Code:
+        def not_(run, env):
+            run.steps += 1
+            return not fn(run, env)
+        return not_
+
+    def binary(self, expr: Binary):
         op = expr.op
         ty = expr.operand_type
-        left = self.convert(self.expr(expr.left), expr.left.type, ty, 0)
-        right = self.expr(expr.right)
+        lf = self.convert(self.expr(expr.left), expr.left.type, ty, 0)
+        rf = self.expr(expr.right)
         if op not in ("<<", ">>"):
-            right = self.convert(right, expr.right.type, ty, 0)
-        pre, (lf, rf), events = _in_order([left, right])
-        pre += 1
-        # a constant right operand is read in place unless an event
-        # before it makes it count its own step
-        const = None if left.events else right.const
+            rf = self.convert(rf, expr.right.type, ty, 0)
         if op in _COMPARE:
             compare = _COMPARE[op]
             ids = _SiteIds(expr.cmp_uid)
-            sub = (operator.sub if ty.kind == "float"
-                   else lambda a, b: float(a) - float(b))
-            if const is not None:
+            if ty.kind == "float":
                 def comparison(run, env):
-                    a = lf(run, env)
-                    taken = compare(a, const)
-                    run.emit(ids, taken, sub(a, const))
-                    return taken
-            else:
-                def comparison(run, env):
+                    run.steps += 1
                     a = lf(run, env)
                     b = rf(run, env)
                     taken = compare(a, b)
-                    run.emit(ids, taken, sub(a, b))
+                    run.emit(ids, taken, a - b)
                     return taken
-            return _Code(comparison, pre, True)
+                return comparison
+
+            def int_comparison(run, env):
+                run.steps += 1
+                a = lf(run, env)
+                b = rf(run, env)
+                taken = compare(a, b)
+                run.emit(ids, taken, float(a) - float(b))
+                return taken
+            return int_comparison
         if op == "^":
             def xor(run, env):
+                run.steps += 1
                 a = lf(run, env)
                 b = rf(run, env)
                 run.xor = True
                 return a ^ b
-            return _Code(xor, pre, events)
+            return xor
         fn = (_float_op if ty.kind == "float" else _int_op)(op, ty)
-        # integer division crashes on zero unless the divisor is a
-        # nonzero constant
-        if op in ("/", "%") and ty.kind != "float" and not const:
+        if op in ("/", "%") and ty.kind != "float":
             def divide(run, env):
+                run.steps += 1
                 a = lf(run, env)
                 b = rf(run, env)
                 if b == 0:
                     run.event()
                     raise _Crash()
                 return fn(a, b)
-            return _Code(divide, pre, True)
-        if const is not None:
-            return _Code(lambda run, env: fn(lf(run, env), const), pre,
-                         events)
-        return _Code(lambda run, env: fn(lf(run, env), rf(run, env)), pre,
-                     events)
+            return divide
+
+        def arithmetic(run, env):
+            run.steps += 1
+            return fn(lf(run, env), rf(run, env))
+        return arithmetic
 
     def read(self, ty: Type):
         tag = TYPE_TAGS[ty]
         width = tag.byte_width
         if ty is BOOL:
-            return lambda run, env: bool(run.read(tag, 1)[0])
-        if ty.kind == "float":
+            decode = lambda raw: raw[0] != 0  # noqa: E731
+        elif ty.kind == "float":
             unpack = (_F32 if ty is F32 else _F64).unpack
-            return lambda run, env: unpack(run.read(tag, width))[0]
-        if width == 1 and not ty.signed:
-            return lambda run, env: run.read(tag, 1)[0]
-        signed = ty.signed
-        return lambda run, env: int.from_bytes(run.read(tag, width),
-                                               "little", signed=signed)
+            decode = lambda raw: unpack(raw)[0]  # noqa: E731
+        elif width == 1 and not ty.signed:
+            decode = operator.itemgetter(0)
+        else:
+            signed = ty.signed
+            decode = lambda raw: int.from_bytes(  # noqa: E731
+                raw, "little", signed=signed)
 
-    def call(self, expr: Call) -> _Code:
+        def read(run, env):
+            run.steps += 1
+            return decode(run.read(tag, width))
+        return read
+
+    def call(self, expr: Call):
         fn = self.ast[expr.name]
         callee = self.functions[expr.name]
-        args = [self.converted(arg, ptype, conv_uid)
-                for arg, conv_uid, (_, ptype)
-                in zip(expr.args, expr.arg_conv_uids, fn.params)]
-        pre, arg_fns, _ = _in_order(args)
+        arg_fns = [self.converted(arg, ptype, conv_uid)
+                   for arg, conv_uid, (_, ptype)
+                   in zip(expr.args, expr.arg_conv_uids, fn.params)]
         site = expr.site_uid
         pushes: dict[int, int] = {}  # parent context hash -> pushed hash
         default = None if fn.return_type is VOID else _zero(fn.return_type)
         ids = _SiteIds(expr.bool_uid) if expr.bool_uid else None
 
         def call(run, env):
+            run.steps += 1
             frame = [f(run, env) for f in arg_fns]
             run.event()
             depth = run.depth
@@ -662,7 +628,6 @@ class _Compiler:
                 run.ctx = ctx
             run.depth = depth + 1
             run.xor = False
-            run.steps += callee.pre
             result = callee.body(run, frame + callee.padding)
             run.xor = False
             run.depth = depth
@@ -672,7 +637,7 @@ class _Compiler:
             if ids is not None:
                 run.emit(ids, bool(result), 1.0)
             return result
-        return _Code(call, pre + 1, True)
+        return call
 
 
 # deep target recursion costs a few Python frames per call
@@ -693,7 +658,6 @@ def execute(program: Program, config: ExecutionConfig,
         entry = program.compiled = _Compiler(program).entry
     run = _Run(config, limits)
     try:
-        run.steps += entry.pre
         entry.body(run, list(entry.padding))
         run.event()
         termination = TerminationKind.NORMAL

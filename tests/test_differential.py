@@ -183,6 +183,7 @@ SPIN = """
 int main() {
   uchar n = nondet_uchar();
   int i = 0;
+  if (n == 0) { while (true) { i = i + 1; } }
   while (true) { i = i + 1; if (i == (int)n) { bool hit = i > 200; } }
   return 0;
 }
@@ -199,8 +200,35 @@ int main() {
 }
 """
 
+# returns that skip code which records nothing: the steps of the skipped
+# code must not be counted
+RETURNS = """
+void early() { return; int dead = 1; }
+int dead_code() { return 0; int y = 1; y = y + 1; }
+bool check(bool ok, int n) { if (!ok) { return false; } n = n + 1;
+                             return n > 3; }
+int literal() { if (true) { return 1; } int z = 2; return z; }
+int nested(bool b) { { if (b) { return 2; } } int k = 5; return k; }
+int spin(bool b) { while (true) { if (b) { return 3; } b = true; }
+                   return 4; }
+int main() {
+  bool b = nondet_bool();
+  uchar n = nondet_uchar();
+  int acc = 0;
+  int i = 0;
+  while (i < (int)n) {
+    early();
+    acc = acc + dead_code() + literal() + nested(b) + spin(b);
+    if (check(b, i)) { acc = acc + 1; }
+    i = i + 1;
+  }
+  return acc;
+  acc = 7;
+}
+"""
+
 EDGE_TARGETS = {"floats": FLOATS, "division": DIVISION, "mixed": MIXED,
-                "spin": SPIN, "recursion": RECURSION}
+                "spin": SPIN, "recursion": RECURSION, "returns": RETURNS}
 
 
 def edge_inputs(name, rng):
@@ -234,6 +262,7 @@ FULL_RUN_INPUTS = {
     "mixed": bytes.fromhex("69d633d72792ad00847cbf25625bfc6cfaa98c0ed077aa76"
                            "e5bc"),
     "recursion": (6).to_bytes(2, "little"),
+    "returns": b"\x00\x02",
     "spin": b"\x07",
 }
 
