@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .executors import RemoteExecutor, TargetServer
@@ -12,6 +13,7 @@ from .fuzz_loop import (
     FuzzBudget,
     FuzzOptions,
     load_manifest,
+    optimizer_limits,
     replay_suite,
     run_fuzzing,
     save_suite,
@@ -19,16 +21,16 @@ from .fuzz_loop import (
 from .minivm import ParseError, VmLimits, parse_program
 
 
-def _add_limit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-trace-length", type=int, default=10_000)
-    parser.add_argument("--max-stack-size", type=int, default=256)
-    parser.add_argument("--max-input-bytes", type=int, default=4_096)
-    parser.add_argument("--step-budget", type=int, default=10_000_000)
+def _add_limit_args(parser: argparse.ArgumentParser,
+                    defaults: VmLimits) -> None:
+    for name, value in asdict(defaults).items():
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=value)
 
 
 def _limits(args) -> VmLimits:
-    return VmLimits(args.max_trace_length, args.max_stack_size,
-                    args.max_input_bytes, args.step_budget)
+    return VmLimits(**{f.name: getattr(args, f.name)
+                       for f in fields(VmLimits)})
 
 
 def _load_target(path: str):
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--remote", default=None, metavar="HOST:PORT",
                       help="execute via a serving process instead of "
                            "in-process")
-    _add_limit_args(fuzz)
+    _add_limit_args(fuzz, VmLimits())
 
     replay = sub.add_parser("replay",
                             help="re-execute a suite and verify its manifest")
@@ -72,10 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("-t", "--target", required=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
-    _add_limit_args(serve)
-    # generous default caps so optimizer-extended configs are accepted
-    serve.set_defaults(max_trace_length=320_000, max_input_bytes=16_384,
-                       max_stack_size=1_024, step_budget=320_000_000)
+    # default caps admit the optimizer's extended configs
+    _add_limit_args(serve, optimizer_limits(VmLimits()))
     return parser
 
 

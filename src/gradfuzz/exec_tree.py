@@ -8,8 +8,9 @@ minimizes the sum of squared branching values over the path prefix.
 """
 from __future__ import annotations
 
+from collections import Counter
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .target_abi import (
     ConditionRecord,
@@ -38,6 +39,22 @@ def path_weight(trace: Sequence[ConditionRecord], depth: int) -> float:
     for i in range(depth + 1):
         total += trace[i].value * trace[i].value
     return total
+
+
+def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
+                     id_pairs: Iterable[tuple[int, int, bool]]
+                     ) -> dict[str, int]:
+    """Coverage counts from observed (uid, direction) and (uid, ctx,
+    direction) pairs: an instruction or execution id is discovered by one
+    direction and covered by both."""
+    uid_dirs = Counter(u for u, _ in set(uid_pairs))
+    id_dirs = Counter((u, c) for u, c, _ in set(id_pairs))
+    return {
+        "uids_discovered": len(uid_dirs),
+        "uids_covered": sum(n == 2 for n in uid_dirs.values()),
+        "execution_ids_discovered": len(id_dirs),
+        "execution_ids_covered": sum(n == 2 for n in id_dirs.values()),
+    }
 
 
 class TreeNode:
@@ -140,35 +157,13 @@ def is_indirectly_input_dependent(node: TreeNode) -> bool:
     return node.sensitivity_done and not node.sensitive_bits
 
 
-def classify(node: TreeNode) -> tuple[str, str]:
-    """(dependency, openness) of a node; either component may be
-    'neither'."""
-    if is_directly_input_dependent(node):
-        dep = "DID"
-    elif is_indirectly_input_dependent(node):
-        dep = "IID"
-    else:
-        dep = "neither"
-    if is_open(node):
-        state = "open"
-    elif node.closed or closed_predicate(node):
-        state = "closed"
-    else:
-        state = "neither"
-    return dep, state
-
-
 class MapReport:
     """What one trace mapping changed."""
 
-    __slots__ = ("nodes", "created", "new_pairs", "newly_covered_uids",
-                 "new_id_pairs")
+    __slots__ = ("new_pairs", "newly_covered_uids")
 
     def __init__(self):
-        self.nodes: list[TreeNode] = []
-        self.created: list[TreeNode] = []
         self.new_pairs: list[tuple[int, bool]] = []
-        self.new_id_pairs: list[tuple[ExecutionId, bool]] = []
         self.newly_covered_uids: list[int] = []
 
 
@@ -190,14 +185,11 @@ class ExecTree:
         return len(self.uid_directions.get(uid, ())) == 2
 
     def coverage_counts(self) -> dict[str, int]:
-        return {
-            "uids_discovered": len(self.uid_directions),
-            "uids_covered": sum(1 for d in self.uid_directions.values()
-                                if len(d) == 2),
-            "execution_ids_discovered": len(self.id_directions),
-            "execution_ids_covered": sum(
-                1 for d in self.id_directions.values() if len(d) == 2),
-        }
+        return coverage_summary(
+            ((uid, d) for uid, dirs in self.uid_directions.items()
+             for d in dirs),
+            ((i.uid, i.ctx, d) for i, dirs in self.id_directions.items()
+             for d in dirs))
 
     def _observe(self, record: ConditionRecord, report: MapReport) -> None:
         uid_dirs = self.uid_directions.setdefault(record.id.uid, set())
@@ -209,7 +201,6 @@ class ExecTree:
         id_dirs = self.id_directions.setdefault(record.id, set())
         if record.direction not in id_dirs:
             id_dirs.add(record.direction)
-            report.new_id_pairs.append((record.id, record.direction))
             if len(id_dirs) == 2:
                 for node in self.nodes_by_id.get(record.id, ()):
                     node.covered = True
@@ -241,7 +232,6 @@ class ExecTree:
                     else EdgeLabel.END_NORMAL)
         if self.root is None:
             self.root = self._new_node(trace[0].id, None)
-            report.created.append(self.root)
         node = self.root
         max_depth = len(trace) - 1
         weight = 0.0
@@ -250,7 +240,6 @@ class ExecTree:
                 raise TreeMappingError(
                     f"trace record {i} has id {rec.id}, tree node has "
                     f"{node.id}; target looks nondeterministic")
-            report.nodes.append(node)
             self._observe(rec, report)
             if rec.nbytes > self.max_nbytes:
                 self.max_nbytes = rec.nbytes
@@ -272,9 +261,7 @@ class ExecTree:
                 if node.label[b] < EdgeLabel.VISITED:
                     node.label[b] = EdgeLabel.VISITED
                 if node.successor[b] is None:
-                    child = self._new_node(trace[i + 1].id, node)
-                    node.successor[b] = child
-                    report.created.append(child)
+                    node.successor[b] = self._new_node(trace[i + 1].id, node)
                 node = node.successor[b]
         return report
 

@@ -64,15 +64,6 @@ def _recv_frame(sock: socket.socket) -> bytes:
     return header + _recv_exact(sock, length)
 
 
-def remote_execute(endpoint: "RemoteExecutor | tuple[str, int] | str",
-                   config: ExecutionConfig) -> ExecutionResult:
-    """One framed request/response against a serving process."""
-    if isinstance(endpoint, RemoteExecutor):
-        return endpoint(config)
-    with RemoteExecutor(endpoint) as executor:
-        return executor(config)
-
-
 class RemoteExecutor:
     """Persistent connection issuing one config frame per execution."""
 
@@ -117,8 +108,7 @@ class RemoteExecutor:
 
     def scaled(self, trace: int, stack: int, input: int,
                steps: int) -> "RemoteExecutor":
-        # the serving side owns its step budget; wire-carried limits are
-        # scaled by the caller when building configs
+        # configs carry the scaled caps; the step budget is the server's own
         return self
 
     def close(self) -> None:

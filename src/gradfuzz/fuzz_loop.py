@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .exec_tree import EdgeLabel, ExecTree
+from .exec_tree import EdgeLabel, ExecTree, MapReport, coverage_summary
 from .generators import (
     AnalysisKind,
     AnalysisSession,
@@ -30,17 +30,17 @@ from .generators import (
 )
 from .minivm import Program, VmLimits
 from .strategy import Selection, Strategy
-from .target_abi import (
-    ExecutionConfig,
-    ExecutionResult,
-    TerminationKind,
-    TypeTag,
-)
+from .target_abi import ExecutionResult, TerminationKind, TypeTag
 
 OPTIMIZER_SCALE = {"trace": 32, "stack": 4, "input": 4, "steps": 32}
 
 _BOOTSTRAP = "bootstrap"
 _OPTIMIZER = "optimizer"
+
+
+def optimizer_limits(limits: VmLimits) -> VmLimits:
+    """The caps under which the post-run optimizer re-runs tests."""
+    return limits.scaled(**OPTIMIZER_SCALE)
 
 
 @dataclass(frozen=True)
@@ -79,23 +79,9 @@ class TestSuite:
     coverage: dict[str, int] = field(default_factory=dict)
 
     def recompute_coverage(self) -> dict[str, int]:
-        uid_pairs = set()
-        id_pairs = set()
-        for test in self.tests:
-            uid_pairs.update(test.uid_pairs)
-            id_pairs.update(test.id_pairs)
-        uids = {u for u, _ in uid_pairs}
-        ids = {(u, c) for u, c, _ in id_pairs}
-        self.coverage = {
-            "uids_discovered": len(uids),
-            "uids_covered": sum(1 for u in uids
-                                if (u, False) in uid_pairs
-                                and (u, True) in uid_pairs),
-            "execution_ids_discovered": len(ids),
-            "execution_ids_covered": sum(
-                1 for u, c in ids
-                if (u, c, False) in id_pairs and (u, c, True) in id_pairs),
-        }
+        self.coverage = coverage_summary(
+            (pair for test in self.tests for pair in test.uid_pairs),
+            (pair for test in self.tests for pair in test.id_pairs))
         return self.coverage
 
 
@@ -180,22 +166,6 @@ class FuzzEngine:
         self._kept_inputs: set[bytes] = set()
         self._deadline = None
 
-    # -- config helpers -----------------------------------------------------
-
-    def _config(self, input_bytes: bytes,
-                extended: bool = False) -> ExecutionConfig:
-        limits = self.options.limits
-        if not extended:
-            return ExecutionConfig(limits.max_trace_length,
-                                   limits.max_stack_size,
-                                   limits.max_input_bytes,
-                                   self.options.fill_byte, input_bytes)
-        return ExecutionConfig(
-            limits.max_trace_length * OPTIMIZER_SCALE["trace"],
-            limits.max_stack_size * OPTIMIZER_SCALE["stack"],
-            limits.max_input_bytes * OPTIMIZER_SCALE["input"],
-            self.options.fill_byte, input_bytes)
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> tuple[TestSuite, FuzzStats]:
@@ -218,9 +188,10 @@ class FuzzEngine:
         if (self.budget.max_executions is not None
                 and self.stats.total_executions >= self.budget.max_executions):
             return False
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            return False
-        return True
+        return not self._past_deadline()
+
+    def _past_deadline(self) -> bool:
+        return self._deadline is not None and time.monotonic() >= self._deadline
 
     def _next_input(self) -> Optional[bytes]:
         while True:
@@ -248,14 +219,20 @@ class FuzzEngine:
                                        self.rng, variables)
         return BinaryDescentSession(node, selection.goal_direction, self.rng)
 
-    def _execute_and_process(self, input_bytes: bytes, kind: str) -> None:
-        result = self.executor(self._config(input_bytes))
+    def _execute(self, executor, limits: VmLimits, input_bytes: bytes,
+                 kind: str) -> tuple[ExecutionResult, MapReport, int]:
+        """Run one input, count it, and map its trace onto the tree."""
+        result = executor(limits.config(self.options.fill_byte, input_bytes))
         iteration = self.iteration
         self.iteration += 1
         self.stats.iterations = self.iteration
         self.stats.executions_by_kind[kind] += 1
         self.stats.terminations[result.termination.name] += 1
-        report = self.tree.map_trace(result, iteration)
+        return result, self.tree.map_trace(result, iteration), iteration
+
+    def _execute_and_process(self, input_bytes: bytes, kind: str) -> None:
+        result, report, iteration = self._execute(
+            self.executor, self.options.limits, input_bytes, kind)
         keep = (iteration == 0
                 or result.termination == TerminationKind.CRASH
                 or bool(report.new_pairs))
@@ -271,7 +248,7 @@ class FuzzEngine:
                 self._finish_session(achieved=True,
                                      achieving_input=input_bytes)
 
-    def _test_case(self, result: ExecutionResult, report,
+    def _test_case(self, result: ExecutionResult, report: MapReport,
                    iteration: int, extended: bool = False) -> TestCase:
         uid_pairs = sorted({(r.id.uid, r.direction) for r in result.trace})
         id_pairs = sorted({(r.id.uid, r.id.ctx, r.direction)
@@ -325,20 +302,19 @@ class FuzzEngine:
 
     def optimize_suite(self) -> TestSuite:
         """Re-run boundary-violating tests with highly extended limits;
-        keep re-reads that add coverage and differ from the original."""
+        keep re-reads that add coverage and differ from the original.
+        Stops once the time budget has run out."""
         executor = self.executor.scaled(**OPTIMIZER_SCALE)
+        limits = optimizer_limits(self.options.limits)
         for test in list(self.suite.tests):
+            if self._past_deadline():
+                break
             if test.termination != TerminationKind.BOUNDARY_CONDITION_VIOLATION:
                 continue
             if test.extended_limits:
                 continue
-            result = executor(self._config(test.input_bytes, extended=True))
-            iteration = self.iteration
-            self.iteration += 1
-            self.stats.iterations = self.iteration
-            self.stats.executions_by_kind[_OPTIMIZER] += 1
-            self.stats.terminations[result.termination.name] += 1
-            report = self.tree.map_trace(result, iteration)
+            result, report, iteration = self._execute(
+                executor, limits, test.input_bytes, _OPTIMIZER)
             if (report.new_pairs
                     and result.bytes_read != test.input_bytes
                     and result.bytes_read not in self._kept_inputs):
@@ -412,12 +388,7 @@ def save_suite(outdir: "Path | str", suite: TestSuite, stats: FuzzStats,
         "executions": {"total": stats.total_executions,
                        **stats.executions_by_kind},
         "fill_byte": options.fill_byte,
-        "limits": {
-            "max_trace_length": options.limits.max_trace_length,
-            "max_stack_size": options.limits.max_stack_size,
-            "max_input_bytes": options.limits.max_input_bytes,
-            "step_budget": options.limits.step_budget,
-        },
+        "limits": asdict(options.limits),
         "optimizer_scale": OPTIMIZER_SCALE,
         "coverage": suite.recompute_coverage(),
         "tests": manifest_tests,
@@ -440,27 +411,15 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
     from .executors import LocalExecutor
 
     manifest = load_manifest(outdir)
-    limits = VmLimits(**manifest["limits"])
-    scale = manifest["optimizer_scale"]
-    base = LocalExecutor(program, limits)
-    extended = base.scaled(**scale)
+    base = VmLimits(**manifest["limits"])
+    extended = base.scaled(**manifest["optimizer_scale"])
     uid_pairs = set()
     id_pairs = set()
     for entry in manifest["tests"]:
         input_bytes = bytes.fromhex(entry["input"])
-        if entry["extended_limits"]:
-            config = ExecutionConfig(
-                limits.max_trace_length * scale["trace"],
-                limits.max_stack_size * scale["stack"],
-                limits.max_input_bytes * scale["input"],
-                manifest["fill_byte"], input_bytes)
-            result = extended(config)
-        else:
-            config = ExecutionConfig(limits.max_trace_length,
-                                     limits.max_stack_size,
-                                     limits.max_input_bytes,
-                                     manifest["fill_byte"], input_bytes)
-            result = base(config)
+        limits = extended if entry["extended_limits"] else base
+        result = LocalExecutor(program, limits)(
+            limits.config(manifest["fill_byte"], input_bytes))
         if result.termination.name != entry["termination"]:
             return False, (f"{entry['file']}: termination "
                            f"{result.termination.name} != "
@@ -474,17 +433,7 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
         uid_pairs.update(got_pairs)
         id_pairs.update((r.id.uid, r.id.ctx, r.direction)
                         for r in result.trace)
-    uids = {u for u, _ in uid_pairs}
-    ids = {(u, c) for u, c, _ in id_pairs}
-    recomputed = {
-        "uids_discovered": len(uids),
-        "uids_covered": sum(1 for u in uids if (u, False) in uid_pairs
-                            and (u, True) in uid_pairs),
-        "execution_ids_discovered": len(ids),
-        "execution_ids_covered": sum(
-            1 for u, c in ids
-            if (u, c, False) in id_pairs and (u, c, True) in id_pairs),
-    }
+    recomputed = coverage_summary(uid_pairs, id_pairs)
     if recomputed != manifest["coverage"]:
         return False, (f"coverage summary differs: {recomputed!r} != "
                        f"{manifest['coverage']!r}")

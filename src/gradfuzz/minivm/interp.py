@@ -79,6 +79,11 @@ class VmLimits:
                         self.max_input_bytes * input,
                         self.step_budget * steps)
 
+    def config(self, fill_byte: int, input_bytes: bytes) -> ExecutionConfig:
+        """The execution config that asks for exactly these caps."""
+        return ExecutionConfig(self.max_trace_length, self.max_stack_size,
+                               self.max_input_bytes, fill_byte, input_bytes)
+
 
 class _Crash(Exception):
     pass
@@ -101,7 +106,10 @@ _RETURNED = object()
 
 
 def _f32(value: float) -> float:
-    return _F32.unpack(_F32.pack(value))[0]
+    try:
+        return _F32.unpack(_F32.pack(value))[0]
+    except OverflowError:  # finite but rounds past FLT_MAX: C gives inf
+        return math.copysign(math.inf, value)
 
 
 def _float_div(left: float, right: float) -> float:

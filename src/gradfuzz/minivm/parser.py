@@ -508,8 +508,11 @@ class _Analyzer:
         return uid
 
     def run(self) -> None:
-        if "main" not in self.functions:
+        main = self.functions.get("main")
+        if main is None:
             raise ParseError("no main function", 1, 1)
+        if main.params:
+            raise self.error(main, "main takes no parameters")
         for fn in self.functions.values():
             self.current = fn
             self.scopes = [dict(fn.params)]

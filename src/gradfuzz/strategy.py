@@ -346,7 +346,7 @@ class Strategy:
 
     def _scan_loop_heads(self, node: TreeNode) -> None:
         path = node.path()
-        loops, heads2bodies = detect_loops(path)
+        _, heads2bodies = detect_loops(path)
         self.detect_loop_heads(path, heads2bodies)
         node.loop_scanned = True
 

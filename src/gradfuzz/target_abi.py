@@ -29,11 +29,13 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence, Union
+from typing import Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
 
+# calls nested deeper than this leave the context hash unchanged, so deep
+# recursion maps to one stable context
 DEFAULT_CONTEXT_DEPTH = 32
 
 KIND_CONFIG = 0x01
@@ -166,21 +168,6 @@ class ExecutionResult:
 
 
 WireMessage = Union[ExecutionConfig, ExecutionResult]
-
-
-def context_hash(function_uids: Sequence[int],
-                 depth_limit: int = DEFAULT_CONTEXT_DEPTH) -> int:
-    """32-bit FNV-1a over the oldest ``depth_limit`` call-site uids.
-
-    Frames pushed beyond the depth limit do not change the hash, so deep
-    recursion maps to a stable context value.
-    """
-    h = FNV32_BASIS
-    for uid in function_uids[:depth_limit]:
-        for b in (uid & 0xFFFFFFFF).to_bytes(4, "little"):
-            h ^= b
-            h = (h * FNV32_PRIME) & 0xFFFFFFFF
-    return h
 
 
 def context_hash_push(h: int, uid: int) -> int:

@@ -57,7 +57,10 @@ def branching_value(left, right, kind: str) -> float:
 
 
 def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:  # finite but rounds past FLT_MAX: C gives inf
+        return math.copysign(math.inf, value)
 
 
 def _wrap_int(value: int, ty: Type) -> int:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_wire_config, random_wire_result
 from gradfuzz.target_abi import (
+    FNV32_BASIS,
     ConditionRecord,
     DecodeError,
     ExecutionConfig,
@@ -14,7 +15,7 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    context_hash,
+    context_hash_push,
     flip_bit,
     get_bit,
     set_bit,
@@ -23,29 +24,38 @@ from gradfuzz.target_abi import (
 )
 
 
+def fnv1a_32(data: bytes) -> int:
+    h = 0x811C9DC5
+    for b in data:
+        h = ((h ^ b) * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
+def push_all(uids):
+    h = FNV32_BASIS
+    for uid in uids:
+        h = context_hash_push(h, uid)
+    return h
+
+
 class TestContextHash:
     def test_empty_is_offset_basis(self):
-        assert context_hash([]) == 2166136261
-
-    def test_depth_cap_ignores_younger_frames(self):
-        a, b, c, d = 11, 22, 33, 44
-        assert context_hash([a, b, c], depth_limit=2) == \
-            context_hash([a, b, d], depth_limit=2)
-        assert context_hash([a, b], depth_limit=2) == \
-            context_hash([a, b, c, d], depth_limit=2)
+        assert push_all([]) == 2166136261
 
     def test_order_sensitive(self):
         # distinguishes two call sites of the same function
-        assert context_hash([1, 2]) != context_hash([2, 1])
+        assert push_all([1, 2]) != push_all([2, 1])
 
     def test_pure_function_of_first_frames(self):
+        # each push extends FNV-1a over the little-endian call-site uids
+        assert fnv1a_32(b"foobar") == 0xBF9CF968  # published test vector
         rng = random.Random(7)
         for _ in range(50):
-            depth = rng.randrange(1, 6)
             frames = [rng.randrange(2 ** 32) for _ in range(10)]
-            other = frames[:depth] + [rng.randrange(2 ** 32)
-                                      for _ in range(4)]
-            assert context_hash(frames, depth) == context_hash(other, depth)
+            for depth in range(len(frames) + 1):
+                data = b"".join(uid.to_bytes(4, "little")
+                                for uid in frames[:depth])
+                assert push_all(frames[:depth]) == fnv1a_32(data)
 
 
 class TestRecords:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gradfuzz.cli import main
+from gradfuzz.cli import build_parser, main
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -75,3 +75,14 @@ def test_stats_echo_seed_and_test_values(tmp_path):
         if "SINT32 1000000" in path.read_text()
     ]
     assert crash_files  # the magic value rendered as a typed test line
+
+
+@pytest.mark.parametrize("command, limits", [
+    (["fuzz", "-t", "x.mc", "-o", "out"], (10_000, 256, 4_096, 10_000_000)),
+    # serve admits the optimizer's extended configs
+    (["serve", "-t", "x.mc"], (320_000, 1_024, 16_384, 320_000_000)),
+])
+def test_default_limits(command, limits):
+    args = build_parser().parse_args(command)
+    assert (args.max_trace_length, args.max_stack_size, args.max_input_bytes,
+            args.step_budget) == limits

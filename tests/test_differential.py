@@ -117,6 +117,18 @@ int main() {
 SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, 3.75, 1e-45, 3.4e38,
                   float("inf"), float("-inf"), float("nan"))
 
+# finite values that round past FLT_MAX: C gives infinity
+FLOAT_OVERFLOW = """
+int main() {
+  float f = nondet_float();
+  double d = nondet_double();
+  float g = f * f;
+  float n = (float)d;
+  if (g > n) { abort(); }
+  return 0;
+}
+"""
+
 DIVISION = """
 int main() {
   int x = nondet_int();
@@ -227,14 +239,15 @@ int main() {
 }
 """
 
-EDGE_TARGETS = {"floats": FLOATS, "division": DIVISION, "mixed": MIXED,
-                "spin": SPIN, "recursion": RECURSION, "returns": RETURNS}
+EDGE_TARGETS = {"floats": FLOATS, "float_overflow": FLOAT_OVERFLOW,
+                "division": DIVISION, "mixed": MIXED, "spin": SPIN,
+                "recursion": RECURSION, "returns": RETURNS}
 
 
 def edge_inputs(name, rng):
-    if name == "floats":
-        inputs = [f32(a) + f64(b) for a in SPECIAL_FLOATS
-                  for b in SPECIAL_FLOATS]
+    if name in ("floats", "float_overflow"):
+        inputs = [f32(a) + f64(b) for a in SPECIAL_FLOATS + (3e38,)
+                  for b in SPECIAL_FLOATS + (1e300, -1e300)]
         return inputs + random_inputs(rng, 40, 12)
     if name == "recursion":
         return [n.to_bytes(2, "little")
@@ -259,6 +272,7 @@ def test_edge_targets(name):
 FULL_RUN_INPUTS = {
     "division": bytes.fromhex("05000000fd"),
     "floats": f32(7.5) + f64(-2.5),
+    "float_overflow": f32(3e38) + f64(1e300),
     "mixed": bytes.fromhex("69d633d72792ad00847cbf25625bfc6cfaa98c0ed077aa76"
                            "e5bc"),
     "recursion": (6).to_bytes(2, "little"),

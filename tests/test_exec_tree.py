@@ -8,7 +8,10 @@ from gradfuzz.exec_tree import (
     ExecTree,
     TreeMappingError,
     TreeNode,
-    classify,
+    closed_predicate,
+    is_directly_input_dependent,
+    is_indirectly_input_dependent,
+    is_open,
     path_weight,
 )
 from gradfuzz.target_abi import (
@@ -109,7 +112,7 @@ class TestMapTrace:
         tree = ExecTree()
         report = tree.map_trace(result_for((), data=b"", tags=()), 0)
         assert tree.root is None
-        assert not report.nodes
+        assert not report.new_pairs
 
     def test_id_mismatch_raises(self):
         tree = ExecTree()
@@ -218,17 +221,22 @@ def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
 
 
 class TestClassify:
+    """Input dependency (DID/IID) and openness of a node."""
+
     def test_fresh_node_open_neither(self):
         node = _make_leaf()
-        assert classify(node) == ("neither", "open")
+        assert is_open(node)
+        assert not is_directly_input_dependent(node)
+        assert not is_indirectly_input_dependent(node)
 
     def test_iid_leaf_not_open(self):
         node = _make_leaf(labels=(EdgeLabel.NOT_VISITED,
                                   EdgeLabel.END_NORMAL),
                           sensitivity_done=True, bits=())
-        dep, state = classify(node)
-        assert dep == "IID"
-        assert state == "closed"  # no visited successor survives the check
+        assert is_indirectly_input_dependent(node)
+        assert not is_directly_input_dependent(node)
+        assert not is_open(node)
+        assert closed_predicate(node)  # no visited successor to check
 
     def test_fully_analyzed_with_closed_children(self):
         parent = _make_leaf(uid=1, labels=(EdgeLabel.VISITED,
@@ -243,19 +251,20 @@ class TestClassify:
             child.closed = True
             parent.successor[b] = child
             child.parent = parent
-        dep, state = classify(parent)
-        assert dep == "DID"
-        assert state == "closed"
+        assert is_directly_input_dependent(parent)
+        assert not is_indirectly_input_dependent(parent)
+        assert not is_open(parent)
+        assert closed_predicate(parent)
 
     def test_did_iid_mutually_exclusive(self):
         rng = random.Random(3)
         for _ in range(100):
             node = _make_leaf(sensitivity_done=rng.random() < 0.5,
                               bits=tuple(range(rng.randrange(0, 3))))
-            dep, _ = classify(node)
-            assert dep in ("DID", "IID", "neither")
-            if not node.sensitivity_done:
-                assert dep == "neither"
+            did = is_directly_input_dependent(node)
+            iid = is_indirectly_input_dependent(node)
+            assert not (did and iid)
+            assert (did or iid) == node.sensitivity_done
 
 
 class TestPropagateClosed:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -8,7 +9,6 @@ from gradfuzz.executors import (
     RemoteExecutor,
     TargetServer,
     TransportError,
-    remote_execute,
 )
 from gradfuzz.fuzz_loop import (
     FuzzBudget,
@@ -200,6 +200,26 @@ class TestDeterminism:
             digests.append(blob)
         assert digests[0] == digests[1] == digests[2]
 
+    # manifest.json sha256 at a fixed seed (counted_loop under a short
+    # trace cap keeps an optimizer test).  A refactor must keep these; a
+    # change meant to alter behaviour records the new values.
+    @pytest.mark.parametrize("name, limits, sha256", [
+        ("counted_loop.mc", VmLimits(max_trace_length=40),
+         "80eee41e99390296a4b75f9d685e54012c047dbb41988ab5e12cea4bf8ab2477"),
+        ("four_branch.mc", VmLimits(),
+         "9bc7c68e9ccdbaf54c7956044e7a0ee77fa9b40b41e341315f050de8d30c63ec"),
+    ])
+    def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
+                                             sha256):
+        program = parse_program(
+            (Path(__file__).parent.parent / "benchmarks" / name).read_text())
+        options = FuzzOptions(limits=limits, seed=5)
+        suite, stats = run_fuzzing(program, FuzzBudget(max_executions=2000),
+                                   options)
+        save_suite(tmp_path, suite, stats, options)
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == sha256
+
     def test_different_seeds_may_differ_but_still_cover(self):
         for seed in range(5):
             _, stats = run_fuzzing(parse_program(XOR),
@@ -242,6 +262,16 @@ int main() {
 """
 
 
+FIXED_LOOP = """
+int main() {
+  int i = 0;
+  while (i < 50) { i = i + 1; }
+  bool deep = i == 50;
+  return 0;
+}
+"""
+
+
 class TestOptimizer:
     def test_no_boundary_tests_leave_suite_unchanged(self):
         program = parse_program(MAGIC)
@@ -262,20 +292,21 @@ class TestOptimizer:
             assert len(test.input_bytes) > 1
 
     def test_same_bytes_rerun_not_appended(self):
-        src = """
-        int main() {
-          int i = 0;
-          while (i < 50) { i = i + 1; }
-          bool deep = i == 50;
-          return 0;
-        }
-        """
-        program = parse_program(src)
+        program = parse_program(FIXED_LOOP)
         options = small_options(seed=0, max_trace_length=20)
         suite, stats = run_fuzzing(program, FuzzBudget(max_executions=50),
                                    options)
         assert stats.executions_by_kind["optimizer"] > 0
         assert not any(t.extended_limits for t in suite.tests)
+
+    def test_no_rerun_after_deadline(self):
+        program = parse_program(FIXED_LOOP)
+        options = small_options(seed=0, max_trace_length=20)
+        suite, stats = run_fuzzing(program, FuzzBudget(max_seconds=0.0),
+                                   options)
+        assert suite.tests[0].termination == \
+            TerminationKind.BOUNDARY_CONDITION_VIOLATION
+        assert stats.executions_by_kind["optimizer"] == 0
 
     def test_extended_tests_replay(self, tmp_path):
         program = parse_program(BOUNDED_LOOP)
@@ -316,12 +347,6 @@ class TestRemote:
                 remote_result = remote(config)
                 assert wire_encode(local_result) == \
                     wire_encode(remote_result)
-
-    def test_remote_execute_helper(self, served):
-        program, limits, address = served
-        config = ExecutionConfig(100, 16, 16, 0, b"\x07")
-        assert remote_execute(address, config) == \
-            LocalExecutor(program, limits)(config)
 
     def test_connection_refused_is_transport_error(self):
         dead = RemoteExecutor(("127.0.0.1", 1))

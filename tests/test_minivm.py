@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,11 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_program("int main(){ bool b = 1.5 % 2.0; return 0; }")
         assert exc.value.line == 1
+
+    def test_main_with_parameters_rejected(self):
+        with pytest.raises(ParseError, match="main takes no parameters"):
+            parse_program("int main(int x){ if (x > 3) { abort(); }"
+                          " return 0; }")
 
     def test_undeclared_variable(self):
         with pytest.raises(ParseError):
@@ -263,6 +269,17 @@ class TestRecordSemantics:
         rec = run(src, raw).trace[0]
         assert rec.value == math.inf
         assert rec.direction is False
+
+    def test_float_overflow_rounds_to_infinity(self):
+        src = ("int main(){ float f = nondet_float();"
+               " double d = nondet_double(); float g = f * f;"
+               " float n = (float)d; bool b1 = g > 0.0; bool b2 = n < 0.0;"
+               " return 0; }")
+        data = struct.pack("<fd", 3e38, -1e300)
+        result = run(src, data)
+        assert result.termination == TerminationKind.NORMAL
+        g, n = (rec.value for rec in result.trace)
+        assert g == math.inf and n == -math.inf
 
     def test_unsigned_char_semantics(self):
         src = ("int main(){ char x = nondet_char();"
