@@ -240,7 +240,10 @@ class ExecTree:
                 raise TreeMappingError(
                     f"trace record {i} has id {rec.id}, tree node has "
                     f"{node.id}; target looks nondeterministic")
-            self._observe(rec, report)
+            # a covered node's id, and so its uid, was seen both ways:
+            # observing the record again could change nothing
+            if not node.covered:
+                self._observe(rec, report)
             if rec.nbytes > self.max_nbytes:
                 self.max_nbytes = rec.nbytes
             weight += rec.value * rec.value

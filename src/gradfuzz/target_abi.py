@@ -5,6 +5,10 @@ interpreter or a remote serving process) is defined here: typed-read tags,
 termination flags, condition records, execution configs and results,
 the FNV-1a calling-context hash, and the framed wire format.
 
+Execution ids and condition records are named tuples: one is built for
+every evaluated Boolean instruction and hashed or compared on every
+trace record the tree maps, and tuples do both in C.
+
 Wire format: one frame is
 
     kind byte (0x01 = config, 0x02 = result)
@@ -27,9 +31,10 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import NamedTuple, Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
@@ -42,6 +47,10 @@ KIND_CONFIG = 0x01
 KIND_RESULT = 0x02
 
 _MAX_PAYLOAD = 1 << 28
+
+# one result-payload record: u32 uid, u32 ctx, u8 direction, u8 xor,
+# f64 value, u32 nbytes
+_RECORD = struct.Struct("<IIBBdI")
 
 
 class TypeTag(IntEnum):
@@ -90,14 +99,15 @@ class TypeTag(IntEnum):
                         TypeTag.SINT32, TypeTag.SINT64)
 
 
-_TAG_WIDTH = {
-    TypeTag.BOOLEAN: 1,
-    TypeTag.UINT8: 1, TypeTag.UINT16: 2, TypeTag.UINT32: 4, TypeTag.UINT64: 8,
-    TypeTag.SINT8: 1, TypeTag.SINT16: 2, TypeTag.SINT32: 4, TypeTag.SINT64: 8,
-    TypeTag.FLOAT32: 4, TypeTag.FLOAT64: 8,
-    TypeTag.UNTYPED8: 1, TypeTag.UNTYPED16: 2, TypeTag.UNTYPED32: 4,
-    TypeTag.UNTYPED64: 8,
-}
+# indexed by tag value
+_TAGS = tuple(TypeTag)
+_TAG_WIDTH = (
+    1,           # BOOLEAN
+    1, 2, 4, 8,  # UINT8 .. UINT64
+    1, 2, 4, 8,  # SINT8 .. SINT64
+    4, 8,        # FLOAT32, FLOAT64
+    1, 2, 4, 8,  # UNTYPED8 .. UNTYPED64
+)
 
 
 class TerminationKind(IntEnum):
@@ -107,32 +117,37 @@ class TerminationKind(IntEnum):
     BOUNDARY_CONDITION_VIOLATION = 3
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionId:
-    """Static Boolean-instruction id plus the calling-context hash."""
+class ExecutionId(NamedTuple):
+    """Static Boolean-instruction id plus the calling-context hash.
+
+    A tuple: it hashes as ``(uid, ctx)``, so set and dict orders keyed by
+    ids are those of the plain pairs."""
 
     uid: int
     ctx: int
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionRecord:
-    """One evaluation of a Boolean-valued instruction along a trace.
+class ConditionRecord(namedtuple(
+        "ConditionRecord", "id direction value xor_flag nbytes")):
+    """One evaluation of a Boolean-valued instruction along a trace: the
+    tuple ``(id, direction, value, xor_flag, nbytes)``.
 
     ``value`` is the branching-function value.  A NaN value is
     canonicalized to +infinity at construction time so stored traces never
-    carry NaN.
+    carry NaN; every way of building a record goes through ``__new__``.
     """
 
-    id: ExecutionId
-    direction: bool
-    value: float
-    xor_flag: bool
-    nbytes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.value):
-            object.__setattr__(self, "value", math.inf)
+    def __new__(cls, id: ExecutionId, direction: bool, value: float,
+                xor_flag: bool, nbytes: int) -> "ConditionRecord":
+        if value != value:
+            value = math.inf
+        return tuple.__new__(cls, (id, direction, value, xor_flag, nbytes))
+
+    @classmethod
+    def _make(cls, iterable) -> "ConditionRecord":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +173,8 @@ class ExecutionResult:
     trace: tuple[ConditionRecord, ...]
 
     def __post_init__(self) -> None:
-        if sum(t.byte_width for t in self.type_tags) != len(self.bytes_read):
+        if (sum(map(_TAG_WIDTH.__getitem__, self.type_tags))
+                != len(self.bytes_read)):
             raise ValueError("type tags do not cover bytes_read")
         last = 0
         for rec in self.trace:
@@ -202,13 +218,9 @@ def wire_encode(message: WireMessage) -> bytes:
             bytes(int(t) for t in message.type_tags),
             struct.pack("<I", len(message.trace)),
         ]
-        for rec in message.trace:
-            parts.append(struct.pack(
-                "<IIBBdI",
-                rec.id.uid, rec.id.ctx,
-                int(rec.direction), int(rec.xor_flag),
-                rec.value, rec.nbytes,
-            ))
+        pack = _RECORD.pack
+        for (uid, ctx), direction, value, xor, nbytes in message.trace:
+            parts.append(pack(uid, ctx, direction, xor, value, nbytes))
         payload = b"".join(parts)
     else:
         raise TypeError(f"cannot encode {type(message).__name__}")
@@ -248,16 +260,17 @@ def wire_decode(frame: bytes) -> WireMessage:
             term, n = r.unpack("<BI")
             data = r.take(n)
             (k,) = r.unpack("<I")
-            tags = tuple(TypeTag(b) for b in r.take(k))
+            raw_tags = r.take(k)
+            if raw_tags and max(raw_tags) >= len(_TAGS):
+                raise DecodeError(f"unknown type tag 0x{max(raw_tags):02x}")
+            tags = tuple(map(_TAGS.__getitem__, raw_tags))
             (m,) = r.unpack("<I")
-            records = []
-            for _ in range(m):
-                uid, ctx, direction, xor, value, nbytes = r.unpack("<IIBBdI")
-                records.append(ConditionRecord(
-                    ExecutionId(uid, ctx), bool(direction), value,
-                    bool(xor), nbytes))
-            msg = ExecutionResult(TerminationKind(term), data, tags,
-                                  tuple(records))
+            records = tuple(
+                ConditionRecord(ExecutionId(uid, ctx), bool(direction),
+                                value, bool(xor), nbytes)
+                for uid, ctx, direction, xor, value, nbytes
+                in _RECORD.iter_unpack(r.take(m * _RECORD.size)))
+            msg = ExecutionResult(TerminationKind(term), data, tags, records)
         else:
             raise DecodeError(f"unknown frame kind 0x{kind:02x}")
     except (ValueError, struct.error) as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,10 @@ def push_all(uids):
     return h
 
 
+def result_frame(payload: bytes) -> bytes:
+    return b"\x02" + struct.pack(">I", len(payload)) + payload
+
+
 class TestContextHash:
     def test_empty_is_offset_basis(self):
         assert push_all([]) == 2166136261
@@ -62,6 +67,18 @@ class TestRecords:
     def test_nan_branching_value_canonicalized(self):
         rec = ConditionRecord(ExecutionId(1, 2), True, math.nan, False, 0)
         assert rec.value == math.inf
+        # the namedtuple helpers build through the same constructor
+        made = ConditionRecord._make((ExecutionId(1, 2), True, math.nan,
+                                      False, 0))
+        assert made.value == math.inf
+        assert rec._replace(value=math.nan).value == math.inf
+
+    def test_execution_id_hashes_as_pair(self):
+        # set and dict orders that reach the manifest depend on this
+        rng = random.Random(3)
+        for _ in range(100):
+            uid, ctx = rng.randrange(2 ** 32), rng.randrange(2 ** 32)
+            assert hash(ExecutionId(uid, ctx)) == hash((uid, ctx))
 
     def test_result_rejects_mismatched_tags(self):
         with pytest.raises(ValueError):
@@ -118,7 +135,33 @@ class TestWireFormat:
         for _ in range(500):
             message = (random_wire_config(rng) if rng.random() < 0.5
                        else random_wire_result(rng))
-            assert wire_decode(wire_encode(message)) == message
+            decoded = wire_decode(wire_encode(message))
+            assert decoded == message
+            # equality alone would accept bare tuples
+            for rec in getattr(decoded, "trace", ()):
+                assert type(rec) is ConditionRecord
+                assert type(rec.id) is ExecutionId
+
+    @pytest.mark.parametrize("tag", [len(TypeTag), 0xFF])
+    def test_unknown_type_tag_byte(self, tag):
+        payload = (struct.pack("<BI", 0, 1) + b"x"
+                   + struct.pack("<I", 1) + bytes([tag])
+                   + struct.pack("<I", 0))
+        with pytest.raises(DecodeError):
+            wire_decode(result_frame(payload))
+
+    def test_record_block_shorter_than_count(self):
+        payload = (struct.pack("<BIII", 0, 0, 0, 2)
+                   + struct.pack("<IIBBdI", 1, 2, 1, 0, 1.5, 0))
+        with pytest.raises(DecodeError):
+            wire_decode(result_frame(payload))
+
+    def test_nan_value_decodes_to_infinity(self):
+        payload = (struct.pack("<BIII", 0, 0, 0, 1)
+                   + struct.pack("<IIBBdI", 1, 2, 1, 0, math.nan, 0))
+        (rec,) = wire_decode(result_frame(payload)).trace
+        assert rec == ConditionRecord(ExecutionId(1, 2), True, math.inf,
+                                      False, 0)
 
     @given(st.binary(max_size=16), st.sampled_from([0, 85]))
     @settings(max_examples=100)

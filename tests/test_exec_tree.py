@@ -141,6 +141,35 @@ class TestMapTrace:
         assert len(nodes) == 2
         assert all(n.covered for n in nodes)
 
+    def test_covered_nodes_still_update_on_a_better_deeper_trace(self):
+        tree = ExecTree()
+        for i, trace in enumerate((
+                (record(1, True, 5.0), record(2, True, 5.0)),
+                (record(1, False, 5.0),),
+                (record(1, True, 5.0), record(2, False, 5.0)))):
+            tree.map_trace(result_for(trace), i)
+        root = tree.root
+        mid = root.successor[True]
+        assert root.covered and mid.covered
+        assert root.height == 1 and tree.max_nbytes == 1
+        # deeper and lighter, every id already covered: uid 2 repeats
+        trace = (record(1, True, 1.0), record(2, True, 1.0),
+                 record(2, False, 1.0, nbytes=3))
+        report = tree.map_trace(result_for(
+            trace, data=b"\x00" * 3, tags=(TypeTag.UINT8,) * 3), 3)
+        assert report.new_pairs == [] and report.newly_covered_uids == []
+        leaf = mid.successor[True]
+        assert leaf.covered
+        for node, weight in ((root, 1.0), (mid, 2.0), (leaf, 3.0)):
+            assert node.best_weight == weight
+            assert node.best_trace == trace
+            assert node.best_input == b"\x00" * 3
+            assert node.best_iter == 3
+            assert node.height == 2
+        assert mid.label[True] == EdgeLabel.VISITED
+        assert leaf.label[False] == EdgeLabel.END_NORMAL
+        assert tree.max_nbytes == 3
+
     def test_label_state_order_independent(self):
         base = [
             (TerminationKind.NORMAL,

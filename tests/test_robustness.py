@@ -1,77 +1,180 @@
 """Engine hardening: short runs over randomly generated targets must
-complete, stay within budget, and produce replayable suites."""
+complete, stay within budget, and produce replayable suites.
+
+The generator covers integer, bool, float and double variables, input
+reads of each, casts, ``!x``, integer division by a read value, loops,
+aborts and calls to bool-returning functions.  The many-seed run is
+marked ``slow``; run it with ``pytest -m slow``."""
 import random
+
+import pytest
 
 from gradfuzz.fuzz_loop import FuzzBudget, FuzzOptions, replay_suite, \
     run_fuzzing, save_suite
 from gradfuzz.minivm import VmLimits, parse_program
 
 INT_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"]
+FLOAT_OPS = ["+", "-", "*", "/"]
 CMP_OPS = ["==", "!=", "<", "<=", ">", ">="]
 READS = ["nondet_char()", "nondet_int()", "nondet_short()",
          "nondet_uint()", "nondet_bool()"]
+FLOAT_READS = ["float {} = nondet_float();", "double {} = nondet_double();"]
+INT_CASTS = ["char", "schar", "short", "uint", "long", "bool"]
+FLOAT_LITS = ["0.5", "-2.0", "3.5", "1e30", "0.0"]
 
 
-def gen_expr(rng, vars_, depth=0):
+class Scope:
+    """The variables visible at one point of a generated target, and the
+    bool functions it may call."""
+
+    def __init__(self, calls, ints=(), floats=(), bools=()):
+        self.calls = calls
+        self.ints = list(ints)
+        self.floats = list(floats)
+        self.bools = list(bools)
+
+    def child(self):
+        return Scope(self.calls, self.ints, self.floats, self.bools)
+
+
+def gen_expr(rng, scope, depth=0):
+    """An integer (or bool) expression."""
     if depth > 2 or rng.random() < 0.4:
         roll = rng.random()
-        if vars_ and roll < 0.5:
-            return rng.choice(vars_)
+        if scope.ints and roll < 0.5:
+            return rng.choice(scope.ints)
+        if scope.floats and roll < 0.6:
+            return f"(int){rng.choice(scope.floats)}"
         if roll < 0.8:
             return str(rng.randrange(-3, 10))
         return str(rng.choice((0, 1, 7, 0xA5, 123456, -1)))
-    left = gen_expr(rng, vars_, depth + 1)
-    right = gen_expr(rng, vars_, depth + 1)
+    roll = rng.random()
+    if roll < 0.1:
+        return f"({rng.choice(INT_CASTS)}){gen_expr(rng, scope, depth + 1)}"
+    if roll < 0.15:
+        return f"!{gen_expr(rng, scope, depth + 1)}"
+    left = gen_expr(rng, scope, depth + 1)
+    right = gen_expr(rng, scope, depth + 1)
     return f"({left} {rng.choice(INT_OPS)} {right})"
 
 
-def gen_cond(rng, vars_):
-    return (f"({gen_expr(rng, vars_)} {rng.choice(CMP_OPS)} "
-            f"{gen_expr(rng, vars_)})")
+def gen_fexpr(rng, scope, depth=0):
+    """A float or double expression."""
+    if depth > 1 or rng.random() < 0.5:
+        roll = rng.random()
+        if scope.floats and roll < 0.5:
+            return rng.choice(scope.floats)
+        if scope.ints and roll < 0.7:
+            return f"(double){rng.choice(scope.ints)}"
+        return rng.choice(FLOAT_LITS)
+    left = gen_fexpr(rng, scope, depth + 1)
+    right = gen_fexpr(rng, scope, depth + 1)
+    return f"({left} {rng.choice(FLOAT_OPS)} {right})"
 
 
-def gen_stmts(rng, vars_, depth, lines):
+def gen_cond(rng, scope):
+    roll = rng.random()
+    if scope.floats and roll < 0.25:
+        return (f"({gen_fexpr(rng, scope)} {rng.choice(CMP_OPS)} "
+                f"{gen_fexpr(rng, scope)})")
+    if scope.bools and roll < 0.35:
+        return f"({rng.choice(scope.bools)})"
+    if scope.calls and roll < 0.45:
+        return f"({rng.choice(scope.calls)}({gen_expr(rng, scope)}))"
+    if roll < 0.55:
+        return f"(!{gen_expr(rng, scope)})"
+    return (f"({gen_expr(rng, scope)} {rng.choice(CMP_OPS)} "
+            f"{gen_expr(rng, scope)})")
+
+
+def gen_stmts(rng, scope, depth, lines):
     for _ in range(rng.randrange(1, 4)):
         roll = rng.random()
-        if roll < 0.3:
-            name = f"v{len(vars_)}"
+        if roll < 0.2:
+            name = f"v{len(lines)}"
             if rng.random() < 0.5:
                 lines.append(f"int {name} = {rng.choice(READS)};")
             else:
-                lines.append(f"int {name} = {gen_expr(rng, vars_)};")
-            vars_.append(name)
-        elif roll < 0.5 and vars_:
-            lines.append(f"{rng.choice(vars_)} = {gen_expr(rng, vars_)};")
+                lines.append(f"int {name} = {gen_expr(rng, scope)};")
+            scope.ints.append(name)
+        elif roll < 0.35:
+            name = f"f{len(lines)}"
+            if rng.random() < 0.6:
+                lines.append(rng.choice(FLOAT_READS).format(name))
+            else:
+                lines.append(f"double {name} = {gen_fexpr(rng, scope)};")
+            scope.floats.append(name)
+        elif roll < 0.42 and scope.ints:
+            lines.append(f"{rng.choice(scope.ints)} = "
+                         f"{gen_expr(rng, scope)};")
+        elif roll < 0.46 and scope.floats:
+            lines.append(f"{rng.choice(scope.floats)} = "
+                         f"{gen_fexpr(rng, scope)};")
+        elif roll < 0.5:
+            # integer division by a read value; the divisor is zero, and
+            # the target crashes, at the all-zero input only for k = 0
+            name = f"q{len(lines)}"
+            lines.append(f"int {name} = {gen_expr(rng, scope)} / "
+                         f"({rng.choice(READS[:4])} - {rng.randrange(4)});")
+            scope.ints.append(name)
         elif roll < 0.7 and depth < 2:
-            lines.append(f"if {gen_cond(rng, vars_)} {{")
-            gen_stmts(rng, list(vars_), depth + 1, lines)
+            lines.append(f"if {gen_cond(rng, scope)} {{")
+            gen_stmts(rng, scope.child(), depth + 1, lines)
             if rng.random() < 0.3:
                 lines.append("abort();")
             lines.append("}")
-        elif roll < 0.8 and depth < 2 and vars_:
-            bound = rng.choice(vars_)
+        elif roll < 0.8 and depth < 2 and scope.ints:
+            bound = rng.choice(scope.ints)
             lines.append(f"int c{len(lines)} = 0;")
             lines.append(f"while (c{len(lines) - 1} < ({bound} & 7)) {{")
             lines.append(f"c{len(lines) - 2} = c{len(lines) - 2} + 1;")
-            gen_stmts(rng, list(vars_), depth + 1, lines)
+            gen_stmts(rng, scope.child(), depth + 1, lines)
             lines.append("}")
         else:
-            lines.append(f"bool b{len(lines)} = {gen_cond(rng, vars_)};")
+            name = f"b{len(lines)}"
+            lines.append(f"bool {name} = {gen_cond(rng, scope)};")
+            scope.bools.append(name)
+
+
+def gen_bool_function(rng, name, calls, lines):
+    """``bool name(int a)``, which may call the functions before it."""
+    scope = Scope(calls, ints=["a"])
+    lines.append(f"bool {name}(int a) {{")
+    if rng.random() < 0.5:
+        lines.append(f"if {gen_cond(rng, scope)} {{ return "
+                     f"{rng.choice(('true', 'false'))}; }}")
+    result = (gen_cond(rng, scope) if rng.random() < 0.7
+              else gen_expr(rng, scope))
+    lines.append(f"return {result};")
+    lines.append("}")
 
 
 def gen_program(seed):
     rng = random.Random(seed)
-    lines = ["int main() {"]
-    gen_stmts(rng, [], 0, lines)
+    lines = []
+    calls = []
+    for i in range(rng.randrange(3)):
+        gen_bool_function(rng, f"g{i}", list(calls), lines)
+        calls.append(f"g{i}")
+    lines.append("int main() {")
+    scope = Scope(calls)
+    # inputs first, so that most branches depend on them
+    for _ in range(rng.randrange(1, 3)):
+        scope.ints.append(f"v{len(lines)}")
+        lines.append(f"int v{len(lines)} = {rng.choice(READS)};")
+    if rng.random() < 0.5:
+        scope.floats.append(f"f{len(lines)}")
+        lines.append(rng.choice(FLOAT_READS).format(f"f{len(lines)}"))
+    gen_stmts(rng, scope, 0, lines)
     lines.append("return 0;")
     lines.append("}")
     return "\n".join(lines)
 
 
-def test_random_targets_run_and_replay(tmp_path):
+def run_and_replay(seeds, tmp_path):
     limits = VmLimits(max_trace_length=150, max_stack_size=32,
                       max_input_bytes=48, step_budget=50_000)
-    for seed in range(30):
+    for seed in seeds:
         source = gen_program(seed)
         program = parse_program(source)
         options = FuzzOptions(limits=limits, seed=seed)
@@ -82,6 +185,26 @@ def test_random_targets_run_and_replay(tmp_path):
         save_suite(outdir, suite, stats, options)
         ok, divergence = replay_suite(program, outdir)
         assert ok, f"seed {seed}: {divergence}\n{source}"
+
+
+def test_random_targets_run_and_replay(tmp_path):
+    run_and_replay(range(30), tmp_path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("block", range(4))
+def test_random_targets_run_and_replay_many_seeds(block, tmp_path):
+    run_and_replay(range(100 * block, 100 * (block + 1)), tmp_path)
+
+
+def test_generator_reaches_the_grammar():
+    # the fast seeds alone use every construct the generator knows
+    mains = [source[source.index("int main"):]
+             for source in map(gen_program, range(30))]
+    for construct in ("nondet_float()", "nondet_double()", "(int)",
+                      "(double)", "(bool)", "!", "/ (nondet_", "g0(",
+                      "g1(", "while"):
+        assert any(construct in main for main in mains), construct
 
 
 def test_random_targets_deterministic():
