@@ -63,7 +63,6 @@ class TreeNode:
         "best_input", "best_tags", "best_trace", "best_weight", "best_iter",
         "sensitive_bits", "raw_sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
-        "sensitivity_iter", "bitshare_iter", "minimization_iter",
         "height", "covered", "closed", "loop_scanned",
     )
 
@@ -85,19 +84,12 @@ class TreeNode:
         self.sensitivity_done = False
         self.bitshare_done = False
         self.minimization_done = False
-        self.sensitivity_iter = 0
-        self.bitshare_iter = 0
-        self.minimization_iter = 0
         self.height = 0
         self.covered = False
         self.closed = False
         self.loop_scanned = False
 
     # convenience views of the node's own record in the best trace
-    @property
-    def record(self) -> ConditionRecord:
-        return self.best_trace[self.depth]
-
     @property
     def value(self) -> float:
         return self.best_trace[self.depth].value

@@ -4,8 +4,8 @@ optimizer.
 The run starts with the empty input.  Every later input comes from the
 active analysis session; when a session deactivates (strategy finished,
 budget exceeded, or its goal direction was observed) its flags are
-stamped, the target sets are pruned, closedness is propagated, and the
-strategy picks the next session.  A test is kept when it observed a new
+set, closedness is propagated, and the strategy prunes its targets and
+picks the next session.  A test is kept when it observed a new
 (uid, direction) pair, or crashed, or is the initial empty input; kept
 tests replay to exactly the recorded coverage.
 """
@@ -269,25 +269,21 @@ class FuzzEngine:
                         achieving_input: Optional[bytes] = None) -> None:
         session = self.active
         self.active = None
-        stamp = self.iteration - 1  # iteration of the last execution
         node = session.node
         if session.kind == AnalysisKind.SENSITIVITY:
-            examined = session.finish(stamp)
+            examined = session.finish()
             self.strategy.register_examined(examined)
         elif session.kind == AnalysisKind.BITSHARE:
             node.bitshare_done = True
-            node.bitshare_iter = stamp
         else:
             node.minimization_done = True
-            node.minimization_iter = stamp
             if achieved and achieving_input is not None:
                 self.bitshare_store.record(node.id.uid,
                                            session.goal_direction,
                                            achieving_input,
                                            node.sensitive_bits)
             elif not achieved:
-                self.strategy.record_failure(node, stamp)
-        self.strategy.prune_targets()
+                self.strategy.record_failure(node, self.iteration - 1)
         self.tree.propagate_closed(node)
         self.stats.sessions.append(SessionLogEntry(
             kind=session.kind.value,

@@ -35,10 +35,8 @@ class AnalysisSession:
         self.exhausted = False
         self.cache: dict[bytes, float] = {}  # keyed by the input itself
         self._gen = self._run()
-        self._started = False
-        self._feed_value = None
-        self._pending_input: Optional[bytes] = None
-        self._pending = False
+        self._feed_value = None  # send(None) starts the generator
+        self._pending: Optional[bytes] = None  # input awaiting its result
         # structural snapshot of the path for trace-mapping checks
         path = node.path()
         self._path_ids = [p.id for p in path]
@@ -52,15 +50,11 @@ class AnalysisSession:
     def next_input(self) -> Optional[bytes]:
         """Next input needing a target execution, or None when the session
         has deactivated itself (strategy finished or budget exceeded)."""
-        if self._pending:
+        if self._pending is not None:
             raise RuntimeError("previous input has not been fed a result")
         while not self.exhausted:
             try:
-                if self._started:
-                    item = self._gen.send(self._feed_value)
-                else:
-                    self._started = True
-                    item = next(self._gen)
+                item = self._gen.send(self._feed_value)
             except StopIteration:
                 self.exhausted = True
                 break
@@ -70,24 +64,21 @@ class AnalysisSession:
                 self._gen.close()
                 break
             self.calls += 1
-            if self.uses_cache:
-                if item in self.cache:
-                    self._feed_value = self.cache[item]
-                    continue
-                self._pending_input = item
-            self._pending = True
+            if self.uses_cache and item in self.cache:
+                self._feed_value = self.cache[item]
+                continue
+            self._pending = item
             return item
         return None
 
     def feed(self, result: ExecutionResult) -> None:
-        if not self._pending:
+        if self._pending is None:
             raise RuntimeError("no input pending")
         value = self._value_of(result)
         self.executions += 1
         if self.uses_cache:
-            self.cache[self._pending_input] = value
-            self._pending_input = None
-        self._pending = False
+            self.cache[self._pending] = value
+        self._pending = None
         self._feed_value = value
 
     # -- trace mapping ------------------------------------------------------

@@ -108,7 +108,7 @@ class SensitivitySession(AnalysisSession):
                 if s < cutoff:
                     bucket.add(s)
 
-    def finish(self, iteration: int) -> list[TreeNode]:
+    def finish(self) -> list[TreeNode]:
         """Widen and publish marks; flags every examined path node."""
         for k, node in enumerate(self.path_nodes):
             raw = self.raw_marks.get(k, set())
@@ -119,5 +119,4 @@ class SensitivitySession(AnalysisSession):
                 widened.update(range(8 * byte, 8 * byte + 8))
             node.sensitive_bits |= widened | self.region_marks.get(k, set())
             node.sensitivity_done = True
-            node.sensitivity_iter = iteration
         return self.path_nodes

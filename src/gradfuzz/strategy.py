@@ -1,22 +1,22 @@
-"""Node and analysis selection: primary-target sets, loop-head detection,
+"""Node and analysis selection: primary targets, loop-head detection,
 the Monte Carlo walk from indirect pivots, and recovery from early
 termination.
 
-Primary targets live in four collections:
+Primary targets are taken in a fixed priority, and only uncovered, open
+nodes are eligible anywhere:
 
 * loop_heads: one representative per input-size bucket of the repeated
-  instructions detected along scanned paths,
-* processed: open nodes whose sensitivity pass is done (ordered),
-* untouched: open nodes not yet touched by any analysis and not sitting
-  at a pivot location (same order),
-* twins: untouched nodes sharing an execution id with a pivot but with a
-  strictly smaller |branching value| (FIFO).
+  instructions detected along scanned paths (stored),
+* primary candidates: the analysed nodes, then the unanalysed nodes away
+  from pivot locations, by one sort key (derived from the tree),
+* twins: unanalysed nodes sharing an execution id with a pivot but with
+  a strictly smaller |branching value| (stored, FIFO).
 
-Only uncovered nodes are eligible anywhere.
+The pivots and the recovery records are stored as well.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +32,7 @@ from .generators import AnalysisKind, identify_typed_variables
 _POW2_BUCKETS = [2 ** i for i in range(11)]
 
 
-# --- orderings -----------------------------------------------------------
+# --- sort keys ----------------------------------------------------------
 
 def _nearest_bucket(value: float) -> int:
     best = _POW2_BUCKETS[0]
@@ -47,57 +47,20 @@ def _center_distance(nbytes: int, max_bytes: int) -> int:
     return abs(center - _nearest_bucket(nbytes))
 
 
-def order_su(p: TreeNode, q: TreeNode, max_bytes: int) -> bool:
-    """Strict weak order on the processed/untouched sets: analyzed first,
-    fewer sensitive bits first, input size near half the maximum first,
-    then smaller reads, shallower depth, larger subtree."""
-    if p.sensitivity_done != q.sensitivity_done:
-        return p.sensitivity_done
-    if len(p.sensitive_bits) != len(q.sensitive_bits):
-        return len(p.sensitive_bits) < len(q.sensitive_bits)
-    dp = _center_distance(p.nbytes, max_bytes)
-    dq = _center_distance(q.nbytes, max_bytes)
-    if dp != dq:
-        return dp < dq
-    if p.nbytes != q.nbytes:
-        return p.nbytes < q.nbytes
-    if p.depth != q.depth:
-        return p.depth < q.depth
-    return p.height > q.height
+def su_key(node: TreeNode, max_bytes: int) -> tuple:
+    """Sort key of the primary candidates: analysed first, fewer
+    sensitive bits first, input size near half the maximum first, then
+    smaller reads, shallower depth, larger subtree."""
+    return (not node.sensitivity_done, len(node.sensitive_bits),
+            _center_distance(node.nbytes, max_bytes), node.nbytes,
+            node.depth, -node.height)
 
 
-def order_iid(p: TreeNode, q: TreeNode, max_bytes: int) -> bool:
-    """Strict weak order on a pivot partition class: closest to the
-    minimum first, then the same center bias, reads, and depth."""
-    if abs(p.value) != abs(q.value):
-        return abs(p.value) < abs(q.value)
-    dp = _center_distance(p.nbytes, max_bytes)
-    dq = _center_distance(q.nbytes, max_bytes)
-    if dp != dq:
-        return dp < dq
-    if p.nbytes != q.nbytes:
-        return p.nbytes < q.nbytes
-    return p.depth < q.depth
-
-
-def _smallest(nodes: Sequence[TreeNode],
-              before: Callable[[TreeNode, TreeNode], bool]) -> TreeNode:
-    best = nodes[0]
-    for node in nodes[1:]:
-        if before(node, best):
-            best = node
-    return best
-
-
-def _sorted_by(nodes: Sequence[TreeNode], before) -> list[TreeNode]:
-    def cmp(a, b):
-        if before(a, b):
-            return -1
-        if before(b, a):
-            return 1
-        return 0
-
-    return sorted(nodes, key=functools.cmp_to_key(cmp))
+def iid_key(node: TreeNode, max_bytes: int) -> tuple:
+    """Sort key of a pivot partition class: closest to the minimum first,
+    then the same center bias, reads, and depth."""
+    return (abs(node.value), _center_distance(node.nbytes, max_bytes),
+            node.nbytes, node.depth)
 
 
 def biased_index(length: int, rng) -> int:
@@ -160,32 +123,7 @@ def detect_loops(path: Sequence[TreeNode]
     return loops, heads2bodies
 
 
-# --- replay generators for the Monte Carlo walk ---------------------------
-
-class UniformStream:
-    def __init__(self, rng):
-        self.rng = rng
-
-    def next(self) -> float:
-        return self.rng.random()
-
-
-class ReplayStream:
-    """Cyclic stream of ``ones`` 1.0s then ``zeros`` 0.0s (or reversed)."""
-
-    def __init__(self, ones: int, zeros: int, ones_first: bool):
-        first, second = (1.0, 0.0) if ones_first else (0.0, 1.0)
-        count_first = ones if ones_first else zeros
-        total = ones + zeros
-        self.sequence = [first] * count_first
-        self.sequence += [second] * (total - count_first)
-        self.position = 0
-
-    def next(self) -> float:
-        value = self.sequence[self.position]
-        self.position = (self.position + 1) % len(self.sequence)
-        return value
-
+# --- direction statistics for the Monte Carlo walk ------------------------
 
 def direction_counts(path: Sequence[TreeNode], uid: int) -> tuple[int, int]:
     """(false-successor count, true-successor count) of ``uid`` along a
@@ -268,9 +206,6 @@ class PivotStore:
             grouped.setdefault(node.id.uid, []).append(node)
         return grouped
 
-    def locations(self) -> set:
-        return {n.id for n in self.pivots}
-
     def __len__(self) -> int:
         return len(self.pivots)
 
@@ -289,8 +224,6 @@ class Strategy:
         self.tree = tree
         self.rng = rng
         self.loop_heads: list[TreeNode] = []
-        self.processed: list[TreeNode] = []
-        self.untouched: list[TreeNode] = []
         self.twins: list[TreeNode] = []
         self.pivots = PivotStore()
         self.recovery_records: list[RecoveryRecord] = []
@@ -301,30 +234,25 @@ class Strategy:
     def _eligible(self, node: TreeNode) -> bool:
         return not node.covered and is_open(node)
 
-    def _processed_member(self, node: TreeNode) -> bool:
-        return self._eligible(node) and node.sensitivity_done
-
-    def _untouched_member(self, node: TreeNode,
-                          pivot_locations: set) -> bool:
-        return (self._eligible(node) and not node.sensitivity_done
-                and node.id not in pivot_locations)
-
     def _twin_member(self, node: TreeNode) -> bool:
         if not self._eligible(node) or node.sensitivity_done:
             return False
         return any(node.id == pivot.id and abs(node.value) < abs(pivot.value)
                    for pivot in self.pivots.pivots)
 
+    def primary_candidates(self) -> list[TreeNode]:
+        """Eligible nodes that are analysed, or unanalysed and away from
+        every pivot location, in tree order."""
+        locations = {p.id for p in self.pivots.pivots}
+        return [n for n in self.tree.nodes
+                if self._eligible(n)
+                and (n.sensitivity_done or n.id not in locations)]
+
     def prune_targets(self) -> None:
-        """Re-check every collection against its membership predicate,
-        dropping violators and admitting nodes that became eligible."""
+        """Re-check the stored targets against their membership
+        predicates, dropping violators and admitting new twins."""
         self.pivots.prune()
         self.loop_heads = [n for n in self.loop_heads if self._eligible(n)]
-        self.processed = [n for n in self.tree.nodes
-                          if self._processed_member(n)]
-        locations = self.pivots.locations()
-        self.untouched = [n for n in self.tree.nodes
-                          if self._untouched_member(n, locations)]
         kept = [n for n in self.twins if self._twin_member(n)]
         known = set(id(n) for n in kept)
         for node in self.tree.nodes:
@@ -373,32 +301,29 @@ class Strategy:
     # -- primary target selection -------------------------------------------
 
     def select_primary_target(self) -> Optional[TreeNode]:
+        """A random loop head, else the first smallest primary candidate,
+        else the oldest twin.  An unscanned pick is first scanned for loop
+        heads, which changes no candidate's eligibility or key."""
+        candidates = self.primary_candidates()
         max_bytes = self.tree.max_nbytes
+        best = (min(candidates, key=lambda n: su_key(n, max_bytes))
+                if candidates else None)
         while True:
             if self.loop_heads:
                 index = self.rng.randrange(len(self.loop_heads))
                 return self.loop_heads.pop(index)
-            ordered = None
-            for collection in (self.processed, self.untouched):
-                if collection:
-                    ordered = collection
-                    break
-            if ordered is not None:
-                node = _smallest(
-                    ordered, lambda a, b: order_su(a, b, max_bytes))
-                if not node.loop_scanned:
-                    self._scan_loop_heads(node)
-                    continue
-                ordered.remove(node)
-                return node
-            if self.twins:
+            if best is not None:
+                node = best
+            elif self.twins:
                 node = self.twins[0]
-                if not node.loop_scanned:
-                    self._scan_loop_heads(node)
-                    continue
+            else:
+                return None
+            if not node.loop_scanned:
+                self._scan_loop_heads(node)
+                continue
+            if node is not best:
                 self.twins.pop(0)
-                return node
-            return None
+            return node
 
     # -- Monte Carlo walk ------------------------------------------------------
 
@@ -418,8 +343,7 @@ class Strategy:
             return None
         max_bytes = self.tree.max_nbytes
         uid = self.rng.choice(sorted(classes))
-        members = _sorted_by(classes[uid],
-                             lambda a, b: order_iid(a, b, max_bytes))
+        members = sorted(classes[uid], key=lambda n: iid_key(n, max_bytes))
         pivot = members[biased_index(len(members), self.rng)]
         path = pivot.path()
         loops, _ = detect_loops(path)
@@ -443,8 +367,8 @@ class Strategy:
         for member in classes[uid]:
             domain.update(n.id.uid for n in member.path())
         probabilities: dict[int, float] = {}
-        streams: dict[int, object] = {}
-        uniform = UniformStream(self.rng)
+        streams: dict[int, Callable[[], float]] = {}
+        uniform = self.rng.random
         for walk_uid in sorted(domain):
             in_body = walk_uid in body_uids
             prob = compute_direction_probability(
@@ -464,15 +388,17 @@ class Strategy:
                     if total == 0:
                         streams[walk_uid] = uniform
                     else:
-                        streams[walk_uid] = ReplayStream(
-                            ones, total - ones, ones_first=(choice == 1))
+                        sequence = [1.0] * ones + [0.0] * (total - ones)
+                        if choice == 2:  # zeros first
+                            sequence.reverse()
+                        streams[walk_uid] = itertools.cycle(sequence).__next__
             else:
                 streams[walk_uid] = uniform
         node = path[k]
         while True:
             prob = probabilities.get(node.id.uid, 0.5)
             stream = streams.get(node.id.uid, uniform)
-            direction = prob < stream.next()
+            direction = prob < stream()
             successor = node.successor[direction]
             if successor is not None and not successor.closed:
                 node = successor

@@ -181,6 +181,27 @@ int main() {
 """
 
 
+# A target fingerprinted below that has no file under benchmarks/: the
+# program test_robustness.gen_program(11) generates, kept as a literal so
+# that a change to the generator does not move its fingerprint.
+GEN_PROGRAM_11 = """\
+bool g0(int a) {
+return (((-1 * a) + -1) ^ ((6 + a) + 123456));
+}
+int main() {
+int v4 = nondet_uint();
+int v5 = nondet_bool();
+float f6 = nondet_float();
+if (!0) {
+double f8 = ((double)v4 + 1e30);
+bool b9 = (v4 <= 3);
+int v10 = (v5 ^ !v4);
+}
+int v12 = (!!v4 % 123456);
+return 0;
+}"""
+
+
 class TestDeterminism:
     def test_three_runs_byte_identical(self, tmp_path):
         digests = []
@@ -200,19 +221,29 @@ class TestDeterminism:
             digests.append(blob)
         assert digests[0] == digests[1] == digests[2]
 
-    # manifest.json sha256 at a fixed seed (counted_loop under a short
-    # trace cap keeps an optimizer test).  A refactor must keep these; a
-    # change meant to alter behaviour records the new values.
+    # manifest.json sha256 at a fixed seed.  counted_loop under a short
+    # trace cap keeps an optimizer test; loop_accumulator selects a twin
+    # twice; gen_program_11 takes a node from the Monte Carlo walk five
+    # times.  A refactor must keep these; a change meant to alter
+    # behaviour records the new values.
     @pytest.mark.parametrize("name, limits, sha256", [
         ("counted_loop.mc", VmLimits(max_trace_length=40),
          "80eee41e99390296a4b75f9d685e54012c047dbb41988ab5e12cea4bf8ab2477"),
         ("four_branch.mc", VmLimits(),
          "9bc7c68e9ccdbaf54c7956044e7a0ee77fa9b40b41e341315f050de8d30c63ec"),
+        ("loop_accumulator.mc", VmLimits(),
+         "b9d66800c424886653fa3517e913ce875a6ce99f1fce1c93b4b302cc411fb3b8"),
+        ("gen_program_11", VmLimits(100, 32, 32, 50_000),
+         "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
     ])
     def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
                                              sha256):
-        program = parse_program(
-            (Path(__file__).parent.parent / "benchmarks" / name).read_text())
+        if name == "gen_program_11":
+            source = GEN_PROGRAM_11
+        else:
+            source = (Path(__file__).parent.parent / "benchmarks"
+                      / name).read_text()
+        program = parse_program(source)
         options = FuzzOptions(limits=limits, seed=5)
         suite, stats = run_fuzzing(program, FuzzBudget(max_executions=2000),
                                    options)

@@ -40,7 +40,7 @@ class TestSensitivity:
         session = SensitivitySession(deep)
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"
-        session.finish(iteration=50)
+        session.finish()
         return tree, session
 
     def test_worked_example_marks(self):
@@ -65,7 +65,7 @@ class TestSensitivity:
         node = tree.root
         session = SensitivitySession(node)
         drive_session(session, executor, tree, stop_at_goal=False)
-        session.finish(iteration=9)
+        session.finish()
         assert node.sensitive_bits == set()
         assert is_indirectly_input_dependent(node)
         assert not is_directly_input_dependent(node)
@@ -405,3 +405,32 @@ class TestExecutionCache:
             session.feed(executor(data))
         # the identical first seed executed once per session
         assert executor.count - before == 2
+
+
+class TestSessionProtocol:
+    def _session(self):
+        program, tree, executor = bootstrap_tree(STUCK_PLAIN)
+        node = tree.root
+        node.sensitivity_done = True
+        node.sensitive_bits = {4, 5, 6, 7}
+        session = BinaryDescentSession(node, True, ScriptedRng(
+            samples=[[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]))
+        return session, executor
+
+    def test_feed_with_nothing_pending_raises(self):
+        session, executor = self._session()
+        result = executor(b"")
+        with pytest.raises(RuntimeError, match="no input pending"):
+            session.feed(result)
+        session.feed(executor(session.next_input()))
+        with pytest.raises(RuntimeError, match="no input pending"):
+            session.feed(result)
+        assert session.executions == 1
+
+    def test_next_input_before_feed_raises(self):
+        session, executor = self._session()
+        data = session.next_input()
+        with pytest.raises(RuntimeError, match="not been fed"):
+            session.next_input()
+        session.feed(executor(data))
+        assert session.next_input() is not None

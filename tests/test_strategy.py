@@ -12,8 +12,8 @@ from gradfuzz.strategy import (
     compute_direction_probability,
     detect_loops,
     direction_counts,
-    order_iid,
-    order_su,
+    iid_key,
+    su_key,
 )
 from gradfuzz.target_abi import (
     ConditionRecord,
@@ -54,25 +54,22 @@ class TestOrderSU:
     def test_fewer_sensitive_bits_first(self):
         p = stub_node(sensitivity_done=True, bits=(0, 1))
         q = stub_node(sensitivity_done=True, bits=(0, 1, 2, 3, 4))
-        assert order_su(p, q, 64)
-        assert not order_su(q, p, 64)
+        assert su_key(p, 64) < su_key(q, 64)
 
     def test_center_bias(self):
         p = stub_node(nbytes=30)
         q = stub_node(nbytes=4)
-        assert order_su(p, q, 64)       # |32-32| < |32-4|
-        assert not order_su(q, p, 64)
+        assert su_key(p, 64) < su_key(q, 64)    # |32-32| < |32-4|
 
     def test_height_breaks_final_tie(self):
         p = stub_node(height=7)
         q = stub_node(height=3)
-        assert order_su(p, q, 64)
-        assert not order_su(q, p, 64)
+        assert su_key(p, 64) < su_key(q, 64)
 
     def test_analyzed_before_unanalyzed(self):
         p = stub_node(sensitivity_done=True, bits=(0,))
         q = stub_node()
-        assert order_su(p, q, 64)
+        assert su_key(p, 64) < su_key(q, 64)
 
     def test_strict_weak_order_properties(self):
         rng = random.Random(13)
@@ -84,7 +81,10 @@ class TestOrderSU:
                       bits=tuple(range(rng.randrange(0, 5))))
             for _ in range(40)
         ]
-        for order in (order_su, order_iid):
+        for key in (su_key, iid_key):
+            def order(a, b, max_bytes):
+                return key(a, max_bytes) < key(b, max_bytes)
+
             for a in nodes[:20]:
                 assert not order(a, a, 64)
             for a in nodes:
@@ -105,19 +105,17 @@ class TestOrderIID:
     def test_smaller_branching_value_first(self):
         p = stub_node(value=2.0)
         q = stub_node(value=-9.0)
-        assert order_iid(p, q, 64)
-        assert not order_iid(q, p, 64)
+        assert iid_key(p, 64) < iid_key(q, 64)
 
     def test_center_bias_with_large_inputs(self):
         p = stub_node(value=5.0, nbytes=1000)
         q = stub_node(value=5.0, nbytes=8)
-        assert order_iid(p, q, 2000)    # 1024 bucket sits at the center
-        assert not order_iid(q, p, 2000)
+        assert iid_key(p, 2000) < iid_key(q, 2000)  # 1024 is the center
 
     def test_depth_breaks_final_tie(self):
         p = stub_node(depth=3)
         q = stub_node(depth=5)
-        assert order_iid(p, q, 64)
+        assert iid_key(p, 64) < iid_key(q, 64)
 
 
 class TestBiasedIndex:
@@ -291,11 +289,47 @@ class TestSelectPrimaryTarget:
                  record(head, True, 1.0)]
         map_all(tree, [trace])
         strategy = Strategy(tree, random.Random(0))
-        strategy.prune_targets()
-        assert strategy.untouched
+        assert strategy.primary_candidates()
         selected = strategy.select_primary_target()
         assert selected.id.uid == head
         assert selected.depth == 0
+
+    def test_analyzed_candidate_beats_smaller_unanalyzed_one(self):
+        tree = ExecTree()
+        map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0)]])
+        untouched = tree.root
+        analyzed = untouched.successor[True]
+        analyzed.sensitivity_done = True
+        analyzed.sensitive_bits = {0}
+        for node in tree.nodes:
+            node.loop_scanned = True
+        assert su_key(untouched, 1)[1:] < su_key(analyzed, 1)[1:]
+        strategy = Strategy(tree, random.Random(0))
+        assert strategy.select_primary_target() is analyzed
+
+    def test_twin_stays_first_while_its_scan_hands_out_a_head(self):
+        # loop head 5 repeats along the twin's path; every node is either
+        # covered or unanalysed at the pivot's location, so the twin is
+        # the only primary target until its scan finds the head
+        tree = ExecTree()
+        map_all(tree, [[record(5, True, 1.0), record(6, True, 1.0),
+                        record(5, True, 1.0), record(6, True, 1.0),
+                        record(5, True, 1.0)]])
+        path = tree.nodes[-1].path()
+        for node in path:
+            if node.id.uid == 6:
+                node.covered = True
+        strategy = Strategy(tree, random.Random(0))
+        strategy.pivots.add(stub_node(uid=5, value=9.0,
+                                      sensitivity_done=True))
+        twin = path[-1]
+        strategy.twins.append(twin)
+        assert strategy.primary_candidates() == []
+        head = strategy.select_primary_target()
+        assert head is path[0]
+        assert strategy.twins == [twin]
+        assert strategy.select_primary_target() is twin
+        assert strategy.twins == []
 
 
 class TestSelectAnalysis:
@@ -473,7 +507,7 @@ class TestRecovery:
         assert not node.bitshare_done
         assert not node.minimization_done
         strategy.prune_targets()
-        assert node in strategy.untouched
+        assert node in strategy.primary_candidates()
 
     def test_stale_record_is_kept_but_not_reopened(self):
         tree = ExecTree()
@@ -512,18 +546,16 @@ class TestRecovery:
 
 
 class TestPruneTargets:
-    def test_analyzed_node_moves_from_untouched_to_processed(self):
+    def test_analyzed_node_stays_a_candidate(self):
         tree = ExecTree()
         map_all(tree, [[record(1, True, 1.0)]])
         strategy = Strategy(tree, random.Random(0))
-        strategy.prune_targets()
         node = tree.root
-        assert node in strategy.untouched
+        assert strategy.primary_candidates() == [node]
         node.sensitivity_done = True
         node.sensitive_bits = {0}
         strategy.prune_targets()
-        assert node not in strategy.untouched
-        assert node in strategy.processed
+        assert strategy.primary_candidates() == [node]
 
     def test_covered_node_leaves_loop_heads(self):
         tree = ExecTree()
@@ -570,5 +602,6 @@ class TestPruneTargets:
         strategy.pivots.add(pivot)
         strategy.prune_targets()
         other = tree.root.successor[False]
-        assert other not in strategy.untouched  # |9.0| > |5.0|: not a twin
+        # |9.0| > |5.0|: not a twin
+        assert other not in strategy.primary_candidates()
         assert other not in strategy.twins
