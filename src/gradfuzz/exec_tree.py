@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .target_abi import (
     ConditionRecord,
@@ -31,14 +31,6 @@ class EdgeLabel(IntEnum):
 class TreeMappingError(Exception):
     """A trace disagreed with the tree structurally (nondeterministic
     target); mapping is aborted."""
-
-
-def path_weight(trace: Sequence[ConditionRecord], depth: int) -> float:
-    """Sum of squared branching values over trace[0..depth]."""
-    total = 0.0
-    for i in range(depth + 1):
-        total += trace[i].value * trace[i].value
-    return total
 
 
 def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
@@ -141,10 +133,6 @@ def closed_predicate(node: TreeNode) -> bool:
     return True
 
 
-def is_directly_input_dependent(node: TreeNode) -> bool:
-    return node.sensitivity_done and bool(node.sensitive_bits)
-
-
 def is_indirectly_input_dependent(node: TreeNode) -> bool:
     return node.sensitivity_done and not node.sensitive_bits
 
@@ -172,9 +160,6 @@ class ExecTree:
 
     def id_covered(self, node_id: ExecutionId) -> bool:
         return len(self.id_directions.get(node_id, ())) == 2
-
-    def uid_covered(self, uid: int) -> bool:
-        return len(self.uid_directions.get(uid, ())) == 2
 
     def coverage_counts(self) -> dict[str, int]:
         return coverage_summary(
@@ -284,29 +269,3 @@ class ExecTree:
                 break
             cur.closed = False
             cur = cur.parent
-
-    # -- diagnostics --------------------------------------------------------
-
-    def dump(self) -> str:
-        """Deterministic one-node-per-line rendering for golden tests."""
-        lines: list[str] = []
-
-        def visit(node: Optional[TreeNode]) -> None:
-            if node is None:
-                return
-            flags = "".join((
-                "S" if node.sensitivity_done else "-",
-                "B" if node.bitshare_done else "-",
-                "M" if node.minimization_done else "-",
-                "c" if node.covered else "-",
-                "x" if node.closed else "-",
-            ))
-            lines.append(
-                f"{node.depth} uid={node.id.uid} ctx={node.id.ctx:08x} "
-                f"labels={node.label[0].name}/{node.label[1].name} "
-                f"f={node.value!r} nbytes={node.nbytes} {flags}")
-            visit(node.successor[0])
-            visit(node.successor[1])
-
-        visit(self.root)
-        return "\n".join(lines)

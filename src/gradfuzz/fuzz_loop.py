@@ -1,13 +1,15 @@
 """Top-level fuzzing loop, test-suite collection, and the post-run
 optimizer.
 
-The run starts with the empty input.  Every later input comes from the
-active analysis session; when a session deactivates (strategy finished,
-budget exceeded, or its goal direction was observed) its flags are
-set, closedness is propagated, and the strategy prunes its targets and
-picks the next session.  A test is kept when it observed a new
-(uid, direction) pair, or crashed, or is the initial empty input; kept
-tests replay to exactly the recorded coverage.
+The run starts with the empty input, followed, while its trace leaves
+the tree empty, by the sensitivity value set of the bytes it read.
+Every later input comes from the active analysis session; when a
+session deactivates (strategy finished, budget exceeded, or its goal
+direction was observed) its flags are set, closedness is propagated,
+and the strategy prunes its targets and picks the next session.  A test
+is kept when it observed a new (uid, direction) pair, or crashed, or is
+the initial empty input; kept tests replay to exactly the recorded
+coverage.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .generators import (
     SensitivitySession,
     TypedDescentSession,
     identify_typed_variables,
+    sensitivity_mutations,
 )
 from .minivm import Program, VmLimits
 from .strategy import Selection, Strategy
@@ -171,7 +174,7 @@ class FuzzEngine:
     def run(self) -> tuple[TestSuite, FuzzStats]:
         if self.budget.max_seconds is not None:
             self._deadline = time.monotonic() + self.budget.max_seconds
-        self._execute_and_process(b"", _BOOTSTRAP)
+        self._bootstrap()
         while self._within_budget():
             step = self._next_input()
             if step is None:
@@ -183,6 +186,18 @@ class FuzzEngine:
         self.stats.coverage = self.tree.coverage_counts()
         self.stats.tree_nodes = len(self.tree.nodes)
         return self.suite, self.stats
+
+    def _bootstrap(self) -> None:
+        """Runs the empty input and, while the tree is still empty, the
+        sensitivity value set of the bytes it read, so that a target that
+        ends before its first record at the fill bytes (say, dividing by
+        a read zero) still gets a first trace."""
+        result = self._execute_and_process(b"", _BOOTSTRAP)
+        for data, _, _ in sensitivity_mutations(result.bytes_read,
+                                                result.type_tags):
+            if self.tree.root is not None or not self._within_budget():
+                break
+            self._execute_and_process(data, _BOOTSTRAP)
 
     def _within_budget(self) -> bool:
         if (self.budget.max_executions is not None
@@ -230,7 +245,8 @@ class FuzzEngine:
         self.stats.terminations[result.termination.name] += 1
         return result, self.tree.map_trace(result, iteration), iteration
 
-    def _execute_and_process(self, input_bytes: bytes, kind: str) -> None:
+    def _execute_and_process(self, input_bytes: bytes,
+                             kind: str) -> ExecutionResult:
         result, report, iteration = self._execute(
             self.executor, self.options.limits, input_bytes, kind)
         keep = (iteration == 0
@@ -247,6 +263,7 @@ class FuzzEngine:
                     and self.active.node.label[goal] != EdgeLabel.NOT_VISITED):
                 self._finish_session(achieved=True,
                                      achieving_input=input_bytes)
+        return result
 
     def _test_case(self, result: ExecutionResult, report: MapReport,
                    iteration: int, extended: bool = False) -> TestCase:

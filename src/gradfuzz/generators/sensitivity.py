@@ -37,6 +37,29 @@ def _extreme_values(tag: TypeTag) -> list[bytes]:
     return [bytes(width), b"\xff" * width]
 
 
+def sensitivity_mutations(base: bytes, tags):
+    """The sensitivity value set of ``base``: every 1-bit flip, then the
+    extreme values of each typed region ``tags`` lays over it, as
+    ``(input, candidate bits, whether the bits are a whole region)``."""
+    for s in range(8 * len(base)):
+        mutated = bytearray(base)
+        flip_bit(mutated, s)
+        yield bytes(mutated), [s], False
+    offset = 0
+    for tag in tags:
+        width = tag.byte_width
+        if offset + width > len(base):
+            break
+        for raw in _extreme_values(tag):
+            mutated = bytearray(base)
+            mutated[offset:offset + width] = raw
+            if bytes(mutated) == base:
+                continue  # identical input, identical trace: no marks
+            yield bytes(mutated), list(range(8 * offset,
+                                             8 * (offset + width))), True
+        offset += width
+
+
 class SensitivitySession(AnalysisSession):
     kind = AnalysisKind.SENSITIVITY
 
@@ -54,28 +77,11 @@ class SensitivitySession(AnalysisSession):
         return result
 
     def _run(self):
-        m = 8 * len(self.base)
-        for s in range(m):
-            mutated = bytearray(self.base)
-            flip_bit(mutated, s)
-            self._candidate_bits = [s]
-            self._candidate_is_region = False
-            yield bytes(mutated)
-        offset = 0
-        for tag in self.node.best_tags:
-            width = tag.byte_width
-            if offset + width > len(self.base):
-                break
-            for raw in _extreme_values(tag):
-                mutated = bytearray(self.base)
-                mutated[offset:offset + width] = raw
-                if bytes(mutated) == self.base:
-                    continue  # identical input, identical trace: no marks
-                self._candidate_bits = list(
-                    range(8 * offset, 8 * (offset + width)))
-                self._candidate_is_region = True
-                yield bytes(mutated)
-            offset += width
+        for mutated, bits, is_region in sensitivity_mutations(
+                self.base, self.node.best_tags):
+            self._candidate_bits = bits
+            self._candidate_is_region = is_region
+            yield mutated
 
     def feed(self, result: ExecutionResult) -> None:
         candidates = self._candidate_bits

@@ -1,13 +1,17 @@
 """Instrumenting interpreter for the mini target language.
 
-A checked ``Program`` is compiled once, on its first execution, into one
-Python closure per AST node, the technique of Feeley and Lapalme, "Using
-Closures for Code Generation" (Computer Languages, 1987).  Everything
-static is resolved at compile time: each operator's function, the
-numeric conversions and wrap masks of each operand/result type pair,
-each read's tag, width and decoder, each record site's uid, variable
-slots, and the context-hash push of each call site, memoised per parent
-hash.
+A checked ``Program`` is translated once, on its first execution, into
+Python source with one function per ``.mc`` function, compiled with
+``compile``/``exec`` (as ``dataclasses._create_fn`` does) and cached in
+``Program.compiled``.  Target variables are Python locals ``v_<name>``;
+expressions are flattened into one temporary per node, with wrap masks,
+numeric conversions and records written inline; float literals are named
+constants, never source text.  The run state (steps, budget, bytes
+consumed, the trace and its cap, the input) lives in locals too; steps
+and bytes consumed are written back to the run object before each call
+and on return, and reloaded after each call.  A statement nested too
+deep for one Python function (CPython allows 20 nested loops) becomes a
+nested function sharing the locals as ``nonlocal``.
 
 Every execution is a pure function of (program, config, limits) and yields
 an ExecutionResult carrying the bytes read, one type tag per read call,
@@ -24,19 +28,20 @@ recent control-flow transfer (branch decision, loop back edge, call, or
 return).  Bit index s of the input lives in byte s // 8 at bit position
 7 - s % 8 (MSB first); the same convention is used engine-wide.
 
-The step budget stands in for a wall-clock timeout.  Each node's closure
-counts one step on entry.  The budget is checked before every observable
-event (a record, a read, a call, a crash) and on every loop iteration, so
-a run ends with the same termination and trace as a check at every node
-would give.
+The step budget stands in for a wall-clock timeout.  Every node counts
+one step on entry, before its operands; one ``steps += n`` adds up the
+steps of adjacent nodes and comes before the next check, branch, call or
+return.  The budget is checked before every observable event (a record, a
+read, a call, a crash) and on every loop iteration, so a run ends with
+the same termination and trace as a check at every node would give.
 """
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from ..target_abi import (
     DEFAULT_CONTEXT_DEPTH,
@@ -50,9 +55,9 @@ from ..target_abi import (
 )
 from .parser import (
     BOOL, F32, F64, TYPE_TAGS, VOID,
-    AbortStmt, Assign, Binary, Block, BoolLit, Call, Cast, Decl, ExprStmt,
-    FloatLit, Function, If, IntLit, Program, Return, Type, Unary, VarRef,
-    While, _nondet_type,
+    AbortStmt, Assign, Binary, Block, BoolLit, Call, Cast, Decl, Expr,
+    ExprStmt, FloatLit, Function, If, IntLit, Program, Return, Stmt, Type,
+    Unary, VarRef, While, _nondet_type,
 )
 
 
@@ -98,11 +103,6 @@ class _Timeout(Exception):
 
 
 _F32 = struct.Struct("<f")
-_F64 = struct.Struct("<d")
-
-# what a void function's `return;` yields: any value but None, which
-# means "fell through" to the statement that follows
-_RETURNED = object()
 
 
 def _f32(value: float) -> float:
@@ -125,25 +125,6 @@ def _int_quot(left: int, right: int) -> int:
     return q if (left < 0) == (right < 0) else -q
 
 
-def _int_rem(left: int, right: int) -> int:
-    return left - _int_quot(left, right) * right
-
-
-def _wrapper(ty: Type):
-    """Reduce an integer to the range of ``ty`` (two's complement)."""
-    mask = (1 << ty.bits) - 1
-    if not ty.signed:
-        return lambda value: value & mask
-    half = 1 << (ty.bits - 1)
-    return lambda value: ((value + half) & mask) - half
-
-
-def _zero(ty: Type):
-    """Value of a declaration without initializer, and of a non-void
-    function falling off its end."""
-    return False if ty is BOOL else 0.0 if ty.kind == "float" else 0
-
-
 def _int_range(ty: Type) -> tuple[int, int]:
     if ty is BOOL:
         return 0, 1
@@ -152,358 +133,422 @@ def _int_range(ty: Type) -> tuple[int, int]:
     return 0, (1 << ty.bits) - 1
 
 
-def _conversion(src: Type, dst: Type):
-    """Function converting a value of type ``src`` to numeric ``dst``, or
-    None when every value of ``src`` passes unchanged."""
-    if src is dst:
-        return None
-    if dst.kind == "float":
-        if src is F32 and dst is F64:
-            return None
-        # integers of up to 24 bits are exact in f32: no second rounding
-        if dst is F64 or (src.kind != "float" and src.bits <= 24):
-            return float
-        return lambda value: _f32(float(value))
-    # to integer: truncate floats toward zero, saturating non-finite and
-    # out-of-range values at the type bounds (NaN maps to 0)
-    lo, hi = _int_range(dst)
-    if src.kind == "float":
-        def saturate(value):
-            if math.isnan(value):
-                return 0
-            return lo if value < lo else hi if value > hi else int(value)
-        return saturate
-    if src is BOOL:
-        return int
-    src_lo, src_hi = _int_range(src)
-    if lo <= src_lo and src_hi <= hi:
-        return None
-    return _wrapper(dst)
-
-
 class _Run:
-    """Mutable state of one execution."""
+    """Mutable state of one execution that outlives a function call."""
 
-    __slots__ = ("steps", "budget", "input", "fill", "max_input",
-                 "consumed", "tags", "trace", "max_trace", "depth",
-                 "max_stack", "ctx", "xor")
+    __slots__ = ("steps", "budget", "data", "max_input", "consumed",
+                 "tags", "tag", "trace", "append", "max_trace", "max_stack")
 
     def __init__(self, config: ExecutionConfig, limits: VmLimits):
         self.steps = 0
         self.budget = limits.step_budget
-        self.input = config.input_bytes
-        self.fill = config.fill_byte
         self.max_input = config.max_input_bytes
+        # reads past the provided input continue with the fill byte
+        self.data = config.input_bytes + bytes((config.fill_byte,)) * (
+            self.max_input - len(config.input_bytes))
         self.consumed = 0
         self.tags = []
+        self.tag = self.tags.append
         self.trace = []
+        self.append = self.trace.append
         self.max_trace = config.max_trace_length
-        self.depth = 1  # frames, the entry function's included
         self.max_stack = config.max_stack_size
-        self.ctx = FNV32_BASIS
-        self.xor = False
-
-    def event(self) -> None:
-        """Called before every observable event: ends the run once the
-        steps counted so far exceed the budget."""
-        if self.steps > self.budget:
-            raise _Timeout()
-
-    def emit(self, ids: "_SiteIds", direction: bool, value: float) -> None:
-        if self.steps > self.budget:
-            raise _Timeout()
-        trace = self.trace
-        if len(trace) >= self.max_trace:
-            raise _Boundary()
-        trace.append(ConditionRecord(ids[self.ctx], direction, value,
-                                     self.xor, self.consumed))
-
-    def read(self, tag, width: int) -> bytes:
-        if self.steps > self.budget:
-            raise _Timeout()
-        start = self.consumed
-        end = start + width
-        if end > self.max_input:
-            raise _Boundary()
-        self.consumed = end
-        self.tags.append(tag)
-        raw = self.input[start:end]
-        if len(raw) < width:
-            raw += bytes((self.fill,)) * (width - len(raw))
-        return raw
-
-    def bytes_read(self) -> bytes:
-        raw = self.input[:self.consumed]
-        return raw + bytes((self.fill,)) * (self.consumed - len(raw))
 
 
-class _SiteIds(dict):
-    """The ExecutionId of one record site per calling context, each built
-    once."""
+class _Memo(dict):
+    """``fn(key)`` for each key, computed once."""
 
-    __slots__ = ("uid",)
+    __slots__ = ("fn",)
 
-    def __init__(self, uid: int):
+    def __init__(self, fn):
         super().__init__()
-        self.uid = uid
+        self.fn = fn
 
-    def __missing__(self, ctx: int) -> ExecutionId:
-        eid = self[ctx] = ExecutionId(self.uid, ctx)
-        return eid
-
-
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _float_op(op: str, ty: Type):
-    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": _float_div}[op]
-    if ty is F32:
-        return lambda a, b: _f32(fn(a, b))
-    return fn
+def _nodes(node):
+    """``node`` and every AST node under it, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for value in vars(node).values():
+            if isinstance(value, (Expr, Stmt)):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, (Expr, Stmt)))
 
 
-def _int_op(op: str, ty: Type):
-    """Operands are in the range of ``ty``, so ``&`` and ``|`` need no
-    wrap; ``^`` is compiled where it sets the xor flag."""
-    if op in ("&", "|"):
-        return operator.and_ if op == "&" else operator.or_
-    mask = (1 << ty.bits) - 1
-    bits = ty.bits
-    if op == "<<":
-        wrap = _wrapper(ty)
-        return lambda a, n: wrap(a << (int(n) % bits))
-    if op == ">>":
-        # arithmetic for signed, logical otherwise
-        return lambda a, n: a >> (int(n) % bits)
-    if op == "/" or op == "%":
-        wrap = _wrapper(ty)
-        fn = _int_quot if op == "/" else _int_rem
-        return lambda a, b: wrap(fn(a, b))
-    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
-    if not ty.signed:
-        return lambda a, b: fn(a, b) & mask
-    half = 1 << (bits - 1)
-    return lambda a, b: ((fn(a, b) + half) & mask) - half
+class _Val(NamedTuple):
+    """An operand: a local, int literal or constant, and an int's range."""
+
+    text: str
+    lo: Optional[int] = None
+    hi: Optional[int] = None
 
 
-def _statements(fns):
-    """Run the statements ``fns`` in order, up to the first that
-    returns."""
-    def statements(run, env):
-        for fn in fns:
-            result = fn(run, env)
-            if result is not None:
-                return result
-        return None
-    return statements
+_MAX_INDENT = 12  # a compound statement deeper than this is outlined
 
 
-class _Function:
-    """A compiled function.  Call sites hold it before its body is
-    compiled, so recursion needs no lookup by name."""
+class _Emitter:
+    """Writes the Python source of a program and compiles it.
 
-    __slots__ = ("body", "padding")
-
-
-class _Compiler:
-    """Compiles each node to a closure ``fn(run, env)`` that counts the
-    node's step on entry and then evaluates it.  ``env`` is the frame's
-    list of variable slots.  A statement's closure returns None to fall
-    through to the next statement, or the value the function returns."""
+    Each emit method appends lines at the current indentation and adds the
+    steps of the nodes it enters to ``pending``, which ``flush`` writes
+    out as one ``steps += n``.  ``dirty`` is false while the local ``xor``
+    is known to be false, so that records can use the constant."""
 
     def __init__(self, program: Program):
-        self.functions = {name: _Function() for name in program.functions}
-        self.ast = program.functions
-        for name, fn in program.functions.items():
-            self.function(fn, self.functions[name])
-        self.entry = self.functions[program.entry.name]
+        self.ns = {"_Timeout": _Timeout, "_Boundary": _Boundary,
+                   "_Crash": _Crash, "_new": tuple.__new__,
+                   "_CR": ConditionRecord, "_INF": math.inf, "_f32": _f32,
+                   "_float_div": _float_div, "_int_quot": _int_quot}
+        self.functions = program.functions
+        source = []
+        for fn in program.functions.values():
+            source += self.function(fn)
+        exec(compile("\n".join(source), "<minivm>", "exec"), self.ns)
+        self.entry = self.ns["f_main"]
 
-    def function(self, fn: Function, target: _Function) -> None:
-        self.slots = {name: i for i, (name, _) in enumerate(fn.params)}
+    def bind(self, value) -> str:
+        """A global name for ``value`` in the emitted module."""
+        name = f"_k{len(self.ns)}"
+        self.ns[name] = value
+        return name
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def temp(self, text: str) -> str:
+        self.ntemps += 1
+        name = f"t{self.ntemps}"
+        self.line(f"{name} = {text}")
+        return name
+
+    def flush(self) -> None:
+        if self.pending:
+            self.line(f"steps += {self.pending}")
+            self.pending = 0
+
+    # -- functions --------------------------------------------------------
+
+    def function(self, fn: Function) -> list[str]:
+        self.lines = []
+        self.indent = 1
+        self.pending = 0
+        self.dirty = False
+        self.ntemps = 0
+        self.sites: list[int] = []    # record uids, by index into E
+        self.uses: set[str] = set()   # "record", "call", "xor"
+        self.nested: list[tuple[str, list[str]]] = []
+        self.outlined = False
+        nodes = list(_nodes(fn.body))
+        self.reads = any(isinstance(n, Call) and _nondet_type(n.name)
+                         for n in nodes)
         # the body's statements run without a step for the body block
-        target.body = _statements([self.stmt(s) for s in fn.body.stmts])
-        target.padding = [None] * (len(self.slots) - len(fn.params))
+        for stmt in fn.body.stmts:
+            self.stmt(stmt)
+        self.flush()
+        self.exit("None" if fn.return_type is VOID else
+                  self.zero(fn.return_type))
 
-    def slot(self, name: str) -> int:
-        return self.slots.setdefault(name, len(self.slots))
+        # of two parameters with one name, the last one is visible
+        names = [name for name, _ in fn.params]
+        params = "".join(f", _{i}" if name in names[i + 1:] else
+                         f", v_{name}" for i, name in enumerate(names))
+        head = [f"def f_{fn.name}(run, depth, ctx{params}):",
+                "    steps = run.steps", "    budget = run.budget"]
+        consumes = self.reads or bool(self.uses & {"record", "call"})
+        head += ["    consumed = run.consumed"] * consumes
+        if "record" in self.uses:
+            sites = tuple(self.sites)
+            ids = self.bind(_Memo(lambda ctx: tuple(
+                ExecutionId(uid, ctx) for uid in sites)))
+            head += ["    trace = run.trace", "    append = run.append",
+                     "    cap = run.max_trace", f"    E = {ids}[ctx]"]
+        if self.reads:
+            head += ["    data = run.data", "    max_input = run.max_input",
+                     "    tag = run.tag"]
+        head += ["    max_stack = run.max_stack"] * ("call" in self.uses)
+        if self.nested:
+            shared = ["steps"]
+            if "xor" in self.uses:
+                head.append("    xor = False")
+                shared.append("xor")
+            shared += ["consumed"] * consumes
+            shared += [f"v_{name}" for name in dict.fromkeys(names)]
+            for name in sorted({n.name for n in nodes
+                                if isinstance(n, Decl)}):
+                head.append(f"    v_{name} = None")
+                shared.append(f"v_{name}")
+            for name, lines in self.nested:
+                head += [f"    def {name}():",
+                         f"        nonlocal {', '.join(shared)}", *lines]
+        return head + self.lines
+
+    def sync(self) -> str:
+        """Writes the run state back to the run object."""
+        return ("run.steps = steps; run.consumed = consumed" if self.reads
+                else "run.steps = steps")
+
+    def exit(self, value: str) -> None:
+        if self.outlined:
+            self.line(f"return ({value},)")
+        else:
+            self.line(f"{self.sync()}; return {value}")
+
+    @staticmethod
+    def zero(ty: Type) -> str:
+        """Value of a declaration without initializer, and of a non-void
+        function falling off its end."""
+        return "False" if ty is BOOL else "0.0" if ty.kind == "float" \
+            else "0"
+
+    def clear_xor(self) -> None:
+        if self.dirty:
+            self.line("xor = False")
+            self.dirty = False
 
     # -- statements -------------------------------------------------------
 
-    def stmt(self, stmt):
+    def stmt(self, stmt) -> None:
+        if isinstance(stmt, (If, While)) and self.indent >= _MAX_INDENT:
+            return self.outline(stmt)
+        self.pending += 1
         if isinstance(stmt, Block):
-            fns = [self.stmt(s) for s in stmt.stmts]
-
-            def block(run, env):
-                run.steps += 1
-                for fn in fns:
-                    result = fn(run, env)
-                    if result is not None:
-                        return result
-                return None
-            return block
-        if isinstance(stmt, (Decl, Assign)):
-            slot = self.slot(stmt.name)
+            for inner in stmt.stmts:
+                self.stmt(inner)
+        elif isinstance(stmt, (Decl, Assign)):
             if isinstance(stmt, Assign):
-                fn = self.converted(stmt.expr, stmt.target_type,
-                                    stmt.conv_uid)
+                value = self.converted(stmt.expr, stmt.target_type,
+                                       stmt.conv_uid).text
             elif stmt.init is not None:
-                fn = self.converted(stmt.init, stmt.decl_type,
-                                    stmt.conv_uid)
+                value = self.converted(stmt.init, stmt.decl_type,
+                                       stmt.conv_uid).text
             else:
-                zero = _zero(stmt.decl_type)
+                value = self.zero(stmt.decl_type)
+            self.line(f"v_{stmt.name} = {value}")
+        elif isinstance(stmt, If):
+            test, _ = self.condition(stmt)
+            self.block(f"if {test}:", stmt.then)
+            if stmt.els is not None:
+                self.block("else:", stmt.els)
+        elif isinstance(stmt, While):
+            self.flush()
+            self.line("while True:")
+            self.indent += 1
+            test, exit_dirty = self.condition(stmt)
+            self.line(f"if not {test}: break")
+            self.stmt(stmt.body)
+            self.flush()
+            self.clear_xor()
+            self.line("if steps > budget: raise _Timeout")
+            self.indent -= 1
+            # the loop ends at the break, with xor as the condition left it
+            self.dirty = exit_dirty
+            self.clear_xor()
+        elif isinstance(stmt, Return):
+            value = ("None" if stmt.expr is None else self.converted(
+                stmt.expr, stmt.target_type, stmt.conv_uid).text)
+            self.flush()
+            self.exit(value)
+        elif isinstance(stmt, ExprStmt):
+            self.expr(stmt.expr)
+        elif isinstance(stmt, AbortStmt):
+            self.flush()
+            self.line("raise _Timeout if steps > budget else _Crash")
+        else:
+            raise AssertionError(stmt)
 
-                def declare(run, env):
-                    run.steps += 1
-                    env[slot] = zero
-                return declare
+    def condition(self, stmt) -> tuple[str, bool]:
+        """The branch decision of an ``if`` or ``while``, and whether xor
+        may be set before it is cleared after the decision."""
+        test = self.expr(stmt.cond)
+        if stmt.cond_kind == "cmp0":
+            test = self.convert(test, stmt.cond.type, BOOL, stmt.cond_uid)
+        elif stmt.cond_kind == "trunc":
+            self.record(stmt.cond_uid, test.text, "1.0")
+        self.flush()
+        dirty = self.dirty
+        self.clear_xor()
+        return test.text, dirty
 
-            def store(run, env):
-                run.steps += 1
-                env[slot] = fn(run, env)
-            return store
-        if isinstance(stmt, If):
-            return self.if_stmt(stmt)
-        if isinstance(stmt, While):
-            return self.while_stmt(stmt)
-        if isinstance(stmt, Return):
-            if stmt.expr is None:
-                def return_void(run, env):
-                    run.steps += 1
-                    return _RETURNED
-                return return_void
-            fn = self.converted(stmt.expr, stmt.target_type, stmt.conv_uid)
+    def block(self, header: str, stmt) -> None:
+        """``header`` and the statement ``stmt`` as its suite; xor is
+        cleared after it."""
+        self.line(header)
+        self.indent += 1
+        self.stmt(stmt)  # counts a step: the suite is never empty
+        self.flush()
+        self.clear_xor()
+        self.indent -= 1
 
-            def return_(run, env):
-                run.steps += 1
-                return fn(run, env)
-            return return_
-        if isinstance(stmt, ExprStmt):
-            fn = self.expr(stmt.expr)
+    def outline(self, stmt) -> None:
+        """Emits ``stmt`` as a nested function and calls it; a ``return``
+        inside comes back as a 1-tuple."""
+        self.flush()
+        name = f"o{len(self.nested) + 1}"
+        self.nested.append((name, None))
+        saved = self.lines, self.indent, self.outlined
+        self.lines, self.indent, self.outlined = [], 2, True
+        self.stmt(stmt)
+        self.flush()
+        body = self.lines
+        self.lines, self.indent, self.outlined = saved
+        self.nested[int(name[1:]) - 1] = (name, body)
+        if not any(isinstance(n, Return) for n in _nodes(stmt)):
+            self.line(f"{name}()")
+            return
+        result = self.temp(f"{name}()")
+        if self.outlined:
+            self.line(f"if {result} is not None: return {result}")
+        else:
+            self.line(f"if {result} is not None: {self.sync()}; "
+                      f"return {result}[0]")
 
-            def discard(run, env):
-                run.steps += 1
-                fn(run, env)
-            return discard
-        if isinstance(stmt, AbortStmt):
-            def abort(run, env):
-                run.steps += 1
-                run.event()
-                raise _Crash()
-            return abort
-        raise AssertionError(stmt)
+    # -- records and checks -----------------------------------------------
 
-    def condition(self, cond, kind: str, uid: int):
-        """The branch decision of an ``if`` or ``while`` as a bool."""
-        fn = self.expr(cond)
-        if kind == "cmp0":
-            return self.convert(fn, cond.type, BOOL, uid)
-        if kind != "trunc":
-            return fn
-        ids = _SiteIds(uid)
+    def record(self, uid: int, direction: str, value: str,
+               is_float: bool = False) -> None:
+        """Appends a record; ``value`` is a local when ``is_float``."""
+        self.flush()
+        self.uses.add("record")
+        self.sites.append(uid)
+        if is_float:  # NaN is stored as +inf; int differences are finite
+            self.line(f"if {value} != {value}: {value} = _INF")
+        self.line("if steps > budget: raise _Timeout")
+        self.line("if len(trace) >= cap: raise _Boundary")
+        xor = "xor" if self.dirty else "False"
+        self.line(f"append(_new(_CR, (E[{len(self.sites) - 1}], "
+                  f"{direction}, {value}, {xor}, consumed)))")
 
-        def test(run, env):
-            taken = bool(fn(run, env))
-            run.emit(ids, taken, 1.0)
-            return taken
-        return test
+    def read(self, ty: Type) -> _Val:
+        self.flush()
+        tag = TYPE_TAGS[ty]
+        width = tag.byte_width
+        self.line("if steps > budget: raise _Timeout")
+        self.line(f"if consumed > max_input - {width}: raise _Boundary")
+        self.line(f"tag({self.bind(tag)})")
+        if ty is BOOL:
+            value = self.temp("data[consumed] != 0")
+        elif width == 1 and not ty.signed:
+            value = self.temp("data[consumed]")
+        else:
+            code = {1: "b", 2: "h", 4: "i", 8: "q"}[width]
+            code = {4: "f", 8: "d"}[width] if ty.kind == "float" else \
+                code if ty.signed else code.upper()
+            unpack = struct.Struct("<" + code).unpack_from
+            value = self.temp(f"{self.bind(unpack)}(data, consumed)[0]")
+        self.line(f"consumed += {width}")
+        return self.typed(value, ty)
 
-    def if_stmt(self, stmt: If):
-        test = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
-        then = self.stmt(stmt.then)
-        if stmt.els is None:
-            def if_(run, env):
-                run.steps += 1
-                taken = test(run, env)
-                run.xor = False
-                if not taken:
-                    return None
-                result = then(run, env)
-                run.xor = False
-                return result
-            return if_
-        els = self.stmt(stmt.els)
+    def call(self, expr: Call) -> _Val:
+        fn = self.functions[expr.name]
+        args = [self.converted(arg, ptype, conv_uid).text
+                for arg, conv_uid, (_, ptype)
+                in zip(expr.args, expr.arg_conv_uids, fn.params)]
+        self.flush()
+        self.uses.add("call")
+        site = expr.site_uid
+        pushes = self.bind(_Memo(lambda ctx: context_hash_push(ctx, site)))
+        self.line("if steps > budget: raise _Timeout")
+        self.line("if depth >= max_stack: raise _Boundary")
+        self.line(self.sync())
+        child = self.temp(f"{pushes}[ctx] if depth <= "
+                          f"{DEFAULT_CONTEXT_DEPTH} else ctx")
+        result = self.temp(f"f_{fn.name}(run, depth + 1, {child}"
+                           + "".join(f", {a}" for a in args) + ")")
+        self.line("steps = run.steps; consumed = run.consumed")
+        self.clear_xor()  # the callee starts and ends with xor cleared
+        if expr.bool_uid:
+            self.record(expr.bool_uid, result, "1.0")
+        return self.typed(result, fn.return_type)
 
-        def if_else(run, env):
-            run.steps += 1
-            branch = then if test(run, env) else els
-            run.xor = False
-            result = branch(run, env)
-            run.xor = False
-            return result
-        return if_else
+    # -- conversions ------------------------------------------------------
 
-    def while_stmt(self, stmt: While):
-        test = self.condition(stmt.cond, stmt.cond_kind, stmt.cond_uid)
-        body = self.stmt(stmt.body)
+    @staticmethod
+    def typed(text: str, ty: Type) -> _Val:
+        """A value of type ``ty``; integers lie in the type's range."""
+        return _Val(text, *_int_range(ty)) if ty.kind == "int" else _Val(text)
 
-        def while_(run, env):
-            run.steps += 1
-            while test(run, env):
-                run.xor = False
-                result = body(run, env)
-                if result is not None:
-                    return result
-                run.xor = False
-                if run.steps > run.budget:  # bounds an eventless loop
-                    raise _Timeout()
-            run.xor = False
-            return None
-        return while_
-
-    # -- expressions ------------------------------------------------------
-
-    def converted(self, expr, dst: Type, conv_uid: int):
+    def converted(self, expr, dst: Type, conv_uid: int) -> _Val:
         """``expr`` converted to ``dst``; numeric -> bool records."""
         return self.convert(self.expr(expr), expr.type, dst, conv_uid)
 
-    def convert(self, fn, src: Type, dst: Type, conv_uid: int):
-        """``fn``'s value converted from ``src`` to ``dst``; a conversion
-        counts no step of its own."""
+    def convert(self, val: _Val, src: Type, dst: Type,
+                conv_uid: int = 0) -> _Val:
+        """``val`` converted from ``src`` to ``dst``; a conversion counts
+        no step of its own."""
         if src is dst:
-            return fn
+            return val
         if dst is BOOL:
-            ids = _SiteIds(conv_uid)
+            taken = self.temp(f"{val.text} != 0")
+            if src.kind == "float":
+                value = self.temp(val.text)
+                self.record(conv_uid, taken, value, True)
+            else:
+                self.record(conv_uid, taken, f"{val.text} + 0.0")
+            return _Val(taken)
+        x = val.text
+        if dst.kind == "float":
+            if src is F32 and dst is F64:
+                return val
+            # integers of up to 24 bits are exact in f32: no second rounding
+            if dst is F64 or (src.kind != "float" and src.bits <= 24):
+                return _Val(self.temp(f"float({x})"))
+            return _Val(self.temp(f"_f32(float({x}))"))
+        # to integer: truncate floats toward zero, saturating non-finite and
+        # out-of-range values at the type bounds (NaN maps to 0)
+        lo, hi = _int_range(dst)
+        if src.kind == "float":
+            return _Val(self.temp(
+                f"0 if {x} != {x} else {lo} if {x} < {lo} else {hi} "
+                f"if {x} > {hi} else int({x})"), lo, hi)
+        if src is BOOL:
+            return _Val(self.temp(f"int({x})"), 0, 1)
+        return self.wrap(x, val.lo, val.hi, dst)
 
-            def to_bool(run, env):
-                value = fn(run, env)
-                taken = value != 0
-                run.emit(ids, taken, float(value))
-                return taken
-            return to_bool
-        conv = _conversion(src, dst)
-        if conv is None:
-            return fn
-        return lambda run, env: conv(fn(run, env))
+    def wrap(self, text: str, lo: int, hi: int, ty: Type) -> _Val:
+        """The integer ``text``, known to lie in [lo, hi], reduced to the
+        range of ``ty`` (two's complement)."""
+        tlo, thi = _int_range(ty)
+        if tlo <= lo and hi <= thi:
+            if lo == hi or text.isidentifier():
+                return _Val(text if lo != hi else repr(lo), lo, hi)
+            return _Val(self.temp(text), lo, hi)
+        mask = (1 << ty.bits) - 1
+        if lo == hi:
+            value = lo & mask
+            value = value - (1 << ty.bits) if value > thi else value
+            return _Val(repr(value), value, value)
+        if not ty.signed:
+            return _Val(self.temp(f"({text}) & {mask}"), tlo, thi)
+        half = 1 << (ty.bits - 1)
+        return _Val(self.temp(f"(({text}) + {half} & {mask}) - {half}"),
+                    tlo, thi)
 
-    def expr(self, expr):
-        if isinstance(expr, (IntLit, FloatLit, BoolLit)):
-            value = expr.value
+    # -- expressions ------------------------------------------------------
 
-            def literal(run, env):
-                run.steps += 1
-                return value
-            return literal
+    def expr(self, expr) -> _Val:
+        self.pending += 1
+        if isinstance(expr, IntLit):
+            return _Val(repr(expr.value), expr.value, expr.value)
+        if isinstance(expr, FloatLit):
+            return _Val(self.bind(expr.value))
+        if isinstance(expr, BoolLit):
+            return _Val(repr(expr.value))
         if isinstance(expr, VarRef):
-            slot = self.slots[expr.name]
-
-            def variable(run, env):
-                run.steps += 1
-                return env[slot]
-            return variable
+            return self.typed(f"v_{expr.name}", expr.type)
         if isinstance(expr, Unary):
             return self.unary(expr)
         if isinstance(expr, Binary):
             return self.binary(expr)
         if isinstance(expr, Cast):
-            fn = self.convert(self.expr(expr.operand), expr.operand.type,
-                              expr.target, expr.conv_uid)
-
-            def cast(run, env):
-                run.steps += 1
-                return fn(run, env)
-            return cast
+            return self.convert(self.expr(expr.operand), expr.operand.type,
+                                expr.target, expr.conv_uid)
         if isinstance(expr, Call):
             read_type = _nondet_type(expr.name)
             if read_type is not None:
@@ -511,144 +556,100 @@ class _Compiler:
             return self.call(expr)
         raise AssertionError(expr)
 
-    def unary(self, expr: Unary):
-        fn = self.expr(expr.operand)
+    def unary(self, expr: Unary) -> _Val:
+        val = self.expr(expr.operand)
         if expr.op == "-":
             ty = expr.type
             if ty is F32:
-                neg = lambda value: _f32(-value)  # noqa: E731
-            elif ty is F64:
-                neg = operator.neg
-            else:
-                wrap = _wrapper(ty)
-                neg = lambda value: wrap(-value)  # noqa: E731
-
-            def negate(run, env):
-                run.steps += 1
-                return neg(fn(run, env))
-            return negate
+                return _Val(self.temp(f"_f32(-{val.text})"))
+            if ty is F64:
+                return _Val(self.temp(f"-{val.text}"))
+            return self.wrap(f"-{val.text}", -val.hi, -val.lo, ty)
         # logical not: on a numeric operand this records an `== 0` check
         # as the `!= 0` check of a conversion to bool
         if expr.cmp_uid:
-            fn = self.convert(fn, expr.operand.type, BOOL, expr.cmp_uid)
+            val = self.convert(val, expr.operand.type, BOOL, expr.cmp_uid)
+        return _Val(self.temp(f"not {val.text}"))
 
-        def not_(run, env):
-            run.steps += 1
-            return not fn(run, env)
-        return not_
-
-    def binary(self, expr: Binary):
+    def binary(self, expr: Binary) -> _Val:
         op = expr.op
         ty = expr.operand_type
-        lf = self.convert(self.expr(expr.left), expr.left.type, ty, 0)
-        rf = self.expr(expr.right)
+        a = self.convert(self.expr(expr.left), expr.left.type, ty)
+        b = self.expr(expr.right)
         if op not in ("<<", ">>"):
-            rf = self.convert(rf, expr.right.type, ty, 0)
-        if op in _COMPARE:
-            compare = _COMPARE[op]
-            ids = _SiteIds(expr.cmp_uid)
+            b = self.convert(b, expr.right.type, ty)
+        x, y = a.text, b.text
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            taken = self.temp(f"{x} {op} {y}")
             if ty.kind == "float":
-                def comparison(run, env):
-                    run.steps += 1
-                    a = lf(run, env)
-                    b = rf(run, env)
-                    taken = compare(a, b)
-                    run.emit(ids, taken, a - b)
-                    return taken
-                return comparison
-
-            def int_comparison(run, env):
-                run.steps += 1
-                a = lf(run, env)
-                b = rf(run, env)
-                taken = compare(a, b)
-                run.emit(ids, taken, float(a) - float(b))
-                return taken
-            return int_comparison
+                self.record(expr.cmp_uid, taken, self.temp(f"{x} - {y}"),
+                            True)
+            elif ty.bits <= 32:  # the difference is exact in a double
+                self.record(expr.cmp_uid, taken, f"{x} - {y} + 0.0")
+            else:
+                self.record(expr.cmp_uid, taken,
+                            f"float({x}) - float({y})")
+            return _Val(taken)
+        if ty.kind == "float":
+            if op == "/":
+                text = f"{x} / {y} if {y} else _float_div({x}, {y})"
+            else:
+                text = f"{x} {op} {y}"
+            return _Val(self.temp(f"_f32({text})" if ty is F32 else text))
+        tlo, thi = _int_range(ty)
         if op == "^":
-            def xor(run, env):
-                run.steps += 1
-                a = lf(run, env)
-                b = rf(run, env)
-                run.xor = True
-                return a ^ b
-            return xor
-        fn = (_float_op if ty.kind == "float" else _int_op)(op, ty)
-        if op in ("/", "%") and ty.kind != "float":
-            def divide(run, env):
-                run.steps += 1
-                a = lf(run, env)
-                b = rf(run, env)
-                if b == 0:
-                    run.event()
-                    raise _Crash()
-                return fn(a, b)
-            return divide
-
-        def arithmetic(run, env):
-            run.steps += 1
-            return fn(lf(run, env), rf(run, env))
-        return arithmetic
-
-    def read(self, ty: Type):
-        tag = TYPE_TAGS[ty]
-        width = tag.byte_width
-        if ty is BOOL:
-            decode = lambda raw: raw[0] != 0  # noqa: E731
-        elif ty.kind == "float":
-            unpack = (_F32 if ty is F32 else _F64).unpack
-            decode = lambda raw: unpack(raw)[0]  # noqa: E731
-        elif width == 1 and not ty.signed:
-            decode = operator.itemgetter(0)
+            self.uses.add("xor")
+            value = self.temp(f"{x} ^ {y}")
+            self.line("xor = True")
+            self.dirty = True
+            return _Val(value, tlo, thi)
+        if op in ("&", "|"):
+            if op == "&" and a.lo >= 0 and b.lo >= 0:
+                return _Val(self.temp(f"{x} & {y}"), 0, min(a.hi, b.hi))
+            return _Val(self.temp(f"{x} {op} {y}"), tlo, thi)
+        if op in ("<<", ">>"):
+            count = b.lo if b.lo is not None and b.lo == b.hi else None
+            shift = f"({y} % {ty.bits})" if count is None else \
+                repr(count % ty.bits)
+            if op == ">>":  # arithmetic for signed, logical otherwise
+                return _Val(self.temp(f"{x} >> {shift}"), min(a.lo, 0),
+                            max(a.hi, 0))
+            if count is None:
+                return self.wrap(f"{x} << {shift}", tlo - 1, thi + 1, ty)
+            k = count % ty.bits
+            return self.wrap(f"{x} << {k}", a.lo << k, a.hi << k, ty)
+        if op in ("/", "%"):
+            if b.lo <= 0 <= b.hi:
+                self.flush()
+                self.line(f"if not {y}: "
+                          "raise _Timeout if steps > budget else _Crash")
+            if a.lo >= 0 and b.lo >= 0:  # and y > 0 past the check
+                if op == "/":
+                    return _Val(self.temp(f"{x} // {y}"), 0,
+                                a.hi // max(b.lo, 1))
+                return _Val(self.temp(f"{x} % {y}"), 0,
+                            min(a.hi, b.hi - 1))
+            if op == "%":  # |x % y| < |y|: always in range
+                return _Val(self.temp(f"{x} - _int_quot({x}, {y}) * {y}"),
+                            tlo, thi)
+            return self.wrap(f"_int_quot({x}, {y})", tlo - 1, thi + 1, ty)
+        if op == "+":
+            lo, hi = a.lo + b.lo, a.hi + b.hi
+        elif op == "-":
+            lo, hi = a.lo - b.hi, a.hi - b.lo
         else:
-            signed = ty.signed
-            decode = lambda raw: int.from_bytes(  # noqa: E731
-                raw, "little", signed=signed)
-
-        def read(run, env):
-            run.steps += 1
-            return decode(run.read(tag, width))
-        return read
-
-    def call(self, expr: Call):
-        fn = self.ast[expr.name]
-        callee = self.functions[expr.name]
-        arg_fns = [self.converted(arg, ptype, conv_uid)
-                   for arg, conv_uid, (_, ptype)
-                   in zip(expr.args, expr.arg_conv_uids, fn.params)]
-        site = expr.site_uid
-        pushes: dict[int, int] = {}  # parent context hash -> pushed hash
-        default = None if fn.return_type is VOID else _zero(fn.return_type)
-        ids = _SiteIds(expr.bool_uid) if expr.bool_uid else None
-
-        def call(run, env):
-            run.steps += 1
-            frame = [f(run, env) for f in arg_fns]
-            run.event()
-            depth = run.depth
-            if depth >= run.max_stack:
-                raise _Boundary()
-            parent = run.ctx
-            if depth <= DEFAULT_CONTEXT_DEPTH:
-                ctx = pushes.get(parent)
-                if ctx is None:
-                    ctx = pushes[parent] = context_hash_push(parent, site)
-                run.ctx = ctx
-            run.depth = depth + 1
-            run.xor = False
-            result = callee.body(run, frame + callee.padding)
-            run.xor = False
-            run.depth = depth
-            run.ctx = parent
-            if result is None or result is _RETURNED:
-                result = default
-            if ids is not None:
-                run.emit(ids, bool(result), 1.0)
-            return result
-        return call
+            products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+            lo, hi = min(products), max(products)
+        return self.wrap(f"{x} {op} {y}", lo, hi, ty)
 
 
-# deep target recursion costs a few Python frames per call
+_STOPS = {_Crash: TerminationKind.CRASH,
+          _Boundary: TerminationKind.BOUNDARY_CONDITION_VIOLATION,
+          _Timeout: TerminationKind.TIMEOUT,
+          RecursionError: TerminationKind.CRASH}
+
+# deep target recursion costs a Python frame per call, and one more per
+# outlined statement
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
 
 
@@ -663,19 +664,17 @@ def execute(program: Program, config: ExecutionConfig,
             raise ValueError(f"config {name} exceeds executor limit {cap}")
     entry = program.compiled
     if entry is None:
-        entry = program.compiled = _Compiler(program).entry
+        entry = program.compiled = _Emitter(program).entry
     run = _Run(config, limits)
     try:
-        entry.body(run, list(entry.padding))
-        run.event()
-        termination = TerminationKind.NORMAL
-    except _Crash:
-        termination = TerminationKind.CRASH
-    except _Boundary:
-        termination = TerminationKind.BOUNDARY_CONDITION_VIOLATION
-    except _Timeout:
-        termination = TerminationKind.TIMEOUT
-    except RecursionError:
-        termination = TerminationKind.CRASH
-    return ExecutionResult(termination, run.bytes_read(), tuple(run.tags),
+        entry(run, 1, FNV32_BASIS)
+        termination = (TerminationKind.TIMEOUT if run.steps > run.budget
+                       else TerminationKind.NORMAL)
+        consumed = run.consumed
+    except (_Crash, _Boundary, _Timeout, RecursionError) as stop:
+        termination = _STOPS[type(stop)]
+        # run.consumed lags behind the raising function; every read is
+        # tagged
+        consumed = sum(tag.byte_width for tag in run.tags)
+    return ExecutionResult(termination, run.data[:consumed], tuple(run.tags),
                            tuple(run.trace))

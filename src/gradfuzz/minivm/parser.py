@@ -259,7 +259,8 @@ class Program:
     num_boolean_sites: int
     num_call_sites: int
     source: str = ""
-    # the interpreter's closures, compiled on the first execution
+    # the interpreter's entry function, emitted and compiled on the first
+    # execution
     compiled: object = field(default=None, init=False, repr=False,
                              compare=False)
 

@@ -90,10 +90,6 @@ class TypeTag(IntEnum):
                         TypeTag.UNTYPED32, TypeTag.UNTYPED64)
 
     @property
-    def is_integer(self) -> bool:
-        return not self.is_float and not self.is_untyped
-
-    @property
     def is_signed(self) -> bool:
         return self in (TypeTag.SINT8, TypeTag.SINT16,
                         TypeTag.SINT32, TypeTag.SINT64)

@@ -1,5 +1,6 @@
 """Shared test drivers and oracles: execute programs, map traces, run
-sessions, generate random wire messages, reference loop detection."""
+sessions, generate random wire messages, reference loop detection, and
+inspect trees."""
 from __future__ import annotations
 
 import math
@@ -14,6 +15,47 @@ from gradfuzz.target_abi import (
     TerminationKind,
     TypeTag,
 )
+
+def path_weight(trace, depth: int) -> float:
+    """Sum of squared branching values over trace[0..depth]."""
+    total = 0.0
+    for i in range(depth + 1):
+        total += trace[i].value * trace[i].value
+    return total
+
+
+def uid_covered(tree: ExecTree, uid: int) -> bool:
+    return len(tree.uid_directions.get(uid, ())) == 2
+
+
+def is_directly_input_dependent(node: TreeNode) -> bool:
+    return node.sensitivity_done and bool(node.sensitive_bits)
+
+
+def dump(tree: ExecTree) -> str:
+    """Deterministic one-node-per-line rendering for golden tests."""
+    lines: list[str] = []
+
+    def visit(node) -> None:
+        if node is None:
+            return
+        flags = "".join((
+            "S" if node.sensitivity_done else "-",
+            "B" if node.bitshare_done else "-",
+            "M" if node.minimization_done else "-",
+            "c" if node.covered else "-",
+            "x" if node.closed else "-",
+        ))
+        lines.append(
+            f"{node.depth} uid={node.id.uid} ctx={node.id.ctx:08x} "
+            f"labels={node.label[0].name}/{node.label[1].name} "
+            f"f={node.value!r} nbytes={node.nbytes} {flags}")
+        visit(node.successor[0])
+        visit(node.successor[1])
+
+    visit(tree.root)
+    return "\n".join(lines)
+
 
 LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)

@@ -36,6 +36,7 @@ from helpers import (
     oracle_detect_loops,
     random_wire_config,
     random_wire_result,
+    uid_covered,
 )
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
@@ -109,7 +110,7 @@ def test_criterion_04_stuck_minimum_escaped_within_one_sweep():
     outcome = drive_session(session, executor, tree)
     assert outcome == "achieved"
     assert session.seed_index == 0
-    assert tree.uid_covered(node.id.uid)
+    assert uid_covered(tree, node.id.uid)
     for log in session.descent_logs:
         assert all(b < a for a, b in zip(log, log[1:]))
     ok("4: bit-swapped nibble guard covered within the first seed")
@@ -245,8 +246,8 @@ def test_criterion_11_boolean_expression_coverage():
         tree.map_trace(executor(config), i)
     # uids in source order: 1 = x==1, 2 = y==1, then the three branch
     # conditions 3, 4, 5
-    assert tree.uid_covered(1)
-    assert tree.uid_covered(2)
-    branch_covered = [uid for uid in (3, 4, 5) if tree.uid_covered(uid)]
+    assert uid_covered(tree, 1)
+    assert uid_covered(tree, 2)
+    branch_covered = [uid for uid in (3, 4, 5) if uid_covered(tree, uid)]
     assert branch_covered == [3]
     ok("11: both comparisons covered while only one branching is two-sided")

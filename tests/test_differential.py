@@ -239,12 +239,110 @@ int main() {
 }
 """
 
+# the division by zero crashes, after steps that count toward the budget
+DIVIDE_BY_ZERO = """
+int main() {
+  int x = nondet_int();
+  int r = (x + 3) % (x * 2 + 1);
+  int q = (r + 1) / (x - x);
+  return q;
+}
+"""
+
+# Shapes that Python source emitted naively cannot hold: CPython refuses
+# more than 20 nested loops and 100 indentation levels in one function,
+# and more than 200 nested parentheses in one expression.
+
+# 30 nested loops, a call that reads input from the innermost one, and a
+# read after them
+NESTED_WHILES = (
+    "int pick(uchar v) { return v + nondet_uchar(); }\n"
+    "int main() {\n  uchar n = nondet_uchar();\n  int x = 0;\n"
+    + "".join(f"  int w{k} = 0; while (w{k} < 1) {{ w{k} = w{k} + 1;\n"
+              for k in range(30))
+    + "  x = pick(n) ^ 3; if (x > 7) { abort(); }\n"
+    + "  }" * 30 + "\n  if (nondet_uchar() == (uchar)x) { x = 1; }\n"
+    "  return x;\n}\n")
+
+# a `return` from the innermost level, xor set before some branches,
+# and an else at every level
+NESTED_IFS = (
+    "int deep(uchar n) {\n  int x = 0;\n"
+    + "".join(f"  if ((n ^ {k % 4}) > {k}) {{ x = x + 1;\n"
+              for k in range(150))
+    + "  if (n == 255) { return 0 - x; }\n"
+    + "  } else { x = x - 1; }" * 150 + "\n  return x;\n}\n"
+    "int main() {\n  uchar n = nondet_uchar();\n  int x = deep(n);\n"
+    "  if (x == 150) { abort(); }\n  return x;\n}\n")
+
+DEEP_EXPRESSION = (
+    "int main() {\n  int x = nondet_int();\n  int y = "
+    + "".join(f"({k % 7} {'+-^'[k % 3]} " for k in range(300)) + "x"
+    + ")" * 300 + ";\n  if (y > 1000) { abort(); }\n  return y;\n}\n")
+
+LONG_SUM = ("int main() {\n  schar x = nondet_schar();\n  int s = x"
+            + " + 1" * 3000 + ";\n  if (s == 3100) { abort(); }\n"
+            "  return s;\n}\n")
+
+# .mc names that are Python keywords, builtins, or locals of the emitted
+# functions, and two parameters with one name (the last one is visible);
+# `float` is a type name in the target language, so it only appears as
+# one
+IDENTIFIERS = """
+int def(int lambda) { return lambda + 1; }
+int twice(int a, int a) { return a; }
+bool len(int steps) { return steps > 2; }
+float print(float None) { return None * (float)2; }
+int main() {
+  int __class__ = nondet_int();
+  int trace = def(__class__) + twice(1, 2);
+  int run = 1; int depth = 2; int ctx = 3; int E = 4; int xor = 5;
+  int consumed = 6; int budget = 7; int data = 8; int tag = 9;
+  int append = 10; int cap = 11; int max_stack = 12; int t1 = 13;
+  int o1 = 14; int True = 15; int v_x = 16; int f_main = 17;
+  float lambda = print((float)trace);
+  if (len(trace)) { xor = xor ^ trace; }
+  while (run < 3) { run = run + depth + ctx + E + xor + consumed; }
+  if (lambda > 4.0) { budget = data + tag + append + cap + max_stack; }
+  return t1 + o1 + True + v_x + f_main + budget;
+}
+"""
+
+# float literals that must never be written into the source: inf, a
+# value that underflows to 0.0, and -0.0, whose sign reaches the records
+LITERALS = """
+int main() {
+  double d = nondet_double();
+  double big = 1e999;
+  double tiny = 1e-400;
+  double negz = -0.0;
+  if (d < big) { d = d + tiny; }
+  if (negz) { abort(); }
+  bool same = d == negz;
+  if (1.0 / negz < d) { d = -1e999; }
+  float f = (float)1e999;
+  if (f > 1e-400) { d = d * tiny; }
+  if (-0.0) { abort(); }
+  bool zero = -(d * 0.0);
+  return (int)d;
+}
+"""
+
 EDGE_TARGETS = {"floats": FLOATS, "float_overflow": FLOAT_OVERFLOW,
-                "division": DIVISION, "mixed": MIXED, "spin": SPIN,
-                "recursion": RECURSION, "returns": RETURNS}
+                "division": DIVISION, "divide_by_zero": DIVIDE_BY_ZERO,
+                "mixed": MIXED, "spin": SPIN,
+                "recursion": RECURSION, "returns": RETURNS,
+                "nested_whiles": NESTED_WHILES, "nested_ifs": NESTED_IFS,
+                "deep_expression": DEEP_EXPRESSION, "long_sum": LONG_SUM,
+                "identifiers": IDENTIFIERS, "literals": LITERALS}
+
+# targets whose full run takes more steps than the default edge budget
+LONG_TARGETS = ("long_sum",)
 
 
 def edge_inputs(name, rng):
+    if name == "literals":
+        return [f64(v) for v in SPECIAL_FLOATS + (1e300, -1e300)]
     if name in ("floats", "float_overflow"):
         inputs = [f32(a) + f64(b) for a in SPECIAL_FLOATS + (3e38,)
                   for b in SPECIAL_FLOATS + (1e300, -1e300)]
@@ -262,15 +360,17 @@ def test_edge_targets(name):
     program = parse_program(EDGE_TARGETS[name])
     rng = random.Random(name)
     limits = (VmLimits().scaled(**OPTIMIZER_SCALE) if name == "recursion"
-              else VmLimits(1000, 64, 512, 5_000))
+              else VmLimits(1000, 64, 512,
+                            20_000 if name in LONG_TARGETS else 5_000))
     for data in edge_inputs(name, rng):
         for fill in (0, 85):
             assert_same(program, config_for(data, limits, fill), limits)
 
 
-# inputs that run each edge target to its end (spin never ends)
+# inputs that run each edge target to its end (spin's at the trace cap)
 FULL_RUN_INPUTS = {
     "division": bytes.fromhex("05000000fd"),
+    "divide_by_zero": (5).to_bytes(4, "little"),
     "floats": f32(7.5) + f64(-2.5),
     "float_overflow": f32(3e38) + f64(1e300),
     "mixed": bytes.fromhex("69d633d72792ad00847cbf25625bfc6cfaa98c0ed077aa76"
@@ -278,22 +378,59 @@ FULL_RUN_INPUTS = {
     "recursion": (6).to_bytes(2, "little"),
     "returns": b"\x00\x02",
     "spin": b"\x07",
+    "nested_whiles": b"\x01\x02\x03",
+    "nested_ifs": b"\xc8",
+    "deep_expression": (7).to_bytes(4, "little"),
+    "long_sum": b"\x9c",
+    "identifiers": (9).to_bytes(4, "little"),
+    "literals": f64(2.5),
 }
+
+
+def run_length(program, data):
+    """The least step budget the run on ``data`` ends within (bisected:
+    a larger budget only lets a run go further)."""
+    def times_out(budget):
+        limits = VmLimits(1000, 64, 512, budget)
+        return execute(program, config_for(data, limits), limits
+                       ).termination == TerminationKind.TIMEOUT
+
+    lo, hi = 0, 1_000_000
+    assert not times_out(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if times_out(mid) else (lo, mid)
+    return hi
+
+
+def check_budgets(name, budgets):
+    program = parse_program(EDGE_TARGETS[name])
+    for budget in budgets:
+        limits = VmLimits(1000, 64, 512, budget)
+        assert_same(program, config_for(FULL_RUN_INPUTS[name], limits),
+                    limits)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
 def test_every_step_budget(name):
-    """A budget that runs out at any node, mid-expression included."""
-    program = parse_program(EDGE_TARGETS[name])
-    for budget in range(1, 500):
-        limits = VmLimits(1000, 64, 512, budget)
-        result = assert_same(program,
-                             config_for(FULL_RUN_INPUTS[name], limits),
-                             limits)
-        if result.termination != TerminationKind.TIMEOUT:
-            break
-    assert (result.termination == TerminationKind.TIMEOUT) == \
-        (name == "spin")
+    """A budget that runs out at any node, mid-expression included: every
+    budget up to 500 and the last 100 before the run ends, with a sample
+    in between (``test_every_step_budget_long`` takes them all)."""
+    end = run_length(parse_program(EDGE_TARGETS[name]),
+                     FULL_RUN_INPUTS[name])
+    check_budgets(name, sorted(set(range(1, min(end, 499) + 1))
+                               | set(range(500, end, 97))
+                               | set(range(max(end - 100, 1), end + 1))))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["nested_ifs", "deep_expression",
+                                  *LONG_TARGETS])
+def test_every_step_budget_long(name):
+    end = run_length(parse_program(EDGE_TARGETS[name]),
+                     FULL_RUN_INPUTS[name])
+    assert end > 500
+    check_budgets(name, range(1, end + 1))
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))

@@ -9,10 +9,8 @@ from gradfuzz.exec_tree import (
     TreeMappingError,
     TreeNode,
     closed_predicate,
-    is_directly_input_dependent,
     is_indirectly_input_dependent,
     is_open,
-    path_weight,
 )
 from gradfuzz.target_abi import (
     ConditionRecord,
@@ -21,6 +19,8 @@ from gradfuzz.target_abi import (
     TerminationKind,
     TypeTag,
 )
+from helpers import dump, is_directly_input_dependent, path_weight, \
+    uid_covered
 
 
 def record(uid, direction, value, nbytes=1, ctx=0, xor=False):
@@ -125,7 +125,7 @@ class TestMapTrace:
         tree.map_trace(result_for((record(1, True, 1.0, ctx=5),)), 0)
         tree.map_trace(result_for((record(1, False, 1.0, ctx=5),)), 1)
         assert tree.root.covered
-        assert tree.uid_covered(1)
+        assert uid_covered(tree, 1)
         assert tree.id_covered(ExecutionId(1, 5))
 
     def test_coverage_spans_nodes_sharing_id(self):
@@ -371,4 +371,4 @@ class TestDump:
             "1 uid=2 ctx=00000003 labels=END_NORMAL/NOT_VISITED f=-2.0 "
             "nbytes=1 -----"
         )
-        assert tree.dump() == expected
+        assert dump(tree) == expected

@@ -59,6 +59,21 @@ class TestRunFuzzing:
                    if t.termination == TerminationKind.CRASH]
         assert crashes and crashes[0].input_bytes == b"\x40\x42\x0f\x00"
 
+    def test_empty_first_trace_tries_the_bytes_it_read(self):
+        # the empty input divides by zero before the first record; the
+        # run goes on with flips of the byte read until a trace appears
+        source = ("int main() { int q = 5 / nondet_char();"
+                  " if (q > 1) { abort(); } return 0; }")
+        suite, stats = run_fuzzing(parse_program(source),
+                                   FuzzBudget(max_executions=200),
+                                   small_options())
+        assert stats.executions_by_kind["bootstrap"] == 2
+        assert stats.total_executions > 2
+        assert stats.coverage["uids_discovered"] == 1
+        assert [(t.input_bytes, t.termination) for t in suite.tests] == [
+            (b"\x00", TerminationKind.CRASH),
+            (b"\x80", TerminationKind.NORMAL)]
+
     def test_kept_tests_brought_new_pairs_or_crashed(self):
         suite, stats = run_fuzzing(parse_program(XOR),
                                    FuzzBudget(max_executions=2000),

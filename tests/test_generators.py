@@ -3,10 +3,7 @@ import random
 import numpy
 import pytest
 
-from gradfuzz.exec_tree import (
-    is_directly_input_dependent,
-    is_indirectly_input_dependent,
-)
+from gradfuzz.exec_tree import is_indirectly_input_dependent
 from gradfuzz.generators import (
     BinaryDescentSession,
     BitshareSession,
@@ -20,7 +17,8 @@ from gradfuzz.generators import (
     typed_seed_value,
 )
 from gradfuzz.target_abi import TypeTag, get_bit
-from helpers import ScriptedRng, bootstrap_tree, drive_session
+from helpers import (ScriptedRng, bootstrap_tree, drive_session,
+                     is_directly_input_dependent)
 
 SENSE_PAIR = """
 int main() {

@@ -3,7 +3,9 @@ complete, stay within budget, and produce replayable suites.
 
 The generator covers integer, bool, float and double variables, input
 reads of each, casts, ``!x``, integer division by a read value, loops,
-aborts and calls to bool-returning functions.  The many-seed run is
+aborts, calls to bool-returning functions, and a recursive function that
+reads input and uses ``^`` around its own call, called both with a
+bounded depth and with a depth past the stack cap.  The many-seed run is
 marked ``slow``; run it with ``pytest -m slow``."""
 import random
 
@@ -27,14 +29,16 @@ class Scope:
     """The variables visible at one point of a generated target, and the
     bool functions it may call."""
 
-    def __init__(self, calls, ints=(), floats=(), bools=()):
+    def __init__(self, calls, ints=(), floats=(), bools=(), recursive=None):
         self.calls = calls
         self.ints = list(ints)
         self.floats = list(floats)
         self.bools = list(bools)
+        self.recursive = recursive
 
     def child(self):
-        return Scope(self.calls, self.ints, self.floats, self.bools)
+        return Scope(self.calls, self.ints, self.floats, self.bools,
+                     self.recursive)
 
 
 def gen_expr(rng, scope, depth=0):
@@ -98,7 +102,7 @@ def gen_stmts(rng, scope, depth, lines):
                 lines.append(f"int {name} = {gen_expr(rng, scope)};")
             scope.ints.append(name)
         elif roll < 0.35:
-            name = f"f{len(lines)}"
+            name = f"d{len(lines)}"  # not f<n>: f32 and f64 are types
             if rng.random() < 0.6:
                 lines.append(rng.choice(FLOAT_READS).format(name))
             else:
@@ -110,6 +114,8 @@ def gen_stmts(rng, scope, depth, lines):
         elif roll < 0.46 and scope.floats:
             lines.append(f"{rng.choice(scope.floats)} = "
                          f"{gen_fexpr(rng, scope)};")
+        elif roll < 0.25 and scope.recursive:
+            gen_recursive_call(rng, scope, lines)
         elif roll < 0.5:
             # integer division by a read value; the divisor is zero, and
             # the target crashes, at the all-zero input only for k = 0
@@ -149,6 +155,30 @@ def gen_bool_function(rng, name, calls, lines):
     lines.append("}")
 
 
+def gen_recursive_call(rng, scope, lines):
+    """A call of the recursive function with a depth of at most 7, or
+    with one read from the input: past the stack cap unless it is
+    small."""
+    name = f"v{len(lines)}"
+    depth = (f"{gen_expr(rng, scope)} & 7" if rng.random() < 0.5
+             else rng.choice(READS[:4]))
+    lines.append(f"int {name} = {scope.recursive}({depth});")
+    scope.ints.append(name)
+
+
+def gen_recursive_function(rng, name, calls, lines):
+    """``int name(int n)``, which recurses n times, reads input at the
+    bottom and records with the xor flag set after its own call."""
+    scope = Scope(calls, ints=["n"])
+    lines.append(f"int {name}(int n) {{")
+    lines.append(f"if (n <= 0) {{ return {rng.choice(READS[:4])}; }}")
+    lines.append(f"int k = {name}(n - 1) ^ {gen_expr(rng, scope)};")
+    scope.ints.append("k")
+    lines.append(f"if {gen_cond(rng, scope)} {{ k = k + 1; }}")
+    lines.append("return k;")
+    lines.append("}")
+
+
 def gen_program(seed):
     rng = random.Random(seed)
     lines = []
@@ -156,15 +186,21 @@ def gen_program(seed):
     for i in range(rng.randrange(3)):
         gen_bool_function(rng, f"g{i}", list(calls), lines)
         calls.append(f"g{i}")
+    recursive = None
+    if rng.random() < 0.5:
+        recursive = "r0"
+        gen_recursive_function(rng, recursive, calls, lines)
     lines.append("int main() {")
-    scope = Scope(calls)
+    scope = Scope(calls, recursive=recursive)
     # inputs first, so that most branches depend on them
     for _ in range(rng.randrange(1, 3)):
         scope.ints.append(f"v{len(lines)}")
         lines.append(f"int v{len(lines)} = {rng.choice(READS)};")
     if rng.random() < 0.5:
-        scope.floats.append(f"f{len(lines)}")
-        lines.append(rng.choice(FLOAT_READS).format(f"f{len(lines)}"))
+        scope.floats.append(f"d{len(lines)}")
+        lines.append(rng.choice(FLOAT_READS).format(f"d{len(lines)}"))
+    if recursive is not None:
+        gen_recursive_call(rng, scope, lines)
     gen_stmts(rng, scope, 0, lines)
     lines.append("return 0;")
     lines.append("}")
@@ -203,7 +239,7 @@ def test_generator_reaches_the_grammar():
              for source in map(gen_program, range(30))]
     for construct in ("nondet_float()", "nondet_double()", "(int)",
                       "(double)", "(bool)", "!", "/ (nondet_", "g0(",
-                      "g1(", "while"):
+                      "g1(", "while", "r0(", "r0(nondet_"):
         assert any(construct in main for main in mains), construct
 
 
