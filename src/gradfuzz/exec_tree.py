@@ -5,6 +5,15 @@ along a path; the edge labels form the lattice NOT_VISITED <
 END_EXCEPTIONAL < END_NORMAL < VISITED and only ever increase.  Every node
 keeps the best (input, tags, trace) triple seen so far, where "best"
 minimizes the sum of squared branching values over the path prefix.
+
+Mapping is the per-record hot loop of the engine, so it leans on two
+invariants instead of re-checking them per record: an edge's successor
+exists exactly when its label is VISITED (both are set together, and
+VISITED is the top of the lattice), and ``nbytes`` never decreases along
+a trace (``ExecutionResult`` rejects one that does), so the tree's
+``max_nbytes`` is taken from each trace's last record.  A node's
+``sensitive_bits`` is an immutable set that starts as one shared empty
+frozenset and is only ever rebound, never changed in place.
 """
 from __future__ import annotations
 
@@ -49,11 +58,18 @@ def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
     }
 
 
+_NO_BITS: frozenset[int] = frozenset()
+
+
 class TreeNode:
+    """One evaluation position along a path.  ``sensitive_bits`` is
+    immutable and rebound when sensitivity publishes marks, so nodes can
+    share the empty set."""
+
     __slots__ = (
         "id", "parent", "successor", "label", "depth", "index",
         "best_input", "best_tags", "best_trace", "best_weight", "best_iter",
-        "sensitive_bits", "raw_sensitive_bits",
+        "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
         "height", "covered", "closed", "loop_scanned",
     )
@@ -71,8 +87,7 @@ class TreeNode:
         self.best_trace: tuple[ConditionRecord, ...] = ()
         self.best_weight = float("inf")
         self.best_iter = 0
-        self.sensitive_bits: set[int] = set()
-        self.raw_sensitive_bits: set[int] = set()
+        self.sensitive_bits: frozenset[int] = _NO_BITS
         self.sensitivity_done = False
         self.bitshare_done = False
         self.minimization_done = False
@@ -209,21 +224,25 @@ class ExecTree:
                     else EdgeLabel.END_NORMAL)
         if self.root is None:
             self.root = self._new_node(trace[0].id, None)
+        # nbytes are monotone along a trace: the last record has the most
+        nbytes = trace[-1].nbytes
+        if nbytes > self.max_nbytes:
+            self.max_nbytes = nbytes
         node = self.root
         max_depth = len(trace) - 1
         weight = 0.0
-        for i, rec in enumerate(trace):
-            if node.id != rec.id:
+        # record i maps onto the node at depth i
+        for rec in trace:
+            rid, b, value, _, _ = rec
+            if node.id != rid:
                 raise TreeMappingError(
-                    f"trace record {i} has id {rec.id}, tree node has "
+                    f"trace record {node.depth} has id {rid}, tree node has "
                     f"{node.id}; target looks nondeterministic")
             # a covered node's id, and so its uid, was seen both ways:
             # observing the record again could change nothing
             if not node.covered:
                 self._observe(rec, report)
-            if rec.nbytes > self.max_nbytes:
-                self.max_nbytes = rec.nbytes
-            weight += rec.value * rec.value
+            weight += value * value
             # a new node takes its first trace even at infinite weight
             if weight < node.best_weight or not node.best_trace:
                 node.best_weight = weight
@@ -233,16 +252,18 @@ class ExecTree:
                 node.best_iter = iteration
             if max_depth > node.height:
                 node.height = max_depth
-            b = rec.direction
-            if i == max_depth:
-                if node.label[b] < terminal:
-                    node.label[b] = terminal
-            else:
-                if node.label[b] < EdgeLabel.VISITED:
-                    node.label[b] = EdgeLabel.VISITED
-                if node.successor[b] is None:
-                    node.successor[b] = self._new_node(trace[i + 1].id, node)
-                node = node.successor[b]
+            succ = node.successor[b]
+            if succ is None:
+                # the edge is not VISITED yet, so the label can still rise
+                label = node.label
+                if node.depth == max_depth:
+                    if label[b] < terminal:
+                        label[b] = terminal
+                    break
+                label[b] = EdgeLabel.VISITED
+                succ = node.successor[b] = self._new_node(
+                    trace[node.depth + 1].id, node)
+            node = succ
         return report
 
     # -- closed maintenance -------------------------------------------------

@@ -6,8 +6,8 @@ each typed region.  For a mutated trace agreeing with the node's best trace
 on ids up to index K and directions before K, any record k <= K whose
 branching value changed marks bits as sensitive at path(node)[k]:
 
-* a 1-bit mutation marks its flipped bit (bit-precise evidence, kept as
-  the raw set and then widened to the whole byte),
+* a 1-bit mutation marks its flipped bit (bit-precise evidence, kept in
+  the session's ``raw_marks`` and widened to the whole byte),
 * an extreme-value mutation marks its whole region (byte-granular
   evidence, folded into the widened set only).
 """
@@ -117,12 +117,12 @@ class SensitivitySession(AnalysisSession):
     def finish(self) -> list[TreeNode]:
         """Widen and publish marks; flags every examined path node."""
         for k, node in enumerate(self.path_nodes):
-            raw = self.raw_marks.get(k, set())
-            node.raw_sensitive_bits |= raw
             widened = set()
-            for s in raw:
+            for s in self.raw_marks.get(k, ()):
                 byte = s // 8
                 widened.update(range(8 * byte, 8 * byte + 8))
-            node.sensitive_bits |= widened | self.region_marks.get(k, set())
+            # rebinds: the node's set may be shared (see TreeNode)
+            node.sensitive_bits = node.sensitive_bits.union(
+                widened, self.region_marks.get(k, ()))
             node.sensitivity_done = True
         return self.path_nodes

@@ -255,10 +255,8 @@ class _Emitter:
         self.exit("None" if fn.return_type is VOID else
                   self.zero(fn.return_type))
 
-        # of two parameters with one name, the last one is visible
         names = [name for name, _ in fn.params]
-        params = "".join(f", _{i}" if name in names[i + 1:] else
-                         f", v_{name}" for i, name in enumerate(names))
+        params = "".join(f", v_{name}" for name in names)
         head = [f"def f_{fn.name}(run, depth, ctx{params}):",
                 "    steps = run.steps", "    budget = run.budget"]
         consumes = self.reads or bool(self.uses & {"record", "call"})
@@ -279,7 +277,7 @@ class _Emitter:
                 head.append("    xor = False")
                 shared.append("xor")
             shared += ["consumed"] * consumes
-            shared += [f"v_{name}" for name in dict.fromkeys(names)]
+            shared += [f"v_{name}" for name in names]
             for name in sorted({n.name for n in nodes
                                 if isinstance(n, Decl)}):
                 head.append(f"    v_{name} = None")

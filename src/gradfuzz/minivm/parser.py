@@ -516,7 +516,12 @@ class _Analyzer:
             raise self.error(main, "main takes no parameters")
         for fn in self.functions.values():
             self.current = fn
-            self.scopes = [dict(fn.params)]
+            params: dict[str, Type] = {}
+            for name, ptype in fn.params:
+                if name in params:
+                    raise self.error(fn, f"duplicate parameter {name!r}")
+                params[name] = ptype
+            self.scopes = [params]
             self.check_block(fn.body)
 
     def error(self, node, message: str) -> ParseError:

@@ -130,7 +130,8 @@ class ConditionRecord(namedtuple(
 
     ``value`` is the branching-function value.  A NaN value is
     canonicalized to +infinity at construction time so stored traces never
-    carry NaN; every way of building a record goes through ``__new__``.
+    carry NaN.  Besides ``__new__``, records are built by the emitted
+    interpreter and by ``wire_decode``, which apply the same rule inline.
     """
 
     __slots__ = ()
@@ -261,11 +262,16 @@ def wire_decode(frame: bytes) -> WireMessage:
                 raise DecodeError(f"unknown type tag 0x{max(raw_tags):02x}")
             tags = tuple(map(_TAGS.__getitem__, raw_tags))
             (m,) = r.unpack("<I")
-            records = tuple(
-                ConditionRecord(ExecutionId(uid, ctx), bool(direction),
-                                value, bool(xor), nbytes)
+            # one Python call per record is most of the cost of a frame,
+            # so the records are built with tuple.__new__ and the NaN rule
+            # of ConditionRecord.__new__ is written out here
+            new = tuple.__new__
+            records = tuple([
+                new(ConditionRecord, (
+                    new(ExecutionId, (uid, ctx)), direction != 0,
+                    math.inf if value != value else value, xor != 0, nbytes))
                 for uid, ctx, direction, xor, value, nbytes
-                in _RECORD.iter_unpack(r.take(m * _RECORD.size)))
+                in _RECORD.iter_unpack(r.take(m * _RECORD.size))])
             msg = ExecutionResult(TerminationKind(term), data, tags, records)
         else:
             raise DecodeError(f"unknown frame kind 0x{kind:02x}")

@@ -163,6 +163,20 @@ class TestWireFormat:
         assert rec == ConditionRecord(ExecutionId(1, 2), True, math.inf,
                                       False, 0)
 
+    def test_nonzero_flag_bytes_decode_to_true(self):
+        payload = (struct.pack("<BIII", 0, 0, 0, 2)
+                   + struct.pack("<IIBBdI", 1, 2, 2, 255, 1.5, 0)
+                   + struct.pack("<IIBBdI", 3, 4, 255, 2, 1.5, 0))
+        for rec in wire_decode(result_frame(payload)).trace:
+            assert rec.direction is True and rec.xor_flag is True
+
+    def test_negative_zero_keeps_its_sign(self):
+        result = ExecutionResult(
+            TerminationKind.NORMAL, b"", (),
+            (ConditionRecord(ExecutionId(1, 2), False, -0.0, False, 0),))
+        (rec,) = wire_decode(wire_encode(result)).trace
+        assert math.copysign(1.0, rec.value) == -1.0
+
     @given(st.binary(max_size=16), st.sampled_from([0, 85]))
     @settings(max_examples=100)
     def test_config_round_trip_property(self, data, fill):

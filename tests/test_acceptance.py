@@ -20,7 +20,11 @@ from gradfuzz.fuzz_loop import (
     run_fuzzing,
     save_suite,
 )
-from gradfuzz.generators import BinaryDescentSession, lambda_step
+from gradfuzz.generators import (
+    BinaryDescentSession,
+    SensitivitySession,
+    lambda_step,
+)
 from gradfuzz.minivm import VmLimits, parse_program
 from gradfuzz.strategy import biased_index, detect_loops
 from gradfuzz.target_abi import (
@@ -70,18 +74,29 @@ def test_criterion_01_magic_constant_all_seeds():
        f"in {elapsed:.2f}s")
 
 
-def test_criterion_02_sensitivity_ground_truth():
+def test_criterion_02_sensitivity_ground_truth(monkeypatch):
     program = parse_program(bench("sensitivity_pair.mc"))
+    # the bit-precise marks stay in each session: gather them per node
+    raw_bits = {}
+    finish = SensitivitySession.finish
+
+    def gathering_finish(session):
+        for k, node in enumerate(session.path_nodes):
+            raw_bits.setdefault(node, set()).update(
+                session.raw_marks.get(k, ()))
+        return finish(session)
+
+    monkeypatch.setattr(SensitivitySession, "finish", gathering_finish)
     engine = FuzzEngine(program, FuzzBudget(max_executions=100), options(0))
     engine.run()
     by_uid = {}
     for node in engine.tree.nodes:
-        if node.raw_sensitive_bits or node.sensitive_bits:
+        if node.sensitive_bits:
             by_uid.setdefault(node.id.uid, node)
     bi0 = by_uid[1]
     bi1 = by_uid[2]
-    assert sorted(bi0.raw_sensitive_bits) == [5, 6, 7]
-    assert sorted(bi1.raw_sensitive_bits) == [5, 6]
+    assert sorted(raw_bits[bi0]) == [5, 6, 7]
+    assert sorted(raw_bits[bi1]) == [5, 6]
     assert sorted(bi0.sensitive_bits) == list(range(8))
     assert sorted(bi1.sensitive_bits) == list(range(8))
     ok("2: bit-precise sensitivity {5,6,7}/{5,6}, full byte after widening")

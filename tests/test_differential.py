@@ -285,17 +285,15 @@ LONG_SUM = ("int main() {\n  schar x = nondet_schar();\n  int s = x"
             "  return s;\n}\n")
 
 # .mc names that are Python keywords, builtins, or locals of the emitted
-# functions, and two parameters with one name (the last one is visible);
-# `float` is a type name in the target language, so it only appears as
-# one
+# functions; `float` is a type name in the target language, so it only
+# appears as one
 IDENTIFIERS = """
 int def(int lambda) { return lambda + 1; }
-int twice(int a, int a) { return a; }
 bool len(int steps) { return steps > 2; }
 float print(float None) { return None * (float)2; }
 int main() {
   int __class__ = nondet_int();
-  int trace = def(__class__) + twice(1, 2);
+  int trace = def(__class__);
   int run = 1; int depth = 2; int ctx = 3; int E = 4; int xor = 5;
   int consumed = 6; int budget = 7; int data = 8; int tag = 9;
   int append = 10; int cap = 11; int max_stack = 12; int t1 = 13;
@@ -382,7 +380,7 @@ FULL_RUN_INPUTS = {
     "nested_ifs": b"\xc8",
     "deep_expression": (7).to_bytes(4, "little"),
     "long_sum": b"\x9c",
-    "identifiers": (9).to_bytes(4, "little"),
+    "identifiers": (11).to_bytes(4, "little"),
     "literals": f64(2.5),
 }
 

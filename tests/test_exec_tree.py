@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from gradfuzz.exec_tree import (
     is_indirectly_input_dependent,
     is_open,
 )
+from gradfuzz.generators import SensitivitySession
 from gradfuzz.target_abi import (
     ConditionRecord,
     ExecutionId,
@@ -119,6 +121,33 @@ class TestMapTrace:
         tree.map_trace(result_for((record(1, True, 1.0),)), 0)
         with pytest.raises(TreeMappingError):
             tree.map_trace(result_for((record(9, True, 1.0),)), 1)
+
+    def test_id_mismatch_names_the_record_index(self):
+        tree = ExecTree()
+        tree.map_trace(result_for((record(1, True, 1.0), record(2, True, 1.0),
+                                   record(3, False, 1.0))), 0)
+        message = ("trace record 2 has id ExecutionId(uid=9, ctx=0), tree "
+                   "node has ExecutionId(uid=3, ctx=0); target looks "
+                   "nondeterministic")
+        with pytest.raises(TreeMappingError, match=re.escape(message)):
+            tree.map_trace(result_for((record(1, True, 1.0),
+                                       record(2, True, 1.0),
+                                       record(9, True, 1.0))), 1)
+
+    def test_max_nbytes_is_the_largest_over_mapped_traces(self):
+        rng = random.Random(8)
+        tree = ExecTree()
+        largest = 0
+        for i in range(300):
+            nbytes = rng.randrange(0, 4)
+            trace = []
+            for depth in range(rng.randrange(1, 6)):
+                nbytes += rng.randrange(0, 3)
+                trace.append(record(depth + 1, rng.random() < 0.5, 1.0,
+                                    nbytes=nbytes))
+            tree.map_trace(result_for(tuple(trace)), i)
+            largest = max([largest] + [rec.nbytes for rec in trace])
+            assert tree.max_nbytes == largest
 
     def test_coverage_tracked_per_execution_id(self):
         tree = ExecTree()
@@ -228,6 +257,24 @@ class TestMapTrace:
                 prev = highs.get(id(node), math.inf)
                 assert node.best_weight <= prev
                 highs[id(node)] = node.best_weight
+
+
+def test_sensitivity_finish_leaves_other_nodes_bits_alone():
+    tree = ExecTree()
+    tree.map_trace(result_for((record(1, True, 1.0), record(2, False, 1.0))),
+                   0)
+    tree.map_trace(result_for((record(1, False, 1.0), record(3, True, 1.0))),
+                   1)
+    root = tree.root
+    node, sibling = root.successor[True], root.successor[False]
+    session = SensitivitySession(node)
+    session.raw_marks = {1: {3}}
+    session.region_marks = {0: {9}}
+    session.finish()
+    assert root.sensitive_bits == {9}
+    assert node.sensitive_bits == set(range(8))
+    assert sibling.sensitive_bits == set()
+    assert TreeNode(ExecutionId(4, 0), None, 0).sensitive_bits == set()
 
 
 def _label_snapshot(node):

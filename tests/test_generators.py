@@ -45,8 +45,8 @@ class TestSensitivity:
         tree, session = self._run_pair_session()
         bi0 = tree.root
         bi1 = session.node
-        assert sorted(bi0.raw_sensitive_bits) == [5, 6, 7]
-        assert sorted(bi1.raw_sensitive_bits) == [5, 6]
+        assert sorted(session.raw_marks[bi0.depth]) == [5, 6, 7]
+        assert sorted(session.raw_marks[bi1.depth]) == [5, 6]
         assert sorted(bi1.sensitive_bits) == list(range(8))
         assert bi0.sensitivity_done and bi1.sensitivity_done
 

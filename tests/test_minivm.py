@@ -59,6 +59,12 @@ class TestParse:
             parse_program("int main(int x){ if (x > 3) { abort(); }"
                           " return 0; }")
 
+    def test_duplicate_parameters_rejected(self):
+        with pytest.raises(ParseError, match="duplicate parameter 'a'") as exc:
+            parse_program("int twice(int a, int a) { return a; }\n"
+                          "int main(){ return twice(1, 2); }")
+        assert exc.value.line == 1
+
     def test_undeclared_variable(self):
         with pytest.raises(ParseError):
             parse_program("int main(){ x = 1; return 0; }")
