@@ -67,21 +67,19 @@ class TreeNode:
     share the empty set."""
 
     __slots__ = (
-        "id", "parent", "successor", "label", "depth", "index",
+        "id", "parent", "successor", "label", "depth",
         "best_input", "best_tags", "best_trace", "best_weight", "best_iter",
         "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
         "height", "covered", "closed", "loop_scanned",
     )
 
-    def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"],
-                 index: int):
+    def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"]):
         self.id = node_id
         self.parent = parent
         self.successor: list[Optional[TreeNode]] = [None, None]
         self.label = [EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED]
         self.depth = 0 if parent is None else parent.depth + 1
-        self.index = index
         self.best_input = b""
         self.best_tags: tuple[TypeTag, ...] = ()
         self.best_trace: tuple[ConditionRecord, ...] = ()
@@ -201,7 +199,7 @@ class ExecTree:
 
     def _new_node(self, node_id: ExecutionId,
                   parent: Optional[TreeNode]) -> TreeNode:
-        node = TreeNode(node_id, parent, len(self.nodes))
+        node = TreeNode(node_id, parent)
         self.nodes.append(node)
         self.nodes_by_id.setdefault(node_id, []).append(node)
         if self.id_covered(node_id):

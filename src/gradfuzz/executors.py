@@ -108,7 +108,7 @@ class RemoteExecutor:
 
     def scaled(self, trace: int, stack: int, input: int,
                steps: int) -> "RemoteExecutor":
-        # configs carry the scaled caps; the step budget is the server's own
+        # configs carry all four scaled caps, the step budget among them
         return self
 
     def close(self) -> None:

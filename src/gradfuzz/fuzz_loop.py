@@ -267,9 +267,7 @@ class FuzzEngine:
 
     def _test_case(self, result: ExecutionResult, report: MapReport,
                    iteration: int, extended: bool = False) -> TestCase:
-        uid_pairs = sorted({(r.id.uid, r.direction) for r in result.trace})
-        id_pairs = sorted({(r.id.uid, r.id.ctx, r.direction)
-                           for r in result.trace})
+        uid_pairs, id_pairs = _observed_pairs(result.trace)
         return TestCase(
             input_bytes=result.bytes_read,
             type_tags=result.type_tags,
@@ -337,6 +335,14 @@ class FuzzEngine:
         return self.suite
 
 
+def _observed_pairs(trace) -> tuple[list[tuple[int, bool]],
+                                   list[tuple[int, int, bool]]]:
+    """The distinct (uid, direction) and (uid, ctx, direction) pairs a
+    trace observed, each sorted."""
+    return (sorted({(r.id.uid, r.direction) for r in trace}),
+            sorted({(r.id.uid, r.id.ctx, r.direction) for r in trace}))
+
+
 def run_fuzzing(program: Program, budget: FuzzBudget,
                 options: Optional[FuzzOptions] = None,
                 executor=None) -> tuple[TestSuite, FuzzStats]:
@@ -353,17 +359,10 @@ _STATS = "stats.json"
 
 
 def _render_value(tag: TypeTag, raw: bytes) -> str:
-    import struct
-
-    if tag == TypeTag.BOOLEAN:
-        return str(int(raw[0] != 0))
-    if tag == TypeTag.FLOAT32:
-        return repr(struct.unpack("<f", raw)[0])
-    if tag == TypeTag.FLOAT64:
-        return repr(struct.unpack("<d", raw)[0])
     if tag.is_untyped:
         return raw.hex()
-    return str(int.from_bytes(raw, "little", signed=tag.is_signed))
+    (value,) = tag.codec.unpack(raw)
+    return repr(value) if tag.is_float else str(int(value))
 
 
 def save_suite(outdir: "Path | str", suite: TestSuite, stats: FuzzStats,
@@ -437,15 +436,14 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
             return False, (f"{entry['file']}: termination "
                            f"{result.termination.name} != "
                            f"{entry['termination']}")
-        got_pairs = sorted({(r.id.uid, r.direction) for r in result.trace})
+        got_pairs, got_id_pairs = _observed_pairs(result.trace)
         want_pairs = sorted((u, bool(d)) for u, d in entry["uid_pairs"])
         if got_pairs != want_pairs:
             return False, f"{entry['file']}: observed uid pairs differ"
         if result.bytes_read != input_bytes:
             return False, f"{entry['file']}: bytes read differ"
         uid_pairs.update(got_pairs)
-        id_pairs.update((r.id.uid, r.id.ctx, r.direction)
-                        for r in result.trace)
+        id_pairs.update(got_id_pairs)
     recomputed = coverage_summary(uid_pairs, id_pairs)
     if recomputed != manifest["coverage"]:
         return False, (f"coverage summary differs: {recomputed!r} != "

@@ -5,6 +5,11 @@ iteration pulls the next input to execute and feeds back the execution
 result.  Internally the analyses are written as generator coroutines;
 this adapter layers the per-session execution cache and call budget on
 top, so cache hits are resolved without surfacing an input to the loop.
+
+Every analysis judges an execution by one path check,
+``prefix_agreement``: how far its trace follows the node's best trace up
+to the node.  A trace reaches the node when it follows it all the way,
+and ``mapped_value`` then reads the node's branching value from it.
 """
 from __future__ import annotations
 
@@ -37,13 +42,9 @@ class AnalysisSession:
         self._gen = self._run()
         self._feed_value = None  # send(None) starts the generator
         self._pending: Optional[bytes] = None  # input awaiting its result
-        # structural snapshot of the path for trace-mapping checks
-        path = node.path()
-        self._path_ids = [p.id for p in path]
-        self._path_dirs = [
-            path[i + 1] is path[i].successor[True]
-            for i in range(len(path) - 1)
-        ]
+        # the records of the path to the node: ids and directions are
+        # those of every trace reaching it, the values are the best ones
+        self.base_trace = node.best_trace[:node.depth + 1]
 
     # -- driving ----------------------------------------------------------
 
@@ -83,24 +84,26 @@ class AnalysisSession:
 
     # -- trace mapping ------------------------------------------------------
 
-    def trace_maps_to_node(self, trace) -> bool:
-        depth = len(self._path_ids) - 1
-        if len(trace) <= depth:
-            return False
-        for i, node_id in enumerate(self._path_ids):
-            if trace[i].id != node_id:
-                return False
-        for i, direction in enumerate(self._path_dirs):
-            if trace[i].direction != direction:
-                return False
-        return True
+    def prefix_agreement(self, trace) -> int:
+        """The greatest k up to the node's depth such that ``trace`` has
+        the path's ids at 0..k and its directions at 0..k-1, or -1 when
+        the trace does not start at the root."""
+        k = -1
+        for record, path_record in zip(trace, self.base_trace):
+            if record.id != path_record.id:
+                break
+            k += 1
+            if record.direction != path_record.direction:
+                break
+        return k
 
     def mapped_value(self, result: ExecutionResult) -> Optional[float]:
         """Branching value at the session node, or None if the trace does
-        not map to the node's path."""
-        if not self.trace_maps_to_node(result.trace):
+        not reach the node."""
+        depth = self.node.depth
+        if self.prefix_agreement(result.trace) != depth:
             return None
-        return result.trace[len(self._path_ids) - 1].value
+        return result.trace[depth].value
 
     # -- to implement -------------------------------------------------------
 
@@ -121,10 +124,8 @@ class DescentSession(AnalysisSession):
         super().__init__(node, goal_direction)
         self.rng = rng
         self.descent_logs: list[list[float]] = []
-        self.seed_index = -1
 
     def _start_seed(self, first_value: float) -> None:
-        self.seed_index += 1
         self.descent_logs.append([first_value])
 
     def _log_accept(self, value: float) -> None:

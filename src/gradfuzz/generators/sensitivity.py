@@ -3,8 +3,9 @@
 Starting from the node's best input, the session executes every 1-bit
 mutation of the first ``nbytes`` bytes and then extreme-value mutations of
 each typed region.  For a mutated trace agreeing with the node's best trace
-on ids up to index K and directions before K, any record k <= K whose
-branching value changed marks bits as sensitive at path(node)[k]:
+on ids up to index K and directions before K (K is the session's
+``prefix_agreement``), any record k <= K whose branching value changed
+marks bits as sensitive at path(node)[k]:
 
 * a 1-bit mutation marks its flipped bit (bit-precise evidence, kept in
   the session's ``raw_marks`` and widened to the whole byte),
@@ -14,7 +15,6 @@ branching value changed marks bits as sensitive at path(node)[k]:
 from __future__ import annotations
 
 import math
-import struct
 import sys
 
 from ..exec_tree import TreeNode
@@ -25,16 +25,14 @@ _F32_EPSILON = 2.0 ** -23
 
 
 def _extreme_values(tag: TypeTag) -> list[bytes]:
-    width = tag.byte_width
     if tag.is_float:
-        if tag == TypeTag.FLOAT32:
-            values = [-1.0, 1.0, math.inf, math.nan, _F32_EPSILON]
-            return [struct.pack("<f", v) for v in values]
-        values = [-1.0, 1.0, math.inf, math.nan, sys.float_info.epsilon]
-        return [struct.pack("<d", v) for v in values]
+        epsilon = (_F32_EPSILON if tag == TypeTag.FLOAT32
+                   else sys.float_info.epsilon)
+        return [tag.codec.pack(v)
+                for v in (-1.0, 1.0, math.inf, math.nan, epsilon)]
     if tag.is_untyped:
         return []
-    return [bytes(width), b"\xff" * width]
+    return [bytes(tag.byte_width), b"\xff" * tag.byte_width]
 
 
 def sensitivity_mutations(base: bytes, tags):
@@ -66,7 +64,6 @@ class SensitivitySession(AnalysisSession):
     def __init__(self, node: TreeNode):
         super().__init__(node, None)
         self.base = bytes(node.best_input[:node.nbytes])
-        self.base_trace = node.best_trace[:node.depth + 1]
         self.path_nodes = node.path()
         self.raw_marks: dict[int, set[int]] = {}
         self.region_marks: dict[int, set[int]] = {}
@@ -89,21 +86,10 @@ class SensitivitySession(AnalysisSession):
         super().feed(result)
         self._apply_marks(candidates, result, region=is_region)
 
-    def _prefix_agreement(self, trace) -> int:
-        base = self.base_trace
-        limit = min(len(trace), len(base))
-        if limit == 0 or trace[0].id != base[0].id:
-            return -1
-        k = 0
-        while (k + 1 < limit and trace[k + 1].id == base[k + 1].id
-               and trace[k].direction == base[k].direction):
-            k += 1
-        return k
-
     def _apply_marks(self, candidates: list[int], result: ExecutionResult,
                      region: bool) -> None:
         trace = result.trace
-        top = self._prefix_agreement(trace)
+        top = self.prefix_agreement(trace)
         for k in range(top + 1):
             if trace[k].value == self.base_trace[k].value:
                 continue

@@ -10,7 +10,6 @@ The session deactivates itself after 100 * |sensitive bits| calls.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Optional, Sequence
 
 from ..exec_tree import TreeNode
@@ -32,27 +31,16 @@ def identify_typed_variables(
     touched_bytes = {s // 8 for s in sensitive_bits}
     variables = []
     offset = 0
-    covered: set[int] = set()
     for tag in tags:
         span = range(offset, offset + tag.byte_width)
         if any(b in touched_bytes for b in span):
             if tag.is_untyped:
                 return None
             variables.append((offset, tag))
-            covered.update(span)
         offset += tag.byte_width
     if any(b >= offset for b in touched_bytes):
         return None
     return variables
-
-
-def _int_domain(tag: TypeTag) -> tuple[int, int]:
-    if tag == TypeTag.BOOLEAN:
-        return 0, 1
-    bits = tag.bit_width
-    if tag.is_signed:
-        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    return 0, (1 << bits) - 1
 
 
 def typed_seed_value(tag: TypeTag, k: int, budget: int, rng):
@@ -63,7 +51,7 @@ def typed_seed_value(tag: TypeTag, k: int, budget: int, rng):
         q = 119 if tag == TypeTag.FLOAT32 else 115
         bound = 2.0 ** (7 + (q - 8) * frac)
         return rng.uniform(-bound, bound)
-    lo, hi = _int_domain(tag)
+    lo, hi = tag.domain
     if tag.bit_width < 16:
         return rng.randint(lo, hi)
     if tag.is_signed:
@@ -80,21 +68,19 @@ def lambda_step(abs_value: float, gradient: Sequence[float]) -> float:
 
 def _pack_value(tag: TypeTag, value) -> bytes:
     if tag.is_float:
-        fmt = "<f" if tag == TypeTag.FLOAT32 else "<d"
         try:
-            return struct.pack(fmt, value)
+            return tag.codec.pack(value)
         except OverflowError:  # |value| beyond float32 range
-            return struct.pack(fmt, math.copysign(math.inf, value))
-    lo, hi = _int_domain(tag)
+            return tag.codec.pack(math.copysign(math.inf, value))
+    lo, hi = tag.domain
     iv = int(value)
-    iv = lo if iv < lo else hi if iv > hi else iv
-    return iv.to_bytes(tag.byte_width, "little", signed=tag.is_signed)
+    return tag.codec.pack(lo if iv < lo else hi if iv > hi else iv)
 
 
 def _clamp_step(tag: TypeTag, value: float):
     if tag.is_float:
         return value
-    lo, hi = _int_domain(tag)
+    lo, hi = tag.domain
     if value != value:  # NaN cannot steer an integer variable
         return lo
     if value <= lo:
@@ -219,7 +205,7 @@ class TypedDescentSession(DescentSession):
     def _partial_delta(self, tag: TypeTag, value) -> Optional[float]:
         if tag.is_float:
             return _float_delta(tag, value)
-        _, hi = _int_domain(tag)
+        _, hi = tag.domain
         if value >= hi:  # no headroom for a right difference
             return None
         return 1

@@ -13,9 +13,11 @@ and on return, and reloaded after each call.  A statement nested too
 deep for one Python function (CPython allows 20 nested loops) becomes a
 nested function sharing the locals as ``nonlocal``.
 
-Every execution is a pure function of (program, config, limits) and yields
-an ExecutionResult carrying the bytes read, one type tag per read call,
-and one ConditionRecord per evaluated Boolean instruction:
+Every execution is a pure function of (program, config): it runs to the
+four caps the config carries, each checked first against the executor's
+limits.  It yields an ExecutionResult carrying the bytes read, one type
+tag per read call, and one ConditionRecord per evaluated Boolean
+instruction:
 
 * comparison sites record ``(double)l - (double)r`` of the converted
   operands,
@@ -34,11 +36,16 @@ steps of adjacent nodes and comes before the next check, branch, call or
 return.  The budget is checked before every observable event (a record, a
 read, a call, a crash) and on every loop iteration, so a run ends with
 the same termination and trace as a check at every node would give.
+
+Each target call costs a Python frame, and one more per outlined
+statement.  Importing the interpreter raises Python's recursion limit to
+12,000 frames; a run that recurses past it ends in CRASH.  The ceiling
+sits well below the ~20,000 frames at which CPython 3.10, where every
+Python frame also takes C stack, overflows a default 8 MB stack.
 """
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -51,6 +58,7 @@ from ..target_abi import (
     ExecutionId,
     ExecutionResult,
     TerminationKind,
+    TypeTag,
     context_hash_push,
 )
 from .parser import (
@@ -59,6 +67,11 @@ from .parser import (
     ExprStmt, FloatLit, Function, If, IntLit, Program, Return, Stmt, Type,
     Unary, VarRef, While, _nondet_type,
 )
+
+
+# the caps a config carries and an executor checks it against
+_CAPS = ("max_trace_length", "max_stack_size", "max_input_bytes",
+         "step_budget")
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,7 @@ class VmLimits:
     step_budget: int = 10_000_000
 
     def __post_init__(self) -> None:
-        for name in ("max_trace_length", "max_stack_size",
-                     "max_input_bytes", "step_budget"):
+        for name in _CAPS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -87,7 +99,8 @@ class VmLimits:
     def config(self, fill_byte: int, input_bytes: bytes) -> ExecutionConfig:
         """The execution config that asks for exactly these caps."""
         return ExecutionConfig(self.max_trace_length, self.max_stack_size,
-                               self.max_input_bytes, fill_byte, input_bytes)
+                               self.max_input_bytes, self.step_budget,
+                               fill_byte, input_bytes)
 
 
 class _Crash(Exception):
@@ -102,7 +115,7 @@ class _Timeout(Exception):
     pass
 
 
-_F32 = struct.Struct("<f")
+_F32 = TypeTag.FLOAT32.codec
 
 
 def _f32(value: float) -> float:
@@ -125,23 +138,15 @@ def _int_quot(left: int, right: int) -> int:
     return q if (left < 0) == (right < 0) else -q
 
 
-def _int_range(ty: Type) -> tuple[int, int]:
-    if ty is BOOL:
-        return 0, 1
-    if ty.signed:
-        return -(1 << (ty.bits - 1)), (1 << (ty.bits - 1)) - 1
-    return 0, (1 << ty.bits) - 1
-
-
 class _Run:
     """Mutable state of one execution that outlives a function call."""
 
     __slots__ = ("steps", "budget", "data", "max_input", "consumed",
                  "tags", "tag", "trace", "append", "max_trace", "max_stack")
 
-    def __init__(self, config: ExecutionConfig, limits: VmLimits):
+    def __init__(self, config: ExecutionConfig):
         self.steps = 0
-        self.budget = limits.step_budget
+        self.budget = config.step_budget
         self.max_input = config.max_input_bytes
         # reads past the provided input continue with the fill byte
         self.data = config.input_bytes + bytes((config.fill_byte,)) * (
@@ -435,11 +440,8 @@ class _Emitter:
         elif width == 1 and not ty.signed:
             value = self.temp("data[consumed]")
         else:
-            code = {1: "b", 2: "h", 4: "i", 8: "q"}[width]
-            code = {4: "f", 8: "d"}[width] if ty.kind == "float" else \
-                code if ty.signed else code.upper()
-            unpack = struct.Struct("<" + code).unpack_from
-            value = self.temp(f"{self.bind(unpack)}(data, consumed)[0]")
+            unpack = self.bind(tag.codec.unpack_from)
+            value = self.temp(f"{unpack}(data, consumed)[0]")
         self.line(f"consumed += {width}")
         return self.typed(value, ty)
 
@@ -470,7 +472,9 @@ class _Emitter:
     @staticmethod
     def typed(text: str, ty: Type) -> _Val:
         """A value of type ``ty``; integers lie in the type's range."""
-        return _Val(text, *_int_range(ty)) if ty.kind == "int" else _Val(text)
+        if ty.kind == "int":
+            return _Val(text, *TYPE_TAGS[ty].domain)
+        return _Val(text)
 
     def converted(self, expr, dst: Type, conv_uid: int) -> _Val:
         """``expr`` converted to ``dst``; numeric -> bool records."""
@@ -500,7 +504,7 @@ class _Emitter:
             return _Val(self.temp(f"_f32(float({x}))"))
         # to integer: truncate floats toward zero, saturating non-finite and
         # out-of-range values at the type bounds (NaN maps to 0)
-        lo, hi = _int_range(dst)
+        lo, hi = TYPE_TAGS[dst].domain
         if src.kind == "float":
             return _Val(self.temp(
                 f"0 if {x} != {x} else {lo} if {x} < {lo} else {hi} "
@@ -512,19 +516,19 @@ class _Emitter:
     def wrap(self, text: str, lo: int, hi: int, ty: Type) -> _Val:
         """The integer ``text``, known to lie in [lo, hi], reduced to the
         range of ``ty`` (two's complement)."""
-        tlo, thi = _int_range(ty)
+        tlo, thi = TYPE_TAGS[ty].domain
         if tlo <= lo and hi <= thi:
             if lo == hi or text.isidentifier():
                 return _Val(text if lo != hi else repr(lo), lo, hi)
             return _Val(self.temp(text), lo, hi)
-        mask = (1 << ty.bits) - 1
+        mask = thi - tlo  # 2**bits - 1
         if lo == hi:
             value = lo & mask
-            value = value - (1 << ty.bits) if value > thi else value
+            value = value - mask - 1 if value > thi else value
             return _Val(repr(value), value, value)
-        if not ty.signed:
+        if not tlo:
             return _Val(self.temp(f"({text}) & {mask}"), tlo, thi)
-        half = 1 << (ty.bits - 1)
+        half = -tlo
         return _Val(self.temp(f"(({text}) + {half} & {mask}) - {half}"),
                     tlo, thi)
 
@@ -594,7 +598,7 @@ class _Emitter:
             else:
                 text = f"{x} {op} {y}"
             return _Val(self.temp(f"_f32({text})" if ty is F32 else text))
-        tlo, thi = _int_range(ty)
+        tlo, thi = TYPE_TAGS[ty].domain
         if op == "^":
             self.uses.add("xor")
             value = self.temp(f"{x} ^ {y}")
@@ -646,24 +650,22 @@ _STOPS = {_Crash: TerminationKind.CRASH,
           _Timeout: TerminationKind.TIMEOUT,
           RecursionError: TerminationKind.CRASH}
 
-# deep target recursion costs a Python frame per call, and one more per
-# outlined statement
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
+# the frame ceiling for deep target recursion (see the module docstring)
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
 
 
 def execute(program: Program, config: ExecutionConfig,
             limits: VmLimits) -> ExecutionResult:
     """Run the program on the config's input; always terminates.  The
     program is compiled on its first execution."""
-    for name, cap in (("max_trace_length", limits.max_trace_length),
-                      ("max_stack_size", limits.max_stack_size),
-                      ("max_input_bytes", limits.max_input_bytes)):
+    for name in _CAPS:
+        cap = getattr(limits, name)
         if getattr(config, name) > cap:
             raise ValueError(f"config {name} exceeds executor limit {cap}")
     entry = program.compiled
     if entry is None:
         entry = program.compiled = _Emitter(program).entry
-    run = _Run(config, limits)
+    run = _Run(config)
     try:
         entry(run, 1, FNV32_BASIS)
         termination = (TerminationKind.TIMEOUT if run.steps > run.budget

@@ -68,16 +68,10 @@ TYPE_TAGS = {
     F32: TypeTag.FLOAT32, F64: TypeTag.FLOAT64,
 }
 
-# read suffix -> type, accepted as nondet_<suffix> or __VERIFIER_nondet_<suffix>
-NONDET_SUFFIXES = {
-    "bool": BOOL,
-    "char": U8, "schar": I8, "uchar": U8, "short": I16, "ushort": U16,
-    "int": I32, "uint": U32, "long": I64, "ulong": U64,
-    "float": F32, "double": F64,
-    "i8": I8, "i16": I16, "i32": I32, "i64": I64,
-    "u8": U8, "u16": U16, "u32": U32, "u64": U64,
-    "f32": F32, "f64": F64,
-}
+# read suffix -> type, for every type name but void; accepted as
+# nondet_<suffix> or __VERIFIER_nondet_<suffix>
+NONDET_SUFFIXES = {name: ty for name, ty in TYPE_NAMES.items()
+                   if ty is not VOID}
 
 KEYWORDS = set(TYPE_NAMES) | {"if", "else", "while", "return", "true",
                               "false", "abort"}

@@ -125,17 +125,14 @@ def detect_loops(path: Sequence[TreeNode]
 
 # --- direction statistics for the Monte Carlo walk ------------------------
 
-def direction_counts(path: Sequence[TreeNode], uid: int) -> tuple[int, int]:
-    """(false-successor count, true-successor count) of ``uid`` along a
+def direction_counts(path: Sequence[TreeNode]) -> dict[int, list[int]]:
+    """[false-successor count, true-successor count] of each uid along a
     path; the final node has no outgoing edge and is not counted."""
-    n_false = n_true = 0
-    for i in range(len(path) - 1):
-        if path[i].id.uid == uid:
-            if path[i + 1] is path[i].successor[True]:
-                n_true += 1
-            else:
-                n_false += 1
-    return n_false, n_true
+    counts: dict[int, list[int]] = {}
+    for node, successor in zip(path, path[1:]):
+        pair = counts.setdefault(node.id.uid, [0, 0])
+        pair[successor is node.successor[True]] += 1
+    return counts
 
 
 def compute_direction_probability(
@@ -166,10 +163,13 @@ def compute_direction_probability(
 
 
 def class_prime_stats(class_prime: Sequence[TreeNode],
+                      counts: Sequence[dict[int, list[int]]],
                       uid: int) -> list[tuple[float, Optional[float]]]:
+    """Per pivot, |branching value| and the false-direction frequency of
+    ``uid`` from the pivot's ``direction_counts``."""
     stats = []
-    for pivot in class_prime:
-        n_false, n_true = direction_counts(pivot.path(), uid)
+    for pivot, pivot_counts in zip(class_prime, counts):
+        n_false, n_true = pivot_counts.get(uid, (0, 0))
         total = n_false + n_true
         stats.append((abs(pivot.value),
                       n_false / total if total else None))
@@ -182,32 +182,6 @@ def class_prime_stats(class_prime: Sequence[TreeNode],
 class RecoveryRecord:
     node: TreeNode
     recorded_at: int
-
-
-# --- pivot store ------------------------------------------------------------
-
-class PivotStore:
-    """Uncovered indirectly-input-dependent nodes, partitioned by uid."""
-
-    def __init__(self):
-        self.pivots: list[TreeNode] = []
-
-    def add(self, node: TreeNode) -> None:
-        if node not in self.pivots:
-            self.pivots.append(node)
-
-    def prune(self) -> None:
-        self.pivots = [n for n in self.pivots
-                       if not n.covered and is_indirectly_input_dependent(n)]
-
-    def classes(self) -> dict[int, list[TreeNode]]:
-        grouped: dict[int, list[TreeNode]] = {}
-        for node in self.pivots:
-            grouped.setdefault(node.id.uid, []).append(node)
-        return grouped
-
-    def __len__(self) -> int:
-        return len(self.pivots)
 
 
 # --- the selection strategy --------------------------------------------------
@@ -225,7 +199,8 @@ class Strategy:
         self.rng = rng
         self.loop_heads: list[TreeNode] = []
         self.twins: list[TreeNode] = []
-        self.pivots = PivotStore()
+        # uncovered indirectly-input-dependent nodes, in registration order
+        self.pivots: list[TreeNode] = []
         self.recovery_records: list[RecoveryRecord] = []
         self._loop_bodies: dict[TreeNode, set[int]] = {}
 
@@ -238,12 +213,12 @@ class Strategy:
         if not self._eligible(node) or node.sensitivity_done:
             return False
         return any(node.id == pivot.id and abs(node.value) < abs(pivot.value)
-                   for pivot in self.pivots.pivots)
+                   for pivot in self.pivots)
 
     def primary_candidates(self) -> list[TreeNode]:
         """Eligible nodes that are analysed, or unanalysed and away from
         every pivot location, in tree order."""
-        locations = {p.id for p in self.pivots.pivots}
+        locations = {p.id for p in self.pivots}
         return [n for n in self.tree.nodes
                 if self._eligible(n)
                 and (n.sensitivity_done or n.id not in locations)]
@@ -251,7 +226,8 @@ class Strategy:
     def prune_targets(self) -> None:
         """Re-check the stored targets against their membership
         predicates, dropping violators and admitting new twins."""
-        self.pivots.prune()
+        self.pivots = [n for n in self.pivots
+                       if not n.covered and is_indirectly_input_dependent(n)]
         self.loop_heads = [n for n in self.loop_heads if self._eligible(n)]
         kept = [n for n in self.twins if self._twin_member(n)]
         known = set(id(n) for n in kept)
@@ -263,8 +239,9 @@ class Strategy:
     def register_examined(self, nodes: Sequence[TreeNode]) -> None:
         """After a sensitivity pass: uncovered IID nodes become pivots."""
         for node in nodes:
-            if not node.covered and is_indirectly_input_dependent(node):
-                self.pivots.add(node)
+            if (not node.covered and is_indirectly_input_dependent(node)
+                    and node not in self.pivots):
+                self.pivots.append(node)
 
     def record_failure(self, node: TreeNode, iteration: int) -> None:
         """A minimization ended without reaching its goal."""
@@ -337,8 +314,12 @@ class Strategy:
         return self._loop_bodies[pivot]
 
     def monte_carlo_select(self) -> Optional[TreeNode]:
-        self.pivots.prune()
-        classes = self.pivots.classes()
+        """A walk from a pivot's loop entry, steered by the direction
+        frequencies of the pivot's partition class.  The pivots are those
+        the last ``prune_targets`` kept."""
+        classes: dict[int, list[TreeNode]] = {}
+        for node in self.pivots:
+            classes.setdefault(node.id.uid, []).append(node)
         if not classes:
             return None
         max_bytes = self.tree.max_nbytes
@@ -360,6 +341,7 @@ class Strategy:
         if k >= len(path):
             return None
         class_prime = [n for n in members if n.nbytes == pivot.nbytes]
+        counts = [direction_counts(n.path()) for n in class_prime]
         body_uids: set[int] = set()
         for member in class_prime:
             body_uids |= self._pivot_loop_bodies(member)
@@ -372,18 +354,14 @@ class Strategy:
         for walk_uid in sorted(domain):
             in_body = walk_uid in body_uids
             prob = compute_direction_probability(
-                class_prime_stats(class_prime, walk_uid), in_body)
+                class_prime_stats(class_prime, counts, walk_uid), in_body)
             probabilities[walk_uid] = prob
             if in_body:
                 choice = self.rng.randrange(3)
                 if choice == 0:
                     streams[walk_uid] = uniform
                 else:
-                    total = 0
-                    for member in class_prime:
-                        n_false, n_true = direction_counts(
-                            member.path(), walk_uid)
-                        total += n_false + n_true
+                    total = sum(sum(c.get(walk_uid, ())) for c in counts)
                     ones = round(total * prob)
                     if total == 0:
                         streams[walk_uid] = uniform

@@ -5,6 +5,12 @@ interpreter or a remote serving process) is defined here: typed-read tags,
 termination flags, condition records, execution configs and results,
 the FNV-1a calling-context hash, and the framed wire format.
 
+``TypeTag`` holds the one table of typed values: how a typed read's bytes
+pack and unpack, and the integers they can hold.  An execution config
+carries all four caps of a run (trace length, stack size, input bytes and
+the step budget); an executor runs to them after checking each against
+its own.
+
 Execution ids and condition records are named tuples: one is built for
 every evaluated Boolean instruction and hashed or compared on every
 trace record the tree maps, and tuples do both in C.
@@ -19,7 +25,7 @@ All payload integers are fixed-width little-endian; floats are IEEE-754
 bit patterns (little-endian).  Config payload::
 
     u32 max_trace_length | u32 max_stack_size | u32 max_input_bytes
-    | u8 fill_byte | u32 n | n bytes input
+    | u64 step_budget | u8 fill_byte | u32 n | n bytes input
 
 Result payload::
 
@@ -34,6 +40,7 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 FNV32_BASIS = 0x811C9DC5
@@ -48,62 +55,71 @@ KIND_RESULT = 0x02
 
 _MAX_PAYLOAD = 1 << 28
 
+# the config payload before its input: the four caps, the fill byte and
+# the input's length
+_CONFIG_HEAD = "<IIIQBI"
+
 # one result-payload record: u32 uid, u32 ctx, u8 direction, u8 xor,
 # f64 value, u32 nbytes
 _RECORD = struct.Struct("<IIBBdI")
 
 
 class TypeTag(IntEnum):
-    """Type assigned to a range of input bytes consumed by one read call."""
+    """Type assigned to a range of input bytes consumed by one read call.
 
-    BOOLEAN = 0
-    UINT8 = 1
-    UINT16 = 2
-    UINT32 = 3
-    UINT64 = 4
-    SINT8 = 5
-    SINT16 = 6
-    SINT32 = 7
-    SINT64 = 8
-    FLOAT32 = 9
-    FLOAT64 = 10
-    UNTYPED8 = 11
-    UNTYPED16 = 12
-    UNTYPED32 = 13
-    UNTYPED64 = 14
+    Each member's row is the one definition of its typed value: the
+    little-endian ``struct`` code of its bytes, and whether the bytes are
+    untyped.  Every attribute of a tag derives from its row:
 
-    @property
-    def byte_width(self) -> int:
-        return _TAG_WIDTH[self]
+    * ``codec``: the ``struct.Struct`` that packs and unpacks one value,
+    * ``byte_width`` and ``bit_width``,
+    * ``is_signed``, ``is_float`` and ``is_untyped``,
+    * ``domain``: the least and greatest integer a value can hold, which
+      is (0, 1) for BOOLEAN and None for the float tags.
+    """
 
-    @property
-    def bit_width(self) -> int:
-        return 8 * _TAG_WIDTH[self]
+    BOOLEAN = 0, "?"
+    UINT8 = 1, "B"
+    UINT16 = 2, "H"
+    UINT32 = 3, "I"
+    UINT64 = 4, "Q"
+    SINT8 = 5, "b"
+    SINT16 = 6, "h"
+    SINT32 = 7, "i"
+    SINT64 = 8, "q"
+    FLOAT32 = 9, "f"
+    FLOAT64 = 10, "d"
+    UNTYPED8 = 11, "B", True
+    UNTYPED16 = 12, "H", True
+    UNTYPED32 = 13, "I", True
+    UNTYPED64 = 14, "Q", True
 
-    @property
-    def is_float(self) -> bool:
-        return self in (TypeTag.FLOAT32, TypeTag.FLOAT64)
+    def __new__(cls, value: int, code: str, untyped: bool = False):
+        tag = int.__new__(cls, value)
+        tag._value_ = value
+        return tag
 
-    @property
-    def is_untyped(self) -> bool:
-        return self in (TypeTag.UNTYPED8, TypeTag.UNTYPED16,
-                        TypeTag.UNTYPED32, TypeTag.UNTYPED64)
-
-    @property
-    def is_signed(self) -> bool:
-        return self in (TypeTag.SINT8, TypeTag.SINT16,
-                        TypeTag.SINT32, TypeTag.SINT64)
+    def __init__(self, value: int, code: str, untyped: bool = False):
+        self.codec = struct.Struct("<" + code)
+        self.byte_width = self.codec.size
+        self.bit_width = 8 * self.byte_width
+        self.is_float = code in "fd"
+        self.is_signed = code in "bhiq"
+        self.is_untyped = untyped
+        if self.is_float:
+            self.domain = None
+        elif code == "?":
+            self.domain = (0, 1)
+        elif self.is_signed:
+            half = 1 << (self.bit_width - 1)
+            self.domain = (-half, half - 1)
+        else:
+            self.domain = (0, (1 << self.bit_width) - 1)
 
 
 # indexed by tag value
 _TAGS = tuple(TypeTag)
-_TAG_WIDTH = (
-    1,           # BOOLEAN
-    1, 2, 4, 8,  # UINT8 .. UINT64
-    1, 2, 4, 8,  # SINT8 .. SINT64
-    4, 8,        # FLOAT32, FLOAT64
-    1, 2, 4, 8,  # UNTYPED8 .. UNTYPED64
-)
+_BYTE_WIDTH = attrgetter("byte_width")
 
 
 class TerminationKind(IntEnum):
@@ -152,6 +168,7 @@ class ExecutionConfig:
     max_trace_length: int
     max_stack_size: int
     max_input_bytes: int
+    step_budget: int
     fill_byte: int
     input_bytes: bytes
 
@@ -170,7 +187,7 @@ class ExecutionResult:
     trace: tuple[ConditionRecord, ...]
 
     def __post_init__(self) -> None:
-        if (sum(map(_TAG_WIDTH.__getitem__, self.type_tags))
+        if (sum(map(_BYTE_WIDTH, self.type_tags))
                 != len(self.bytes_read)):
             raise ValueError("type tags do not cover bytes_read")
         last = 0
@@ -199,10 +216,11 @@ def wire_encode(message: WireMessage) -> bytes:
     if isinstance(message, ExecutionConfig):
         kind = KIND_CONFIG
         payload = struct.pack(
-            "<IIIBI",
+            _CONFIG_HEAD,
             message.max_trace_length,
             message.max_stack_size,
             message.max_input_bytes,
+            message.step_budget,
             message.fill_byte,
             len(message.input_bytes),
         ) + message.input_bytes
@@ -251,8 +269,8 @@ def wire_decode(frame: bytes) -> WireMessage:
         raise DecodeError("frame length mismatch")
     try:
         if kind == KIND_CONFIG:
-            mtl, mss, mib, fill, n = r.unpack("<IIIBI")
-            msg: WireMessage = ExecutionConfig(mtl, mss, mib, fill, r.take(n))
+            *caps, fill, n = r.unpack(_CONFIG_HEAD)
+            msg: WireMessage = ExecutionConfig(*caps, fill, r.take(n))
         elif kind == KIND_RESULT:
             term, n = r.unpack("<BI")
             data = r.take(n)

@@ -64,7 +64,8 @@ LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
 def config_for(data: bytes, fill: int = 0,
                limits: VmLimits = LIMITS) -> ExecutionConfig:
     return ExecutionConfig(limits.max_trace_length, limits.max_stack_size,
-                           limits.max_input_bytes, fill, data)
+                           limits.max_input_bytes, limits.step_budget, fill,
+                           data)
 
 
 class CountingExecutor:
@@ -151,7 +152,7 @@ def chain_from_uids(uids, directions=None):
     nodes = []
     parent = None
     for i, uid in enumerate(uids):
-        node = TreeNode(ExecutionId(uid, 0), parent, i)
+        node = TreeNode(ExecutionId(uid, 0), parent)
         node.best_trace = tuple(
             ConditionRecord(ExecutionId(uids[j], 0), True, 1.0, False, 1)
             for j in range(i + 1))
@@ -207,6 +208,7 @@ def random_wire_config(rng):
         max_trace_length=rng.randrange(1, 10 ** 6),
         max_stack_size=rng.randrange(1, 10 ** 4),
         max_input_bytes=n + rng.randrange(0, 100),
+        step_budget=rng.randrange(1, 1 << 64),
         fill_byte=rng.choice((0, 85)),
         input_bytes=rng.randbytes(n),
     )

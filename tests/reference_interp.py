@@ -109,11 +109,9 @@ def _int_rem(left: int, right: int) -> int:
 
 
 class _RunState:
-    def __init__(self, program: Program, config: ExecutionConfig,
-                 limits: VmLimits):
+    def __init__(self, program: Program, config: ExecutionConfig):
         self.program = program
         self.config = config
-        self.limits = limits
         self.consumed = 0
         self.bytes_read = bytearray()
         self.tags: list[TypeTag] = []
@@ -124,7 +122,7 @@ class _RunState:
 
     def step(self) -> None:
         self.steps += 1
-        if self.steps > self.limits.step_budget:
+        if self.steps > self.config.step_budget:
             raise _Timeout()
 
     def emit(self, uid: int, direction: bool, value: float) -> None:
@@ -376,10 +374,11 @@ def execute(program: Program, config: ExecutionConfig,
     """Run the program on the config's input; always terminates."""
     for name, cap in (("max_trace_length", limits.max_trace_length),
                       ("max_stack_size", limits.max_stack_size),
-                      ("max_input_bytes", limits.max_input_bytes)):
+                      ("max_input_bytes", limits.max_input_bytes),
+                      ("step_budget", limits.step_budget)):
         if getattr(config, name) > cap:
             raise ValueError(f"config {name} exceeds executor limit {cap}")
-    state = _RunState(program, config, limits)
+    state = _RunState(program, config)
     evaluator = _Evaluator(state)
     try:
         evaluator.call_function(program.entry, [])

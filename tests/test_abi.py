@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_wire_config, random_wire_result
+from gradfuzz.fuzz_loop import _render_value
+from gradfuzz.generators.typed import _pack_value
 from gradfuzz.target_abi import (
     FNV32_BASIS,
     ConditionRecord,
@@ -96,14 +98,14 @@ class TestRecords:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ExecutionConfig(10, 10, 2, 0, b"abc")
+            ExecutionConfig(10, 10, 2, 1000, 0, b"abc")
         with pytest.raises(ValueError):
-            ExecutionConfig(10, 10, 10, 7, b"")
+            ExecutionConfig(10, 10, 10, 1000, 7, b"")
 
 
 class TestWireFormat:
     def test_config_round_trip_empty_input(self):
-        config = ExecutionConfig(100, 10, 50, 0, b"")
+        config = ExecutionConfig(100, 10, 50, 1000, 0, b"")
         assert wire_decode(wire_encode(config)) == config
 
     def test_result_round_trip_with_infinite_value(self):
@@ -121,12 +123,12 @@ class TestWireFormat:
             wire_decode(frame)
 
     def test_truncated_frame(self):
-        frame = wire_encode(ExecutionConfig(1, 1, 1, 0, b""))
+        frame = wire_encode(ExecutionConfig(1, 1, 1, 1, 0, b""))
         with pytest.raises(DecodeError):
             wire_decode(frame[:-1])
 
     def test_trailing_garbage(self):
-        frame = wire_encode(ExecutionConfig(1, 1, 1, 0, b""))
+        frame = wire_encode(ExecutionConfig(1, 1, 1, 1, 0, b""))
         with pytest.raises(DecodeError):
             wire_decode(frame + b"\x00")
 
@@ -177,11 +179,107 @@ class TestWireFormat:
         (rec,) = wire_decode(wire_encode(result)).trace
         assert math.copysign(1.0, rec.value) == -1.0
 
+    def test_config_carries_a_step_budget_beyond_32_bits(self):
+        config = ExecutionConfig(1, 1, 1, 10 ** 12, 0, b"")
+        assert wire_decode(wire_encode(config)).step_budget == 10 ** 12
+
     @given(st.binary(max_size=16), st.sampled_from([0, 85]))
     @settings(max_examples=100)
     def test_config_round_trip_property(self, data, fill):
-        config = ExecutionConfig(1000, 100, 4096, fill, data)
+        config = ExecutionConfig(1000, 100, 4096, 10 ** 7, fill, data)
         assert wire_decode(wire_encode(config)) == config
+
+
+# written out independently of TypeTag: byte width, least and greatest
+# value of every integer tag
+INT_TAGS = {
+    TypeTag.BOOLEAN: (1, 0, 1),
+    TypeTag.UINT8: (1, 0, 2 ** 8 - 1),
+    TypeTag.UINT16: (2, 0, 2 ** 16 - 1),
+    TypeTag.UINT32: (4, 0, 2 ** 32 - 1),
+    TypeTag.UINT64: (8, 0, 2 ** 64 - 1),
+    TypeTag.SINT8: (1, -2 ** 7, 2 ** 7 - 1),
+    TypeTag.SINT16: (2, -2 ** 15, 2 ** 15 - 1),
+    TypeTag.SINT32: (4, -2 ** 31, 2 ** 31 - 1),
+    TypeTag.SINT64: (8, -2 ** 63, 2 ** 63 - 1),
+    TypeTag.UNTYPED8: (1, 0, 2 ** 8 - 1),
+    TypeTag.UNTYPED16: (2, 0, 2 ** 16 - 1),
+    TypeTag.UNTYPED32: (4, 0, 2 ** 32 - 1),
+    TypeTag.UNTYPED64: (8, 0, 2 ** 64 - 1),
+}
+FLOAT_TAGS = {TypeTag.FLOAT32: "<f", TypeTag.FLOAT64: "<d"}
+
+
+class TestTypeTagTable:
+    def test_every_tag_is_integer_or_float(self):
+        assert set(INT_TAGS) | set(FLOAT_TAGS) == set(TypeTag)
+
+    def test_codec_and_domain(self):
+        for tag in TypeTag:
+            assert tag.codec.size == tag.byte_width
+            assert tag.bit_width == 8 * tag.byte_width
+        for tag, (width, lo, hi) in INT_TAGS.items():
+            assert (tag.byte_width, tag.domain) == (width, (lo, hi))
+            assert tag.is_signed == (lo < 0)
+            assert not tag.is_float
+        for tag, fmt in FLOAT_TAGS.items():
+            assert tag.codec.format == fmt and tag.domain is None
+            assert tag.is_float and not tag.is_signed
+
+    def test_domain_ends_round_trip_through_pack(self):
+        for tag, (width, lo, hi) in INT_TAGS.items():
+            for value in (lo, hi):
+                raw = _pack_value(tag, value)
+                assert len(raw) == width
+                assert int.from_bytes(raw, "little", signed=lo < 0) == value
+
+    def test_values_outside_the_domain_clamp_to_its_ends(self):
+        for tag, (_, lo, hi) in INT_TAGS.items():
+            for outside in (lo - 1, lo - 10 ** 30, float(lo) - 2 ** 70):
+                assert _pack_value(tag, outside) == _pack_value(tag, lo)
+            for outside in (hi + 1, hi + 10 ** 30, float(hi) + 2 ** 70):
+                assert _pack_value(tag, outside) == _pack_value(tag, hi)
+
+    def test_floats_pack_exactly_or_saturate_to_infinity(self):
+        for value in (-0.0, 1.5, -3.25, math.inf, -math.inf):
+            for tag, fmt in FLOAT_TAGS.items():
+                assert _pack_value(tag, value) == struct.pack(fmt, value)
+        big = 1e300
+        assert _pack_value(TypeTag.FLOAT32, big) == struct.pack("<f", math.inf)
+        assert _pack_value(TypeTag.FLOAT32, -big) == \
+            struct.pack("<f", -math.inf)
+        assert _pack_value(TypeTag.FLOAT64, big) == struct.pack("<d", big)
+        nan = _pack_value(TypeTag.FLOAT64, math.nan)
+        assert math.isnan(struct.unpack("<d", nan)[0])
+
+    @pytest.mark.parametrize("tag, raw, text", [
+        (TypeTag.BOOLEAN, b"\x00", "0"),
+        (TypeTag.BOOLEAN, b"\x01", "1"),
+        (TypeTag.BOOLEAN, b"\x05", "1"),
+        (TypeTag.UINT8, b"\xff", "255"),
+        (TypeTag.SINT8, b"\xff", "-1"),
+        (TypeTag.UINT16, b"\x01\x80", "32769"),
+        (TypeTag.SINT16, b"\x01\x80", "-32767"),
+        (TypeTag.UINT32, b"\xfe\xff\xff\xff", "4294967294"),
+        (TypeTag.SINT32, b"\xfe\xff\xff\xff", "-2"),
+        (TypeTag.UINT64, bytes(7) + b"\x80", "9223372036854775808"),
+        (TypeTag.SINT64, bytes(7) + b"\x80", "-9223372036854775808"),
+        (TypeTag.FLOAT32, struct.pack("<f", 1.5), "1.5"),
+        (TypeTag.FLOAT32, struct.pack("<f", 0.1), "0.10000000149011612"),
+        (TypeTag.FLOAT32, b"\x00\x00\x00\x80", "-0.0"),
+        (TypeTag.FLOAT32, b"\x00\x00\xc0\x7f", "nan"),
+        (TypeTag.FLOAT32, b"\x00\x00\x80\xff", "-inf"),
+        (TypeTag.FLOAT64, struct.pack("<d", 0.1), "0.1"),
+        (TypeTag.FLOAT64, struct.pack("<d", -0.0), "-0.0"),
+        (TypeTag.FLOAT64, struct.pack("<d", math.nan), "nan"),
+        (TypeTag.FLOAT64, struct.pack("<d", math.inf), "inf"),
+        (TypeTag.UNTYPED8, b"\x80", "80"),
+        (TypeTag.UNTYPED16, b"\x01\xf0", "01f0"),
+        (TypeTag.UNTYPED32, b"\xde\xad\xbe\xef", "deadbeef"),
+        (TypeTag.UNTYPED64, bytes(range(8)), "0001020304050607"),
+    ])
+    def test_render_value(self, tag, raw, text):
+        assert _render_value(tag, raw) == text
 
 
 class TestBitHelpers:

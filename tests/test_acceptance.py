@@ -124,7 +124,7 @@ def test_criterion_04_stuck_minimum_escaped_within_one_sweep():
     session = BinaryDescentSession(node, True, random.Random(0))
     outcome = drive_session(session, executor, tree)
     assert outcome == "achieved"
-    assert session.seed_index == 0
+    assert len(session.descent_logs) == 1
     assert uid_covered(tree, node.id.uid)
     for log in session.descent_logs:
         assert all(b < a for a, b in zip(log, log[1:]))
@@ -153,7 +153,7 @@ def test_criterion_06_loop_detection_matches_reference():
         uids = [rng.randrange(alphabet) for _ in range(length)]
         path = chain_from_uids(uids)
         loops, heads2bodies = detect_loops(path)
-        got = ([(l.entry.index, l.exit.index, l.successor.index)
+        got = ([(l.entry.depth, l.exit.depth, l.successor.depth)
                 for l in loops],
                {k: set(v) for k, v in heads2bodies.items()})
         if got != oracle_detect_loops(uids):
@@ -234,6 +234,7 @@ def test_criterion_10_remote_protocol_equivalence():
                     max_trace_length=rng.randrange(1, 300),
                     max_stack_size=rng.randrange(2, 64),
                     max_input_bytes=max_input,
+                    step_budget=rng.randrange(1, limits.step_budget + 1),
                     fill_byte=rng.choice((0, 85)),
                     input_bytes=rng.randbytes(
                         rng.randrange(0, min(max_input, 8) + 1)))
@@ -257,7 +258,7 @@ def test_criterion_11_boolean_expression_coverage():
     tree = ExecTree()
     for i, (x, y) in enumerate(((0, 0), (1, 1))):
         data = x.to_bytes(4, "little") + y.to_bytes(4, "little")
-        config = ExecutionConfig(1000, 64, 256, 0, data)
+        config = ExecutionConfig(1000, 64, 256, 200_000, 0, data)
         tree.map_trace(executor(config), i)
     # uids in source order: 1 = x==1, 2 = y==1, then the three branch
     # conditions 3, 4, 5

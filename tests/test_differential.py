@@ -44,7 +44,8 @@ def config_for(data, limits=LIMITS, fill=0, trace=None, stack=None,
     return ExecutionConfig(
         limits.max_trace_length if trace is None else trace,
         limits.max_stack_size if stack is None else stack,
-        limits.max_input_bytes if input is None else input, fill, data)
+        limits.max_input_bytes if input is None else input,
+        limits.step_budget, fill, data)
 
 
 class DifferentialExecutor:
@@ -438,9 +439,10 @@ def test_tiny_boundaries(name):
     limits = VmLimits(1000, 64, 512, 5_000)
     for data in edge_inputs(name, rng)[:8]:
         for size in range(1, 6):
-            for config in (config_for(data[:size], trace=size, input=size),
-                           config_for(data, stack=size),
-                           config_for(b"", input=size - 1, fill=85)):
+            for config in (config_for(data[:size], limits, trace=size,
+                                      input=size),
+                           config_for(data, limits, stack=size),
+                           config_for(b"", limits, input=size - 1, fill=85)):
                 assert_same(program, config, limits)
 
 

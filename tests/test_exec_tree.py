@@ -274,7 +274,7 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     assert root.sensitive_bits == {9}
     assert node.sensitive_bits == set(range(8))
     assert sibling.sensitive_bits == set()
-    assert TreeNode(ExecutionId(4, 0), None, 0).sensitive_bits == set()
+    assert TreeNode(ExecutionId(4, 0), None).sensitive_bits == set()
 
 
 def _label_snapshot(node):
@@ -287,7 +287,7 @@ def _label_snapshot(node):
 
 def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
                sensitivity_done=False, bits=(), covered=False):
-    node = TreeNode(ExecutionId(uid, 0), None, 0)
+    node = TreeNode(ExecutionId(uid, 0), None)
     node.label = list(labels)
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)

@@ -13,6 +13,7 @@ from gradfuzz.executors import (
 from gradfuzz.fuzz_loop import (
     FuzzBudget,
     FuzzOptions,
+    optimizer_limits,
     replay_suite,
     run_fuzzing,
     save_suite,
@@ -385,6 +386,7 @@ class TestRemote:
                     max_trace_length=rng.randrange(1, 200),
                     max_stack_size=rng.randrange(2, 64),
                     max_input_bytes=max_input,
+                    step_budget=rng.randrange(1, limits.step_budget + 1),
                     fill_byte=rng.choice((0, 85)),
                     input_bytes=rng.randbytes(
                         rng.randrange(0, min(max_input, 8) + 1)),
@@ -397,11 +399,11 @@ class TestRemote:
     def test_connection_refused_is_transport_error(self):
         dead = RemoteExecutor(("127.0.0.1", 1))
         with pytest.raises(TransportError):
-            dead(ExecutionConfig(10, 10, 10, 0, b""))
+            dead(ExecutionConfig(10, 10, 10, 10, 0, b""))
 
     def test_config_beyond_server_caps_is_transport_error(self, served):
         program, limits, address = served
-        config = ExecutionConfig(10 ** 6, 16, 16, 0, b"")
+        config = ExecutionConfig(10 ** 6, 16, 16, 1000, 0, b"")
         with RemoteExecutor(address) as remote:
             with pytest.raises(TransportError):
                 remote(config)
@@ -419,3 +421,75 @@ class TestRemote:
         local_manifest = (tmp_path / "local/manifest.json").read_bytes()
         remote_manifest = (tmp_path / "remote/manifest.json").read_bytes()
         assert local_manifest == remote_manifest
+
+
+# 2,000 loop iterations, then a guard: a step budget of 1,000 ends the run
+# in the loop
+LONG_LOOP = """
+int main() {
+  int i = 0;
+  while (i < 2000) { i = i + 1; }
+  int x = nondet_int();
+  if (x == 0) { abort(); }
+  return 0;
+}
+"""
+
+
+class TestStepBudget:
+    @pytest.fixture()
+    def served(self):
+        """A server with the caps of ``gradfuzz serve``'s defaults."""
+        program = parse_program(LONG_LOOP)
+        server = TargetServer(program, optimizer_limits(VmLimits()))
+        server.start()
+        yield program, server.address
+        server.stop()
+
+    def test_local_and_remote_run_to_the_configs_budget(self, served):
+        program, address = served
+        limits = VmLimits(step_budget=1000)
+        config = limits.config(0, b"")
+        local = LocalExecutor(program, limits)(config)
+        assert local.termination == TerminationKind.TIMEOUT
+        assert 0 < len(local.trace) < 2000
+        with RemoteExecutor(address) as remote:
+            assert wire_encode(remote(config)) == wire_encode(local)
+        # the server's own budget lets the same input reach the guard
+        full = optimizer_limits(VmLimits())
+        assert LocalExecutor(program, full)(
+            full.config(0, b"")).termination == TerminationKind.CRASH
+
+    def test_fuzzing_via_remote_honours_the_step_budget(self, served,
+                                                         tmp_path):
+        program, address = served
+        options = FuzzOptions(limits=VmLimits(step_budget=1000), seed=3)
+        budget = FuzzBudget(max_executions=30)
+        local = run_fuzzing(program, budget, options)
+        with RemoteExecutor(address) as remote:
+            remote_run = run_fuzzing(program, budget, options,
+                                     executor=remote)
+        save_suite(tmp_path / "local", *local, options)
+        save_suite(tmp_path / "remote", *remote_run, options)
+        assert local[1].terminations["TIMEOUT"] > 0
+        assert (tmp_path / "local/manifest.json").read_bytes() == \
+            (tmp_path / "remote/manifest.json").read_bytes()
+
+    def test_config_above_the_servers_step_cap_drops_the_link(self):
+        program = parse_program(LONG_LOOP)
+        server = TargetServer(program, VmLimits(step_budget=1000))
+        server.start()
+        try:
+            with RemoteExecutor(server.address) as remote:
+                within = remote(VmLimits(step_budget=1000).config(0, b""))
+                assert within.termination == TerminationKind.TIMEOUT
+                with pytest.raises(TransportError):
+                    remote(VmLimits(step_budget=1001).config(0, b""))
+        finally:
+            server.stop()
+
+    def test_execute_rejects_a_budget_above_the_executors(self):
+        program = parse_program(LONG_LOOP)
+        with pytest.raises(ValueError, match="step_budget"):
+            LocalExecutor(program, VmLimits(step_budget=1000))(
+                VmLimits(step_budget=1001).config(0, b""))

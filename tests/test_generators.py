@@ -3,8 +3,9 @@ import random
 import numpy
 import pytest
 
-from gradfuzz.exec_tree import is_indirectly_input_dependent
+from gradfuzz.exec_tree import ExecTree, is_indirectly_input_dependent
 from gradfuzz.generators import (
+    AnalysisSession,
     BinaryDescentSession,
     BitshareSession,
     BitshareStore,
@@ -16,7 +17,14 @@ from gradfuzz.generators import (
     lambda_step,
     typed_seed_value,
 )
-from gradfuzz.target_abi import TypeTag, get_bit
+from gradfuzz.target_abi import (
+    ConditionRecord,
+    ExecutionId,
+    ExecutionResult,
+    TerminationKind,
+    TypeTag,
+    get_bit,
+)
 from helpers import (ScriptedRng, bootstrap_tree, drive_session,
                      is_directly_input_dependent)
 
@@ -432,3 +440,73 @@ class TestSessionProtocol:
             session.next_input()
         session.feed(executor(data))
         assert session.next_input() is not None
+
+
+def _record(uid, direction, value=1.0):
+    return ConditionRecord(ExecutionId(uid, 0), direction, value, False, 0)
+
+
+def _result(trace):
+    return ExecutionResult(TerminationKind.NORMAL, b"", (), tuple(trace))
+
+
+class _PathProbe(AnalysisSession):
+    def _run(self):
+        yield from ()
+
+
+class TestMappedValue:
+    # the node at depth 2 sits at uid 3, past 1 (true) and 2 (false)
+    PATH = ((1, True), (2, False), (3, True))
+
+    def _session(self):
+        tree = ExecTree()
+        tree.map_trace(_result(
+            [_record(u, d, 5.0) for u, d in self.PATH] + [_record(4, True)]),
+            0)
+        node = tree.root.successor[True].successor[False]
+        assert node.id.uid == 3 and node.depth == 2
+        return _PathProbe(node)
+
+    def test_trace_turning_away_before_the_node(self):
+        session = self._session()
+        for turn in (0, 1):
+            trace = [_record(u, d if i != turn else not d)
+                     for i, (u, d) in enumerate(self.PATH)]
+            assert session.mapped_value(_result(trace)) is None
+
+    def test_trace_shorter_than_the_node_depth(self):
+        session = self._session()
+        for length in range(3):
+            trace = [_record(u, d) for u, d in self.PATH[:length]]
+            assert session.mapped_value(_result(trace)) is None
+
+    def test_different_id_at_the_node(self):
+        session = self._session()
+        trace = [_record(1, True), _record(2, False), _record(9, True)]
+        assert session.mapped_value(_result(trace)) is None
+
+    def test_value_of_a_trace_reaching_the_node(self):
+        session = self._session()
+        trace = [_record(1, True), _record(2, False), _record(3, False, -2.5)]
+        assert session.mapped_value(_result(trace)) == -2.5
+        trace += [_record(7, True), _record(1, False)]
+        assert session.mapped_value(_result(trace)) == -2.5
+
+    def test_random_traces_against_the_path(self):
+        session = self._session()
+        rng = random.Random(5)
+        for _ in range(3000):
+            trace = [_record(rng.choice((1, 2, 3, 3, 9)),
+                             rng.random() < 0.5, rng.uniform(-9, 9))
+                     for _ in range(rng.randrange(6))]
+            for i, (uid, direction) in enumerate(self.PATH[:len(trace)]):
+                if rng.random() < 0.8:  # mostly follow the path
+                    trace[i] = _record(uid, direction if i < 2
+                                       else trace[i].direction,
+                                       trace[i].value)
+            reaches = (len(trace) > 2
+                       and [r.id.uid for r in trace[:3]] == [1, 2, 3]
+                       and [r.direction for r in trace[:2]] == [True, False])
+            want = trace[2].value if reaches else None
+            assert session.mapped_value(_result(trace)) == want

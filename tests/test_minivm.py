@@ -1,5 +1,9 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +22,23 @@ def run(src, data=b"", fill=0, limits=LIMITS, config=None):
     if config is None:
         config = ExecutionConfig(limits.max_trace_length,
                                  limits.max_stack_size,
-                                 limits.max_input_bytes, fill, data)
+                                 limits.max_input_bytes, limits.step_budget,
+                                 fill, data)
     return execute(program, config, limits)
+
+
+# runs a target recursing 40,000 calls deep under caps that admit it
+DEEP_RECURSION = """
+from gradfuzz.minivm import VmLimits, execute, parse_program
+program = parse_program(
+    "int r(int n) { if (n <= 0) { return 0; } return r(n - 1) + 1; }"
+    "int main() { int n = nondet_int(); return r(n); }")
+limits = VmLimits(max_trace_length=10 ** 6, max_stack_size=100_000,
+                  step_budget=10 ** 8)
+result = execute(program, limits.config(0, (40_000).to_bytes(4, "little")),
+                 limits)
+print(result.termination.name)
+"""
 
 
 SENSE_EXAMPLE = """
@@ -140,7 +159,7 @@ class TestExecute:
           return 0;
         }
         """
-        config = ExecutionConfig(10, 64, 512, 0, b"")
+        config = ExecutionConfig(10, 64, 512, LIMITS.step_budget, 0, b"")
         result = execute(parse_program(src), config, LIMITS)
         assert result.termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
@@ -148,7 +167,7 @@ class TestExecute:
 
     def test_input_limit_boundary_violation(self):
         src = "int main(){ long a = nondet_long(); return 0; }"
-        config = ExecutionConfig(100, 64, 4, 0, b"")
+        config = ExecutionConfig(100, 64, 4, LIMITS.step_budget, 0, b"")
         result = execute(parse_program(src), config, LIMITS)
         assert result.termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
@@ -163,6 +182,17 @@ class TestExecute:
         result = run(src)
         assert result.termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
+
+    def test_deep_recursion_ends_in_a_termination_kind(self):
+        # in a fresh interpreter, at its default C stack: recursion far past
+        # the interpreter's frame ceiling must end the run, not the process
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", DEEP_RECURSION],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["CRASH"]
 
     def test_step_budget_timeout(self):
         src = "int main(){ int i = 0; while (true) { i = i + 1; } return 0; }"

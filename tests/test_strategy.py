@@ -39,7 +39,7 @@ def map_all(tree, traces, termination=TerminationKind.NORMAL):
 
 def stub_node(uid=1, value=1.0, nbytes=1, depth=0, height=0,
               sensitivity_done=False, bits=()):
-    node = TreeNode(ExecutionId(uid, 0), None, 0)
+    node = TreeNode(ExecutionId(uid, 0), None)
     node.depth = depth
     node.height = height
     node.sensitivity_done = sensitivity_done
@@ -183,7 +183,7 @@ class TestDetectLoops:
             uids = [rng.randrange(alphabet) for _ in range(length)]
             path = chain_from_uids(uids)
             loops, heads2bodies = detect_loops(path)
-            got = ([(l.entry.index, l.exit.index, l.successor.index)
+            got = ([(l.entry.depth, l.exit.depth, l.successor.depth)
                     for l in loops],
                    {k: set(v) for k, v in heads2bodies.items()})
             want = oracle_detect_loops(uids)
@@ -260,10 +260,11 @@ class TestDirectionProbability:
 
     def test_stats_from_paths(self):
         path = chain_from_uids([3, 3, 4], directions=[True, False])
-        counts = direction_counts(path, 3)
-        assert counts == (1, 1)
-        stats = class_prime_stats([path[2]], 3)
+        counts = direction_counts(path)
+        assert counts == {3: [1, 1]}
+        stats = class_prime_stats([path[2]], [counts], 3)
         assert stats == [(1.0, 0.5)]
+        assert class_prime_stats([path[2]], [counts], 4) == [(1.0, None)]
 
 
 class TestSelectPrimaryTarget:
@@ -320,8 +321,8 @@ class TestSelectPrimaryTarget:
             if node.id.uid == 6:
                 node.covered = True
         strategy = Strategy(tree, random.Random(0))
-        strategy.pivots.add(stub_node(uid=5, value=9.0,
-                                      sensitivity_done=True))
+        strategy.pivots.append(stub_node(uid=5, value=9.0,
+                                         sensitivity_done=True))
         twin = path[-1]
         strategy.twins.append(twin)
         assert strategy.primary_candidates() == []
@@ -430,13 +431,13 @@ class TestMonteCarlo:
         tree, pivot = self._pivot_tree()
         tree.root.closed = True
         strategy = Strategy(tree, random.Random(0))
-        strategy.pivots.add(pivot)
+        strategy.pivots.append(pivot)
         assert strategy.monte_carlo_select() is None
 
     def test_walk_returns_open_node_off_the_pivot_path(self):
         tree, pivot = self._pivot_tree()
         strategy = Strategy(tree, ScriptedRng(randoms=[0.9, 0.9]))
-        strategy.pivots.add(pivot)
+        strategy.pivots.append(pivot)
         selected = strategy.monte_carlo_select()
         # entry at depth 2; both walk draws exceed F = 0.5, steering true:
         # from 3@2 into 3@3 whose true edge is unexplored and open
@@ -447,7 +448,7 @@ class TestMonteCarlo:
     def test_never_returns_closed_or_exhausted_nodes(self):
         tree, pivot = self._pivot_tree()
         strategy = Strategy(tree, random.Random(3))
-        strategy.pivots.add(pivot)
+        strategy.pivots.append(pivot)
         from gradfuzz.exec_tree import is_open
         for _ in range(50):
             node = strategy.monte_carlo_select()
@@ -466,8 +467,8 @@ class TestMonteCarlo:
         second_pivot = path[2]
         second_pivot.sensitivity_done = True
         strategy = Strategy(tree, ScriptedRng(randoms=[0.9, 0.9], seed=1))
-        strategy.pivots.add(pivot)
-        strategy.pivots.add(second_pivot)
+        strategy.pivots.append(pivot)
+        strategy.pivots.append(second_pivot)
         selection = strategy.select_analysis()
         assert selection is not None
         assert selection.kind == AnalysisKind.SENSITIVITY
@@ -546,6 +547,14 @@ class TestRecovery:
 
 
 class TestPruneTargets:
+    def test_register_examined_adds_each_pivot_once(self):
+        strategy = Strategy(ExecTree(), random.Random(0))
+        pivot = stub_node(uid=5, sensitivity_done=True)
+        direct = stub_node(uid=6, sensitivity_done=True, bits=(3,))
+        strategy.register_examined([pivot, direct, pivot])
+        strategy.register_examined([pivot])
+        assert strategy.pivots == [pivot]
+
     def test_analyzed_node_stays_a_candidate(self):
         tree = ExecTree()
         map_all(tree, [[record(1, True, 1.0)]])
@@ -577,7 +586,7 @@ class TestPruneTargets:
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.successor[True]
         pivot.sensitivity_done = True
-        strategy.pivots.add(pivot)
+        strategy.pivots.append(pivot)
         strategy.prune_targets()
         twin = tree.root.successor[False]
         assert twin in strategy.twins
@@ -599,7 +608,7 @@ class TestPruneTargets:
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.successor[True]
         pivot.sensitivity_done = True
-        strategy.pivots.add(pivot)
+        strategy.pivots.append(pivot)
         strategy.prune_targets()
         other = tree.root.successor[False]
         # |9.0| > |5.0|: not a twin
