@@ -2,9 +2,17 @@
 
 A remote serving process speaks the wire format from ``target_abi``: it
 reads one config frame, validates it against its own limits, executes the
-target, and answers with one result frame on the same connection.  From
-the engine's side only the communication medium differs; results must be
-byte-identical to local execution.
+target, and answers with one result frame on the same connection.  A
+config it rejects is answered with an error frame carrying the reason,
+and the connection is dropped.  From the engine's side only the
+communication medium differs; results must be byte-identical to local
+execution.
+
+Each side of a connection keeps one previous trace: the trace of the
+last result sent (server) or decoded (client) on it.  Result frames are
+coded against it, so a frame carries only the records that changed.  It
+starts empty when a connection opens; the client empties it whenever it
+closes the connection, which every transport or decode error does.
 """
 from __future__ import annotations
 
@@ -75,6 +83,7 @@ class RemoteExecutor:
         self.endpoint = endpoint
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
+        self._previous: tuple = ()
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
@@ -90,20 +99,22 @@ class RemoteExecutor:
         sock = self._connect()
         try:
             sock.sendall(wire_encode(config))
-            frame = _recv_frame(sock)
-        except (OSError, TransportError) as exc:
+            message = wire_decode(_recv_frame(sock), self._previous)
+        except (OSError, ValueError, TransportError) as exc:
+            # ValueError: a cap the wire cannot carry, or a DecodeError
             self.close()
             if isinstance(exc, TransportError):
                 raise
+            if isinstance(exc, DecodeError):
+                raise TransportError(f"malformed frame: {exc}") from exc
             raise TransportError(str(exc)) from exc
-        try:
-            message = wire_decode(frame)
-        except DecodeError as exc:
-            self.close()
-            raise TransportError(f"malformed frame: {exc}") from exc
         if not isinstance(message, ExecutionResult):
             self.close()
+            if isinstance(message, str):
+                raise TransportError(f"server rejected the config: "
+                                     f"{message}")
             raise TransportError("expected a result frame")
+        self._previous = message.trace
         return message
 
     def scaled(self, trace: int, stack: int, input: int,
@@ -112,6 +123,7 @@ class RemoteExecutor:
         return self
 
     def close(self) -> None:
+        self._previous = ()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -136,6 +148,7 @@ class TargetServer:
 
         class Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
+                previous: tuple = ()
                 while True:
                     try:
                         frame = _recv_frame(self.request)
@@ -146,9 +159,11 @@ class TargetServer:
                     try:
                         config = wire_decode(frame)
                         result = execute(outer.program, config, outer.limits)
-                    except (DecodeError, ValueError):
-                        return  # rejected config surfaces as a dropped link
-                    self.request.sendall(wire_encode(result))
+                    except ValueError as exc:  # DecodeError among them
+                        self.request.sendall(wire_encode(str(exc)))
+                        return
+                    self.request.sendall(wire_encode(result, previous))
+                    previous = result.trace
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True

@@ -17,21 +17,40 @@ trace record the tree maps, and tuples do both in C.
 
 Wire format: one frame is
 
-    kind byte (0x01 = config, 0x02 = result)
+    kind byte (0x01 = config, 0x02 = result, 0x03 = error)
     payload length, 4 bytes big-endian
     payload
 
 All payload integers are fixed-width little-endian; floats are IEEE-754
 bit patterns (little-endian).  Config payload::
 
-    u32 max_trace_length | u32 max_stack_size | u32 max_input_bytes
+    u64 max_trace_length | u64 max_stack_size | u64 max_input_bytes
     | u64 step_budget | u8 fill_byte | u32 n | n bytes input
+
+A cap beyond 64 bits cannot be sent: ``wire_encode`` raises a
+``ValueError`` that names it.
 
 Result payload::
 
     u8 termination | u32 n | n bytes read | u32 k | k tag bytes
-    | u32 m | m records, each (u32 uid, u32 ctx, u8 direction, u8 xor,
-      f64 value, u32 nbytes)
+    | u32 m (trace length) | u32 b (length of the previous trace) | u32 c
+    | c x u32 positions, strictly increasing, each < min(m, b)
+    | c + max(0, m - b) records, each (u32 uid, u32 ctx, u8 direction,
+      u8 xor, f64 value, u32 nbytes): the c changed ones in position
+      order, then the last m - b
+
+A result frame is coded against the previous trace sent on the same
+connection: it carries only the records that differ from the record at
+the same position of that trace, and the records past its end.  A
+record whose value is a zero is always resent, because -0.0 == 0.0 and
+only a resent zero keeps its sign.  The decoder rebuilds the trace from
+its own copy of the previous trace, reusing its record objects, and
+rejects a frame whose ``b`` is not that trace's length, so two ends that
+disagree about it fail loudly.  Against the empty trace (``b`` = 0, as
+on a connection's first result) a frame carries every record.
+
+Error payload: the UTF-8 text of why the server rejected a config.  It
+is the last frame the server sends before it drops the connection.
 """
 from __future__ import annotations
 
@@ -40,8 +59,9 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import count
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
@@ -52,12 +72,19 @@ DEFAULT_CONTEXT_DEPTH = 32
 
 KIND_CONFIG = 0x01
 KIND_RESULT = 0x02
+KIND_ERROR = 0x03
 
 _MAX_PAYLOAD = 1 << 28
 
 # the config payload before its input: the four caps, the fill byte and
 # the input's length
-_CONFIG_HEAD = "<IIIQBI"
+_CONFIG_HEAD = "<QQQQBI"
+_CAPS = ("max_trace_length", "max_stack_size", "max_input_bytes",
+         "step_budget")
+
+# the result payload's trace head: m, b and c
+_DELTA_HEAD = "<III"
+_POSITION = struct.Struct("<I")
 
 # one result-payload record: u32 uid, u32 ctx, u8 direction, u8 xor,
 # f64 value, u32 nbytes
@@ -197,7 +224,8 @@ class ExecutionResult:
             last = rec.nbytes
 
 
-WireMessage = Union[ExecutionConfig, ExecutionResult]
+# a str is the text of an error frame
+WireMessage = Union[ExecutionConfig, ExecutionResult, str]
 
 
 def context_hash_push(h: int, uid: int) -> int:
@@ -212,31 +240,54 @@ class DecodeError(ValueError):
     """Raised for truncated frames, unknown kinds, or malformed payloads."""
 
 
-def wire_encode(message: WireMessage) -> bytes:
+def wire_encode(message: WireMessage,
+                previous: Sequence[ConditionRecord] = ()) -> bytes:
+    """Encode one frame.  A result is coded against ``previous``, the
+    trace of the result sent before it on the same connection; against
+    the default empty trace the frame carries every record."""
     if isinstance(message, ExecutionConfig):
         kind = KIND_CONFIG
-        payload = struct.pack(
-            _CONFIG_HEAD,
-            message.max_trace_length,
-            message.max_stack_size,
-            message.max_input_bytes,
-            message.step_budget,
-            message.fill_byte,
-            len(message.input_bytes),
-        ) + message.input_bytes
+        try:
+            head = struct.pack(
+                _CONFIG_HEAD,
+                message.max_trace_length,
+                message.max_stack_size,
+                message.max_input_bytes,
+                message.step_budget,
+                message.fill_byte,
+                len(message.input_bytes),
+            )
+        except struct.error:
+            for name in _CAPS:
+                value = getattr(message, name)
+                if not 0 <= value < 1 << 64:
+                    raise ValueError(f"config {name} {value} does not fit "
+                                     f"in the wire's 64 bits") from None
+            raise
+        payload = head + message.input_bytes
     elif isinstance(message, ExecutionResult):
         kind = KIND_RESULT
-        parts = [
-            struct.pack("<BI", int(message.termination), len(message.bytes_read)),
+        trace = message.trace
+        # a zero is resent even when unchanged: -0.0 == 0.0
+        changed = [i for i, rec, old in zip(count(), trace, previous)
+                   if not rec.value or rec != old]
+        sent = [trace[i] for i in changed]
+        sent += trace[len(previous):]
+        pack = _RECORD.pack
+        payload = b"".join([
+            struct.pack("<BI", int(message.termination),
+                        len(message.bytes_read)),
             message.bytes_read,
             struct.pack("<I", len(message.type_tags)),
-            bytes(int(t) for t in message.type_tags),
-            struct.pack("<I", len(message.trace)),
-        ]
-        pack = _RECORD.pack
-        for (uid, ctx), direction, value, xor, nbytes in message.trace:
-            parts.append(pack(uid, ctx, direction, xor, value, nbytes))
-        payload = b"".join(parts)
+            bytes(message.type_tags),
+            struct.pack(_DELTA_HEAD, len(trace), len(previous), len(changed)),
+            *map(_POSITION.pack, changed),
+            *[pack(uid, ctx, direction, xor, value, nbytes)
+              for (uid, ctx), direction, value, xor, nbytes in sent],
+        ])
+    elif isinstance(message, str):
+        kind = KIND_ERROR
+        payload = message.encode("utf-8")
     else:
         raise TypeError(f"cannot encode {type(message).__name__}")
     return bytes([kind]) + struct.pack(">I", len(payload)) + payload
@@ -258,8 +309,11 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def wire_decode(frame: bytes) -> WireMessage:
-    """Decode exactly one complete frame; trailing bytes are an error."""
+def wire_decode(frame: bytes,
+                previous: Sequence[ConditionRecord] = ()) -> WireMessage:
+    """Decode exactly one complete frame; trailing bytes are an error.  A
+    result is rebuilt on ``previous``, the trace decoded before it on the
+    same connection."""
     r = _Reader(frame)
     (kind,) = r.unpack("<B")
     (length,) = struct.unpack(">I", r.take(4))
@@ -279,18 +333,36 @@ def wire_decode(frame: bytes) -> WireMessage:
             if raw_tags and max(raw_tags) >= len(_TAGS):
                 raise DecodeError(f"unknown type tag 0x{max(raw_tags):02x}")
             tags = tuple(map(_TAGS.__getitem__, raw_tags))
-            (m,) = r.unpack("<I")
+            m, b, c = r.unpack(_DELTA_HEAD)
+            if b != len(previous):
+                raise DecodeError(f"result coded against a trace of {b} "
+                                  f"records, the previous one has "
+                                  f"{len(previous)}")
+            shared = min(m, b)
+            positions = [p for (p,) in _POSITION.iter_unpack(r.take(4 * c))]
+            if positions and (positions[-1] >= shared or any(
+                    p >= q for p, q in zip(positions, positions[1:]))):
+                raise DecodeError("changed positions not strictly "
+                                  f"increasing below {shared}")
             # one Python call per record is most of the cost of a frame,
             # so the records are built with tuple.__new__ and the NaN rule
             # of ConditionRecord.__new__ is written out here
             new = tuple.__new__
-            records = tuple([
+            sent = [
                 new(ConditionRecord, (
                     new(ExecutionId, (uid, ctx)), direction != 0,
                     math.inf if value != value else value, xor != 0, nbytes))
                 for uid, ctx, direction, xor, value, nbytes
-                in _RECORD.iter_unpack(r.take(m * _RECORD.size))])
-            msg = ExecutionResult(TerminationKind(term), data, tags, records)
+                in _RECORD.iter_unpack(
+                    r.take((c + max(0, m - b)) * _RECORD.size))]
+            trace = list(previous[:shared])
+            for p, rec in zip(positions, sent):
+                trace[p] = rec
+            trace += sent[c:]
+            msg = ExecutionResult(TerminationKind(term), data, tags,
+                                  tuple(trace))
+        elif kind == KIND_ERROR:
+            msg = r.take(length).decode("utf-8")
         else:
             raise DecodeError(f"unknown frame kind 0x{kind:02x}")
     except (ValueError, struct.error) as exc:

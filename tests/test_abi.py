@@ -1,14 +1,16 @@
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wire_config, random_wire_result
+from helpers import config_for, random_wire_config, random_wire_result
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
+from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     FNV32_BASIS,
     ConditionRecord,
@@ -43,6 +45,15 @@ def push_all(uids):
 
 def result_frame(payload: bytes) -> bytes:
     return b"\x02" + struct.pack(">I", len(payload)) + payload
+
+
+def trace_payload(m, b, positions, rows) -> bytes:
+    """A result payload with no bytes read and the trace part written out:
+    m, b, the changed positions, then the rows (uid, ctx, direction, xor,
+    value, nbytes)."""
+    return (struct.pack("<BIIIII", 0, 0, 0, m, b, len(positions))
+            + b"".join(struct.pack("<I", p) for p in positions)
+            + b"".join(struct.pack("<IIBBdI", *row) for row in rows))
 
 
 class TestContextHash:
@@ -153,22 +164,24 @@ class TestWireFormat:
             wire_decode(result_frame(payload))
 
     def test_record_block_shorter_than_count(self):
-        payload = (struct.pack("<BIII", 0, 0, 0, 2)
-                   + struct.pack("<IIBBdI", 1, 2, 1, 0, 1.5, 0))
+        payload = trace_payload(2, 0, (), [(1, 2, 1, 0, 1.5, 0)])
         with pytest.raises(DecodeError):
             wire_decode(result_frame(payload))
 
     def test_nan_value_decodes_to_infinity(self):
-        payload = (struct.pack("<BIII", 0, 0, 0, 1)
-                   + struct.pack("<IIBBdI", 1, 2, 1, 0, math.nan, 0))
+        payload = trace_payload(1, 0, (), [(1, 2, 1, 0, math.nan, 0)])
         (rec,) = wire_decode(result_frame(payload)).trace
         assert rec == ConditionRecord(ExecutionId(1, 2), True, math.inf,
                                       False, 0)
+        # a changed record is built by the same rule
+        payload = trace_payload(1, 1, (0,), [(1, 2, 1, 0, math.nan, 0)])
+        previous = (ConditionRecord(ExecutionId(1, 2), True, 1.5, False, 0),)
+        (rec,) = wire_decode(result_frame(payload), previous).trace
+        assert rec.value == math.inf
 
     def test_nonzero_flag_bytes_decode_to_true(self):
-        payload = (struct.pack("<BIII", 0, 0, 0, 2)
-                   + struct.pack("<IIBBdI", 1, 2, 2, 255, 1.5, 0)
-                   + struct.pack("<IIBBdI", 3, 4, 255, 2, 1.5, 0))
+        payload = trace_payload(2, 0, (), [(1, 2, 2, 255, 1.5, 0),
+                                           (3, 4, 255, 2, 1.5, 0)])
         for rec in wire_decode(result_frame(payload)).trace:
             assert rec.direction is True and rec.xor_flag is True
 
@@ -183,11 +196,171 @@ class TestWireFormat:
         config = ExecutionConfig(1, 1, 1, 10 ** 12, 0, b"")
         assert wire_decode(wire_encode(config)).step_budget == 10 ** 12
 
+    def test_config_caps_of_two_to_the_32_round_trip(self):
+        config = VmLimits(max_trace_length=2 ** 32, max_stack_size=2 ** 32,
+                          max_input_bytes=2 ** 32,
+                          step_budget=2 ** 32).config(0, b"")
+        assert wire_decode(wire_encode(config)) == config
+        top = ExecutionConfig(2 ** 64 - 1, 1, 1, 1, 0, b"")
+        assert wire_decode(wire_encode(top)) == top
+
+    @pytest.mark.parametrize("field", ["max_trace_length", "max_stack_size",
+                                       "max_input_bytes", "step_budget"])
+    def test_a_cap_beyond_64_bits_is_named(self, field):
+        caps = dict(max_trace_length=1, max_stack_size=1, max_input_bytes=1,
+                    step_budget=1)
+        caps[field] = 2 ** 64
+        config = ExecutionConfig(**caps, fill_byte=0, input_bytes=b"")
+        with pytest.raises(ValueError, match=field):
+            wire_encode(config)
+
+    def test_error_frame_round_trip(self):
+        text = "config step_budget exceeds executor limit 1000 \u00b5"
+        assert wire_decode(wire_encode(text)) == text
+
     @given(st.binary(max_size=16), st.sampled_from([0, 85]))
     @settings(max_examples=100)
     def test_config_round_trip_property(self, data, fill):
         config = ExecutionConfig(1000, 100, 4096, 10 ** 7, fill, data)
         assert wire_decode(wire_encode(config)) == config
+
+
+def record(uid, value=1.5, nbytes=0, direction=True):
+    return ConditionRecord(ExecutionId(uid, 7), direction, value, False,
+                           nbytes)
+
+
+def mutate(rng, result):
+    """A result like the fuzzing traffic: a small change of ``result``."""
+    trace = list(result.trace)
+    top = trace[-1].nbytes if trace else 0
+    change = rng.choice(("same_length", "shorter", "longer", "empty",
+                         "zero_sign", "infinity"))
+    if change == "same_length" and trace:
+        for _ in range(rng.randrange(1, 3)):
+            i = rng.randrange(len(trace))
+            trace[i] = trace[i]._replace(
+                direction=not trace[i].direction,
+                value=rng.choice((trace[i].value, rng.uniform(-9, 9))))
+    elif change == "shorter":
+        del trace[rng.randrange(len(trace) + 1):]
+    elif change == "longer":
+        for _ in range(rng.randrange(1, 4)):
+            trace.append(record(rng.randrange(2 ** 32),
+                                rng.choice((0.0, -0.0, 2.5)), top))
+    elif change == "empty":
+        trace = []
+    elif change == "zero_sign":
+        trace = [rec._replace(value=-rec.value) if rec.value == 0
+                 else rec for rec in trace]
+        if trace:
+            i = rng.randrange(len(trace))
+            trace[i] = trace[i]._replace(value=rng.choice((0.0, -0.0)))
+    elif trace:
+        i = rng.randrange(len(trace))
+        trace[i] = trace[i]._replace(value=rng.choice((math.inf,
+                                                       -math.inf)))
+    return ExecutionResult(result.termination, result.bytes_read,
+                           result.type_tags, tuple(trace))
+
+
+class TestDeltaFrames:
+    """A result frame carries only what changed since the previous trace
+    on its connection."""
+
+    def test_sequence_round_trip(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            sent = decoded = ()
+            result = random_wire_result(rng)
+            for _ in range(40):
+                frame = wire_encode(result, sent)
+                got = wire_decode(frame, decoded)
+                assert wire_encode(got) == wire_encode(result)
+                for rec in got.trace:
+                    assert type(rec) is ConditionRecord
+                    assert type(rec.id) is ExecutionId
+                    assert type(rec.direction) is bool
+                    assert type(rec.xor_flag) is bool
+                sent, decoded = result.trace, got.trace
+                result = (random_wire_result(rng) if rng.random() < 0.1
+                          else mutate(rng, result))
+
+    def test_unchanged_records_are_not_resent_and_zeros_are(self):
+        previous = (record(1), record(2, 0.0), record(3), record(4, -0.0))
+        result = ExecutionResult(TerminationKind.NORMAL, b"", (),
+                                 previous + (record(5),))
+        frame = wire_encode(result, previous)
+        # positions 1 and 3 (the zeros), then the tail record
+        assert frame.endswith(trace_payload(
+            5, 4, (1, 3), [(2, 7, 1, 0, 0.0, 0), (4, 7, 1, 0, -0.0, 0),
+                           (5, 7, 1, 0, 1.5, 0)]))
+        got = wire_decode(frame, previous).trace
+        assert got[0] is previous[0] and got[2] is previous[2]
+        assert wire_encode(ExecutionResult(TerminationKind.NORMAL, b"", (),
+                                           got)) == wire_encode(result)
+
+    PREVIOUS = (record(1), record(2), record(3))
+
+    def test_well_formed_frame_patches_the_previous_trace(self):
+        payload = trace_payload(4, 3, (1,), [(9, 7, 0, 0, 2.5, 0),
+                                             (8, 7, 1, 0, 1.5, 0)])
+        got = wire_decode(result_frame(payload), self.PREVIOUS).trace
+        assert got == (record(1), record(9, 2.5, direction=False),
+                       record(3), record(8))
+        assert got[0] is self.PREVIOUS[0] and got[2] is self.PREVIOUS[2]
+
+    @pytest.mark.parametrize("m, b, positions, rows", [
+        # positions not strictly increasing
+        (3, 3, (2, 1), 2),
+        (3, 3, (1, 1), 2),
+        # a position at or beyond min(m, b)
+        (3, 3, (3,), 1),
+        (2, 3, (2,), 1),
+        (4, 3, (0, 3), 3),
+        # b is not the length of the previous trace
+        (3, 2, (), 1),
+        (3, 4, (), 0),
+        # record block one short and one long of c + max(0, m - b)
+        (4, 3, (0,), 1),
+        (4, 3, (0,), 3),
+        (2, 3, (0,), 0),
+        (2, 3, (0,), 2),
+    ])
+    def test_malformed_delta_frame(self, m, b, positions, rows):
+        payload = trace_payload(m, b, positions,
+                                [(9, 7, 1, 0, 2.5, 0)] * rows)
+        with pytest.raises(DecodeError):
+            wire_decode(result_frame(payload), self.PREVIOUS)
+
+    def test_delta_frame_against_no_previous_trace(self):
+        result = ExecutionResult(TerminationKind.NORMAL, b"", (),
+                                 self.PREVIOUS)
+        frame = wire_encode(result, self.PREVIOUS)
+        assert wire_decode(frame, self.PREVIOUS) == result
+        with pytest.raises(DecodeError):
+            wire_decode(frame)
+
+    def test_bit_flips_of_a_scanner_input_send_few_records(self):
+        source = (Path(__file__).parent.parent / "bench/targets/scanner.mc")
+        program = parse_program(source.read_text())
+        limits = VmLimits()
+        base_input = random.Random(4).randbytes(82)
+        base = execute(program, config_for(base_input, limits=limits),
+                       limits)
+        assert len(base.trace) == 166
+        for bit in range(8 * len(base_input)):
+            data = bytearray(base_input)
+            flip_bit(data, bit)
+            flipped = execute(program, config_for(bytes(data),
+                                                   limits=limits), limits)
+            frame = wire_encode(flipped, base.trace)
+            # m, b and c follow the frame head (5 bytes), the termination
+            # and the 82 bytes read (5 + 82) and the 82 tags (4 + 82)
+            m, b, c = struct.unpack_from("<III", frame, 5 + 87 + 86)
+            assert c + max(0, m - b) <= 3
+            got = wire_decode(frame, base.trace)
+            assert wire_encode(got) == wire_encode(flipped)
 
 
 # written out independently of TypeTag: byte width, least and greatest

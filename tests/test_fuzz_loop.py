@@ -408,6 +408,16 @@ class TestRemote:
             with pytest.raises(TransportError):
                 remote(config)
 
+    def test_cap_beyond_the_wire_is_transport_error(self, served):
+        program, limits, address = served
+        with RemoteExecutor(address) as remote:
+            with pytest.raises(TransportError, match="max_trace_length"):
+                remote(ExecutionConfig(2 ** 64, 16, 16, 1000, 0, b""))
+            # the executor reconnects for the next call
+            config = ExecutionConfig(100, 16, 16, 1000, 0, b"\x01")
+            assert wire_encode(remote(config)) == \
+                wire_encode(LocalExecutor(program, limits)(config))
+
     def test_fuzzing_via_remote_matches_local(self, served, tmp_path):
         program, limits, address = served
         options = FuzzOptions(limits=VmLimits(200, 32, 64, 100_000), seed=11)
@@ -483,8 +493,26 @@ class TestStepBudget:
             with RemoteExecutor(server.address) as remote:
                 within = remote(VmLimits(step_budget=1000).config(0, b""))
                 assert within.termination == TerminationKind.TIMEOUT
-                with pytest.raises(TransportError):
+                with pytest.raises(TransportError, match="step_budget"):
                     remote(VmLimits(step_budget=1001).config(0, b""))
+        finally:
+            server.stop()
+
+    def test_a_rejected_config_does_not_spoil_the_next_call(self):
+        program = parse_program(LONG_LOOP)
+        limits = VmLimits(step_budget=1000)
+        server = TargetServer(program, limits)
+        server.start()
+        config = limits.config(0, b"")
+        local = LocalExecutor(program, limits)(config)
+        try:
+            with RemoteExecutor(server.address) as remote:
+                # the first result leaves a previous trace on both ends
+                assert wire_encode(remote(config)) == wire_encode(local)
+                with pytest.raises(TransportError, match="step_budget"):
+                    remote(VmLimits(step_budget=1001).config(0, b""))
+                # a new connection, coded against the empty trace again
+                assert wire_encode(remote(config)) == wire_encode(local)
         finally:
             server.stop()
 
