@@ -8,7 +8,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .executors import RemoteExecutor, TargetServer
+from .executors import RemoteExecutor, TargetServer, TransportError
 from .fuzz_loop import (
     FuzzBudget,
     FuzzOptions,
@@ -89,6 +89,8 @@ def cmd_fuzz(args) -> int:
     try:
         suite, stats = run_fuzzing(program, budget, options,
                                    executor=executor)
+    except TransportError as exc:
+        raise SystemExit(f"error: {exc}")
     finally:
         if executor is not None:
             executor.close()

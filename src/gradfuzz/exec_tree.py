@@ -100,10 +100,6 @@ class TreeNode:
         return self.best_trace[self.depth].value
 
     @property
-    def direction(self) -> bool:
-        return self.best_trace[self.depth].direction
-
-    @property
     def xor_flag(self) -> bool:
         return self.best_trace[self.depth].xor_flag
 

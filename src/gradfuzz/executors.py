@@ -24,6 +24,7 @@ from typing import Optional
 
 from .minivm import Program, VmLimits, execute
 from .target_abi import (
+    _MAX_PAYLOAD,
     KIND_CONFIG,
     DecodeError,
     ExecutionConfig,
@@ -67,7 +68,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def _recv_frame(sock: socket.socket) -> bytes:
     header = _recv_exact(sock, 5)
     (length,) = struct.unpack(">I", header[1:])
-    if length > (1 << 28):
+    if length > _MAX_PAYLOAD:
         raise TransportError("oversized frame")
     return header + _recv_exact(sock, length)
 

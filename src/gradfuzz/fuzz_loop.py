@@ -3,10 +3,12 @@ optimizer.
 
 The run starts with the empty input, followed, while its trace leaves
 the tree empty, by the sensitivity value set of the bytes it read.
-Every later input comes from the active analysis session; when a
-session deactivates (strategy finished, budget exceeded, or its goal
-direction was observed) its flags are set, closedness is propagated,
-and the strategy prunes its targets and picks the next session.  A test
+Every later input comes from the active analysis session, which the
+strategy builds.  The engine executes each input, feeds the result to
+the session and checks its goal direction; when the session deactivates
+(strategy finished, budget exceeded, or its goal direction was
+observed) the engine logs it and hands it back to the strategy, which
+records its outcome and picks the next session.  A test
 is kept when it observed a new (uid, direction) pair, or crashed, or is
 the initial empty input; kept tests replay to exactly the recorded
 coverage.
@@ -20,19 +22,9 @@ from pathlib import Path
 from typing import Optional
 
 from .exec_tree import EdgeLabel, ExecTree, MapReport, coverage_summary
-from .generators import (
-    AnalysisKind,
-    AnalysisSession,
-    BinaryDescentSession,
-    BitshareSession,
-    BitshareStore,
-    SensitivitySession,
-    TypedDescentSession,
-    identify_typed_variables,
-    sensitivity_mutations,
-)
+from .generators import AnalysisKind, sensitivity_mutations
 from .minivm import Program, VmLimits
-from .strategy import Selection, Strategy
+from .strategy import Strategy
 from .target_abi import ExecutionResult, TerminationKind, TypeTag
 
 OPTIMIZER_SCALE = {"trace": 32, "stack": 4, "input": 4, "steps": 32}
@@ -146,7 +138,7 @@ class FuzzStats:
 
 
 class FuzzEngine:
-    """Owns the tree, the strategy, the bitshare store, and the suite."""
+    """Owns the tree, the strategy, the active session, and the suite."""
 
     def __init__(self, program: Program, budget: FuzzBudget,
                  options: FuzzOptions, executor=None, rng=None):
@@ -161,10 +153,9 @@ class FuzzEngine:
         self.rng = rng or random.Random(options.seed)
         self.tree = ExecTree()
         self.strategy = Strategy(self.tree, self.rng)
-        self.bitshare_store = BitshareStore()
         self.suite = TestSuite()
         self.stats = FuzzStats(options.seed)
-        self.active: Optional[AnalysisSession] = None
+        self.active = None  # the running session, if any
         self.iteration = 0
         self._kept_inputs: set[bytes] = set()
         self._deadline = None
@@ -211,28 +202,13 @@ class FuzzEngine:
     def _next_input(self) -> Optional[bytes]:
         while True:
             if self.active is None:
-                selection = self.strategy.select_analysis()
-                if selection is None:
+                self.active = self.strategy.select_analysis()
+                if self.active is None:
                     return None
-                self.active = self._make_session(selection)
             step = self.active.next_input()
             if step is not None:
                 return step
-            self._finish_session(achieved=False)
-
-    def _make_session(self, selection: Selection) -> AnalysisSession:
-        node = selection.node
-        if selection.kind == AnalysisKind.SENSITIVITY:
-            return SensitivitySession(node)
-        if selection.kind == AnalysisKind.BITSHARE:
-            return BitshareSession(node, selection.goal_direction,
-                                   self.bitshare_store)
-        if selection.kind == AnalysisKind.TYPED_MINIMIZATION:
-            variables = identify_typed_variables(
-                node.best_input, node.best_tags, node.sensitive_bits)
-            return TypedDescentSession(node, selection.goal_direction,
-                                       self.rng, variables)
-        return BinaryDescentSession(node, selection.goal_direction, self.rng)
+            self._finish_session()
 
     def _execute(self, executor, limits: VmLimits, input_bytes: bytes,
                  kind: str) -> tuple[ExecutionResult, MapReport, int]:
@@ -261,8 +237,7 @@ class FuzzEngine:
             goal = self.active.goal_direction
             if (goal is not None
                     and self.active.node.label[goal] != EdgeLabel.NOT_VISITED):
-                self._finish_session(achieved=True,
-                                     achieving_input=input_bytes)
+                self._finish_session(achieving_input=input_bytes)
         return result
 
     def _test_case(self, result: ExecutionResult, report: MapReport,
@@ -280,32 +255,17 @@ class FuzzEngine:
             extended_limits=extended,
         )
 
-    def _finish_session(self, achieved: bool,
-                        achieving_input: Optional[bytes] = None) -> None:
+    def _finish_session(self, achieving_input: Optional[bytes] = None) -> None:
         session = self.active
         self.active = None
+        self.strategy.finish(session, achieving_input)
         node = session.node
-        if session.kind == AnalysisKind.SENSITIVITY:
-            examined = session.finish()
-            self.strategy.register_examined(examined)
-        elif session.kind == AnalysisKind.BITSHARE:
-            node.bitshare_done = True
-        else:
-            node.minimization_done = True
-            if achieved and achieving_input is not None:
-                self.bitshare_store.record(node.id.uid,
-                                           session.goal_direction,
-                                           achieving_input,
-                                           node.sensitive_bits)
-            elif not achieved:
-                self.strategy.record_failure(node, self.iteration - 1)
-        self.tree.propagate_closed(node)
         self.stats.sessions.append(SessionLogEntry(
             kind=session.kind.value,
             uid=node.id.uid, ctx=node.id.ctx, depth=node.depth,
             goal_direction=session.goal_direction,
             executions=session.executions, calls=session.calls,
-            achieved=achieved,
+            achieved=achieving_input is not None,
             descent_logs=getattr(session, "descent_logs", []),
         ))
 

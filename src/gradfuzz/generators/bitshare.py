@@ -29,9 +29,6 @@ class BitshareStore:
     def lookup(self, uid: int, direction: bool):
         return self._donors.get((uid, direction))
 
-    def __len__(self) -> int:
-        return len(self._donors)
-
 
 def bitshare_compose(node: TreeNode, goal_direction: bool,
                      store: BitshareStore) -> bytes | None:

@@ -158,7 +158,7 @@ class TypedDescentSession(DescentSession):
                     norm2 = sum(g * g for g in grads)
                     if not math.isfinite(norm2) or all(locked):
                         break
-                    lam = av / norm2 if norm2 else math.inf
+                    lam = lambda_step(av, grads) if norm2 else math.inf
                     if lam == 0 or not math.isfinite(lam):
                         break
                     best_av = math.inf

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..target_abi import (
+    _CAPS,
     DEFAULT_CONTEXT_DEPTH,
     FNV32_BASIS,
     ConditionRecord,
@@ -67,11 +68,6 @@ from .parser import (
     ExprStmt, FloatLit, Function, If, IntLit, Program, Return, Stmt, Type,
     Unary, VarRef, While, _nondet_type,
 )
-
-
-# the caps a config carries and an executor checks it against
-_CAPS = ("max_trace_length", "max_stack_size", "max_input_bytes",
-         "step_budget")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,12 @@
 the Monte Carlo walk from indirect pivots, and recovery from early
 termination.
 
+The strategy owns each node's analysis pipeline: ``select_analysis``
+builds the next ready session (sensitivity, then bitshare, then typed or
+bit-level minimization), and ``finish`` records a deactivated session's
+outcome on its node, on the pivots, on the bitshare store or on the
+recovery records.  The engine only executes the session's inputs.
+
 Primary targets are taken in a fixed priority, and only uncovered, open
 nodes are eligible anywhere:
 
@@ -12,7 +18,8 @@ nodes are eligible anywhere:
 * twins: unanalysed nodes sharing an execution id with a pivot but with
   a strictly smaller |branching value| (stored, FIFO).
 
-The pivots and the recovery records are stored as well.
+The pivots and the recovery records, (node, the node's best iteration
+at the failure), are stored as well.
 """
 from __future__ import annotations
 
@@ -27,7 +34,16 @@ from .exec_tree import (
     is_indirectly_input_dependent,
     is_open,
 )
-from .generators import AnalysisKind, identify_typed_variables
+from .generators import (
+    AnalysisKind,
+    AnalysisSession,
+    BinaryDescentSession,
+    BitshareSession,
+    BitshareStore,
+    SensitivitySession,
+    TypedDescentSession,
+    identify_typed_variables,
+)
 
 _POW2_BUCKETS = [2 ** i for i in range(11)]
 
@@ -176,22 +192,7 @@ def class_prime_stats(class_prime: Sequence[TreeNode],
     return stats
 
 
-# --- recovery -------------------------------------------------------------
-
-@dataclass
-class RecoveryRecord:
-    node: TreeNode
-    recorded_at: int
-
-
 # --- the selection strategy --------------------------------------------------
-
-@dataclass
-class Selection:
-    kind: AnalysisKind
-    node: TreeNode
-    goal_direction: Optional[bool]
-
 
 class Strategy:
     def __init__(self, tree: ExecTree, rng):
@@ -201,7 +202,8 @@ class Strategy:
         self.twins: list[TreeNode] = []
         # uncovered indirectly-input-dependent nodes, in registration order
         self.pivots: list[TreeNode] = []
-        self.recovery_records: list[RecoveryRecord] = []
+        self.recovery_records: list[tuple[TreeNode, int]] = []
+        self.bitshare_store = BitshareStore()
         self._loop_bodies: dict[TreeNode, set[int]] = {}
 
     # -- membership predicates -------------------------------------------
@@ -243,9 +245,9 @@ class Strategy:
                     and node not in self.pivots):
                 self.pivots.append(node)
 
-    def record_failure(self, node: TreeNode, iteration: int) -> None:
+    def record_failure(self, node: TreeNode) -> None:
         """A minimization ended without reaching its goal."""
-        self.recovery_records.append(RecoveryRecord(node, iteration))
+        self.recovery_records.append((node, node.best_iter))
 
     # -- loop head detection -----------------------------------------------
 
@@ -398,14 +400,13 @@ class Strategy:
     def recover_nodes(self) -> int:
         """Reopen failed-minimization nodes whose best triple has been
         refreshed since the failure; returns how many were reopened."""
-        kept: list[RecoveryRecord] = []
+        kept: list[tuple[TreeNode, int]] = []
         reopened = 0
-        for record in self.recovery_records:
-            node = record.node
+        for node, best_iter in self.recovery_records:
             if node.covered:
                 continue
-            if record.recorded_at >= node.best_iter:
-                kept.append(record)
+            if best_iter >= node.best_iter:
+                kept.append((node, best_iter))
                 continue
             node.sensitivity_done = False
             node.bitshare_done = False
@@ -432,9 +433,9 @@ class Strategy:
             else:
                 return node
 
-    def select_analysis(self) -> Optional[Selection]:
-        """Pick the next (analysis, node) pair, trying recovery before
-        giving up; None means the whole fuzzing loop terminates."""
+    def select_analysis(self) -> Optional[AnalysisSession]:
+        """The session of the next (analysis, node) pair, trying recovery
+        before giving up; None means the whole fuzzing loop terminates."""
         self.prune_targets()
         while True:
             node = self.select_primary_target()
@@ -445,12 +446,33 @@ class Strategy:
             if not self.recover_nodes():
                 return None
         if not node.sensitivity_done:
-            return Selection(AnalysisKind.SENSITIVITY,
-                             self._descend_for_sensitivity(node), None)
+            return SensitivitySession(self._descend_for_sensitivity(node))
         goal = False if node.label[False] == EdgeLabel.NOT_VISITED else True
         if not node.bitshare_done:
-            return Selection(AnalysisKind.BITSHARE, node, goal)
-        if not node.xor_flag and identify_typed_variables(
-                node.best_input, node.best_tags, node.sensitive_bits):
-            return Selection(AnalysisKind.TYPED_MINIMIZATION, node, goal)
-        return Selection(AnalysisKind.MINIMIZATION, node, goal)
+            return BitshareSession(node, goal, self.bitshare_store)
+        variables = None if node.xor_flag else identify_typed_variables(
+            node.best_input, node.best_tags, node.sensitive_bits)
+        if variables:
+            return TypedDescentSession(node, goal, self.rng, variables)
+        return BinaryDescentSession(node, goal, self.rng)
+
+    def finish(self, session: AnalysisSession,
+               achieving_input: Optional[bytes] = None) -> None:
+        """Record the outcome of a deactivated session on its node and
+        close what it closed; ``achieving_input`` is the input that
+        observed the session's goal direction, if one did."""
+        node = session.node
+        if session.kind == AnalysisKind.SENSITIVITY:
+            self.register_examined(session.finish())
+        elif session.kind == AnalysisKind.BITSHARE:
+            node.bitshare_done = True
+        else:
+            node.minimization_done = True
+            if achieving_input is None:
+                self.record_failure(node)
+            else:
+                self.bitshare_store.record(node.id.uid,
+                                           session.goal_direction,
+                                           achieving_input,
+                                           node.sensitive_bits)
+        self.tree.propagate_closed(node)

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gradfuzz.cli import build_parser, main
+from gradfuzz.executors import TargetServer
+from gradfuzz.minivm import VmLimits, parse_program
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_fuzz_then_replay_round_trip(tmp_path, capsys):
@@ -86,3 +92,39 @@ def test_default_limits(command, limits):
     args = build_parser().parse_args(command)
     assert (args.max_trace_length, args.max_stack_size, args.max_input_bytes,
             args.step_budget) == limits
+
+
+def run_cli(*args):
+    """``python -m gradfuzz.cli`` in a fresh interpreter, as a user runs
+    it, so that an uncaught exception shows as a traceback on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "gradfuzz.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def assert_error_exit(done, reason):
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+    assert reason in done.stderr
+
+
+def test_refused_remote_connection_exits_with_message(tmp_path):
+    done = run_cli("fuzz", "-t", str(BENCH / "magic_equal.mc"),
+                   "-o", str(tmp_path / "out"), "--remote", "127.0.0.1:1")
+    assert_error_exit(done, "cannot connect")
+
+
+def test_config_above_the_servers_cap_exits_with_message(tmp_path):
+    target = BENCH / "magic_equal.mc"
+    server = TargetServer(parse_program(target.read_text()), VmLimits())
+    server.start()
+    host, port = server.address
+    try:
+        done = run_cli("fuzz", "-t", str(target), "-o", str(tmp_path / "out"),
+                       "--remote", f"{host}:{port}",
+                       "--max-trace-length", "20000")
+    finally:
+        server.stop()
+    assert_error_exit(done, "max_trace_length")

@@ -1,5 +1,8 @@
 import hashlib
 import random
+import socket
+import struct
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,8 @@ from gradfuzz.fuzz_loop import (
 )
 from gradfuzz.minivm import VmLimits, parse_program
 from gradfuzz.target_abi import (
+    _MAX_PAYLOAD,
+    KIND_RESULT,
     ExecutionConfig,
     TerminationKind,
     wire_encode,
@@ -165,17 +170,19 @@ class TestRunFuzzing:
         assert ok, divergence
 
     def test_goal_sessions_always_have_sensitive_bits(self, monkeypatch):
-        from gradfuzz.fuzz_loop import FuzzEngine
         from gradfuzz.generators import AnalysisKind
+        from gradfuzz.strategy import Strategy
 
         seen = []
-        original = FuzzEngine._make_session
+        original = Strategy.select_analysis
 
-        def recording(self, selection):
-            seen.append((selection.kind, len(selection.node.sensitive_bits)))
-            return original(self, selection)
+        def recording(self):
+            session = original(self)
+            if session is not None:
+                seen.append((session.kind, len(session.node.sensitive_bits)))
+            return session
 
-        monkeypatch.setattr(FuzzEngine, "_make_session", recording)
+        monkeypatch.setattr(Strategy, "select_analysis", recording)
         for source in (MAGIC, XOR):
             run_fuzzing(parse_program(source),
                         FuzzBudget(max_executions=2000),
@@ -400,6 +407,34 @@ class TestRemote:
         dead = RemoteExecutor(("127.0.0.1", 1))
         with pytest.raises(TransportError):
             dead(ExecutionConfig(10, 10, 10, 10, 0, b""))
+
+    def test_oversized_frame_is_transport_error_and_closes(self):
+        # a fake server answering a config with a result header that
+        # announces one byte more than a frame may carry
+        listener = socket.create_server(("127.0.0.1", 0))
+        closed_by_client = []
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                conn.recv(4096)
+                conn.sendall(bytes([KIND_RESULT])
+                             + struct.pack(">I", _MAX_PAYLOAD + 1))
+                while conn.recv(4096):
+                    pass
+                closed_by_client.append(True)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            remote = RemoteExecutor(listener.getsockname()[:2], timeout=10)
+            with pytest.raises(TransportError, match="oversized frame"):
+                remote(ExecutionConfig(10, 10, 10, 10, 0, b""))
+            thread.join(timeout=10)
+            assert closed_by_client == [True]
+        finally:
+            listener.close()
 
     def test_config_beyond_server_caps_is_transport_error(self, served):
         program, limits, address = served

@@ -42,7 +42,7 @@ int main() {
 class TestSensitivity:
     def _run_pair_session(self):
         program, tree, executor = bootstrap_tree(SENSE_PAIR)
-        deep = tree.root.successor[tree.root.direction]
+        deep = tree.root.successor[tree.root.best_trace[0].direction]
         session = SensitivitySession(deep)
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"

@@ -489,7 +489,7 @@ class TestRecovery:
         map_all(tree, [[record(1, True, 1.0)], [record(1, False, 1.0)]])
         strategy = Strategy(tree, random.Random(0))
         node = self._failed_node(tree)
-        strategy.record_failure(node, 5)
+        strategy.record_failure(node)
         assert strategy.recover_nodes() == 0
         assert strategy.recovery_records == []
 
@@ -498,7 +498,7 @@ class TestRecovery:
         map_all(tree, [[record(1, True, 3.0)]])
         strategy = Strategy(tree, random.Random(0))
         node = self._failed_node(tree)
-        strategy.record_failure(node, 5)
+        strategy.record_failure(node)
         # a later, better execution refreshes the best triple
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
@@ -515,7 +515,7 @@ class TestRecovery:
         map_all(tree, [[record(1, True, 3.0)]])
         strategy = Strategy(tree, random.Random(0))
         node = self._failed_node(tree)
-        strategy.record_failure(node, 5)
+        strategy.record_failure(node)
         assert strategy.recover_nodes() == 0
         assert len(strategy.recovery_records) == 1
         assert node.minimization_done
@@ -533,7 +533,7 @@ class TestRecovery:
         strategy = Strategy(tree, random.Random(0))
         node = self._failed_node(tree)
         node.loop_scanned = True
-        strategy.record_failure(node, 5)
+        strategy.record_failure(node)
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
             (record(1, True, 1.5),)), 9)
