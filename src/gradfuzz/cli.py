@@ -29,8 +29,11 @@ def _add_limit_args(parser: argparse.ArgumentParser,
 
 
 def _limits(args) -> VmLimits:
-    return VmLimits(**{f.name: getattr(args, f.name)
-                       for f in fields(VmLimits)})
+    try:
+        return VmLimits(**{f.name: getattr(args, f.name)
+                           for f in fields(VmLimits)})
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _load_target(path: str):

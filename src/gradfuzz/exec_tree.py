@@ -22,6 +22,10 @@ from enum import IntEnum
 from typing import Iterable, Optional
 
 from .target_abi import (
+    ID,
+    NBYTES,
+    VALUE,
+    XOR_FLAG,
     ConditionRecord,
     ExecutionId,
     ExecutionResult,
@@ -97,15 +101,15 @@ class TreeNode:
     # convenience views of the node's own record in the best trace
     @property
     def value(self) -> float:
-        return self.best_trace[self.depth].value
+        return self.best_trace[self.depth][VALUE]
 
     @property
     def xor_flag(self) -> bool:
-        return self.best_trace[self.depth].xor_flag
+        return self.best_trace[self.depth][XOR_FLAG]
 
     @property
     def nbytes(self) -> int:
-        return self.best_trace[self.depth].nbytes
+        return self.best_trace[self.depth][NBYTES]
 
     def path(self) -> list["TreeNode"]:
         nodes = []
@@ -177,18 +181,21 @@ class ExecTree:
             ((i.uid, i.ctx, d) for i, dirs in self.id_directions.items()
              for d in dirs))
 
-    def _observe(self, record: ConditionRecord, report: MapReport) -> None:
-        uid_dirs = self.uid_directions.setdefault(record.id.uid, set())
-        if record.direction not in uid_dirs:
-            uid_dirs.add(record.direction)
-            report.new_pairs.append((record.id.uid, record.direction))
+    def _observe(self, rid: ExecutionId, direction: bool,
+                 report: MapReport) -> None:
+        """Record that execution id ``rid`` was seen going ``direction``."""
+        uid = rid.uid
+        uid_dirs = self.uid_directions.setdefault(uid, set())
+        if direction not in uid_dirs:
+            uid_dirs.add(direction)
+            report.new_pairs.append((uid, direction))
             if len(uid_dirs) == 2:
-                report.newly_covered_uids.append(record.id.uid)
-        id_dirs = self.id_directions.setdefault(record.id, set())
-        if record.direction not in id_dirs:
-            id_dirs.add(record.direction)
+                report.newly_covered_uids.append(uid)
+        id_dirs = self.id_directions.setdefault(rid, set())
+        if direction not in id_dirs:
+            id_dirs.add(direction)
             if len(id_dirs) == 2:
-                for node in self.nodes_by_id.get(record.id, ()):
+                for node in self.nodes_by_id.get(rid, ()):
                     node.covered = True
 
     # -- construction -----------------------------------------------------
@@ -217,17 +224,16 @@ class ExecTree:
                     if result.termination == TerminationKind.CRASH
                     else EdgeLabel.END_NORMAL)
         if self.root is None:
-            self.root = self._new_node(trace[0].id, None)
+            self.root = self._new_node(trace[0][ID], None)
         # nbytes are monotone along a trace: the last record has the most
-        nbytes = trace[-1].nbytes
+        nbytes = trace[-1][NBYTES]
         if nbytes > self.max_nbytes:
             self.max_nbytes = nbytes
         node = self.root
         max_depth = len(trace) - 1
         weight = 0.0
         # record i maps onto the node at depth i
-        for rec in trace:
-            rid, b, value, _, _ = rec
+        for rid, b, value, _, _ in trace:
             if node.id != rid:
                 raise TreeMappingError(
                     f"trace record {node.depth} has id {rid}, tree node has "
@@ -235,7 +241,7 @@ class ExecTree:
             # a covered node's id, and so its uid, was seen both ways:
             # observing the record again could change nothing
             if not node.covered:
-                self._observe(rec, report)
+                self._observe(rid, b, report)
             weight += value * value
             # a new node takes its first trace even at infinite weight
             if weight < node.best_weight or not node.best_trace:
@@ -256,7 +262,7 @@ class ExecTree:
                     break
                 label[b] = EdgeLabel.VISITED
                 succ = node.successor[b] = self._new_node(
-                    trace[node.depth + 1].id, node)
+                    trace[node.depth + 1][ID], node)
             node = succ
         return report
 

@@ -90,7 +90,6 @@ class SessionLogEntry:
     executions: int
     calls: int
     achieved: bool
-    descent_logs: list[list[float]] = field(default_factory=list)
 
 
 class FuzzStats:
@@ -266,7 +265,6 @@ class FuzzEngine:
             goal_direction=session.goal_direction,
             executions=session.executions, calls=session.calls,
             achieved=achieving_input is not None,
-            descent_logs=getattr(session, "descent_logs", []),
         ))
 
     # -- optimizer ------------------------------------------------------------
@@ -299,8 +297,10 @@ def _observed_pairs(trace) -> tuple[list[tuple[int, bool]],
                                    list[tuple[int, int, bool]]]:
     """The distinct (uid, direction) and (uid, ctx, direction) pairs a
     trace observed, each sorted."""
-    return (sorted({(r.id.uid, r.direction) for r in trace}),
-            sorted({(r.id.uid, r.id.ctx, r.direction) for r in trace}))
+    id_pairs = {(uid, ctx, direction)
+                for (uid, ctx), direction, _, _, _ in trace}
+    return (sorted({(uid, direction) for uid, _, direction in id_pairs}),
+            sorted(id_pairs))
 
 
 def run_fuzzing(program: Program, budget: FuzzBudget,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult
+from ..target_abi import VALUE, ExecutionResult
 
 
 class AnalysisKind(Enum):
@@ -89,11 +89,12 @@ class AnalysisSession:
         the path's ids at 0..k and its directions at 0..k-1, or -1 when
         the trace does not start at the root."""
         k = -1
-        for record, path_record in zip(trace, self.base_trace):
-            if record.id != path_record.id:
+        for (rid, direction, _, _, _), (path_id, path_direction, _, _, _) \
+                in zip(trace, self.base_trace):
+            if rid != path_id:
                 break
             k += 1
-            if record.direction != path_record.direction:
+            if direction != path_direction:
                 break
         return k
 
@@ -103,7 +104,7 @@ class AnalysisSession:
         depth = self.node.depth
         if self.prefix_agreement(result.trace) != depth:
             return None
-        return result.trace[depth].value
+        return result.trace[depth][VALUE]
 
     # -- to implement -------------------------------------------------------
 

@@ -90,11 +90,12 @@ class SensitivitySession(AnalysisSession):
                      region: bool) -> None:
         trace = result.trace
         top = self.prefix_agreement(trace)
-        for k in range(top + 1):
-            if trace[k].value == self.base_trace[k].value:
+        marks = self.region_marks if region else self.raw_marks
+        for k, (_, _, value, _, _), (_, _, base_value, _, nbytes) in zip(
+                range(top + 1), trace, self.base_trace):
+            if value == base_value:
                 continue
-            cutoff = 8 * self.base_trace[k].nbytes
-            marks = self.region_marks if region else self.raw_marks
+            cutoff = 8 * nbytes
             bucket = marks.setdefault(k, set())
             for s in candidates:
                 if s < cutoff:

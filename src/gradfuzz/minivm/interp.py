@@ -16,8 +16,8 @@ nested function sharing the locals as ``nonlocal``.
 Every execution is a pure function of (program, config): it runs to the
 four caps the config carries, each checked first against the executor's
 limits.  It yields an ExecutionResult carrying the bytes read, one type
-tag per read call, and one ConditionRecord per evaluated Boolean
-instruction:
+tag per read call, and one condition record per evaluated Boolean
+instruction, built as a plain tuple display (no Python call per record):
 
 * comparison sites record ``(double)l - (double)r`` of the converted
   operands,
@@ -54,7 +54,6 @@ from ..target_abi import (
     _CAPS,
     DEFAULT_CONTEXT_DEPTH,
     FNV32_BASIS,
-    ConditionRecord,
     ExecutionConfig,
     ExecutionId,
     ExecutionResult,
@@ -204,8 +203,7 @@ class _Emitter:
 
     def __init__(self, program: Program):
         self.ns = {"_Timeout": _Timeout, "_Boundary": _Boundary,
-                   "_Crash": _Crash, "_new": tuple.__new__,
-                   "_CR": ConditionRecord, "_INF": math.inf, "_f32": _f32,
+                   "_Crash": _Crash, "_INF": math.inf, "_f32": _f32,
                    "_float_div": _float_div, "_int_quot": _int_quot}
         self.functions = program.functions
         source = []
@@ -421,8 +419,8 @@ class _Emitter:
         self.line("if steps > budget: raise _Timeout")
         self.line("if len(trace) >= cap: raise _Boundary")
         xor = "xor" if self.dirty else "False"
-        self.line(f"append(_new(_CR, (E[{len(self.sites) - 1}], "
-                  f"{direction}, {value}, {xor}, consumed)))")
+        self.line(f"append((E[{len(self.sites) - 1}], {direction}, "
+                  f"{value}, {xor}, consumed))")
 
     def read(self, ty: Type) -> _Val:
         self.flush()

@@ -11,9 +11,13 @@ carries all four caps of a run (trace length, stack size, input bytes and
 the step budget); an executor runs to them after checking each against
 its own.
 
-Execution ids and condition records are named tuples: one is built for
-every evaluated Boolean instruction and hashed or compared on every
-trace record the tree maps, and tuples do both in C.
+An execution id is a named tuple ``(uid, ctx)``: one is hashed or
+compared on every trace record the tree maps, and tuples do both in C.
+A condition record is a plain 5-tuple ``(id, direction, value,
+xor_flag, nbytes)``, read by unpacking or at the named positions ``ID``
+... ``NBYTES``.  One is built for every evaluated Boolean instruction
+and read again by every layer, and only an exact tuple is built without
+a Python call and unpacked or indexed on CPython's fast paths.
 
 Wire format: one frame is
 
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import count
@@ -166,28 +169,23 @@ class ExecutionId(NamedTuple):
     ctx: int
 
 
-class ConditionRecord(namedtuple(
-        "ConditionRecord", "id direction value xor_flag nbytes")):
-    """One evaluation of a Boolean-valued instruction along a trace: the
-    tuple ``(id, direction, value, xor_flag, nbytes)``.
+# one evaluation of a Boolean-valued instruction along a trace; ``value``
+# is the branching-function value, never NaN (see ``condition_record``)
+ConditionRecord = tuple[ExecutionId, bool, float, bool, int]
 
-    ``value`` is the branching-function value.  A NaN value is
-    canonicalized to +infinity at construction time so stored traces never
-    carry NaN.  Besides ``__new__``, records are built by the emitted
-    interpreter and by ``wire_decode``, which apply the same rule inline.
-    """
+# the positions of a record's fields
+ID, DIRECTION, VALUE, XOR_FLAG, NBYTES = range(5)
 
-    __slots__ = ()
 
-    def __new__(cls, id: ExecutionId, direction: bool, value: float,
-                xor_flag: bool, nbytes: int) -> "ConditionRecord":
-        if value != value:
-            value = math.inf
-        return tuple.__new__(cls, (id, direction, value, xor_flag, nbytes))
-
-    @classmethod
-    def _make(cls, iterable) -> "ConditionRecord":
-        return cls(*iterable)
+def condition_record(id: ExecutionId, direction: bool, value: float,
+                     xor_flag: bool, nbytes: int) -> ConditionRecord:
+    """The record ``(id, direction, value, xor_flag, nbytes)``.  A NaN
+    value becomes +infinity, so stored traces never carry NaN.  The
+    emitted interpreter and ``wire_decode`` build their records as tuple
+    displays and apply the same rule inline."""
+    if value != value:
+        value = math.inf
+    return (id, direction, value, xor_flag, nbytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,10 +216,10 @@ class ExecutionResult:
                 != len(self.bytes_read)):
             raise ValueError("type tags do not cover bytes_read")
         last = 0
-        for rec in self.trace:
-            if rec.nbytes < last:
+        for _, _, _, _, nbytes in self.trace:
+            if nbytes < last:
                 raise ValueError("nbytes not monotone along trace")
-            last = rec.nbytes
+            last = nbytes
 
 
 # a str is the text of an error frame
@@ -270,7 +268,7 @@ def wire_encode(message: WireMessage,
         trace = message.trace
         # a zero is resent even when unchanged: -0.0 == 0.0
         changed = [i for i, rec, old in zip(count(), trace, previous)
-                   if not rec.value or rec != old]
+                   if not rec[VALUE] or rec != old]
         sent = [trace[i] for i in changed]
         sent += trace[len(previous):]
         pack = _RECORD.pack
@@ -344,14 +342,14 @@ def wire_decode(frame: bytes,
                     p >= q for p, q in zip(positions, positions[1:]))):
                 raise DecodeError("changed positions not strictly "
                                   f"increasing below {shared}")
-            # one Python call per record is most of the cost of a frame,
-            # so the records are built with tuple.__new__ and the NaN rule
-            # of ConditionRecord.__new__ is written out here
+            # a call into Python code per record would be most of the
+            # cost of a frame, so each id is built by the builtin
+            # tuple.__new__ and each record is a tuple display that
+            # writes out the NaN rule of condition_record
             new = tuple.__new__
             sent = [
-                new(ConditionRecord, (
-                    new(ExecutionId, (uid, ctx)), direction != 0,
-                    math.inf if value != value else value, xor != 0, nbytes))
+                (new(ExecutionId, (uid, ctx)), direction != 0,
+                 math.inf if value != value else value, xor != 0, nbytes)
                 for uid, ctx, direction, xor, value, nbytes
                 in _RECORD.iter_unpack(
                     r.take((c + max(0, m - b)) * _RECORD.size))]

@@ -8,19 +8,20 @@ import math
 from gradfuzz.exec_tree import EdgeLabel, ExecTree, TreeNode
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
-    ConditionRecord,
+    VALUE,
     ExecutionConfig,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
 )
 
 def path_weight(trace, depth: int) -> float:
     """Sum of squared branching values over trace[0..depth]."""
     total = 0.0
     for i in range(depth + 1):
-        total += trace[i].value * trace[i].value
+        total += trace[i][VALUE] * trace[i][VALUE]
     return total
 
 
@@ -154,7 +155,7 @@ def chain_from_uids(uids, directions=None):
     for i, uid in enumerate(uids):
         node = TreeNode(ExecutionId(uid, 0), parent)
         node.best_trace = tuple(
-            ConditionRecord(ExecutionId(uids[j], 0), True, 1.0, False, 1)
+            condition_record(ExecutionId(uids[j], 0), True, 1.0, False, 1)
             for j in range(i + 1))
         if parent is not None:
             direction = True if directions is None else directions[i - 1]
@@ -232,7 +233,7 @@ def random_wire_result(rng):
         nbytes += rng.randrange(0, 3)
         value = rng.choice((0.0, -1.5, 3.25, math.inf, -math.inf,
                             rng.uniform(-1e18, 1e18)))
-        records.append(ConditionRecord(
+        records.append(condition_record(
             ExecutionId(rng.randrange(2 ** 32), rng.randrange(2 ** 32)),
             rng.random() < 0.5, value, rng.random() < 0.5, nbytes))
     return ExecutionResult(TerminationKind(rng.randrange(4)), bytes(data),

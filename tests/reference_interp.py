@@ -26,6 +26,7 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
     context_hash_push,
 )
 
@@ -128,7 +129,7 @@ class _RunState:
     def emit(self, uid: int, direction: bool, value: float) -> None:
         if len(self.trace) >= self.config.max_trace_length:
             raise _Boundary()
-        self.trace.append(ConditionRecord(
+        self.trace.append(condition_record(
             ExecutionId(uid, self.ctx_hashes[-1]), bool(direction),
             value, self.xor_seen, self.consumed))
 

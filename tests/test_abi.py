@@ -7,19 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_interp
 from helpers import config_for, random_wire_config, random_wire_result
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
+    DIRECTION,
     FNV32_BASIS,
-    ConditionRecord,
+    ID,
+    NBYTES,
+    VALUE,
+    XOR_FLAG,
     DecodeError,
     ExecutionConfig,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
     context_hash_push,
     flip_bit,
     get_bit,
@@ -27,6 +33,7 @@ from gradfuzz.target_abi import (
     wire_decode,
     wire_encode,
 )
+from test_robustness import gen_program
 
 
 def fnv1a_32(data: bytes) -> int:
@@ -56,6 +63,20 @@ def trace_payload(m, b, positions, rows) -> bytes:
             + b"".join(struct.pack("<IIBBdI", *row) for row in rows))
 
 
+def assert_plain_records(trace):
+    """Every record is an exact 5-tuple of an ExecutionId, a bool
+    direction, a float value, a bool xor flag and an int nbytes.
+    Equality alone would accept a tuple subclass, or ints for the
+    flags."""
+    for rec in trace:
+        assert type(rec) is tuple and len(rec) == 5
+        assert type(rec[ID]) is ExecutionId
+        assert type(rec[DIRECTION]) is bool
+        assert type(rec[VALUE]) is float
+        assert type(rec[XOR_FLAG]) is bool
+        assert type(rec[NBYTES]) is int
+
+
 class TestContextHash:
     def test_empty_is_offset_basis(self):
         assert push_all([]) == 2166136261
@@ -78,13 +99,10 @@ class TestContextHash:
 
 class TestRecords:
     def test_nan_branching_value_canonicalized(self):
-        rec = ConditionRecord(ExecutionId(1, 2), True, math.nan, False, 0)
-        assert rec.value == math.inf
-        # the namedtuple helpers build through the same constructor
-        made = ConditionRecord._make((ExecutionId(1, 2), True, math.nan,
-                                      False, 0))
-        assert made.value == math.inf
-        assert rec._replace(value=math.nan).value == math.inf
+        rec = condition_record(ExecutionId(1, 2), True, math.nan, False, 0)
+        assert rec[VALUE] == math.inf
+        assert rec == (ExecutionId(1, 2), True, math.inf, False, 0)
+        assert type(rec) is tuple
 
     def test_execution_id_hashes_as_pair(self):
         # set and dict orders that reach the manifest depend on this
@@ -100,8 +118,8 @@ class TestRecords:
 
     def test_result_rejects_nonmonotone_nbytes(self):
         records = (
-            ConditionRecord(ExecutionId(1, 0), True, 1.0, False, 2),
-            ConditionRecord(ExecutionId(2, 0), True, 1.0, False, 1),
+            condition_record(ExecutionId(1, 0), True, 1.0, False, 2),
+            condition_record(ExecutionId(2, 0), True, 1.0, False, 1),
         )
         with pytest.raises(ValueError):
             ExecutionResult(TerminationKind.NORMAL, b"ab",
@@ -121,8 +139,8 @@ class TestWireFormat:
 
     def test_result_round_trip_with_infinite_value(self):
         records = tuple(
-            ConditionRecord(ExecutionId(i, 7), i % 2 == 0,
-                            value, False, 1)
+            condition_record(ExecutionId(i, 7), i % 2 == 0,
+                             value, False, 1)
             for i, value in enumerate((1.5, math.inf, -2.25)))
         result = ExecutionResult(TerminationKind.CRASH, b"x",
                                  (TypeTag.UINT8,), records)
@@ -150,10 +168,7 @@ class TestWireFormat:
                        else random_wire_result(rng))
             decoded = wire_decode(wire_encode(message))
             assert decoded == message
-            # equality alone would accept bare tuples
-            for rec in getattr(decoded, "trace", ()):
-                assert type(rec) is ConditionRecord
-                assert type(rec.id) is ExecutionId
+            assert_plain_records(getattr(decoded, "trace", ()))
 
     @pytest.mark.parametrize("tag", [len(TypeTag), 0xFF])
     def test_unknown_type_tag_byte(self, tag):
@@ -171,26 +186,27 @@ class TestWireFormat:
     def test_nan_value_decodes_to_infinity(self):
         payload = trace_payload(1, 0, (), [(1, 2, 1, 0, math.nan, 0)])
         (rec,) = wire_decode(result_frame(payload)).trace
-        assert rec == ConditionRecord(ExecutionId(1, 2), True, math.inf,
-                                      False, 0)
+        assert rec == condition_record(ExecutionId(1, 2), True, math.inf,
+                                       False, 0)
         # a changed record is built by the same rule
         payload = trace_payload(1, 1, (0,), [(1, 2, 1, 0, math.nan, 0)])
-        previous = (ConditionRecord(ExecutionId(1, 2), True, 1.5, False, 0),)
+        previous = (condition_record(ExecutionId(1, 2), True, 1.5, False,
+                                     0),)
         (rec,) = wire_decode(result_frame(payload), previous).trace
-        assert rec.value == math.inf
+        assert rec[VALUE] == math.inf
 
     def test_nonzero_flag_bytes_decode_to_true(self):
         payload = trace_payload(2, 0, (), [(1, 2, 2, 255, 1.5, 0),
                                            (3, 4, 255, 2, 1.5, 0)])
         for rec in wire_decode(result_frame(payload)).trace:
-            assert rec.direction is True and rec.xor_flag is True
+            assert rec[DIRECTION] is True and rec[XOR_FLAG] is True
 
     def test_negative_zero_keeps_its_sign(self):
         result = ExecutionResult(
             TerminationKind.NORMAL, b"", (),
-            (ConditionRecord(ExecutionId(1, 2), False, -0.0, False, 0),))
+            (condition_record(ExecutionId(1, 2), False, -0.0, False, 0),))
         (rec,) = wire_decode(wire_encode(result)).trace
-        assert math.copysign(1.0, rec.value) == -1.0
+        assert math.copysign(1.0, rec[VALUE]) == -1.0
 
     def test_config_carries_a_step_budget_beyond_32_bits(self):
         config = ExecutionConfig(1, 1, 1, 10 ** 12, 0, b"")
@@ -226,22 +242,30 @@ class TestWireFormat:
 
 
 def record(uid, value=1.5, nbytes=0, direction=True):
-    return ConditionRecord(ExecutionId(uid, 7), direction, value, False,
-                           nbytes)
+    return condition_record(ExecutionId(uid, 7), direction, value, False,
+                            nbytes)
+
+
+def replaced(rec, direction=None, value=None):
+    """``rec`` with its direction or value replaced."""
+    rid, old_direction, old_value, xor, nbytes = rec
+    return condition_record(
+        rid, old_direction if direction is None else direction,
+        old_value if value is None else value, xor, nbytes)
 
 
 def mutate(rng, result):
     """A result like the fuzzing traffic: a small change of ``result``."""
     trace = list(result.trace)
-    top = trace[-1].nbytes if trace else 0
+    top = trace[-1][NBYTES] if trace else 0
     change = rng.choice(("same_length", "shorter", "longer", "empty",
                          "zero_sign", "infinity"))
     if change == "same_length" and trace:
         for _ in range(rng.randrange(1, 3)):
             i = rng.randrange(len(trace))
-            trace[i] = trace[i]._replace(
-                direction=not trace[i].direction,
-                value=rng.choice((trace[i].value, rng.uniform(-9, 9))))
+            trace[i] = replaced(
+                trace[i], direction=not trace[i][DIRECTION],
+                value=rng.choice((trace[i][VALUE], rng.uniform(-9, 9))))
     elif change == "shorter":
         del trace[rng.randrange(len(trace) + 1):]
     elif change == "longer":
@@ -251,15 +275,15 @@ def mutate(rng, result):
     elif change == "empty":
         trace = []
     elif change == "zero_sign":
-        trace = [rec._replace(value=-rec.value) if rec.value == 0
+        trace = [replaced(rec, value=-rec[VALUE]) if rec[VALUE] == 0
                  else rec for rec in trace]
         if trace:
             i = rng.randrange(len(trace))
-            trace[i] = trace[i]._replace(value=rng.choice((0.0, -0.0)))
+            trace[i] = replaced(trace[i], value=rng.choice((0.0, -0.0)))
     elif trace:
         i = rng.randrange(len(trace))
-        trace[i] = trace[i]._replace(value=rng.choice((math.inf,
-                                                       -math.inf)))
+        trace[i] = replaced(trace[i], value=rng.choice((math.inf,
+                                                        -math.inf)))
     return ExecutionResult(result.termination, result.bytes_read,
                            result.type_tags, tuple(trace))
 
@@ -277,11 +301,7 @@ class TestDeltaFrames:
                 frame = wire_encode(result, sent)
                 got = wire_decode(frame, decoded)
                 assert wire_encode(got) == wire_encode(result)
-                for rec in got.trace:
-                    assert type(rec) is ConditionRecord
-                    assert type(rec.id) is ExecutionId
-                    assert type(rec.direction) is bool
-                    assert type(rec.xor_flag) is bool
+                assert_plain_records(got.trace)
                 sent, decoded = result.trace, got.trace
                 result = (random_wire_result(rng) if rng.random() < 0.1
                           else mutate(rng, result))
@@ -333,6 +353,44 @@ class TestDeltaFrames:
         with pytest.raises(DecodeError):
             wire_decode(result_frame(payload), self.PREVIOUS)
 
+    @pytest.mark.parametrize("m, positions, nbytes, accepted", [
+        # a changed record against its unchanged predecessor
+        (3, (1,), 2, True),
+        (3, (1,), 1, False),
+        # a record past the end of the previous trace
+        (4, (), 2, True),
+        (4, (), 1, False),
+    ])
+    def test_decoded_nbytes_must_not_fall(self, m, positions, nbytes,
+                                          accepted):
+        previous = (record(1, nbytes=2), record(2, nbytes=2),
+                    record(3, nbytes=2))
+        payload = trace_payload(m, 3, positions,
+                                [(9, 7, 1, 0, 2.5, nbytes)])
+        if accepted:
+            assert len(wire_decode(result_frame(payload), previous).trace) \
+                == m
+            return
+        with pytest.raises(DecodeError, match="nbytes"):
+            wire_decode(result_frame(payload), previous)
+
+    @pytest.mark.parametrize("tags, accepted", [
+        ((TypeTag.SINT16,), True),
+        ((TypeTag.UINT8, TypeTag.BOOLEAN), True),
+        ((TypeTag.SINT8,), False),
+        ((TypeTag.SINT32,), False),
+        ((), False),
+    ])
+    def test_tags_must_cover_the_bytes_read(self, tags, accepted):
+        payload = (struct.pack("<BI", 0, 2) + b"ab"
+                   + struct.pack("<I", len(tags)) + bytes(tags)
+                   + struct.pack("<III", 0, 0, 0))
+        if accepted:
+            assert wire_decode(result_frame(payload)).type_tags == tags
+            return
+        with pytest.raises(DecodeError, match="type tags"):
+            wire_decode(result_frame(payload))
+
     def test_delta_frame_against_no_previous_trace(self):
         result = ExecutionResult(TerminationKind.NORMAL, b"", (),
                                  self.PREVIOUS)
@@ -361,6 +419,44 @@ class TestDeltaFrames:
             assert c + max(0, m - b) <= 3
             got = wire_decode(frame, base.trace)
             assert wire_encode(got) == wire_encode(flipped)
+
+
+class TestRecordRepresentation:
+    """A record is a plain tuple wherever it is built: by the compiled
+    interpreter, by the reference interpreter and by the decoder, from
+    full and from delta frames."""
+
+    @staticmethod
+    def sources():
+        # between them, the generated targets read floats and call plain
+        # and recursive functions
+        yield from map(gen_program, range(30))
+        root = Path(__file__).parent.parent
+        for path in sorted((root / "benchmarks").glob("*.mc")):
+            yield path.read_text()
+
+    def test_every_builder_makes_plain_tuples(self):
+        limits = VmLimits(max_trace_length=300, max_stack_size=32,
+                          max_input_bytes=48, step_budget=50_000)
+        rng = random.Random(11)
+        records = 0
+        for source in self.sources():
+            program = parse_program(source)
+            sent = decoded = ()
+            for _ in range(8):
+                config = config_for(rng.randbytes(rng.randrange(48)),
+                                    limits=limits)
+                result = execute(program, config, limits)
+                assert_plain_records(result.trace)
+                assert_plain_records(
+                    reference_interp.execute(program, config, limits).trace)
+                assert_plain_records(wire_decode(wire_encode(result)).trace)
+                decoded = wire_decode(wire_encode(result, sent),
+                                      decoded).trace
+                assert_plain_records(decoded)
+                sent = result.trace
+                records += len(sent)
+        assert records > 1000
 
 
 # written out independently of TypeTag: byte width, least and greatest

@@ -128,3 +128,15 @@ def test_config_above_the_servers_cap_exits_with_message(tmp_path):
     finally:
         server.stop()
     assert_error_exit(done, "max_trace_length")
+
+
+@pytest.mark.parametrize("command", ["fuzz", "serve"])
+@pytest.mark.parametrize("flag, value", [("--step-budget", "0"),
+                                         ("--max-input-bytes", "-5")])
+def test_non_positive_limit_exits_with_message(tmp_path, command, flag,
+                                               value):
+    out = ["-o", str(tmp_path / "out")] if command == "fuzz" else []
+    done = run_cli(command, "-t", str(BENCH / "magic_equal.mc"), *out,
+                   flag, value)
+    assert_error_exit(done, flag[2:].replace("-", "_") + " must be positive")
+    assert not (tmp_path / "out").exists()

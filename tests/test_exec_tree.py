@@ -15,19 +15,20 @@ from gradfuzz.exec_tree import (
 )
 from gradfuzz.generators import SensitivitySession
 from gradfuzz.target_abi import (
-    ConditionRecord,
+    NBYTES,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
 )
 from helpers import dump, is_directly_input_dependent, path_weight, \
     uid_covered
 
 
 def record(uid, direction, value, nbytes=1, ctx=0, xor=False):
-    return ConditionRecord(ExecutionId(uid, ctx), direction, value, xor,
-                           nbytes)
+    return condition_record(ExecutionId(uid, ctx), direction, value, xor,
+                            nbytes)
 
 
 def result_for(records, termination=TerminationKind.NORMAL, data=b"\x00",
@@ -146,7 +147,7 @@ class TestMapTrace:
                 trace.append(record(depth + 1, rng.random() < 0.5, 1.0,
                                     nbytes=nbytes))
             tree.map_trace(result_for(tuple(trace)), i)
-            largest = max([largest] + [rec.nbytes for rec in trace])
+            largest = max([largest] + [rec[NBYTES] for rec in trace])
             assert tree.max_nbytes == largest
 
     def test_coverage_tracked_per_execution_id(self):

@@ -18,11 +18,14 @@ from gradfuzz.generators import (
     typed_seed_value,
 )
 from gradfuzz.target_abi import (
-    ConditionRecord,
+    DIRECTION,
+    ID,
+    VALUE,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
     get_bit,
 )
 from helpers import (ScriptedRng, bootstrap_tree, drive_session,
@@ -42,7 +45,7 @@ int main() {
 class TestSensitivity:
     def _run_pair_session(self):
         program, tree, executor = bootstrap_tree(SENSE_PAIR)
-        deep = tree.root.successor[tree.root.best_trace[0].direction]
+        deep = tree.root.successor[tree.root.best_trace[0][DIRECTION]]
         session = SensitivitySession(deep)
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"
@@ -443,7 +446,7 @@ class TestSessionProtocol:
 
 
 def _record(uid, direction, value=1.0):
-    return ConditionRecord(ExecutionId(uid, 0), direction, value, False, 0)
+    return condition_record(ExecutionId(uid, 0), direction, value, False, 0)
 
 
 def _result(trace):
@@ -503,10 +506,11 @@ class TestMappedValue:
             for i, (uid, direction) in enumerate(self.PATH[:len(trace)]):
                 if rng.random() < 0.8:  # mostly follow the path
                     trace[i] = _record(uid, direction if i < 2
-                                       else trace[i].direction,
-                                       trace[i].value)
+                                       else trace[i][DIRECTION],
+                                       trace[i][VALUE])
             reaches = (len(trace) > 2
-                       and [r.id.uid for r in trace[:3]] == [1, 2, 3]
-                       and [r.direction for r in trace[:2]] == [True, False])
-            want = trace[2].value if reaches else None
+                       and [r[ID].uid for r in trace[:3]] == [1, 2, 3]
+                       and [r[DIRECTION] for r in trace[:2]]
+                       == [True, False])
+            want = trace[2][VALUE] if reaches else None
             assert session.mapped_value(_result(trace)) == want

@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradfuzz.minivm import ParseError, VmLimits, execute, parse_program
-from gradfuzz.target_abi import ExecutionConfig, TerminationKind, TypeTag
+from gradfuzz.target_abi import (
+    DIRECTION,
+    ID,
+    NBYTES,
+    VALUE,
+    XOR_FLAG,
+    ExecutionConfig,
+    TerminationKind,
+    TypeTag,
+)
 from reference_interp import branching_value
 
 LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
@@ -99,7 +108,7 @@ class TestParse:
         }
         """
         result = run(src, b"\x03\x00\x00\x00")
-        uids = [rec.id.uid for rec in result.trace]
+        uids = [rec[ID].uid for rec in result.trace]
         # a (<), b (>), if(a) truncation, c (==)
         assert uids == [1, 2, 3, 4]
 
@@ -123,17 +132,17 @@ class TestExecute:
         # bool-variable branch condition
         assert len(result.trace) == 2
         first = result.trace[0]
-        assert first.value == 7.0
-        assert first.nbytes == 1
-        assert first.direction is True
+        assert first[VALUE] == 7.0
+        assert first[NBYTES] == 1
+        assert first[DIRECTION] is True
 
     def test_worked_example_fallthrough(self):
         result = run(SENSE_EXAMPLE, b"\x01")
-        assert [r.id.uid for r in result.trace] == [1, 2, 3]
-        assert result.trace[2].value == -1.0
+        assert [r[ID].uid for r in result.trace] == [1, 2, 3]
+        assert result.trace[2][VALUE] == -1.0
         result = run(SENSE_EXAMPLE, b"\x07")
-        assert result.trace[2].value == 5.0
-        assert result.trace[2].direction is True
+        assert result.trace[2][VALUE] == 5.0
+        assert result.trace[2][DIRECTION] is True
 
     def test_empty_input_filled_with_zero(self):
         src = ("int main(){ int x = nondet_int();"
@@ -142,14 +151,14 @@ class TestExecute:
         assert result.bytes_read == b"\x00\x00\x00\x00"
         assert result.type_tags == (TypeTag.SINT32,)
         rec = result.trace[0]
-        assert rec.value == -123456789.0
-        assert rec.direction is True
+        assert rec[VALUE] == -123456789.0
+        assert rec[DIRECTION] is True
 
     def test_fill_byte_85(self):
         src = "int main(){ char c = nondet_char(); bool b = c == 85; return 0; }"
         result = run(src, b"", fill=85)
         assert result.bytes_read == b"\x55"
-        assert result.trace[0].direction is True
+        assert result.trace[0][DIRECTION] is True
 
     def test_trace_limit_boundary_violation(self):
         src = """
@@ -221,7 +230,7 @@ class TestRecordSemantics:
         for raw in (b"\x00\x00\x00\x00", b"\x0a\x00\x00\x00",
                     b"\xff\xff\xff\x7f"):
             rec = run(src, raw).trace[0]
-            assert rec.direction == (rec.value < 0)
+            assert rec[DIRECTION] == (rec[VALUE] < 0)
 
     def test_bool_call_records_one(self):
         src = """
@@ -230,7 +239,7 @@ class TestRecordSemantics:
                      return 0; }
         """
         result = run(src, b"\x09\x00\x00\x00")
-        values = [(r.id.uid, r.value, r.direction) for r in result.trace]
+        values = [(r[ID].uid, r[VALUE], r[DIRECTION]) for r in result.trace]
         # the comparison inside check, then the bool-returning call site
         assert values[0][1] == 6.0
         assert values[1][1] == 1.0
@@ -239,7 +248,7 @@ class TestRecordSemantics:
     def test_xor_flag_set_within_block(self):
         src = ("int main(){ char x = nondet_char();"
                " bool b = (x ^ 5) == 0; return 0; }")
-        assert run(src, b"\x05").trace[0].xor_flag is True
+        assert run(src, b"\x05").trace[0][XOR_FLAG] is True
 
     def test_xor_flag_cleared_by_branch(self):
         src = """
@@ -251,8 +260,8 @@ class TestRecordSemantics:
         }
         """
         result = run(src, b"\x02")
-        assert result.trace[0].xor_flag is True   # condition after the xor
-        assert result.trace[1].xor_flag is False  # branch cleared the flag
+        assert result.trace[0][XOR_FLAG] is True   # condition after the xor
+        assert result.trace[1][XOR_FLAG] is False  # branch cleared the flag
 
     def test_xor_flag_cleared_by_call(self):
         src = """
@@ -265,7 +274,7 @@ class TestRecordSemantics:
         }
         """
         result = run(src, b"\x08")
-        assert result.trace[0].xor_flag is False
+        assert result.trace[0][XOR_FLAG] is False
 
     def test_calling_context_distinguishes_sites(self):
         src = """
@@ -281,8 +290,8 @@ class TestRecordSemantics:
         result = run(src, b"\x01\x00\x00\x00\xff\xff\xff\xff")
         assert len(result.trace) == 2
         first, second = result.trace
-        assert first.id.uid == second.id.uid
-        assert first.id.ctx != second.id.ctx
+        assert first[ID].uid == second[ID].uid
+        assert first[ID].ctx != second[ID].ctx
         assert result.termination == TerminationKind.CRASH
 
     def test_context_depth_cap_stabilizes_hash(self):
@@ -292,8 +301,8 @@ class TestRecordSemantics:
         int main() { int r = down(40); return r; }
         """
         result = run(src)
-        contexts = [r.id.ctx for r in result.trace
-                    if r.id.uid == 1]
+        contexts = [r[ID].ctx for r in result.trace
+                    if r[ID].uid == 1]
         # frames beyond the cap stop changing the hash
         assert len(set(contexts[33:])) == 1
         assert len(set(contexts[:8])) == 8
@@ -303,8 +312,8 @@ class TestRecordSemantics:
                " bool b = d < 1.5; return 0; }")
         raw = bytes.fromhex("000000000000f87f")  # a quiet NaN
         rec = run(src, raw).trace[0]
-        assert rec.value == math.inf
-        assert rec.direction is False
+        assert rec[VALUE] == math.inf
+        assert rec[DIRECTION] is False
 
     def test_float_overflow_rounds_to_infinity(self):
         src = ("int main(){ float f = nondet_float();"
@@ -314,22 +323,22 @@ class TestRecordSemantics:
         data = struct.pack("<fd", 3e38, -1e300)
         result = run(src, data)
         assert result.termination == TerminationKind.NORMAL
-        g, n = (rec.value for rec in result.trace)
+        g, n = (rec[VALUE] for rec in result.trace)
         assert g == math.inf and n == -math.inf
 
     def test_unsigned_char_semantics(self):
         src = ("int main(){ char x = nondet_char();"
                " bool b = (x ^ 0xA5) == 0; return 0; }")
         result = run(src, b"\xa5")
-        assert result.trace[0].direction is True
-        assert result.trace[0].value == 0.0
+        assert result.trace[0][DIRECTION] is True
+        assert result.trace[0][VALUE] == 0.0
 
     def test_signed_wraparound(self):
         src = ("int main(){ schar x = nondet_schar();"
                " bool b = x < 0; return 0; }")
         rec = run(src, b"\x80").trace[0]
-        assert rec.value == -128.0
-        assert rec.direction is True
+        assert rec[VALUE] == -128.0
+        assert rec[DIRECTION] is True
 
     def test_shift_and_mask_swap(self):
         src = """
@@ -341,8 +350,8 @@ class TestRecordSemantics:
           return 0;
         }
         """
-        assert run(src, b"\x04").trace[0].direction is True
-        assert run(src, b"\x0a").trace[0].value == -1.0
+        assert run(src, b"\x04").trace[0][DIRECTION] is True
+        assert run(src, b"\x0a").trace[0][VALUE] == -1.0
 
 
 class TestDeterminism:

@@ -16,23 +16,24 @@ from gradfuzz.strategy import (
     su_key,
 )
 from gradfuzz.target_abi import (
-    ConditionRecord,
+    NBYTES,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
+    condition_record,
 )
 from helpers import ScriptedRng, chain_from_uids, oracle_detect_loops
 
 
 def record(uid, direction, value, nbytes=1, ctx=0):
-    return ConditionRecord(ExecutionId(uid, ctx), direction, value, False,
-                           nbytes)
+    return condition_record(ExecutionId(uid, ctx), direction, value, False,
+                            nbytes)
 
 
 def map_all(tree, traces, termination=TerminationKind.NORMAL):
     for i, trace in enumerate(traces):
-        n = max(r.nbytes for r in trace)
+        n = max(r[NBYTES] for r in trace)
         tree.map_trace(ExecutionResult(
             termination, bytes(n), (TypeTag.UINT8,) * n, tuple(trace)), i)
 
@@ -367,7 +368,7 @@ class TestSelectAnalysis:
 
     def test_xor_flag_routes_to_plain_minimization(self):
         tree = ExecTree()
-        trace = (ConditionRecord(ExecutionId(1, 0), True, 5.0, True, 1),)
+        trace = (condition_record(ExecutionId(1, 0), True, 5.0, True, 1),)
         tree.map_trace(ExecutionResult(TerminationKind.NORMAL, b"\x00",
                                        (TypeTag.UINT8,), trace), 0)
         node = tree.root
