@@ -86,9 +86,12 @@ def cmd_fuzz(args) -> int:
     program = _load_target(args.target)
     options = FuzzOptions(limits=_limits(args), fill_byte=args.fill_byte,
                           seed=args.seed)
-    budget = FuzzBudget(max_executions=args.max_executions,
-                        max_seconds=args.max_seconds)
-    executor = RemoteExecutor(args.remote) if args.remote else None
+    try:
+        budget = FuzzBudget(max_executions=args.max_executions,
+                            max_seconds=args.max_seconds)
+        executor = RemoteExecutor(args.remote) if args.remote else None
+    except (ValueError, TransportError) as exc:
+        raise SystemExit(f"error: {exc}")
     try:
         suite, stats = run_fuzzing(program, budget, options,
                                    executor=executor)
@@ -149,7 +152,11 @@ def cmd_report(args) -> int:
 
 def cmd_serve(args) -> int:
     program = _load_target(args.target)
-    server = TargetServer(program, _limits(args), args.host, args.port)
+    try:
+        server = TargetServer(program, _limits(args), args.host, args.port)
+    except (OverflowError, OSError) as exc:  # a port out of range, or busy
+        raise SystemExit(f"error: cannot serve on {args.host}:{args.port}: "
+                         f"{exc}")
     host, port = server.address
     print(f"serving {args.target} on {host}:{port}", flush=True)
     try:

@@ -1,12 +1,12 @@
 """Target executors: in-process interpreter and the framed TCP protocol.
 
 A remote serving process speaks the wire format from ``target_abi``: it
-reads one config frame, validates it against its own limits, executes the
-target, and answers with one result frame on the same connection.  A
-config it rejects is answered with an error frame carrying the reason,
-and the connection is dropped.  From the engine's side only the
-communication medium differs; results must be byte-identical to local
-execution.
+reads one config frame, checks its caps against its own limits (the one
+place caps are checked), executes the target, and answers with one
+result frame on the same connection.  A config it rejects is answered
+with an error frame carrying the reason, and the connection is dropped.
+From the engine's side only the communication medium differs; results
+must be byte-identical to local execution.
 
 Each side of a connection keeps one previous trace: the trace of the
 last result sent (server) or decoded (client) on it.  Result frames are
@@ -24,6 +24,7 @@ from typing import Optional
 
 from .minivm import Program, VmLimits, execute
 from .target_abi import (
+    _CAPS,
     _MAX_PAYLOAD,
     KIND_CONFIG,
     DecodeError,
@@ -39,17 +40,12 @@ class TransportError(Exception):
 
 
 class LocalExecutor:
-    def __init__(self, program: Program, limits: VmLimits):
+    # callers of the old (program, limits) form still pass caps: ignored
+    def __init__(self, program: Program, _limits: object = None):
         self.program = program
-        self.limits = limits
 
     def __call__(self, config: ExecutionConfig) -> ExecutionResult:
-        return execute(self.program, config, self.limits)
-
-    def scaled(self, trace: int, stack: int, input: int,
-               steps: int) -> "LocalExecutor":
-        return LocalExecutor(self.program,
-                             self.limits.scaled(trace, stack, input, steps))
+        return execute(self.program, config)
 
     def close(self) -> None:
         pass
@@ -78,10 +74,12 @@ class RemoteExecutor:
 
     def __init__(self, endpoint: "tuple[str, int] | str",
                  timeout: float = 30.0):
-        if isinstance(endpoint, str):
-            host, _, port = endpoint.rpartition(":")
-            endpoint = (host or "127.0.0.1", int(port))
-        self.endpoint = endpoint
+        host, port = (endpoint.rpartition(":")[::2]
+                      if isinstance(endpoint, str) else endpoint)
+        if not (str(port).isdigit() and 1 <= int(port) <= 65535):
+            raise TransportError(f"bad endpoint {endpoint!r}: the port must "
+                                 f"be an integer from 1 to 65535")
+        self.endpoint = (host or "127.0.0.1", int(port))
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._previous: tuple = ()
@@ -117,11 +115,6 @@ class RemoteExecutor:
             raise TransportError("expected a result frame")
         self._previous = message.trace
         return message
-
-    def scaled(self, trace: int, stack: int, input: int,
-               steps: int) -> "RemoteExecutor":
-        # configs carry all four scaled caps, the step budget among them
-        return self
 
     def close(self) -> None:
         self._previous = ()
@@ -159,7 +152,12 @@ class TargetServer:
                         return  # protocol violation: drop the connection
                     try:
                         config = wire_decode(frame)
-                        result = execute(outer.program, config, outer.limits)
+                        for name in _CAPS:
+                            cap = getattr(outer.limits, name)
+                            if getattr(config, name) > cap:
+                                raise ValueError(f"config {name} exceeds "
+                                                 f"executor limit {cap}")
+                        result = execute(outer.program, config)
                     except ValueError as exc:  # DecodeError among them
                         self.request.sendall(wire_encode(str(exc)))
                         return

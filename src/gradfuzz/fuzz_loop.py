@@ -16,14 +16,16 @@ coverage.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .exec_tree import EdgeLabel, ExecTree, MapReport, coverage_summary
+from .executors import LocalExecutor
 from .generators import AnalysisKind, sensitivity_mutations
-from .minivm import Program, VmLimits
+from .minivm import Program, VmLimits, execute
 from .strategy import Strategy
 from .target_abi import ExecutionResult, TerminationKind, TypeTag
 
@@ -46,6 +48,10 @@ class FuzzBudget:
     def __post_init__(self) -> None:
         if self.max_executions is None and self.max_seconds is None:
             raise ValueError("at least one budget bound must be set")
+        if self.max_executions is not None and self.max_executions < 1:
+            raise ValueError("max_executions must be at least 1")
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError("max_seconds must not be negative")
 
 
 @dataclass
@@ -141,14 +147,10 @@ class FuzzEngine:
 
     def __init__(self, program: Program, budget: FuzzBudget,
                  options: FuzzOptions, executor=None, rng=None):
-        import random
-
-        from .executors import LocalExecutor
-
         self.program = program
         self.budget = budget
         self.options = options
-        self.executor = executor or LocalExecutor(program, options.limits)
+        self.executor = executor or LocalExecutor(program)
         self.rng = rng or random.Random(options.seed)
         self.tree = ExecTree()
         self.strategy = Strategy(self.tree, self.rng)
@@ -209,10 +211,11 @@ class FuzzEngine:
                 return step
             self._finish_session()
 
-    def _execute(self, executor, limits: VmLimits, input_bytes: bytes,
+    def _execute(self, limits: VmLimits, input_bytes: bytes,
                  kind: str) -> tuple[ExecutionResult, MapReport, int]:
-        """Run one input, count it, and map its trace onto the tree."""
-        result = executor(limits.config(self.options.fill_byte, input_bytes))
+        """Run one input under these caps, count it, and map its trace."""
+        result = self.executor(limits.config(self.options.fill_byte,
+                                             input_bytes))
         iteration = self.iteration
         self.iteration += 1
         self.stats.iterations = self.iteration
@@ -223,7 +226,7 @@ class FuzzEngine:
     def _execute_and_process(self, input_bytes: bytes,
                              kind: str) -> ExecutionResult:
         result, report, iteration = self._execute(
-            self.executor, self.options.limits, input_bytes, kind)
+            self.options.limits, input_bytes, kind)
         keep = (iteration == 0
                 or result.termination == TerminationKind.CRASH
                 or bool(report.new_pairs))
@@ -269,11 +272,10 @@ class FuzzEngine:
 
     # -- optimizer ------------------------------------------------------------
 
-    def optimize_suite(self) -> TestSuite:
+    def optimize_suite(self) -> None:
         """Re-run boundary-violating tests with highly extended limits;
         keep re-reads that add coverage and differ from the original.
         Stops once the time budget has run out."""
-        executor = self.executor.scaled(**OPTIMIZER_SCALE)
         limits = optimizer_limits(self.options.limits)
         for test in list(self.suite.tests):
             if self._past_deadline():
@@ -283,14 +285,13 @@ class FuzzEngine:
             if test.extended_limits:
                 continue
             result, report, iteration = self._execute(
-                executor, limits, test.input_bytes, _OPTIMIZER)
+                limits, test.input_bytes, _OPTIMIZER)
             if (report.new_pairs
                     and result.bytes_read != test.input_bytes
                     and result.bytes_read not in self._kept_inputs):
                 self._kept_inputs.add(result.bytes_read)
                 self.suite.tests.append(self._test_case(
                     result, report, iteration, extended=True))
-        return self.suite
 
 
 def _observed_pairs(trace) -> tuple[list[tuple[int, bool]],
@@ -380,8 +381,6 @@ def load_manifest(outdir: "Path | str") -> dict:
 def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
     """Re-execute every manifest test and verify terminations, observed
     pairs, and the coverage summary; (ok, first divergence)."""
-    from .executors import LocalExecutor
-
     manifest = load_manifest(outdir)
     base = VmLimits(**manifest["limits"])
     extended = base.scaled(**manifest["optimizer_scale"])
@@ -390,8 +389,8 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
     for entry in manifest["tests"]:
         input_bytes = bytes.fromhex(entry["input"])
         limits = extended if entry["extended_limits"] else base
-        result = LocalExecutor(program, limits)(
-            limits.config(manifest["fill_byte"], input_bytes))
+        result = execute(program,
+                         limits.config(manifest["fill_byte"], input_bytes))
         if result.termination.name != entry["termination"]:
             return False, (f"{entry['file']}: termination "
                            f"{result.termination.name} != "

@@ -14,10 +14,10 @@ deep for one Python function (CPython allows 20 nested loops) becomes a
 nested function sharing the locals as ``nonlocal``.
 
 Every execution is a pure function of (program, config): it runs to the
-four caps the config carries, each checked first against the executor's
-limits.  It yields an ExecutionResult carrying the bytes read, one type
-tag per read call, and one condition record per evaluated Boolean
-instruction, built as a plain tuple display (no Python call per record):
+four caps the config carries, unchecked (a serving process checks them).
+It yields an ExecutionResult carrying the bytes read, one type tag per
+read call, and one condition record per evaluated Boolean instruction,
+built as a plain tuple display (no Python call per record):
 
 * comparison sites record ``(double)l - (double)r`` of the converted
   operands,
@@ -71,7 +71,7 @@ from .parser import (
 
 @dataclass(frozen=True)
 class VmLimits:
-    """Executor-side caps; configs above them are rejected, and the step
+    """The caps the engine asks for and the caps a server admits; the step
     budget stands in for a wall-clock timeout."""
 
     max_trace_length: int = 10_000
@@ -84,8 +84,8 @@ class VmLimits:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def scaled(self, trace: int = 1, stack: int = 1, input: int = 1,
-               steps: int = 1) -> "VmLimits":
+    def scaled(self, trace: int, stack: int, input: int,
+               steps: int) -> "VmLimits":
         return VmLimits(self.max_trace_length * trace,
                         self.max_stack_size * stack,
                         self.max_input_bytes * input,
@@ -648,14 +648,9 @@ _STOPS = {_Crash: TerminationKind.CRASH,
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
 
 
-def execute(program: Program, config: ExecutionConfig,
-            limits: VmLimits) -> ExecutionResult:
+def execute(program: Program, config: ExecutionConfig) -> ExecutionResult:
     """Run the program on the config's input; always terminates.  The
     program is compiled on its first execution."""
-    for name in _CAPS:
-        cap = getattr(limits, name)
-        if getattr(config, name) > cap:
-            raise ValueError(f"config {name} exceeds executor limit {cap}")
     entry = program.compiled
     if entry is None:
         entry = program.compiled = _Emitter(program).entry

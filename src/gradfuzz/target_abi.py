@@ -8,8 +8,8 @@ the FNV-1a calling-context hash, and the framed wire format.
 ``TypeTag`` holds the one table of typed values: how a typed read's bytes
 pack and unpack, and the integers they can hold.  An execution config
 carries all four caps of a run (trace length, stack size, input bytes and
-the step budget); an executor runs to them after checking each against
-its own.
+the step budget), and an executor runs to them.  Only a serving process
+checks them, against its own, since its configs come from outside.
 
 An execution id is a named tuple ``(uid, ctx)``: one is hashed or
 compared on every trace record the tree maps, and tuples do both in C.

@@ -62,13 +62,6 @@ LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)
 
 
-def config_for(data: bytes, fill: int = 0,
-               limits: VmLimits = LIMITS) -> ExecutionConfig:
-    return ExecutionConfig(limits.max_trace_length, limits.max_stack_size,
-                           limits.max_input_bytes, limits.step_budget, fill,
-                           data)
-
-
 class CountingExecutor:
     def __init__(self, program, limits: VmLimits = LIMITS, fill: int = 0):
         self.program = program
@@ -78,8 +71,7 @@ class CountingExecutor:
 
     def __call__(self, data: bytes):
         self.count += 1
-        return execute(self.program, config_for(data, self.fill,
-                                                self.limits), self.limits)
+        return execute(self.program, self.limits.config(self.fill, data))
 
 
 def bootstrap_tree(source: str, inputs=(b"",), fill: int = 0):

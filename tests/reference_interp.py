@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import struct
 
-from gradfuzz.minivm import VmLimits
 from gradfuzz.minivm.parser import (
     BOOL, F32, F64, TYPE_TAGS, VOID,
     AbortStmt, Assign, Binary, Block, BoolLit, Call, Cast, Decl, ExprStmt,
@@ -370,15 +369,8 @@ class _Evaluator:
         return result
 
 
-def execute(program: Program, config: ExecutionConfig,
-            limits: VmLimits) -> ExecutionResult:
+def execute(program: Program, config: ExecutionConfig) -> ExecutionResult:
     """Run the program on the config's input; always terminates."""
-    for name, cap in (("max_trace_length", limits.max_trace_length),
-                      ("max_stack_size", limits.max_stack_size),
-                      ("max_input_bytes", limits.max_input_bytes),
-                      ("step_budget", limits.step_budget)):
-        if getattr(config, name) > cap:
-            raise ValueError(f"config {name} exceeds executor limit {cap}")
     state = _RunState(program, config)
     evaluator = _Evaluator(state)
     try:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_interp
-from helpers import config_for, random_wire_config, random_wire_result
+from helpers import random_wire_config, random_wire_result
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
 from gradfuzz.minivm import VmLimits, execute, parse_program
@@ -404,14 +404,12 @@ class TestDeltaFrames:
         program = parse_program(source.read_text())
         limits = VmLimits()
         base_input = random.Random(4).randbytes(82)
-        base = execute(program, config_for(base_input, limits=limits),
-                       limits)
+        base = execute(program, limits.config(0, base_input))
         assert len(base.trace) == 166
         for bit in range(8 * len(base_input)):
             data = bytearray(base_input)
             flip_bit(data, bit)
-            flipped = execute(program, config_for(bytes(data),
-                                                   limits=limits), limits)
+            flipped = execute(program, limits.config(0, bytes(data)))
             frame = wire_encode(flipped, base.trace)
             # m, b and c follow the frame head (5 bytes), the termination
             # and the 82 bytes read (5 + 82) and the 82 tags (4 + 82)
@@ -444,12 +442,11 @@ class TestRecordRepresentation:
             program = parse_program(source)
             sent = decoded = ()
             for _ in range(8):
-                config = config_for(rng.randbytes(rng.randrange(48)),
-                                    limits=limits)
-                result = execute(program, config, limits)
+                config = limits.config(0, rng.randbytes(rng.randrange(48)))
+                result = execute(program, config)
                 assert_plain_records(result.trace)
                 assert_plain_records(
-                    reference_interp.execute(program, config, limits).trace)
+                    reference_interp.execute(program, config).trace)
                 assert_plain_records(wire_decode(wire_encode(result)).trace)
                 decoded = wire_decode(wire_encode(result, sent),
                                       decoded).trace

@@ -228,7 +228,7 @@ def test_criterion_09_determinism_and_replay(tmp_path):
 def test_criterion_10_remote_protocol_equivalence():
     program = parse_program(bench("sensitivity_pair.mc"))
     limits = VmLimits(1000, 64, 512, 200_000)
-    local = LocalExecutor(program, limits)
+    local = LocalExecutor(program)
     server = TargetServer(program, limits)
     server.start()
     try:
@@ -260,12 +260,11 @@ def test_criterion_10_remote_protocol_equivalence():
 def test_criterion_11_boolean_expression_coverage():
     program = parse_program(bench("four_branch.mc"))
     limits = VmLimits(1000, 64, 256, 200_000)
-    executor = LocalExecutor(program, limits)
+    executor = LocalExecutor(program)
     tree = ExecTree()
     for i, (x, y) in enumerate(((0, 0), (1, 1))):
         data = x.to_bytes(4, "little") + y.to_bytes(4, "little")
-        config = ExecutionConfig(1000, 64, 256, 200_000, 0, data)
-        tree.map_trace(executor(config), i)
+        tree.map_trace(executor(limits.config(0, data)), i)
     # uids in source order: 1 = x==1, 2 = y==1, then the three branch
     # conditions 3, 4, 5
     assert uid_covered(tree, 1)

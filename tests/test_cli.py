@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -140,3 +141,40 @@ def test_non_positive_limit_exits_with_message(tmp_path, command, flag,
                    flag, value)
     assert_error_exit(done, flag[2:].replace("-", "_") + " must be positive")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("endpoint", ["nonsense", "127.0.0.1:99999"])
+def test_bad_remote_endpoint_exits_with_message(tmp_path, endpoint):
+    # 99999 must not wrap round to port 34463 (99999 mod 65536)
+    done = run_cli("fuzz", "-t", str(BENCH / "magic_equal.mc"),
+                   "-o", str(tmp_path / "out"), "--remote", endpoint)
+    assert_error_exit(done, f"bad endpoint '{endpoint}': the port must be "
+                            f"an integer from 1 to 65535")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--max-executions", "0", "max_executions must be at least 1"),
+    ("--max-executions", "-3", "max_executions must be at least 1"),
+    ("--max-seconds", "-1", "max_seconds must not be negative"),
+])
+def test_non_positive_budget_exits_with_message(tmp_path, flag, value,
+                                                reason):
+    done = run_cli("fuzz", "-t", str(BENCH / "magic_equal.mc"),
+                   "-o", str(tmp_path / "out"), flag, value)
+    assert_error_exit(done, reason)
+    assert not (tmp_path / "out").exists()
+
+
+def test_serve_on_a_port_out_of_range_exits_with_message():
+    done = run_cli("serve", "-t", str(BENCH / "magic_equal.mc"),
+                   "--port", "70000")
+    assert_error_exit(done, "cannot serve on 127.0.0.1:70000")
+
+
+def test_serve_on_a_busy_port_exits_with_message():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+        done = run_cli("serve", "-t", str(BENCH / "magic_equal.mc"),
+                       "--port", str(port))
+    assert_error_exit(done, f"cannot serve on 127.0.0.1:{port}")

@@ -6,19 +6,20 @@ The many-seed run is marked ``slow``; run it with ``pytest -m slow``.
 """
 import random
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import reference_interp
 from gradfuzz.fuzz_loop import (
-    OPTIMIZER_SCALE,
     FuzzBudget,
     FuzzOptions,
+    optimizer_limits,
     run_fuzzing,
 )
 from gradfuzz.minivm import VmLimits, execute, parse_program
-from gradfuzz.target_abi import ExecutionConfig, TerminationKind, wire_encode
+from gradfuzz.target_abi import TerminationKind, wire_encode
 from test_robustness import gen_program
 
 ROOT = Path(__file__).parent.parent
@@ -29,40 +30,26 @@ LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)
 
 
-def assert_same(program, config, limits):
-    compiled = execute(program, config, limits)
-    reference = reference_interp.execute(program, config, limits)
+def assert_same(program, config):
+    compiled = execute(program, config)
+    reference = reference_interp.execute(program, config)
     assert wire_encode(compiled) == wire_encode(reference), (
-        f"{config} under {limits}: {compiled.termination.name} with "
+        f"{config}: {compiled.termination.name} with "
         f"{len(compiled.trace)} records, reference "
         f"{reference.termination.name} with {len(reference.trace)}")
     return compiled
 
 
-def config_for(data, limits=LIMITS, fill=0, trace=None, stack=None,
-               input=None):
-    return ExecutionConfig(
-        limits.max_trace_length if trace is None else trace,
-        limits.max_stack_size if stack is None else stack,
-        limits.max_input_bytes if input is None else input,
-        limits.step_budget, fill, data)
-
-
 class DifferentialExecutor:
     """Executor that runs every config on both interpreters."""
 
-    def __init__(self, program, limits):
+    def __init__(self, program):
         self.program = program
-        self.limits = limits
         self.executions = 0
 
     def __call__(self, config):
         self.executions += 1
-        return assert_same(self.program, config, self.limits)
-
-    def scaled(self, trace, stack, input, steps):
-        return DifferentialExecutor(
-            self.program, self.limits.scaled(trace, stack, input, steps))
+        return assert_same(self.program, config)
 
     def close(self):
         pass
@@ -70,7 +57,7 @@ class DifferentialExecutor:
 
 def fuzz_both(source, seed, executions, limits=LIMITS):
     """Fuzz with every execution checked, optimizer phase included."""
-    executor = DifferentialExecutor(parse_program(source), limits)
+    executor = DifferentialExecutor(parse_program(source))
     run_fuzzing(executor.program, FuzzBudget(max_executions=executions),
                 FuzzOptions(limits=limits, seed=seed), executor=executor)
     assert executor.executions > 0
@@ -358,12 +345,12 @@ def edge_inputs(name, rng):
 def test_edge_targets(name):
     program = parse_program(EDGE_TARGETS[name])
     rng = random.Random(name)
-    limits = (VmLimits().scaled(**OPTIMIZER_SCALE) if name == "recursion"
+    limits = (optimizer_limits(VmLimits()) if name == "recursion"
               else VmLimits(1000, 64, 512,
                             20_000 if name in LONG_TARGETS else 5_000))
     for data in edge_inputs(name, rng):
         for fill in (0, 85):
-            assert_same(program, config_for(data, limits, fill), limits)
+            assert_same(program, limits.config(fill, data))
 
 
 # inputs that run each edge target to its end (spin's at the trace cap)
@@ -390,9 +377,9 @@ def run_length(program, data):
     """The least step budget the run on ``data`` ends within (bisected:
     a larger budget only lets a run go further)."""
     def times_out(budget):
-        limits = VmLimits(1000, 64, 512, budget)
-        return execute(program, config_for(data, limits), limits
-                       ).termination == TerminationKind.TIMEOUT
+        config = VmLimits(1000, 64, 512, budget).config(0, data)
+        return execute(program, config).termination == \
+            TerminationKind.TIMEOUT
 
     lo, hi = 0, 1_000_000
     assert not times_out(hi)
@@ -405,9 +392,8 @@ def run_length(program, data):
 def check_budgets(name, budgets):
     program = parse_program(EDGE_TARGETS[name])
     for budget in budgets:
-        limits = VmLimits(1000, 64, 512, budget)
-        assert_same(program, config_for(FULL_RUN_INPUTS[name], limits),
-                    limits)
+        assert_same(program, VmLimits(1000, 64, 512, budget).config(
+            0, FULL_RUN_INPUTS[name]))
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
@@ -439,11 +425,14 @@ def test_tiny_boundaries(name):
     limits = VmLimits(1000, 64, 512, 5_000)
     for data in edge_inputs(name, rng)[:8]:
         for size in range(1, 6):
-            for config in (config_for(data[:size], limits, trace=size,
-                                      input=size),
-                           config_for(data, limits, stack=size),
-                           config_for(b"", limits, input=size - 1, fill=85)):
-                assert_same(program, config, limits)
+            for config in (replace(limits.config(0, data[:size]),
+                                   max_trace_length=size,
+                                   max_input_bytes=size),
+                           replace(limits.config(0, data),
+                                   max_stack_size=size),
+                           replace(limits.config(85, b""),
+                                   max_input_bytes=size - 1)):
+                assert_same(program, config)
 
 
 @pytest.mark.parametrize("path", TARGETS, ids=lambda p: p.stem)
@@ -454,8 +443,8 @@ def test_corpus_targets_random_inputs(path):
     inputs += [b"\x7fELF" + data for data in inputs[:30]]
     for data in inputs:
         for limits in (LIMITS, VmLimits(30, 3, 16, 400)):
-            assert_same(program, config_for(data[:limits.max_input_bytes],
-                                            limits), limits)
+            assert_same(program,
+                        limits.config(0, data[:limits.max_input_bytes]))
 
 
 @pytest.mark.parametrize("path", TARGETS, ids=lambda p: p.stem)

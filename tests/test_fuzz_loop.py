@@ -3,6 +3,7 @@ import random
 import socket
 import struct
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from gradfuzz.fuzz_loop import (
     run_fuzzing,
     save_suite,
 )
-from gradfuzz.minivm import VmLimits, parse_program
+from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
+    _CAPS,
     _MAX_PAYLOAD,
     KIND_RESULT,
     ExecutionConfig,
@@ -353,6 +355,22 @@ class TestOptimizer:
         assert stats.executions_by_kind["optimizer"] > 0
         assert not any(t.extended_limits for t in suite.tests)
 
+    def test_a_plain_function_executor_runs_the_optimizer(self, tmp_path):
+        """An executor is a callable on configs: the optimizer's extended
+        configs go to the same callable as every other."""
+        program = parse_program(FIXED_LOOP)
+        options = small_options(seed=0, max_trace_length=20)
+        budget = FuzzBudget(max_executions=50)
+        runs = {"default": run_fuzzing(program, budget, options),
+                "function": run_fuzzing(
+                    program, budget, options,
+                    executor=lambda config: execute(program, config))}
+        for name, (suite, stats) in runs.items():
+            assert stats.executions_by_kind["optimizer"] > 0
+            save_suite(tmp_path / name, suite, stats, options)
+        assert (tmp_path / "default/manifest.json").read_bytes() == \
+            (tmp_path / "function/manifest.json").read_bytes()
+
     def test_no_rerun_after_deadline(self):
         program = parse_program(FIXED_LOOP)
         options = small_options(seed=0, max_trace_length=20)
@@ -384,7 +402,7 @@ class TestRemote:
 
     def test_matches_local_on_random_configs(self, served):
         program, limits, address = served
-        local = LocalExecutor(program, limits)
+        local = LocalExecutor(program)
         rng = random.Random(0)
         with RemoteExecutor(address) as remote:
             for _ in range(100):
@@ -451,7 +469,7 @@ class TestRemote:
             # the executor reconnects for the next call
             config = ExecutionConfig(100, 16, 16, 1000, 0, b"\x01")
             assert wire_encode(remote(config)) == \
-                wire_encode(LocalExecutor(program, limits)(config))
+                wire_encode(LocalExecutor(program)(config))
 
     def test_fuzzing_via_remote_matches_local(self, served, tmp_path):
         program, limits, address = served
@@ -495,14 +513,14 @@ class TestStepBudget:
         program, address = served
         limits = VmLimits(step_budget=1000)
         config = limits.config(0, b"")
-        local = LocalExecutor(program, limits)(config)
+        local = LocalExecutor(program)(config)
         assert local.termination == TerminationKind.TIMEOUT
         assert 0 < len(local.trace) < 2000
         with RemoteExecutor(address) as remote:
             assert wire_encode(remote(config)) == wire_encode(local)
         # the server's own budget lets the same input reach the guard
         full = optimizer_limits(VmLimits())
-        assert LocalExecutor(program, full)(
+        assert LocalExecutor(program)(
             full.config(0, b"")).termination == TerminationKind.CRASH
 
     def test_fuzzing_via_remote_honours_the_step_budget(self, served,
@@ -520,16 +538,23 @@ class TestStepBudget:
         assert (tmp_path / "local/manifest.json").read_bytes() == \
             (tmp_path / "remote/manifest.json").read_bytes()
 
-    def test_config_above_the_servers_step_cap_drops_the_link(self):
+    @pytest.mark.parametrize("cap", _CAPS)
+    def test_config_above_a_servers_cap_drops_the_link(self, cap):
         program = parse_program(LONG_LOOP)
-        server = TargetServer(program, VmLimits(step_budget=1000))
+        limits = VmLimits(step_budget=1000)
+        server = TargetServer(program, limits)
         server.start()
+        config = limits.config(0, b"")
+        above = replace(limits, **{cap: getattr(limits, cap) + 1})
         try:
             with RemoteExecutor(server.address) as remote:
-                within = remote(VmLimits(step_budget=1000).config(0, b""))
-                assert within.termination == TerminationKind.TIMEOUT
-                with pytest.raises(TransportError, match="step_budget"):
-                    remote(VmLimits(step_budget=1001).config(0, b""))
+                with pytest.raises(TransportError,
+                                   match=f"config {cap} exceeds executor "
+                                         f"limit {getattr(limits, cap)}"):
+                    remote(above.config(0, b""))
+                # the next call, within the caps, runs as it does locally
+                assert wire_encode(remote(config)) == \
+                    wire_encode(execute(program, config))
         finally:
             server.stop()
 
@@ -539,7 +564,7 @@ class TestStepBudget:
         server = TargetServer(program, limits)
         server.start()
         config = limits.config(0, b"")
-        local = LocalExecutor(program, limits)(config)
+        local = LocalExecutor(program)(config)
         try:
             with RemoteExecutor(server.address) as remote:
                 # the first result leaves a previous trace on both ends
@@ -550,9 +575,3 @@ class TestStepBudget:
                 assert wire_encode(remote(config)) == wire_encode(local)
         finally:
             server.stop()
-
-    def test_execute_rejects_a_budget_above_the_executors(self):
-        program = parse_program(LONG_LOOP)
-        with pytest.raises(ValueError, match="step_budget"):
-            LocalExecutor(program, VmLimits(step_budget=1000))(
-                VmLimits(step_budget=1001).config(0, b""))

@@ -26,14 +26,8 @@ LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)
 
 
-def run(src, data=b"", fill=0, limits=LIMITS, config=None):
-    program = parse_program(src)
-    if config is None:
-        config = ExecutionConfig(limits.max_trace_length,
-                                 limits.max_stack_size,
-                                 limits.max_input_bytes, limits.step_budget,
-                                 fill, data)
-    return execute(program, config, limits)
+def run(src, data=b"", fill=0, limits=LIMITS):
+    return execute(parse_program(src), limits.config(fill, data))
 
 
 # runs a target recursing 40,000 calls deep under caps that admit it
@@ -44,8 +38,7 @@ program = parse_program(
     "int main() { int n = nondet_int(); return r(n); }")
 limits = VmLimits(max_trace_length=10 ** 6, max_stack_size=100_000,
                   step_budget=10 ** 8)
-result = execute(program, limits.config(0, (40_000).to_bytes(4, "little")),
-                 limits)
+result = execute(program, limits.config(0, (40_000).to_bytes(4, "little")))
 print(result.termination.name)
 """
 
@@ -169,7 +162,7 @@ class TestExecute:
         }
         """
         config = ExecutionConfig(10, 64, 512, LIMITS.step_budget, 0, b"")
-        result = execute(parse_program(src), config, LIMITS)
+        result = execute(parse_program(src), config)
         assert result.termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
         assert len(result.trace) == 10
@@ -177,7 +170,7 @@ class TestExecute:
     def test_input_limit_boundary_violation(self):
         src = "int main(){ long a = nondet_long(); return 0; }"
         config = ExecutionConfig(100, 64, 4, LIMITS.step_budget, 0, b"")
-        result = execute(parse_program(src), config, LIMITS)
+        result = execute(parse_program(src), config)
         assert result.termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
         assert result.bytes_read == b""
