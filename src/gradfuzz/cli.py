@@ -93,6 +93,15 @@ def cmd_fuzz(args) -> int:
     except (ValueError, TransportError) as exc:
         raise SystemExit(f"error: {exc}")
     try:
+        # made before fuzzing, so a path that cannot hold the suite does
+        # not cost the campaign
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        if executor is not None:
+            executor.close()
+        raise SystemExit(f"error: cannot write the suite to {args.out}: "
+                         f"{exc}")
+    try:
         suite, stats = run_fuzzing(program, budget, options,
                                    executor=executor)
     except TransportError as exc:
@@ -116,6 +125,8 @@ def cmd_replay(args) -> int:
         ok, divergence = replay_suite(program, args.suite)
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
+    except ValueError as exc:  # a manifest that is not JSON, or bad limits
+        raise SystemExit(f"error: bad manifest in {args.suite}: {exc}")
     if ok:
         print("replay ok")
         return 0
@@ -128,7 +139,10 @@ def cmd_report(args) -> int:
     if not stats_path.exists():
         raise SystemExit(f"error: no stats document at {stats_path}")
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    manifest = load_manifest(args.suite)
+    try:
+        manifest = load_manifest(args.suite)
+    except FileNotFoundError as exc:
+        raise SystemExit(f"error: {exc}")
     cov = manifest["coverage"]
     print(f"seed:            {stats['seed']}")
     print(f"iterations:      {stats['iterations']}")

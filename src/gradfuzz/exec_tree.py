@@ -4,7 +4,16 @@ Each node corresponds to one evaluation position of a Boolean instruction
 along a path; the edge labels form the lattice NOT_VISITED <
 END_EXCEPTIONAL < END_NORMAL < VISITED and only ever increase.  Every node
 keeps the best (input, tags, trace) triple seen so far, where "best"
-minimizes the sum of squared branching values over the path prefix.
+minimizes the sum of squared branching values over the path prefix; a
+new node starts with the trace that created it, at infinite weight.
+
+A node's two labels are one immutable pair of plain ints (the
+``EdgeLabel`` values, which compare equal to them), rebound when a
+label rises and never changed in place.  Every new node shares one
+unlabelled pair.  A tuple of ints holds no reference the cyclic
+collector must follow, so the collector stops tracking it, while a list
+per node (or a tuple of ``IntEnum`` members) would be traversed by every
+full collection of a tree of thousands of nodes.
 
 Mapping is the per-record hot loop of the engine, so it leans on two
 invariants instead of re-checking them per record: an edge's successor
@@ -13,7 +22,9 @@ VISITED is the top of the lattice), and ``nbytes`` never decreases along
 a trace (``ExecutionResult`` rejects one that does), so the tree's
 ``max_nbytes`` is taken from each trace's last record.  A node's
 ``sensitive_bits`` is an immutable set that starts as one shared empty
-frozenset and is only ever rebound, never changed in place.
+frozenset and is only ever rebound, never changed in place.  The id
+check is an identity test first: the interpreter makes one id object
+per (uid, context), so the ids of a local trace are the tree's own.
 """
 from __future__ import annotations
 
@@ -64,11 +75,19 @@ def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
 
 _NO_BITS: frozenset[int] = frozenset()
 
+_NOT_VISITED = int(EdgeLabel.NOT_VISITED)
+_VISITED = int(EdgeLabel.VISITED)
+_END_EXCEPTIONAL = int(EdgeLabel.END_EXCEPTIONAL)
+_END_NORMAL = int(EdgeLabel.END_NORMAL)
+_UNLABELLED: tuple[int, int] = (_NOT_VISITED, _NOT_VISITED)
+
 
 class TreeNode:
-    """One evaluation position along a path.  ``sensitive_bits`` is
-    immutable and rebound when sensitivity publishes marks, so nodes can
-    share the empty set."""
+    """One evaluation position along a path.  ``label`` is the
+    immutable pair (false edge, true edge) of ``EdgeLabel`` values as
+    plain ints, so the collector need not track it and new nodes share
+    one pair; ``sensitive_bits`` is immutable too and rebound when
+    sensitivity publishes marks, so nodes can share the empty set."""
 
     __slots__ = (
         "id", "parent", "successor", "label", "depth",
@@ -82,7 +101,7 @@ class TreeNode:
         self.id = node_id
         self.parent = parent
         self.successor: list[Optional[TreeNode]] = [None, None]
-        self.label = [EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED]
+        self.label: tuple[int, int] = _UNLABELLED
         self.depth = 0 if parent is None else parent.depth + 1
         self.best_input = b""
         self.best_tags: tuple[TypeTag, ...] = ()
@@ -126,7 +145,7 @@ class TreeNode:
 
 
 def is_open(node: TreeNode) -> bool:
-    if EdgeLabel.NOT_VISITED not in node.label:
+    if _NOT_VISITED not in node.label:
         return False
     if not node.sensitivity_done:
         return True
@@ -139,7 +158,7 @@ def closed_predicate(node: TreeNode) -> bool:
     if is_open(node):
         return False
     for b in (False, True):
-        if node.label[b] == EdgeLabel.VISITED:
+        if node.label[b] == _VISITED:
             succ = node.successor[b]
             if succ is not None and not succ.closed:
                 return False
@@ -200,9 +219,18 @@ class ExecTree:
 
     # -- construction -----------------------------------------------------
 
-    def _new_node(self, node_id: ExecutionId,
-                  parent: Optional[TreeNode]) -> TreeNode:
+    def _new_node(self, node_id: ExecutionId, parent: Optional[TreeNode],
+                  result: ExecutionResult, iteration: int) -> TreeNode:
+        """A node for ``node_id`` under ``parent``, holding the input,
+        tags and trace of the result that creates it.  Its best weight
+        stays infinite, so the walk's first finite weight at the node
+        replaces them (with the same trace) and an infinite one keeps
+        them: a new node takes its first trace at any weight."""
         node = TreeNode(node_id, parent)
+        node.best_input = result.bytes_read
+        node.best_tags = result.type_tags
+        node.best_trace = result.trace
+        node.best_iter = iteration
         self.nodes.append(node)
         self.nodes_by_id.setdefault(node_id, []).append(node)
         if self.id_covered(node_id):
@@ -220,11 +248,11 @@ class ExecTree:
         trace = result.trace
         if not trace:
             return report
-        terminal = (EdgeLabel.END_EXCEPTIONAL
+        terminal = (_END_EXCEPTIONAL
                     if result.termination == TerminationKind.CRASH
-                    else EdgeLabel.END_NORMAL)
+                    else _END_NORMAL)
         if self.root is None:
-            self.root = self._new_node(trace[0][ID], None)
+            self.root = self._new_node(trace[0][ID], None, result, iteration)
         # nbytes are monotone along a trace: the last record has the most
         nbytes = trace[-1][NBYTES]
         if nbytes > self.max_nbytes:
@@ -234,7 +262,7 @@ class ExecTree:
         weight = 0.0
         # record i maps onto the node at depth i
         for rid, b, value, _, _ in trace:
-            if node.id != rid:
+            if node.id is not rid and node.id != rid:
                 raise TreeMappingError(
                     f"trace record {node.depth} has id {rid}, tree node has "
                     f"{node.id}; target looks nondeterministic")
@@ -243,8 +271,7 @@ class ExecTree:
             if not node.covered:
                 self._observe(rid, b, report)
             weight += value * value
-            # a new node takes its first trace even at infinite weight
-            if weight < node.best_weight or not node.best_trace:
+            if weight < node.best_weight:
                 node.best_weight = weight
                 node.best_input = result.bytes_read
                 node.best_tags = result.type_tags
@@ -254,15 +281,20 @@ class ExecTree:
                 node.height = max_depth
             succ = node.successor[b]
             if succ is None:
-                # the edge is not VISITED yet, so the label can still rise
-                label = node.label
+                # the edge is not VISITED yet, so the label can still
+                # rise; the pair is rebound, never changed in place
+                false_label, true_label = node.label
                 if node.depth == max_depth:
-                    if label[b] < terminal:
-                        label[b] = terminal
+                    if b:
+                        if true_label < terminal:
+                            node.label = (false_label, terminal)
+                    elif false_label < terminal:
+                        node.label = (terminal, true_label)
                     break
-                label[b] = EdgeLabel.VISITED
+                node.label = ((false_label, _VISITED) if b
+                              else (_VISITED, true_label))
                 succ = node.successor[b] = self._new_node(
-                    trace[node.depth + 1][ID], node)
+                    trace[node.depth + 1][ID], node, result, iteration)
             node = succ
         return report
 

@@ -16,6 +16,7 @@ coverage.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -52,6 +53,9 @@ class FuzzBudget:
             raise ValueError("max_executions must be at least 1")
         if self.max_seconds is not None and self.max_seconds < 0:
             raise ValueError("max_seconds must not be negative")
+        # now + nan is a deadline no clock reaches; inf is a legal "none"
+        if self.max_seconds is not None and math.isnan(self.max_seconds):
+            raise ValueError("max_seconds must be a number, not nan")
 
 
 @dataclass

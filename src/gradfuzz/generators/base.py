@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from ..exec_tree import TreeNode
-from ..target_abi import VALUE, ExecutionResult
+from ..target_abi import VALUE, ExecutionResult, differing_positions
 
 
 class AnalysisKind(Enum):
@@ -87,16 +87,17 @@ class AnalysisSession:
     def prefix_agreement(self, trace) -> int:
         """The greatest k up to the node's depth such that ``trace`` has
         the path's ids at 0..k and its directions at 0..k-1, or -1 when
-        the trace does not start at the root."""
-        k = -1
-        for (rid, direction, _, _, _), (path_id, path_direction, _, _, _) \
-                in zip(trace, self.base_trace):
+        the trace does not start at the root.  Only the records that
+        differ from the path's are looked at."""
+        base = self.base_trace
+        for p in differing_positions(trace, base):
+            rid, direction, _, _, _ = trace[p]
+            path_id, path_direction, _, _, _ = base[p]
             if rid != path_id:
-                break
-            k += 1
+                return p - 1
             if direction != path_direction:
-                break
-        return k
+                return p
+        return min(len(trace), len(base)) - 1
 
     def mapped_value(self, result: ExecutionResult) -> Optional[float]:
         """Branching value at the session node, or None if the trace does

@@ -18,7 +18,13 @@ import math
 import sys
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult, TypeTag, flip_bit
+from ..target_abi import (
+    VALUE,
+    ExecutionResult,
+    TypeTag,
+    differing_positions,
+    flip_bit,
+)
 from .base import AnalysisKind, AnalysisSession
 
 _F32_EPSILON = 2.0 ** -23
@@ -89,11 +95,15 @@ class SensitivitySession(AnalysisSession):
     def _apply_marks(self, candidates: list[int], result: ExecutionResult,
                      region: bool) -> None:
         trace = result.trace
+        base = self.base_trace
         top = self.prefix_agreement(trace)
         marks = self.region_marks if region else self.raw_marks
-        for k, (_, _, value, _, _), (_, _, base_value, _, nbytes) in zip(
-                range(top + 1), trace, self.base_trace):
-            if value == base_value:
+        # a record equal to the path's has the path's value: no marks
+        for k in differing_positions(trace, base):
+            if k > top:
+                break
+            _, _, base_value, _, nbytes = base[k]
+            if trace[k][VALUE] == base_value:
                 continue
             cutoff = 8 * nbytes
             bucket = marks.setdefault(k, set())

@@ -62,9 +62,9 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import count
-from operator import attrgetter
-from typing import NamedTuple, Sequence, Union
+from itertools import compress, count
+from operator import attrgetter, ne
+from typing import Iterator, NamedTuple, Sequence, Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
@@ -175,6 +175,16 @@ ConditionRecord = tuple[ExecutionId, bool, float, bool, int]
 
 # the positions of a record's fields
 ID, DIRECTION, VALUE, XOR_FLAG, NBYTES = range(5)
+
+
+def differing_positions(trace: Sequence[ConditionRecord],
+                        base: Sequence[ConditionRecord]) -> Iterator[int]:
+    """The positions, in increasing order and below the shorter length,
+    where the records of ``trace`` and ``base`` differ.  Records are
+    compared as tuples in C, so a walk over two traces that share most
+    records visits only the few that changed; the fields of two records
+    that compare equal compare equal too."""
+    return compress(count(), map(ne, trace, base))
 
 
 def condition_record(id: ExecutionId, direction: bool, value: float,

@@ -49,7 +49,8 @@ def dump(tree: ExecTree) -> str:
         ))
         lines.append(
             f"{node.depth} uid={node.id.uid} ctx={node.id.ctx:08x} "
-            f"labels={node.label[0].name}/{node.label[1].name} "
+            f"labels={EdgeLabel(node.label[0]).name}/"
+            f"{EdgeLabel(node.label[1]).name} "
             f"f={node.value!r} nbytes={node.nbytes} {flags}")
         visit(node.successor[0])
         visit(node.successor[1])
@@ -152,7 +153,11 @@ def chain_from_uids(uids, directions=None):
         if parent is not None:
             direction = True if directions is None else directions[i - 1]
             parent.successor[direction] = node
-            parent.label[direction] = EdgeLabel.VISITED
+            # labels are an immutable pair of ints, rebound on each change
+            false_label, true_label = parent.label
+            visited = int(EdgeLabel.VISITED)
+            parent.label = ((false_label, visited) if direction
+                            else (visited, true_label))
         nodes.append(node)
         parent = node
     return nodes

@@ -27,6 +27,7 @@ from gradfuzz.target_abi import (
     TypeTag,
     condition_record,
     context_hash_push,
+    differing_positions,
     flip_bit,
     get_bit,
     set_bit,
@@ -124,6 +125,20 @@ class TestRecords:
         with pytest.raises(ValueError):
             ExecutionResult(TerminationKind.NORMAL, b"ab",
                             (TypeTag.SINT16,), records)
+
+    def test_differing_positions_below_the_shorter_length(self):
+        a = [condition_record(ExecutionId(1, 0), True, 1.0, False, 0),
+             condition_record(ExecutionId(2, 0), True, 1.0, False, 0),
+             condition_record(ExecutionId(3, 0), True, 1.0, False, 1),
+             condition_record(ExecutionId(4, 0), True, 1.0, False, 1)]
+        b = [a[0],
+             condition_record(ExecutionId(2, 0), False, 1.0, False, 0),
+             condition_record(ExecutionId(3, 0), True, 1.0, False, 1),
+             condition_record(ExecutionId(4, 0), True, 2.0, False, 1),
+             a[3]]
+        assert list(differing_positions(a, b)) == [1, 3]
+        assert list(differing_positions(b[:2], a)) == [1]
+        assert list(differing_positions((), a)) == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,9 @@ def test_bad_remote_endpoint_exits_with_message(tmp_path, endpoint):
     ("--max-executions", "0", "max_executions must be at least 1"),
     ("--max-executions", "-3", "max_executions must be at least 1"),
     ("--max-seconds", "-1", "max_seconds must not be negative"),
+    # now + nan is a deadline never reached: the run would end only at
+    # --max-executions
+    ("--max-seconds", "nan", "max_seconds must be a number, not nan"),
 ])
 def test_non_positive_budget_exits_with_message(tmp_path, flag, value,
                                                 reason):
@@ -164,6 +167,39 @@ def test_non_positive_budget_exits_with_message(tmp_path, flag, value,
                    "-o", str(tmp_path / "out"), flag, value)
     assert_error_exit(done, reason)
     assert not (tmp_path / "out").exists()
+
+
+def test_output_path_that_is_a_file_exits_before_fuzzing(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    done = run_cli("fuzz", "-t", str(BENCH / "magic_equal.mc"),
+                   "-o", str(taken), "--max-executions", "5")
+    assert_error_exit(done, f"cannot write the suite to {taken}")
+    assert taken.read_text() == "keep me\n"
+
+
+def _fuzzed_suite(tmp_path):
+    out = tmp_path / "out"
+    assert main(["fuzz", "-t", str(BENCH / "magic_equal.mc"), "-o", str(out),
+                 "--seed", "1", "--max-executions", "50"]) == 0
+    return out
+
+
+def test_report_of_a_suite_without_manifest_exits_with_message(tmp_path):
+    out = _fuzzed_suite(tmp_path)
+    (out / "manifest.json").unlink()
+    done = run_cli("report", "-s", str(out))
+    assert_error_exit(done, "manifest.json")
+
+
+def test_replay_of_a_manifest_with_bad_limits_exits_with_message(tmp_path):
+    out = _fuzzed_suite(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["limits"]["step_budget"] = 0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    done = run_cli("replay", "-t", str(BENCH / "magic_equal.mc"),
+                   "-s", str(out))
+    assert_error_exit(done, "step_budget must be positive")
 
 
 def test_serve_on_a_port_out_of_range_exits_with_message():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -110,6 +111,48 @@ class TestMapTrace:
         assert tree.root.value == math.inf
         assert child.value == 1.0
         assert child.best_trace == trace
+        # non-root new nodes below a prefix of weight +inf: the existing
+        # node keeps its trace, the new ones take this one
+        second = (record(1, True, 2.0), record(2, True, math.inf),
+                  record(3, False, 1.0), record(4, True, 1.0))
+        tree.map_trace(result_for(second, data=b"\x02"), 1)
+        root = tree.root
+        mid = root.successor[True]
+        assert root.best_trace == second and root.best_weight == 4.0
+        assert mid.best_trace == trace and mid.best_iter == 0
+        leaf = mid.successor[True]
+        for node in (leaf, leaf.successor[False]):
+            assert node.best_weight == math.inf
+            assert node.best_trace == second
+            assert node.best_input == b"\x02"
+            assert node.best_tags == (TypeTag.UINT8,)
+            assert node.best_iter == 1
+        # the first finite weight replaces it
+        third = (record(1, True, 0.0), record(2, True, 0.0),
+                 record(3, True, 0.5))
+        tree.map_trace(result_for(third, data=b"\x03"), 2)
+        assert leaf.best_trace == third and leaf.best_weight == 0.25
+        assert leaf.best_input == b"\x03" and leaf.best_iter == 2
+
+    def test_labels_are_untracked_int_pairs(self):
+        rng = random.Random(12)
+        tree = ExecTree()
+        for i in range(200):
+            trace = tuple(record(depth + 1, rng.random() < 0.5, 1.0)
+                          for depth in range(rng.randrange(1, 7)))
+            termination = rng.choice(list(TerminationKind))
+            tree.map_trace(result_for(trace, termination), i)
+        gc.collect()
+        for node in tree.nodes:
+            assert type(node.label) is tuple and len(node.label) == 2
+            assert all(type(label) is int for label in node.label)
+            # a tuple of ints leaves the collector's lists once collected
+            assert not gc.is_tracked(node.label)
+        # nodes never labelled share one pair
+        fresh = [TreeNode(ExecutionId(uid, 0), None) for uid in (1, 2)]
+        assert fresh[0].label is fresh[1].label
+        assert fresh[0].label == (EdgeLabel.NOT_VISITED,
+                                  EdgeLabel.NOT_VISITED)
 
     def test_empty_trace_is_ignored(self):
         tree = ExecTree()
@@ -281,7 +324,7 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
 def _label_snapshot(node):
     if node is None:
         return None
-    return (node.id.uid, node.label[0].value, node.label[1].value,
+    return (node.id.uid, node.label[0], node.label[1],
             _label_snapshot(node.successor[0]),
             _label_snapshot(node.successor[1]))
 
@@ -289,7 +332,7 @@ def _label_snapshot(node):
 def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
                sensitivity_done=False, bits=(), covered=False):
     node = TreeNode(ExecutionId(uid, 0), None)
-    node.label = list(labels)
+    node.label = tuple(map(int, labels))
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
     node.covered = covered

@@ -20,7 +20,9 @@ from gradfuzz.generators import (
 from gradfuzz.target_abi import (
     DIRECTION,
     ID,
+    NBYTES,
     VALUE,
+    XOR_FLAG,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
@@ -514,3 +516,110 @@ class TestMappedValue:
                        == [True, False])
             want = trace[2][VALUE] if reaches else None
             assert session.mapped_value(_result(trace)) == want
+
+
+def _loop_prefix_agreement(trace, base_trace):
+    """The record-by-record walk ``prefix_agreement`` replaced."""
+    k = -1
+    for (rid, direction, _, _, _), (path_id, path_direction, _, _, _) \
+            in zip(trace, base_trace):
+        if rid != path_id:
+            break
+        k += 1
+        if direction != path_direction:
+            break
+    return k
+
+
+def _loop_apply_marks(marks, candidates, trace, base_trace):
+    """The record-by-record walk ``SensitivitySession._apply_marks``
+    replaced."""
+    top = _loop_prefix_agreement(trace, base_trace)
+    for k, (_, _, value, _, _), (_, _, base_value, _, nbytes) in zip(
+            range(top + 1), trace, base_trace):
+        if value == base_value:
+            continue
+        cutoff = 8 * nbytes
+        bucket = marks.setdefault(k, set())
+        for s in candidates:
+            if s < cutoff:
+                bucket.add(s)
+
+
+class TestWalksOverChangedRecords:
+    """The session walks visit only the records that differ from the
+    path's; over traces that mostly copy the path's records verbatim they
+    must agree with the record-by-record loops."""
+
+    VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e9, float("inf"))
+
+    def _random_record(self, rng, nbytes):
+        return condition_record(
+            ExecutionId(rng.choice((1, 2, 3)), rng.choice((0, 7))),
+            rng.random() < 0.5, rng.choice(self.VALUES),
+            rng.random() < 0.5, nbytes)
+
+    def _base_trace(self, rng):
+        records = []
+        nbytes = 0
+        for _ in range(rng.randrange(1, 16)):
+            nbytes += rng.randrange(0, 2)
+            records.append(self._random_record(rng, nbytes))
+        return records
+
+    def _mutated(self, rng, full):
+        """A copy of ``full`` with a few records changed, then maybe cut
+        or extended; nbytes stay monotone."""
+        trace = list(full)
+        for _ in range(rng.randrange(0, 4)):
+            p = rng.randrange(len(trace))
+            rid, direction, value, xor, nbytes = trace[p]
+            change = rng.randrange(6)
+            if change == 0:
+                value = rng.choice(self.VALUES)
+            elif change == 1:
+                direction = not direction
+            elif change == 2:
+                rid = ExecutionId(rng.choice((4, 5)), 0)  # foreign id
+            elif change == 3:
+                rid = ExecutionId(*rid)  # equal, not identical
+            elif change == 4:
+                xor = not xor
+            else:
+                trace[p:] = [(r[ID], r[DIRECTION], r[VALUE], r[XOR_FLAG],
+                              r[NBYTES] + 1) for r in trace[p:]]
+                continue
+            trace[p] = condition_record(rid, direction, value, xor, nbytes)
+        shape = rng.randrange(3)
+        if shape == 0:
+            del trace[rng.randrange(len(trace) + 1):]
+        elif shape == 1:
+            nbytes = trace[-1][NBYTES]
+            for _ in range(rng.randrange(1, 4)):
+                trace.append(self._random_record(rng, nbytes))
+        return trace
+
+    def test_against_the_record_loops(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            full = self._base_trace(rng)
+            tree = ExecTree()
+            tree.map_trace(_result(full), 0)
+            node = tree.root
+            for direction in [r[DIRECTION] for r in full[
+                    :rng.randrange(len(full))]]:
+                node = node.successor[direction]
+            session = SensitivitySession(node)
+            base = session.base_trace
+            raw, region = {}, {}
+            for _ in range(40):
+                trace = self._mutated(rng, full)
+                assert (session.prefix_agreement(trace)
+                        == _loop_prefix_agreement(trace, base))
+                is_region = rng.random() < 0.3
+                candidates = rng.sample(range(24), rng.randrange(1, 5))
+                session._apply_marks(candidates, _result(trace), is_region)
+                _loop_apply_marks(region if is_region else raw, candidates,
+                                  trace, base)
+                assert session.raw_marks == raw
+                assert session.region_marks == region
