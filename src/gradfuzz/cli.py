@@ -125,8 +125,13 @@ def cmd_replay(args) -> int:
         ok, divergence = replay_suite(program, args.suite)
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
-    except ValueError as exc:  # a manifest that is not JSON, or bad limits
+    # a manifest that is not JSON, bad limits, or a value of the wrong
+    # kind (a JSON list at the top among them)
+    except (ValueError, TypeError) as exc:
         raise SystemExit(f"error: bad manifest in {args.suite}: {exc}")
+    except KeyError as exc:
+        raise SystemExit(f"error: bad manifest in {args.suite}: no {exc} "
+                         f"entry")
     if ok:
         print("replay ok")
         return 0
@@ -138,7 +143,10 @@ def cmd_report(args) -> int:
     stats_path = Path(args.suite) / "stats.json"
     if not stats_path.exists():
         raise SystemExit(f"error: no stats document at {stats_path}")
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    try:
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SystemExit(f"error: bad stats document {stats_path}: {exc}")
     try:
         manifest = load_manifest(args.suite)
     except FileNotFoundError as exc:

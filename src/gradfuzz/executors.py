@@ -8,6 +8,14 @@ with an error frame carrying the reason, and the connection is dropped.
 From the engine's side only the communication medium differs; results
 must be byte-identical to local execution.
 
+An executor is a callable from a config to a well-formed result (see
+``target_abi``: tag widths that sum to the bytes read, ``nbytes`` that
+never fall along the trace).  Nothing checks the results of an executor
+in the engine's process: the interpreter is well-formed by construction,
+and a custom callable executor is trusted the same way.  Only a result
+frame from a serving process is checked, by ``wire_decode``; a frame it
+rejects is a ``TransportError`` ("malformed frame").
+
 Each side of a connection keeps one previous trace: the trace of the
 last result sent (server) or decoded (client) on it.  Result frames are
 coded against it, so a frame carries only the records that changed.  It

@@ -19,7 +19,6 @@ import sys
 
 from ..exec_tree import TreeNode
 from ..target_abi import (
-    VALUE,
     ExecutionResult,
     TypeTag,
     differing_positions,
@@ -94,22 +93,26 @@ class SensitivitySession(AnalysisSession):
 
     def _apply_marks(self, candidates: list[int], result: ExecutionResult,
                      region: bool) -> None:
+        """One walk over the records that differ from the path's (a record
+        equal to the path's has the path's value: no marks).  It stops
+        where the trace leaves the path: before a record with another id,
+        and after one with another direction."""
         trace = result.trace
         base = self.base_trace
-        top = self.prefix_agreement(trace)
         marks = self.region_marks if region else self.raw_marks
-        # a record equal to the path's has the path's value: no marks
         for k in differing_positions(trace, base):
-            if k > top:
+            rid, direction, value, _, _ = trace[k]
+            path_id, path_direction, path_value, _, nbytes = base[k]
+            if rid != path_id:
                 break
-            _, _, base_value, _, nbytes = base[k]
-            if trace[k][VALUE] == base_value:
-                continue
-            cutoff = 8 * nbytes
-            bucket = marks.setdefault(k, set())
-            for s in candidates:
-                if s < cutoff:
-                    bucket.add(s)
+            if value != path_value:
+                cutoff = 8 * nbytes
+                bucket = marks.setdefault(k, set())
+                for s in candidates:
+                    if s < cutoff:
+                        bucket.add(s)
+            if direction != path_direction:
+                break
 
     def finish(self) -> list[TreeNode]:
         """Widen and publish marks; flags every examined path node."""

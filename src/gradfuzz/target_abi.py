@@ -11,6 +11,13 @@ carries all four caps of a run (trace length, stack size, input bytes and
 the step budget), and an executor runs to them.  Only a serving process
 checks them, against its own, since its configs come from outside.
 
+A result is checked in one place too: ``wire_decode``, where it arrives
+from another process.  An executor's contract is a well-formed result
+(the tag widths sum to the number of bytes read, and ``nbytes`` never
+decreases along the trace), and nothing re-checks the results of an
+executor in the engine's own process: the interpreter meets the contract
+by construction.
+
 An execution id is a named tuple ``(uid, ctx)``: one is hashed or
 compared on every trace record the tree maps, and tuples do both in C.
 A condition record is a plain 5-tuple ``(id, direction, value,
@@ -53,6 +60,11 @@ rejects a frame whose ``b`` is not that trace's length, so two ends that
 disagree about it fail loudly.  Against the empty trace (``b`` = 0, as
 on a connection's first result) a frame carries every record.
 
+The decoder rejects a result that is not well-formed: tags whose widths
+do not sum to ``n``, or a rebuilt trace whose ``nbytes`` fall.  Since
+the previous trace passed this check when it was decoded, only the pairs
+of records that hold a sent record are compared.
+
 Error payload: the UTF-8 text of why the server rejected a config.  It
 is the last frame the server sends before it drops the connection.
 """
@@ -63,7 +75,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress, count
-from operator import attrgetter, ne
+from operator import ne
 from typing import Iterator, NamedTuple, Sequence, Union
 
 FNV32_BASIS = 0x811C9DC5
@@ -149,7 +161,9 @@ class TypeTag(IntEnum):
 
 # indexed by tag value
 _TAGS = tuple(TypeTag)
-_BYTE_WIDTH = attrgetter("byte_width")
+# the byte width of each tag, indexed by the raw tag byte: a table for
+# bytes.translate, which maps a frame's tag bytes to widths in C
+_TAG_WIDTHS = bytes(tag.byte_width for tag in _TAGS).ljust(256, b"\0")
 
 
 class TerminationKind(IntEnum):
@@ -216,20 +230,16 @@ class ExecutionConfig:
 
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
+    """What one execution gives back; building one checks nothing.  A
+    well-formed result has tag widths that sum to ``len(bytes_read)`` and
+    ``nbytes`` that never decrease along the trace.  Executors return
+    only well-formed results, and ``wire_decode``, the one place a result
+    is checked, rejects a frame that would rebuild any other."""
+
     termination: TerminationKind
     bytes_read: bytes
     type_tags: tuple[TypeTag, ...]
     trace: tuple[ConditionRecord, ...]
-
-    def __post_init__(self) -> None:
-        if (sum(map(_BYTE_WIDTH, self.type_tags))
-                != len(self.bytes_read)):
-            raise ValueError("type tags do not cover bytes_read")
-        last = 0
-        for _, _, _, _, nbytes in self.trace:
-            if nbytes < last:
-                raise ValueError("nbytes not monotone along trace")
-            last = nbytes
 
 
 # a str is the text of an error frame
@@ -321,7 +331,7 @@ def wire_decode(frame: bytes,
                 previous: Sequence[ConditionRecord] = ()) -> WireMessage:
     """Decode exactly one complete frame; trailing bytes are an error.  A
     result is rebuilt on ``previous``, the trace decoded before it on the
-    same connection."""
+    same connection, and is well-formed when ``previous`` is."""
     r = _Reader(frame)
     (kind,) = r.unpack("<B")
     (length,) = struct.unpack(">I", r.take(4))
@@ -340,6 +350,8 @@ def wire_decode(frame: bytes,
             raw_tags = r.take(k)
             if raw_tags and max(raw_tags) >= len(_TAGS):
                 raise DecodeError(f"unknown type tag 0x{max(raw_tags):02x}")
+            if sum(raw_tags.translate(_TAG_WIDTHS)) != n:
+                raise DecodeError("type tags do not cover the bytes read")
             tags = tuple(map(_TAGS.__getitem__, raw_tags))
             m, b, c = r.unpack(_DELTA_HEAD)
             if b != len(previous):
@@ -366,7 +378,22 @@ def wire_decode(frame: bytes,
             trace = list(previous[:shared])
             for p, rec in zip(positions, sent):
                 trace[p] = rec
-            trace += sent[c:]
+            # the previous trace was checked when it was decoded, so only
+            # a pair with a sent record in it can put nbytes out of order:
+            # each changed record against its two neighbours, then the
+            # tail in one pass from the last shared record
+            for p in positions:
+                nbytes = trace[p][NBYTES]
+                if ((p and trace[p - 1][NBYTES] > nbytes)
+                        or (p + 1 < shared and nbytes > trace[p + 1][NBYTES])):
+                    raise DecodeError("nbytes not monotone along trace")
+            del sent[:c]
+            last = trace[-1][NBYTES] if trace else 0
+            for _, _, _, _, nbytes in sent:
+                if nbytes < last:
+                    raise DecodeError("nbytes not monotone along trace")
+                last = nbytes
+            trace += sent
             msg = ExecutionResult(TerminationKind(term), data, tags,
                                   tuple(trace))
         elif kind == KIND_ERROR:

@@ -15,6 +15,8 @@ from gradfuzz.target_abi import (
     TerminationKind,
     TypeTag,
     condition_record,
+    wire_decode,
+    wire_encode,
 )
 
 def path_weight(trace, depth: int) -> float:
@@ -235,3 +237,34 @@ def random_wire_result(rng):
             rng.random() < 0.5, value, rng.random() < 0.5, nbytes))
     return ExecutionResult(TerminationKind(rng.randrange(4)), bytes(data),
                            tuple(tags), tuple(records))
+
+
+class FrameCheck:
+    """Sends each result of one program through the wire codec, whose
+    decoder is the one place a result is checked: every result alone, as
+    a full frame, and all of them in order as one delta-coded sequence,
+    as a serving process sends them.  Each must decode back to itself."""
+
+    def __init__(self):
+        self.sent = self.decoded = ()
+
+    def __call__(self, result: ExecutionResult) -> ExecutionResult:
+        assert wire_decode(wire_encode(result)) == result
+        decoded = wire_decode(wire_encode(result, self.sent), self.decoded)
+        assert decoded == result
+        self.sent, self.decoded = result.trace, decoded.trace
+        return result
+
+
+class FrameCheckedExecutor:
+    """The interpreter, with every result passed through a ``FrameCheck``."""
+
+    def __init__(self, program):
+        self.program = program
+        self.check = FrameCheck()
+
+    def __call__(self, config: ExecutionConfig) -> ExecutionResult:
+        return self.check(execute(self.program, config))
+
+    def close(self) -> None:
+        pass

@@ -1,6 +1,8 @@
 import math
 import random
+import socket
 import struct
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference_interp
 from helpers import random_wire_config, random_wire_result
+from gradfuzz.executors import RemoteExecutor, TransportError
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
 from gradfuzz.minivm import VmLimits, execute, parse_program
@@ -112,19 +115,22 @@ class TestRecords:
             uid, ctx = rng.randrange(2 ** 32), rng.randrange(2 ** 32)
             assert hash(ExecutionId(uid, ctx)) == hash((uid, ctx))
 
+    # a result is checked where it crosses the wire, not where it is built
     def test_result_rejects_mismatched_tags(self):
-        with pytest.raises(ValueError):
-            ExecutionResult(TerminationKind.NORMAL, b"ab",
-                            (TypeTag.SINT8,), ())
+        frame = wire_encode(ExecutionResult(TerminationKind.NORMAL, b"ab",
+                                            (TypeTag.SINT8,), ()))
+        with pytest.raises(DecodeError, match="type tags"):
+            wire_decode(frame)
 
     def test_result_rejects_nonmonotone_nbytes(self):
         records = (
             condition_record(ExecutionId(1, 0), True, 1.0, False, 2),
             condition_record(ExecutionId(2, 0), True, 1.0, False, 1),
         )
-        with pytest.raises(ValueError):
-            ExecutionResult(TerminationKind.NORMAL, b"ab",
-                            (TypeTag.SINT16,), records)
+        frame = wire_encode(ExecutionResult(TerminationKind.NORMAL, b"ab",
+                                            (TypeTag.SINT16,), records))
+        with pytest.raises(DecodeError, match="nbytes"):
+            wire_decode(frame)
 
     def test_differing_positions_below_the_shorter_length(self):
         a = [condition_record(ExecutionId(1, 0), True, 1.0, False, 0),
@@ -432,6 +438,104 @@ class TestDeltaFrames:
             assert c + max(0, m - b) <= 3
             got = wire_decode(frame, base.trace)
             assert wire_encode(got) == wire_encode(flipped)
+
+
+# a previous trace whose nbytes rise by one per record
+RISING = (record(1, nbytes=1), record(2, nbytes=2), record(3, nbytes=3))
+
+
+def tagged_frame(data, tags):
+    payload = (struct.pack("<BI", 0, len(data)) + data
+               + struct.pack("<I", len(tags)) + bytes(tags)
+               + struct.pack("<III", 0, 0, 0))
+    return result_frame(payload)
+
+
+# frames that would rebuild a result that is not well-formed, each with
+# the previous trace it is coded against
+BAD_FRAMES = {
+    "changed record below its predecessor": (RISING, result_frame(
+        trace_payload(3, 3, (1,), [(9, 7, 1, 0, 2.5, 0)]))),
+    "changed record above its successor": (RISING, result_frame(
+        trace_payload(3, 3, (1,), [(9, 7, 1, 0, 2.5, 4)]))),
+    "tail record below the last shared record": (RISING, result_frame(
+        trace_payload(4, 3, (), [(9, 7, 1, 0, 2.5, 2)]))),
+    "tail record below a changed last shared record": (RISING, result_frame(
+        trace_payload(4, 3, (2,), [(9, 7, 1, 0, 2.5, 5),
+                                   (8, 7, 1, 0, 2.5, 4)]))),
+    "tail records that fall": ((), result_frame(
+        trace_payload(3, 0, (), [(9, 7, 1, 0, 2.5, 1),
+                                 (8, 7, 1, 0, 2.5, 2),
+                                 (7, 7, 1, 0, 2.5, 1)]))),
+    "tags one byte short": ((), tagged_frame(b"abc", (TypeTag.UINT16,))),
+    "tags one byte over": ((), tagged_frame(
+        b"abc", (TypeTag.UINT16, TypeTag.UINT16))),
+}
+
+
+class TestWellFormedResults:
+    """``wire_decode`` is the one place a result is checked: it rejects a
+    frame whose result would not be well-formed, comparing only the
+    records the frame carries against their neighbours."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_bad_frame_is_rejected(self, case):
+        previous, frame = BAD_FRAMES[case]
+        with pytest.raises(DecodeError, match="nbytes|type tags"):
+            wire_decode(frame, previous)
+
+    @pytest.mark.parametrize("m, positions, rows, want", [
+        # a changed record between equal neighbours
+        (3, (1,), [(9, 7, 1, 0, 2.5, 1)], (1, 1, 3)),
+        (3, (1,), [(9, 7, 1, 0, 2.5, 3)], (1, 3, 3)),
+        # a shorter trace: the dropped successor does not bound the last
+        # record
+        (2, (1,), [(9, 7, 1, 0, 2.5, 5)], (1, 5)),
+        (1, (), [], (1,)),
+        # a tail that starts at the last shared record's nbytes
+        (5, (), [(9, 7, 1, 0, 2.5, 3), (8, 7, 1, 0, 2.5, 3)],
+         (1, 2, 3, 3, 3)),
+    ])
+    def test_well_formed_delta_frame_decodes(self, m, positions, rows, want):
+        payload = trace_payload(m, 3, positions, rows)
+        got = wire_decode(result_frame(payload), RISING).trace
+        assert tuple(rec[NBYTES] for rec in got) == want
+
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_remote_executor_reports_a_malformed_frame(self, case):
+        previous, frame = BAD_FRAMES[case]
+        # the fake server answers the first config with ``previous`` in
+        # full, so both ends hold it, and the next with the bad frame
+        answers = [frame]
+        if previous:
+            answers.insert(0, wire_encode(ExecutionResult(
+                TerminationKind.NORMAL, b"", (), previous)))
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                for answer in answers:
+                    conn.recv(4096)
+                    conn.sendall(answer)
+                while conn.recv(4096):
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        config = ExecutionConfig(10, 10, 10, 10, 0, b"")
+        try:
+            with RemoteExecutor(listener.getsockname()[:2],
+                                timeout=10) as remote:
+                if previous:
+                    assert remote(config).trace == previous
+                with pytest.raises(TransportError, match="malformed frame"):
+                    remote(config)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
 
 
 class TestRecordRepresentation:

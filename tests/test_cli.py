@@ -202,6 +202,28 @@ def test_replay_of_a_manifest_with_bad_limits_exits_with_message(tmp_path):
     assert_error_exit(done, "step_budget must be positive")
 
 
+def test_report_of_a_suite_with_bad_stats_exits_with_message(tmp_path):
+    out = _fuzzed_suite(tmp_path)
+    (out / "stats.json").write_text("{")
+    done = run_cli("report", "-s", str(out))
+    assert_error_exit(done, f"bad stats document {out / 'stats.json'}")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda manifest: {key: value for key, value in manifest.items()
+                       if key != "limits"}, "no 'limits' entry"),
+    (lambda manifest: [manifest], "list indices must be integers"),
+], ids=["without_limits", "list_at_top"])
+def test_replay_of_a_manifest_of_the_wrong_shape_exits_with_message(
+        tmp_path, edit, reason):
+    out = _fuzzed_suite(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps(edit(manifest)))
+    done = run_cli("replay", "-t", str(BENCH / "magic_equal.mc"),
+                   "-s", str(out))
+    assert_error_exit(done, f"bad manifest in {out}: {reason}")
+
+
 def test_serve_on_a_port_out_of_range_exits_with_message():
     done = run_cli("serve", "-t", str(BENCH / "magic_equal.mc"),
                    "--port", "70000")

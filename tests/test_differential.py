@@ -1,6 +1,8 @@
 """The compiled interpreter against the tree-walking reference in
 ``reference_interp``: every execution must give byte-identical wire
-encodings, step accounting, boundaries and crashes included.
+encodings, step accounting, boundaries and crashes included.  Every
+result also passes ``wire_decode``'s check of a well-formed result, alone
+and in its program's delta-coded sequence.
 
 The many-seed run is marked ``slow``; run it with ``pytest -m slow``.
 """
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import reference_interp
+from helpers import FrameCheck
 from gradfuzz.fuzz_loop import (
     FuzzBudget,
     FuzzOptions,
@@ -41,15 +44,17 @@ def assert_same(program, config):
 
 
 class DifferentialExecutor:
-    """Executor that runs every config on both interpreters."""
+    """Executor that runs every config on both interpreters and passes
+    every result through a ``FrameCheck``."""
 
     def __init__(self, program):
         self.program = program
         self.executions = 0
+        self.check = FrameCheck()
 
     def __call__(self, config):
         self.executions += 1
-        return assert_same(self.program, config)
+        return self.check(assert_same(self.program, config))
 
     def close(self):
         pass
@@ -343,14 +348,14 @@ def edge_inputs(name, rng):
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
 def test_edge_targets(name):
-    program = parse_program(EDGE_TARGETS[name])
+    run = DifferentialExecutor(parse_program(EDGE_TARGETS[name]))
     rng = random.Random(name)
     limits = (optimizer_limits(VmLimits()) if name == "recursion"
               else VmLimits(1000, 64, 512,
                             20_000 if name in LONG_TARGETS else 5_000))
     for data in edge_inputs(name, rng):
         for fill in (0, 85):
-            assert_same(program, limits.config(fill, data))
+            run(limits.config(fill, data))
 
 
 # inputs that run each edge target to its end (spin's at the trace cap)
@@ -376,9 +381,11 @@ FULL_RUN_INPUTS = {
 def run_length(program, data):
     """The least step budget the run on ``data`` ends within (bisected:
     a larger budget only lets a run go further)."""
+    check = FrameCheck()
+
     def times_out(budget):
         config = VmLimits(1000, 64, 512, budget).config(0, data)
-        return execute(program, config).termination == \
+        return check(execute(program, config)).termination == \
             TerminationKind.TIMEOUT
 
     lo, hi = 0, 1_000_000
@@ -390,10 +397,9 @@ def run_length(program, data):
 
 
 def check_budgets(name, budgets):
-    program = parse_program(EDGE_TARGETS[name])
+    run = DifferentialExecutor(parse_program(EDGE_TARGETS[name]))
     for budget in budgets:
-        assert_same(program, VmLimits(1000, 64, 512, budget).config(
-            0, FULL_RUN_INPUTS[name]))
+        run(VmLimits(1000, 64, 512, budget).config(0, FULL_RUN_INPUTS[name]))
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
@@ -420,7 +426,7 @@ def test_every_step_budget_long(name):
 
 @pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
 def test_tiny_boundaries(name):
-    program = parse_program(EDGE_TARGETS[name])
+    run = DifferentialExecutor(parse_program(EDGE_TARGETS[name]))
     rng = random.Random(name)
     limits = VmLimits(1000, 64, 512, 5_000)
     for data in edge_inputs(name, rng)[:8]:
@@ -432,19 +438,19 @@ def test_tiny_boundaries(name):
                                    max_stack_size=size),
                            replace(limits.config(85, b""),
                                    max_input_bytes=size - 1)):
-                assert_same(program, config)
+                run(config)
 
 
 @pytest.mark.parametrize("path", TARGETS, ids=lambda p: p.stem)
 def test_corpus_targets_random_inputs(path):
-    program = parse_program(path.read_text(encoding="utf-8"))
+    run = DifferentialExecutor(parse_program(path.read_text(
+        encoding="utf-8")))
     rng = random.Random(path.stem)
     inputs = random_inputs(rng, 60, 96)
     inputs += [b"\x7fELF" + data for data in inputs[:30]]
     for data in inputs:
         for limits in (LIMITS, VmLimits(30, 3, 16, 400)):
-            assert_same(program,
-                        limits.config(0, data[:limits.max_input_bytes]))
+            run(limits.config(0, data[:limits.max_input_bytes]))
 
 
 @pytest.mark.parametrize("path", TARGETS, ids=lambda p: p.stem)

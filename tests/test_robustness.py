@@ -5,12 +5,14 @@ The generator covers integer, bool, float and double variables, input
 reads of each, casts, ``!x``, integer division by a read value, loops,
 aborts, calls to bool-returning functions, and a recursive function that
 reads input and uses ``^`` around its own call, called both with a
-bounded depth and with a depth past the stack cap.  The many-seed run is
-marked ``slow``; run it with ``pytest -m slow``."""
+bounded depth and with a depth past the stack cap.  Every execution's
+result passes ``wire_decode``'s check of a well-formed result.  The
+many-seed run is marked ``slow``; run it with ``pytest -m slow``."""
 import random
 
 import pytest
 
+from helpers import FrameCheckedExecutor
 from gradfuzz.fuzz_loop import FuzzBudget, FuzzOptions, replay_suite, \
     run_fuzzing, save_suite
 from gradfuzz.minivm import VmLimits, parse_program
@@ -215,7 +217,8 @@ def run_and_replay(seeds, tmp_path):
         program = parse_program(source)
         options = FuzzOptions(limits=limits, seed=seed)
         suite, stats = run_fuzzing(program,
-                                   FuzzBudget(max_executions=150), options)
+                                   FuzzBudget(max_executions=150), options,
+                                   executor=FrameCheckedExecutor(program))
         assert stats.total_executions <= 150 + len(suite.tests)
         outdir = tmp_path / f"p{seed}"
         save_suite(outdir, suite, stats, options)
@@ -250,8 +253,10 @@ def test_random_targets_deterministic():
         source = gen_program(seed)
         program = parse_program(source)
         options = FuzzOptions(limits=limits, seed=1)
-        first = run_fuzzing(program, FuzzBudget(max_executions=120), options)
-        second = run_fuzzing(program, FuzzBudget(max_executions=120), options)
+        first, second = (
+            run_fuzzing(program, FuzzBudget(max_executions=120), options,
+                        executor=FrameCheckedExecutor(program))
+            for _ in range(2))
         assert [t.input_bytes for t in first[0].tests] == \
             [t.input_bytes for t in second[0].tests]
 
@@ -269,5 +274,6 @@ def test_float_read_fuzzes_to_completion():
     program = parse_program(FLOAT_GATE)
     for seed in range(5):
         suite, stats = run_fuzzing(program, FuzzBudget(max_executions=300),
-                                   FuzzOptions(seed=seed))
+                                   FuzzOptions(seed=seed),
+                                   executor=FrameCheckedExecutor(program))
         assert stats.total_executions <= 300 + len(suite.tests)
