@@ -119,19 +119,27 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+def _why(exc: Exception) -> str:
+    """Why a JSON document of the wrong shape could not be read."""
+    if isinstance(exc, KeyError):
+        return f"no {exc} entry"
+    return str(exc)
+
+
+# what reading a document that is not JSON, or JSON of the wrong shape
+# (a missing entry, a list where an object belongs, a value of the wrong
+# kind), raises
+_BAD_DOCUMENT = (ValueError, KeyError, TypeError, AttributeError)
+
+
 def cmd_replay(args) -> int:
     program = _load_target(args.target)
     try:
         ok, divergence = replay_suite(program, args.suite)
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
-    # a manifest that is not JSON, bad limits, or a value of the wrong
-    # kind (a JSON list at the top among them)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"error: bad manifest in {args.suite}: {exc}")
-    except KeyError as exc:
-        raise SystemExit(f"error: bad manifest in {args.suite}: no {exc} "
-                         f"entry")
+    except _BAD_DOCUMENT as exc:
+        raise SystemExit(f"error: bad manifest in {args.suite}: {_why(exc)}")
     if ok:
         print("replay ok")
         return 0
@@ -143,32 +151,38 @@ def cmd_report(args) -> int:
     stats_path = Path(args.suite) / "stats.json"
     if not stats_path.exists():
         raise SystemExit(f"error: no stats document at {stats_path}")
+    # every entry is read before a line is printed, so a document of the
+    # wrong shape ends in an error line, not in half a report
     try:
         stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SystemExit(f"error: bad stats document {stats_path}: {exc}")
+        lines = [f"seed:            {stats['seed']}",
+                 f"iterations:      {stats['iterations']}"]
+        executions = stats["executions"]
+        lines.append(f"executions:      {executions['total']}")
+        lines += [f"  {kind:<20} {count}"
+                  for kind, count in executions.items()
+                  if kind != "total" and count]
+        lines.append(f"tree nodes:      {stats['tree_nodes']}")
+        terminations = [f"  {kind:<30} {count}"
+                        for kind, count in stats["terminations"].items()
+                        if count]
+    except _BAD_DOCUMENT as exc:
+        raise SystemExit(f"error: bad stats document {stats_path}: "
+                         f"{_why(exc)}")
     try:
         manifest = load_manifest(args.suite)
+        cov = manifest["coverage"]
+        lines += [f"instructions:    {cov['uids_covered']}/"
+                  f"{cov['uids_discovered']} covered",
+                  f"execution ids:   {cov['execution_ids_covered']}/"
+                  f"{cov['execution_ids_discovered']} covered",
+                  "terminations:", *terminations,
+                  f"tests:           {len(manifest['tests'])}"]
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
-    cov = manifest["coverage"]
-    print(f"seed:            {stats['seed']}")
-    print(f"iterations:      {stats['iterations']}")
-    executions = stats["executions"]
-    print(f"executions:      {executions['total']}")
-    for kind, count in executions.items():
-        if kind != "total" and count:
-            print(f"  {kind:<20} {count}")
-    print(f"tree nodes:      {stats['tree_nodes']}")
-    print(f"instructions:    {cov['uids_covered']}/{cov['uids_discovered']} "
-          f"covered")
-    print(f"execution ids:   {cov['execution_ids_covered']}/"
-          f"{cov['execution_ids_discovered']} covered")
-    print("terminations:")
-    for kind, count in stats["terminations"].items():
-        if count:
-            print(f"  {kind:<30} {count}")
-    print(f"tests:           {len(manifest['tests'])}")
+    except _BAD_DOCUMENT as exc:
+        raise SystemExit(f"error: bad manifest in {args.suite}: {_why(exc)}")
+    print("\n".join(lines))
     return 0
 
 

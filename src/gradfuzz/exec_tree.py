@@ -9,22 +9,29 @@ new node starts with the trace that created it, at infinite weight.
 
 A node's two labels are one immutable pair of plain ints (the
 ``EdgeLabel`` values, which compare equal to them), rebound when a
-label rises and never changed in place.  Every new node shares one
-unlabelled pair.  A tuple of ints holds no reference the cyclic
-collector must follow, so the collector stops tracking it, while a list
-per node (or a tuple of ``IntEnum`` members) would be traversed by every
-full collection of a tree of thousands of nodes.
+label rises and never changed in place.  A tuple of ints holds no
+reference the cyclic collector must follow, so the collector stops
+tracking it, while a list per node (or a tuple of ``IntEnum`` members)
+would be traversed by every full collection of a tree of thousands of
+nodes.  The sixteen possible pairs are built once and shared by all
+nodes, so labelling a node allocates nothing: every object a walk
+allocates and keeps brings the next collection nearer, and a young
+collection counts towards the full ones.  For the same reason as the
+labels, a node's two successors are two slots, ``false_succ`` and
+``true_succ``, not a list: the node itself is then the one object per
+node the collector tracks.
 
 Mapping is the per-record hot loop of the engine, so it leans on two
 invariants instead of re-checking them per record: an edge's successor
 exists exactly when its label is VISITED (both are set together, and
 VISITED is the top of the lattice), and ``nbytes`` never decreases along
-a trace (``ExecutionResult`` rejects one that does), so the tree's
-``max_nbytes`` is taken from each trace's last record.  A node's
-``sensitive_bits`` is an immutable set that starts as one shared empty
-frozenset and is only ever rebound, never changed in place.  The id
-check is an identity test first: the interpreter makes one id object
-per (uid, context), so the ids of a local trace are the tree's own.
+a trace (the executor contract, which ``wire_decode`` checks on results
+from another process), so the tree's ``max_nbytes`` is taken from each
+trace's last record.  A node's ``sensitive_bits`` is an immutable set
+that starts as one shared empty frozenset and is only ever rebound,
+never changed in place.  The id check is an identity test first: the
+interpreter makes one id object per (uid, context), so the ids of a
+local trace are the tree's own.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ from typing import Iterable, Optional
 from .target_abi import (
     ID,
     NBYTES,
+    UID,
     VALUE,
     XOR_FLAG,
     ConditionRecord,
@@ -79,18 +87,21 @@ _NOT_VISITED = int(EdgeLabel.NOT_VISITED)
 _VISITED = int(EdgeLabel.VISITED)
 _END_EXCEPTIONAL = int(EdgeLabel.END_EXCEPTIONAL)
 _END_NORMAL = int(EdgeLabel.END_NORMAL)
-_UNLABELLED: tuple[int, int] = (_NOT_VISITED, _NOT_VISITED)
+# every label pair, shared: _LABELS[false label][true label]
+_LABELS = tuple(tuple((f, t) for t in range(len(EdgeLabel)))
+                for f in range(len(EdgeLabel)))
+_UNLABELLED: tuple[int, int] = _LABELS[_NOT_VISITED][_NOT_VISITED]
 
 
 class TreeNode:
     """One evaluation position along a path.  ``label`` is the
     immutable pair (false edge, true edge) of ``EdgeLabel`` values as
-    plain ints, so the collector need not track it and new nodes share
-    one pair; ``sensitive_bits`` is immutable too and rebound when
+    plain ints, one of the sixteen shared pairs, so the collector need
+    not track it; ``sensitive_bits`` is immutable too and rebound when
     sensitivity publishes marks, so nodes can share the empty set."""
 
     __slots__ = (
-        "id", "parent", "successor", "label", "depth",
+        "id", "parent", "false_succ", "true_succ", "label", "depth",
         "best_input", "best_tags", "best_trace", "best_weight", "best_iter",
         "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
@@ -100,7 +111,8 @@ class TreeNode:
     def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"]):
         self.id = node_id
         self.parent = parent
-        self.successor: list[Optional[TreeNode]] = [None, None]
+        self.false_succ: Optional[TreeNode] = None
+        self.true_succ: Optional[TreeNode] = None
         self.label: tuple[int, int] = _UNLABELLED
         self.depth = 0 if parent is None else parent.depth + 1
         self.best_input = b""
@@ -140,8 +152,8 @@ class TreeNode:
         return nodes
 
     def __repr__(self) -> str:
-        return (f"TreeNode(uid={self.id.uid}, ctx={self.id.ctx:#010x}, "
-                f"depth={self.depth})")
+        uid, ctx = self.id
+        return f"TreeNode(uid={uid}, ctx={ctx:#010x}, depth={self.depth})"
 
 
 def is_open(node: TreeNode) -> bool:
@@ -157,11 +169,9 @@ def closed_predicate(node: TreeNode) -> bool:
     """Closed check against the children's stored closed flags."""
     if is_open(node):
         return False
-    for b in (False, True):
-        if node.label[b] == _VISITED:
-            succ = node.successor[b]
-            if succ is not None and not succ.closed:
-                return False
+    for succ in (node.false_succ, node.true_succ):
+        if succ is not None and not succ.closed:
+            return False
     return True
 
 
@@ -197,13 +207,13 @@ class ExecTree:
         return coverage_summary(
             ((uid, d) for uid, dirs in self.uid_directions.items()
              for d in dirs),
-            ((i.uid, i.ctx, d) for i, dirs in self.id_directions.items()
+            ((uid, ctx, d) for (uid, ctx), dirs in self.id_directions.items()
              for d in dirs))
 
     def _observe(self, rid: ExecutionId, direction: bool,
                  report: MapReport) -> None:
         """Record that execution id ``rid`` was seen going ``direction``."""
-        uid = rid.uid
+        uid = rid[UID]
         uid_dirs = self.uid_directions.setdefault(uid, set())
         if direction not in uid_dirs:
             uid_dirs.add(direction)
@@ -279,7 +289,7 @@ class ExecTree:
                 node.best_iter = iteration
             if max_depth > node.height:
                 node.height = max_depth
-            succ = node.successor[b]
+            succ = node.true_succ if b else node.false_succ
             if succ is None:
                 # the edge is not VISITED yet, so the label can still
                 # rise; the pair is rebound, never changed in place
@@ -287,14 +297,18 @@ class ExecTree:
                 if node.depth == max_depth:
                     if b:
                         if true_label < terminal:
-                            node.label = (false_label, terminal)
+                            node.label = _LABELS[false_label][terminal]
                     elif false_label < terminal:
-                        node.label = (terminal, true_label)
+                        node.label = _LABELS[terminal][true_label]
                     break
-                node.label = ((false_label, _VISITED) if b
-                              else (_VISITED, true_label))
-                succ = node.successor[b] = self._new_node(
+                succ = self._new_node(
                     trace[node.depth + 1][ID], node, result, iteration)
+                if b:
+                    node.label = _LABELS[false_label][_VISITED]
+                    node.true_succ = succ
+                else:
+                    node.label = _LABELS[_VISITED][true_label]
+                    node.false_succ = succ
             node = succ
         return report
 

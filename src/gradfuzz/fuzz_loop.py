@@ -266,9 +266,10 @@ class FuzzEngine:
         self.active = None
         self.strategy.finish(session, achieving_input)
         node = session.node
+        uid, ctx = node.id
         self.stats.sessions.append(SessionLogEntry(
             kind=session.kind.value,
-            uid=node.id.uid, ctx=node.id.ctx, depth=node.depth,
+            uid=uid, ctx=ctx, depth=node.depth,
             goal_direction=session.goal_direction,
             executions=session.executions, calls=session.calls,
             achieved=achieving_input is not None,

@@ -9,7 +9,7 @@ the same instruction in another.
 from __future__ import annotations
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult, get_bit, set_bit
+from ..target_abi import UID, ExecutionResult, get_bit, set_bit
 from .base import AnalysisKind, AnalysisSession
 
 
@@ -34,7 +34,7 @@ def bitshare_compose(node: TreeNode, goal_direction: bool,
                      store: BitshareStore) -> bytes | None:
     """Donor bits written position-wise into the node's sensitive bits;
     None when no donor is known."""
-    donor = store.lookup(node.id.uid, goal_direction)
+    donor = store.lookup(node.id[UID], goal_direction)
     if donor is None:
         return None
     composed = bytearray(node.best_input)

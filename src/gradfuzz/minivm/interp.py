@@ -55,7 +55,6 @@ from ..target_abi import (
     DEFAULT_CONTEXT_DEPTH,
     FNV32_BASIS,
     ExecutionConfig,
-    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -263,7 +262,7 @@ class _Emitter:
         if "record" in self.uses:
             sites = tuple(self.sites)
             ids = self.bind(_Memo(lambda ctx: tuple(
-                ExecutionId(uid, ctx) for uid in sites)))
+                (uid, ctx) for uid in sites)))
             head += ["    trace = run.trace", "    append = run.append",
                      "    cap = run.max_trace", f"    E = {ids}[ctx]"]
         if self.reads:

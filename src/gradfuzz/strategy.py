@@ -44,6 +44,7 @@ from .generators import (
     TypedDescentSession,
     identify_typed_variables,
 )
+from .target_abi import UID
 
 _POW2_BUCKETS = [2 ** i for i in range(11)]
 
@@ -112,7 +113,7 @@ def detect_loops(path: Sequence[TreeNode]
     lookup: dict[int, int] = {}
     last = len(path) - 1
     for i in range(last, -1, -1):
-        uid = path[i].id.uid
+        uid = path[i].id[UID]
         j = min(i + 1, last)
         if uid not in lookup:
             lookup[uid] = len(stack)
@@ -125,16 +126,16 @@ def detect_loops(path: Sequence[TreeNode]
             else:
                 loops[stack[k][2]].entry = path[i]
             while len(stack) > k + 1:
-                body_uid = stack[-1][0].id.uid
-                heads2bodies.setdefault(stack[k][0].id.uid, set()).add(
+                body_uid = stack[-1][0].id[UID]
+                heads2bodies.setdefault(stack[k][0].id[UID], set()).add(
                     body_uid)
                 del lookup[body_uid]
                 stack.pop()
     for loop in loops:
-        body = heads2bodies.get(loop.exit.id.uid, set())
+        body = heads2bodies.get(loop.exit.id[UID], set())
         while (loop.entry.parent is not None
-               and (loop.entry.parent.id.uid == loop.exit.id.uid
-                    or loop.entry.parent.id.uid in body)):
+               and (loop.entry.parent.id[UID] == loop.exit.id[UID]
+                    or loop.entry.parent.id[UID] in body)):
             loop.entry = loop.entry.parent
     return loops, heads2bodies
 
@@ -146,8 +147,8 @@ def direction_counts(path: Sequence[TreeNode]) -> dict[int, list[int]]:
     path; the final node has no outgoing edge and is not counted."""
     counts: dict[int, list[int]] = {}
     for node, successor in zip(path, path[1:]):
-        pair = counts.setdefault(node.id.uid, [0, 0])
-        pair[successor is node.successor[True]] += 1
+        pair = counts.setdefault(node.id[UID], [0, 0])
+        pair[successor is node.true_succ] += 1
     return counts
 
 
@@ -265,7 +266,7 @@ class Strategy:
         for node in path:
             if not self._eligible(node):
                 continue
-            if node.id.uid not in heads2bodies:
+            if node.id[UID] not in heads2bodies:
                 continue
             buckets.setdefault(_nearest_bucket(node.nbytes), []).append(node)
         inserted = []
@@ -321,7 +322,7 @@ class Strategy:
         the last ``prune_targets`` kept."""
         classes: dict[int, list[TreeNode]] = {}
         for node in self.pivots:
-            classes.setdefault(node.id.uid, []).append(node)
+            classes.setdefault(node.id[UID], []).append(node)
         if not classes:
             return None
         max_bytes = self.tree.max_nbytes
@@ -349,7 +350,7 @@ class Strategy:
             body_uids |= self._pivot_loop_bodies(member)
         domain: set[int] = set()
         for member in classes[uid]:
-            domain.update(n.id.uid for n in member.path())
+            domain.update(n.id[UID] for n in member.path())
         probabilities: dict[int, float] = {}
         streams: dict[int, Callable[[], float]] = {}
         uniform = self.rng.random
@@ -376,18 +377,17 @@ class Strategy:
                 streams[walk_uid] = uniform
         node = path[k]
         while True:
-            prob = probabilities.get(node.id.uid, 0.5)
-            stream = streams.get(node.id.uid, uniform)
+            prob = probabilities.get(node.id[UID], 0.5)
+            stream = streams.get(node.id[UID], uniform)
             direction = prob < stream()
-            successor = node.successor[direction]
+            successor = node.true_succ if direction else node.false_succ
             if successor is not None and not successor.closed:
                 node = successor
                 continue
             if is_open(node):
                 return node
             moved = False
-            for b in (False, True):
-                successor = node.successor[b]
+            for successor in (node.false_succ, node.true_succ):
                 if successor is not None and not successor.closed:
                     node = successor
                     moved = True
@@ -422,7 +422,7 @@ class Strategy:
 
     def _descend_for_sensitivity(self, node: TreeNode) -> TreeNode:
         while True:
-            succ = [node.successor[False], node.successor[True]]
+            succ = (node.false_succ, node.true_succ)
             same = [s is not None and s.nbytes == node.nbytes for s in succ]
             if same[0] and same[1]:
                 node = succ[0] if succ[0].height >= succ[1].height else succ[1]
@@ -471,7 +471,7 @@ class Strategy:
             if achieving_input is None:
                 self.record_failure(node)
             else:
-                self.bitshare_store.record(node.id.uid,
+                self.bitshare_store.record(node.id[UID],
                                            session.goal_direction,
                                            achieving_input,
                                            node.sensitive_bits)

@@ -18,8 +18,14 @@ decreases along the trace), and nothing re-checks the results of an
 executor in the engine's own process: the interpreter meets the contract
 by construction.
 
-An execution id is a named tuple ``(uid, ctx)``: one is hashed or
-compared on every trace record the tree maps, and tuples do both in C.
+An execution id is the plain pair ``(uid, ctx)``, read at the named
+positions ``UID`` and ``CTX``: one is hashed or compared on every trace
+record the tree maps, and tuples do both in C.  It is an exact tuple,
+not a named tuple, because CPython's cyclic collector stops tracking
+only exact tuples whose items it need not track: so an id, the records
+that hold it and the traces that hold those leave the collector within
+their first few collections, where a named-tuple id kept them all
+tracked for life.
 A condition record is a plain 5-tuple ``(id, direction, value,
 xor_flag, nbytes)``, read by unpacking or at the named positions ``ID``
 ... ``NBYTES``.  One is built for every evaluated Boolean instruction
@@ -74,9 +80,10 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from itertools import compress, count
 from operator import ne
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 FNV32_BASIS = 0x811C9DC5
 FNV32_PRIME = 0x01000193
@@ -173,14 +180,12 @@ class TerminationKind(IntEnum):
     BOUNDARY_CONDITION_VIOLATION = 3
 
 
-class ExecutionId(NamedTuple):
-    """Static Boolean-instruction id plus the calling-context hash.
+# the static Boolean-instruction id plus the calling-context hash, a
+# plain pair (see the module docstring)
+ExecutionId = tuple[int, int]
 
-    A tuple: it hashes as ``(uid, ctx)``, so set and dict orders keyed by
-    ids are those of the plain pairs."""
-
-    uid: int
-    ctx: int
+# the positions of an id's fields
+UID, CTX = 0, 1
 
 
 # one evaluation of a Boolean-valued instruction along a trace; ``value``
@@ -311,6 +316,15 @@ def wire_encode(message: WireMessage,
     return bytes([kind]) + struct.pack(">I", len(payload)) + payload
 
 
+@lru_cache(maxsize=32)
+def _type_tags(raw_tags: bytes) -> tuple[TypeTag, ...]:
+    """The tags of a frame's checked tag bytes.  An executor's results
+    repeat a few tag strings, and a hit costs a fraction of a rebuild,
+    which calls into ``_TAGS`` once per tag.  The memo is small because
+    one entry can be as long as an input."""
+    return tuple(map(_TAGS.__getitem__, raw_tags))
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -352,7 +366,7 @@ def wire_decode(frame: bytes,
                 raise DecodeError(f"unknown type tag 0x{max(raw_tags):02x}")
             if sum(raw_tags.translate(_TAG_WIDTHS)) != n:
                 raise DecodeError("type tags do not cover the bytes read")
-            tags = tuple(map(_TAGS.__getitem__, raw_tags))
+            tags = _type_tags(raw_tags)
             m, b, c = r.unpack(_DELTA_HEAD)
             if b != len(previous):
                 raise DecodeError(f"result coded against a trace of {b} "
@@ -365,12 +379,10 @@ def wire_decode(frame: bytes,
                 raise DecodeError("changed positions not strictly "
                                   f"increasing below {shared}")
             # a call into Python code per record would be most of the
-            # cost of a frame, so each id is built by the builtin
-            # tuple.__new__ and each record is a tuple display that
+            # cost of a frame, so each record is a tuple display that
             # writes out the NaN rule of condition_record
-            new = tuple.__new__
             sent = [
-                (new(ExecutionId, (uid, ctx)), direction != 0,
+                ((uid, ctx), direction != 0,
                  math.inf if value != value else value, xor != 0, nbytes)
                 for uid, ctx, direction, xor, value, nbytes
                 in _RECORD.iter_unpack(

@@ -8,9 +8,10 @@ import math
 from gradfuzz.exec_tree import EdgeLabel, ExecTree, TreeNode
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
+    CTX,
+    UID,
     VALUE,
     ExecutionConfig,
-    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -50,12 +51,12 @@ def dump(tree: ExecTree) -> str:
             "x" if node.closed else "-",
         ))
         lines.append(
-            f"{node.depth} uid={node.id.uid} ctx={node.id.ctx:08x} "
+            f"{node.depth} uid={node.id[UID]} ctx={node.id[CTX]:08x} "
             f"labels={EdgeLabel(node.label[0]).name}/"
             f"{EdgeLabel(node.label[1]).name} "
             f"f={node.value!r} nbytes={node.nbytes} {flags}")
-        visit(node.successor[0])
-        visit(node.successor[1])
+        visit(node.false_succ)
+        visit(node.true_succ)
 
     visit(tree.root)
     return "\n".join(lines)
@@ -148,13 +149,16 @@ def chain_from_uids(uids, directions=None):
     nodes = []
     parent = None
     for i, uid in enumerate(uids):
-        node = TreeNode(ExecutionId(uid, 0), parent)
+        node = TreeNode((uid, 0), parent)
         node.best_trace = tuple(
-            condition_record(ExecutionId(uids[j], 0), True, 1.0, False, 1)
+            condition_record((uids[j], 0), True, 1.0, False, 1)
             for j in range(i + 1))
         if parent is not None:
             direction = True if directions is None else directions[i - 1]
-            parent.successor[direction] = node
+            if direction:
+                parent.true_succ = node
+            else:
+                parent.false_succ = node
             # labels are an immutable pair of ints, rebound on each change
             false_label, true_label = parent.label
             visited = int(EdgeLabel.VISITED)
@@ -233,7 +237,7 @@ def random_wire_result(rng):
         value = rng.choice((0.0, -1.5, 3.25, math.inf, -math.inf,
                             rng.uniform(-1e18, 1e18)))
         records.append(condition_record(
-            ExecutionId(rng.randrange(2 ** 32), rng.randrange(2 ** 32)),
+            (rng.randrange(2 ** 32), rng.randrange(2 ** 32)),
             rng.random() < 0.5, value, rng.random() < 0.5, nbytes))
     return ExecutionResult(TerminationKind(rng.randrange(4)), bytes(data),
                            tuple(tags), tuple(records))

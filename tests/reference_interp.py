@@ -21,7 +21,6 @@ from gradfuzz.target_abi import (
     FNV32_BASIS,
     ConditionRecord,
     ExecutionConfig,
-    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -129,7 +128,7 @@ class _RunState:
         if len(self.trace) >= self.config.max_trace_length:
             raise _Boundary()
         self.trace.append(condition_record(
-            ExecutionId(uid, self.ctx_hashes[-1]), bool(direction),
+            (uid, self.ctx_hashes[-1]), bool(direction),
             value, self.xor_seen, self.consumed))
 
     def clear_xor(self) -> None:

@@ -16,15 +16,16 @@ from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
+    CTX,
     DIRECTION,
     FNV32_BASIS,
     ID,
     NBYTES,
+    UID,
     VALUE,
     XOR_FLAG,
     DecodeError,
     ExecutionConfig,
-    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -58,6 +59,14 @@ def result_frame(payload: bytes) -> bytes:
     return b"\x02" + struct.pack(">I", len(payload)) + payload
 
 
+def tag_frame(raw_tags: bytes, n: int) -> bytes:
+    """A result frame with ``n`` bytes read, the given tag bytes and an
+    empty trace."""
+    return result_frame(struct.pack("<BI", 0, n) + bytes(n)
+                        + struct.pack("<I", len(raw_tags)) + raw_tags
+                        + struct.pack("<III", 0, 0, 0))
+
+
 def trace_payload(m, b, positions, rows) -> bytes:
     """A result payload with no bytes read and the trace part written out:
     m, b, the changed positions, then the rows (uid, ctx, direction, xor,
@@ -68,13 +77,14 @@ def trace_payload(m, b, positions, rows) -> bytes:
 
 
 def assert_plain_records(trace):
-    """Every record is an exact 5-tuple of an ExecutionId, a bool
-    direction, a float value, a bool xor flag and an int nbytes.
-    Equality alone would accept a tuple subclass, or ints for the
-    flags."""
+    """Every record is an exact 5-tuple of an exact (uid, ctx) pair of
+    ints, a bool direction, a float value, a bool xor flag and an int
+    nbytes.  Equality alone would accept a tuple subclass, or ints for
+    the flags."""
     for rec in trace:
         assert type(rec) is tuple and len(rec) == 5
-        assert type(rec[ID]) is ExecutionId
+        assert type(rec[ID]) is tuple and len(rec[ID]) == 2
+        assert type(rec[ID][UID]) is int and type(rec[ID][CTX]) is int
         assert type(rec[DIRECTION]) is bool
         assert type(rec[VALUE]) is float
         assert type(rec[XOR_FLAG]) is bool
@@ -103,17 +113,22 @@ class TestContextHash:
 
 class TestRecords:
     def test_nan_branching_value_canonicalized(self):
-        rec = condition_record(ExecutionId(1, 2), True, math.nan, False, 0)
+        rec = condition_record((1, 2), True, math.nan, False, 0)
         assert rec[VALUE] == math.inf
-        assert rec == (ExecutionId(1, 2), True, math.inf, False, 0)
+        assert rec == ((1, 2), True, math.inf, False, 0)
         assert type(rec) is tuple
 
     def test_execution_id_hashes_as_pair(self):
-        # set and dict orders that reach the manifest depend on this
+        # set and dict orders that reach the manifest depend on this: a
+        # decoded id is the exact pair, so it hashes and compares as one
         rng = random.Random(3)
         for _ in range(100):
             uid, ctx = rng.randrange(2 ** 32), rng.randrange(2 ** 32)
-            assert hash(ExecutionId(uid, ctx)) == hash((uid, ctx))
+            rec = condition_record((uid, ctx), True, 1.0, False, 0)
+            result = ExecutionResult(TerminationKind.NORMAL, b"", (), (rec,))
+            (got,) = wire_decode(wire_encode(result)).trace
+            assert type(got[ID]) is tuple and got[ID] == (uid, ctx)
+            assert hash(got[ID]) == hash((uid, ctx))
 
     # a result is checked where it crosses the wire, not where it is built
     def test_result_rejects_mismatched_tags(self):
@@ -124,8 +139,8 @@ class TestRecords:
 
     def test_result_rejects_nonmonotone_nbytes(self):
         records = (
-            condition_record(ExecutionId(1, 0), True, 1.0, False, 2),
-            condition_record(ExecutionId(2, 0), True, 1.0, False, 1),
+            condition_record((1, 0), True, 1.0, False, 2),
+            condition_record((2, 0), True, 1.0, False, 1),
         )
         frame = wire_encode(ExecutionResult(TerminationKind.NORMAL, b"ab",
                                             (TypeTag.SINT16,), records))
@@ -133,14 +148,14 @@ class TestRecords:
             wire_decode(frame)
 
     def test_differing_positions_below_the_shorter_length(self):
-        a = [condition_record(ExecutionId(1, 0), True, 1.0, False, 0),
-             condition_record(ExecutionId(2, 0), True, 1.0, False, 0),
-             condition_record(ExecutionId(3, 0), True, 1.0, False, 1),
-             condition_record(ExecutionId(4, 0), True, 1.0, False, 1)]
+        a = [condition_record((1, 0), True, 1.0, False, 0),
+             condition_record((2, 0), True, 1.0, False, 0),
+             condition_record((3, 0), True, 1.0, False, 1),
+             condition_record((4, 0), True, 1.0, False, 1)]
         b = [a[0],
-             condition_record(ExecutionId(2, 0), False, 1.0, False, 0),
-             condition_record(ExecutionId(3, 0), True, 1.0, False, 1),
-             condition_record(ExecutionId(4, 0), True, 2.0, False, 1),
+             condition_record((2, 0), False, 1.0, False, 0),
+             condition_record((3, 0), True, 1.0, False, 1),
+             condition_record((4, 0), True, 2.0, False, 1),
              a[3]]
         assert list(differing_positions(a, b)) == [1, 3]
         assert list(differing_positions(b[:2], a)) == [1]
@@ -160,7 +175,7 @@ class TestWireFormat:
 
     def test_result_round_trip_with_infinite_value(self):
         records = tuple(
-            condition_record(ExecutionId(i, 7), i % 2 == 0,
+            condition_record((i, 7), i % 2 == 0,
                              value, False, 1)
             for i, value in enumerate((1.5, math.inf, -2.25)))
         result = ExecutionResult(TerminationKind.CRASH, b"x",
@@ -207,11 +222,11 @@ class TestWireFormat:
     def test_nan_value_decodes_to_infinity(self):
         payload = trace_payload(1, 0, (), [(1, 2, 1, 0, math.nan, 0)])
         (rec,) = wire_decode(result_frame(payload)).trace
-        assert rec == condition_record(ExecutionId(1, 2), True, math.inf,
+        assert rec == condition_record((1, 2), True, math.inf,
                                        False, 0)
         # a changed record is built by the same rule
         payload = trace_payload(1, 1, (0,), [(1, 2, 1, 0, math.nan, 0)])
-        previous = (condition_record(ExecutionId(1, 2), True, 1.5, False,
+        previous = (condition_record((1, 2), True, 1.5, False,
                                      0),)
         (rec,) = wire_decode(result_frame(payload), previous).trace
         assert rec[VALUE] == math.inf
@@ -225,7 +240,7 @@ class TestWireFormat:
     def test_negative_zero_keeps_its_sign(self):
         result = ExecutionResult(
             TerminationKind.NORMAL, b"", (),
-            (condition_record(ExecutionId(1, 2), False, -0.0, False, 0),))
+            (condition_record((1, 2), False, -0.0, False, 0),))
         (rec,) = wire_decode(wire_encode(result)).trace
         assert math.copysign(1.0, rec[VALUE]) == -1.0
 
@@ -263,7 +278,7 @@ class TestWireFormat:
 
 
 def record(uid, value=1.5, nbytes=0, direction=True):
-    return condition_record(ExecutionId(uid, 7), direction, value, False,
+    return condition_record((uid, 7), direction, value, False,
                             nbytes)
 
 
@@ -665,6 +680,29 @@ class TestTypeTagTable:
     ])
     def test_render_value(self, tag, raw, text):
         assert _render_value(tag, raw) == text
+
+    def test_decoded_tags_equal_a_fresh_build(self):
+        # the decoder memoises a frame's tag tuple by its tag bytes; the
+        # strings repeat, so most decodes below are memo hits
+        rng = random.Random(17)
+        pool = [bytes(rng.randrange(len(TypeTag))
+                      for _ in range(rng.randrange(40)))
+                for _ in range(12)]
+        for _ in range(300):
+            raw = rng.choice(pool)
+            n = sum(TypeTag(t).byte_width for t in raw)
+            got = wire_decode(tag_frame(raw, n)).type_tags
+            assert got == tuple(TypeTag(t) for t in raw)
+            assert all(type(tag) is TypeTag for tag in got)
+
+    def test_bad_tags_are_rejected_after_good_ones_were_memoised(self):
+        good = bytes([TypeTag.UINT8, TypeTag.SINT32])
+        assert wire_decode(tag_frame(good, 5)).type_tags == (
+            TypeTag.UINT8, TypeTag.SINT32)
+        with pytest.raises(DecodeError, match="do not cover"):
+            wire_decode(tag_frame(good, 4))
+        with pytest.raises(DecodeError, match="unknown type tag 0x0f"):
+            wire_decode(tag_frame(good + b"\x0f", 5))
 
 
 class TestBitHelpers:

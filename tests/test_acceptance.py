@@ -29,6 +29,7 @@ from gradfuzz.generators import (
 from gradfuzz.minivm import VmLimits, parse_program
 from gradfuzz.strategy import Strategy, biased_index, detect_loops
 from gradfuzz.target_abi import (
+    UID,
     ExecutionConfig,
     TerminationKind,
     wire_decode,
@@ -93,7 +94,7 @@ def test_criterion_02_sensitivity_ground_truth(monkeypatch):
     by_uid = {}
     for node in engine.tree.nodes:
         if node.sensitive_bits:
-            by_uid.setdefault(node.id.uid, node)
+            by_uid.setdefault(node.id[UID], node)
     bi0 = by_uid[1]
     bi1 = by_uid[2]
     assert sorted(raw_bits[bi0]) == [5, 6, 7]
@@ -126,7 +127,7 @@ def test_criterion_04_stuck_minimum_escaped_within_one_sweep():
     outcome = drive_session(session, executor, tree)
     assert outcome == "achieved"
     assert len(session.descent_logs) == 1
-    assert uid_covered(tree, node.id.uid)
+    assert uid_covered(tree, node.id[UID])
     for log in session.descent_logs:
         assert all(b < a for a, b in zip(log, log[1:]))
     ok("4: bit-swapped nibble guard covered within the first seed")

@@ -209,6 +209,23 @@ def test_report_of_a_suite_with_bad_stats_exits_with_message(tmp_path):
     assert_error_exit(done, f"bad stats document {out / 'stats.json'}")
 
 
+@pytest.mark.parametrize("document, text, reason", [
+    ("stats.json", "[]", "bad stats document {out}/stats.json: list "
+                         "indices must be integers"),
+    ("stats.json", '{"seed": 1}', "bad stats document {out}/stats.json: "
+                                  "no 'iterations' entry"),
+    ("manifest.json", "{}", "bad manifest in {out}: no 'coverage' entry"),
+], ids=["stats_list", "stats_seed_only", "empty_manifest"])
+def test_report_of_a_document_of_the_wrong_shape_exits_with_message(
+        tmp_path, document, text, reason):
+    out = _fuzzed_suite(tmp_path)
+    (out / document).write_text(text)
+    done = run_cli("report", "-s", str(out))
+    assert_error_exit(done, reason.format(out=out))
+    # nothing is printed before the document is found bad
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda manifest: {key: value for key, value in manifest.items()
                        if key != "limits"}, "no 'limits' entry"),

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,22 +15,27 @@ from gradfuzz.exec_tree import (
     is_indirectly_input_dependent,
     is_open,
 )
+from gradfuzz.fuzz_loop import FuzzBudget, FuzzEngine, FuzzOptions
 from gradfuzz.generators import SensitivitySession
+from gradfuzz.minivm import parse_program
 from gradfuzz.target_abi import (
+    ID,
     NBYTES,
-    ExecutionId,
+    UID,
     ExecutionResult,
     TerminationKind,
     TypeTag,
     condition_record,
+    wire_decode,
+    wire_encode,
 )
 from helpers import dump, is_directly_input_dependent, path_weight, \
     uid_covered
 
+BENCH = Path(__file__).parent.parent / "benchmarks"
 
 def record(uid, direction, value, nbytes=1, ctx=0, xor=False):
-    return condition_record(ExecutionId(uid, ctx), direction, value, xor,
-                            nbytes)
+    return condition_record((uid, ctx), direction, value, xor, nbytes)
 
 
 def result_for(records, termination=TerminationKind.NORMAL, data=b"\x00",
@@ -59,7 +65,7 @@ class TestMapTrace:
         root = tree.root
         assert root.label[True] == EdgeLabel.VISITED
         assert root.label[False] == EdgeLabel.NOT_VISITED
-        child = root.successor[True]
+        child = root.true_succ
         assert child is not None
         assert child.label[False] == EdgeLabel.END_NORMAL
         assert child.depth == 1
@@ -77,7 +83,7 @@ class TestMapTrace:
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 2.0))), 1)
         assert tree.root.label[True] == EdgeLabel.VISITED
-        assert tree.root.successor[True] is not None
+        assert tree.root.true_succ is not None
 
     def test_labels_never_downgrade(self):
         tree = ExecTree()
@@ -107,7 +113,7 @@ class TestMapTrace:
         tree = ExecTree()
         trace = (record(1, True, math.inf), record(2, False, 1.0))
         tree.map_trace(result_for(trace), 0)
-        child = tree.root.successor[True]
+        child = tree.root.true_succ
         assert tree.root.value == math.inf
         assert child.value == 1.0
         assert child.best_trace == trace
@@ -117,11 +123,11 @@ class TestMapTrace:
                   record(3, False, 1.0), record(4, True, 1.0))
         tree.map_trace(result_for(second, data=b"\x02"), 1)
         root = tree.root
-        mid = root.successor[True]
+        mid = root.true_succ
         assert root.best_trace == second and root.best_weight == 4.0
         assert mid.best_trace == trace and mid.best_iter == 0
-        leaf = mid.successor[True]
-        for node in (leaf, leaf.successor[False]):
+        leaf = mid.true_succ
+        for node in (leaf, leaf.false_succ):
             assert node.best_weight == math.inf
             assert node.best_trace == second
             assert node.best_input == b"\x02"
@@ -148,11 +154,44 @@ class TestMapTrace:
             assert all(type(label) is int for label in node.label)
             # a tuple of ints leaves the collector's lists once collected
             assert not gc.is_tracked(node.label)
+        # labelling allocates nothing: equal pairs are one object
+        assert len({id(node.label) for node in tree.nodes}) == len(
+            {node.label for node in tree.nodes})
         # nodes never labelled share one pair
-        fresh = [TreeNode(ExecutionId(uid, 0), None) for uid in (1, 2)]
+        fresh = [TreeNode((uid, 0), None) for uid in (1, 2)]
         assert fresh[0].label is fresh[1].label
         assert fresh[0].label == (EdgeLabel.NOT_VISITED,
                                   EdgeLabel.NOT_VISITED)
+
+    def test_ids_records_and_traces_leave_the_collector(self):
+        # the layout a tree of thousands of nodes relies on: once
+        # collected, the collector tracks a node itself and none of its
+        # ids, records and traces, and no container of its successors.  A
+        # collection untracks a tuple only when its items are untracked
+        # already, and it may visit a tuple before its items, so a fresh
+        # trace (ids in records in a tuple) can take three collections
+        program = parse_program((BENCH / "counted_loop.mc").read_text())
+        engine = FuzzEngine(program, FuzzBudget(max_executions=200),
+                            FuzzOptions(seed=1))
+        engine.run()
+        last = engine.tree.nodes[-1].best_trace
+        decoded = wire_decode(wire_encode(ExecutionResult(
+            TerminationKind.NORMAL, b"", (), last)))
+        for _ in range(3):
+            gc.collect()
+        assert len(engine.tree.nodes) > 10
+        for node in engine.tree.nodes:
+            assert not gc.is_tracked(node.id)
+            assert not gc.is_tracked(node.best_trace)
+            for rec in node.best_trace:
+                assert not gc.is_tracked(rec[ID])
+                assert not gc.is_tracked(rec)
+            assert not any(isinstance(ref, (list, dict, set))
+                           for ref in gc.get_referents(node))
+        assert not gc.is_tracked(decoded.trace)
+        assert not any(map(gc.is_tracked, decoded.trace))
+        assert {"false_succ", "true_succ"} <= set(TreeNode.__slots__)
+        assert "successor" not in TreeNode.__slots__
 
     def test_empty_trace_is_ignored(self):
         tree = ExecTree()
@@ -170,9 +209,8 @@ class TestMapTrace:
         tree = ExecTree()
         tree.map_trace(result_for((record(1, True, 1.0), record(2, True, 1.0),
                                    record(3, False, 1.0))), 0)
-        message = ("trace record 2 has id ExecutionId(uid=9, ctx=0), tree "
-                   "node has ExecutionId(uid=3, ctx=0); target looks "
-                   "nondeterministic")
+        message = ("trace record 2 has id (9, 0), tree node has (3, 0); "
+                   "target looks nondeterministic")
         with pytest.raises(TreeMappingError, match=re.escape(message)):
             tree.map_trace(result_for((record(1, True, 1.0),
                                        record(2, True, 1.0),
@@ -199,7 +237,7 @@ class TestMapTrace:
         tree.map_trace(result_for((record(1, False, 1.0, ctx=5),)), 1)
         assert tree.root.covered
         assert uid_covered(tree, 1)
-        assert tree.id_covered(ExecutionId(1, 5))
+        assert tree.id_covered((1, 5))
 
     def test_coverage_spans_nodes_sharing_id(self):
         # two tree positions of the same execution id cover together
@@ -210,7 +248,7 @@ class TestMapTrace:
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 5.0, ctx=1),
              record(2, False, 4.0, ctx=1))), 1)
-        nodes = [n for n in tree.nodes if n.id.uid == 2]
+        nodes = [n for n in tree.nodes if n.id[UID] == 2]
         assert len(nodes) == 2
         assert all(n.covered for n in nodes)
 
@@ -222,7 +260,7 @@ class TestMapTrace:
                 (record(1, True, 5.0), record(2, False, 5.0)))):
             tree.map_trace(result_for(trace), i)
         root = tree.root
-        mid = root.successor[True]
+        mid = root.true_succ
         assert root.covered and mid.covered
         assert root.height == 1 and tree.max_nbytes == 1
         # deeper and lighter, every id already covered: uid 2 repeats
@@ -231,7 +269,7 @@ class TestMapTrace:
         report = tree.map_trace(result_for(
             trace, data=b"\x00" * 3, tags=(TypeTag.UINT8,) * 3), 3)
         assert report.new_pairs == [] and report.newly_covered_uids == []
-        leaf = mid.successor[True]
+        leaf = mid.true_succ
         assert leaf.covered
         for node, weight in ((root, 1.0), (mid, 2.0), (leaf, 3.0)):
             assert node.best_weight == weight
@@ -279,7 +317,7 @@ class TestMapTrace:
 
         def subtree_max_depth(node):
             best = node.depth
-            for succ in node.successor:
+            for succ in (node.false_succ, node.true_succ):
                 if succ is not None:
                     best = max(best, subtree_max_depth(succ))
             return best
@@ -310,7 +348,7 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     tree.map_trace(result_for((record(1, False, 1.0), record(3, True, 1.0))),
                    1)
     root = tree.root
-    node, sibling = root.successor[True], root.successor[False]
+    node, sibling = root.true_succ, root.false_succ
     session = SensitivitySession(node)
     session.raw_marks = {1: {3}}
     session.region_marks = {0: {9}}
@@ -318,20 +356,20 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     assert root.sensitive_bits == {9}
     assert node.sensitive_bits == set(range(8))
     assert sibling.sensitive_bits == set()
-    assert TreeNode(ExecutionId(4, 0), None).sensitive_bits == set()
+    assert TreeNode((4, 0), None).sensitive_bits == set()
 
 
 def _label_snapshot(node):
     if node is None:
         return None
-    return (node.id.uid, node.label[0], node.label[1],
-            _label_snapshot(node.successor[0]),
-            _label_snapshot(node.successor[1]))
+    return (node.id[UID], node.label[0], node.label[1],
+            _label_snapshot(node.false_succ),
+            _label_snapshot(node.true_succ))
 
 
 def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
                sensitivity_done=False, bits=(), covered=False):
-    node = TreeNode(ExecutionId(uid, 0), None)
+    node = TreeNode((uid, 0), None)
     node.label = tuple(map(int, labels))
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
@@ -369,7 +407,10 @@ class TestClassify:
                                               EdgeLabel.END_NORMAL))
             child.sensitivity_done = True
             child.closed = True
-            parent.successor[b] = child
+            if b:
+                parent.true_succ = child
+            else:
+                parent.false_succ = child
             child.parent = parent
         assert is_directly_input_dependent(parent)
         assert not is_indirectly_input_dependent(parent)
@@ -406,7 +447,7 @@ class TestPropagateClosed:
         tree = self._chain()
         for node in tree.nodes:
             node.sensitivity_done = True  # IID everywhere: nothing open
-        leaf = tree.root.successor[True].successor[True]
+        leaf = tree.root.true_succ.true_succ
         tree.propagate_closed(leaf)
         assert leaf.closed
         assert tree.root.closed
@@ -423,9 +464,9 @@ class TestPropagateClosed:
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
              record(3, False, 1.0))), 2)
-        leaf = tree.root.successor[True].successor[True]
+        leaf = tree.root.true_succ.true_succ
         leaf.sensitivity_done = True
-        mid = tree.root.successor[True]
+        mid = tree.root.true_succ
         mid.sensitivity_done = True
         tree.propagate_closed(leaf)
         assert leaf.closed
@@ -441,7 +482,7 @@ class TestPropagateClosed:
         tree = self._chain()
         for node in tree.nodes:
             node.sensitivity_done = True
-        leaf = tree.root.successor[True].successor[True]
+        leaf = tree.root.true_succ.true_succ
         tree.propagate_closed(leaf)
         assert tree.root.closed
         tree.reopen(leaf)

@@ -18,12 +18,13 @@ from gradfuzz.generators import (
     typed_seed_value,
 )
 from gradfuzz.target_abi import (
+    CTX,
     DIRECTION,
     ID,
     NBYTES,
+    UID,
     VALUE,
     XOR_FLAG,
-    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -47,7 +48,8 @@ int main() {
 class TestSensitivity:
     def _run_pair_session(self):
         program, tree, executor = bootstrap_tree(SENSE_PAIR)
-        deep = tree.root.successor[tree.root.best_trace[0][DIRECTION]]
+        deep = (tree.root.true_succ if tree.root.best_trace[0][DIRECTION]
+                else tree.root.false_succ)
         session = SensitivitySession(deep)
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"
@@ -104,7 +106,7 @@ class TestBitshareCompose:
         node = self._node()
         store = BitshareStore()
         donor_input = bytes([0x00, ~node.best_input[1] & 0xFF])
-        store.record(node.id.uid, True, donor_input, node.sensitive_bits)
+        store.record(node.id[UID], True, donor_input, node.sensitive_bits)
         composed = bitshare_compose(node, True, store)
         flipped = [s for s in range(16)
                    if get_bit(composed, s) != get_bit(node.best_input, s)]
@@ -113,7 +115,7 @@ class TestBitshareCompose:
     def test_empty_donor_bits_leave_input_unchanged(self):
         node = self._node()
         store = BitshareStore()
-        store.record(node.id.uid, True, b"\x55", set())
+        store.record(node.id[UID], True, b"\x55", set())
         assert bitshare_compose(node, True, store) == node.best_input
 
     def test_no_donor_entry_returns_none(self):
@@ -129,7 +131,7 @@ class TestBitshareCompose:
     def test_donor_truncated_to_shorter_side(self):
         node = self._node()
         store = BitshareStore()
-        store.record(node.id.uid, True, b"\xff", {0, 1, 2})  # 3 donor bits
+        store.record(node.id[UID], True, b"\xff", {0, 1, 2})  # 3 donor bits
         composed = bitshare_compose(node, True, store)
         changed = [s for s in range(16)
                    if get_bit(composed, s) != get_bit(node.best_input, s)]
@@ -448,7 +450,7 @@ class TestSessionProtocol:
 
 
 def _record(uid, direction, value=1.0):
-    return condition_record(ExecutionId(uid, 0), direction, value, False, 0)
+    return condition_record((uid, 0), direction, value, False, 0)
 
 
 def _result(trace):
@@ -469,8 +471,8 @@ class TestMappedValue:
         tree.map_trace(_result(
             [_record(u, d, 5.0) for u, d in self.PATH] + [_record(4, True)]),
             0)
-        node = tree.root.successor[True].successor[False]
-        assert node.id.uid == 3 and node.depth == 2
+        node = tree.root.true_succ.false_succ
+        assert node.id[UID] == 3 and node.depth == 2
         return _PathProbe(node)
 
     def test_trace_turning_away_before_the_node(self):
@@ -511,7 +513,7 @@ class TestMappedValue:
                                        else trace[i][DIRECTION],
                                        trace[i][VALUE])
             reaches = (len(trace) > 2
-                       and [r[ID].uid for r in trace[:3]] == [1, 2, 3]
+                       and [r[ID][UID] for r in trace[:3]] == [1, 2, 3]
                        and [r[DIRECTION] for r in trace[:2]]
                        == [True, False])
             want = trace[2][VALUE] if reaches else None
@@ -555,7 +557,7 @@ class TestWalksOverChangedRecords:
 
     def _random_record(self, rng, nbytes):
         return condition_record(
-            ExecutionId(rng.choice((1, 2, 3)), rng.choice((0, 7))),
+            (rng.choice((1, 2, 3)), rng.choice((0, 7))),
             rng.random() < 0.5, rng.choice(self.VALUES),
             rng.random() < 0.5, nbytes)
 
@@ -580,9 +582,9 @@ class TestWalksOverChangedRecords:
             elif change == 1:
                 direction = not direction
             elif change == 2:
-                rid = ExecutionId(rng.choice((4, 5)), 0)  # foreign id
+                rid = (rng.choice((4, 5)), 0)  # foreign id
             elif change == 3:
-                rid = ExecutionId(*rid)  # equal, not identical
+                rid = (rid[UID], rid[CTX])  # equal, not identical
             elif change == 4:
                 xor = not xor
             else:
@@ -608,7 +610,7 @@ class TestWalksOverChangedRecords:
             node = tree.root
             for direction in [r[DIRECTION] for r in full[
                     :rng.randrange(len(full))]]:
-                node = node.successor[direction]
+                node = node.true_succ if direction else node.false_succ
             session = SensitivitySession(node)
             base = session.base_trace
             raw, region = {}, {}

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from gradfuzz.minivm import ParseError, VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     DIRECTION,
+    CTX,
     ID,
     NBYTES,
+    UID,
     VALUE,
     XOR_FLAG,
     ExecutionConfig,
@@ -101,7 +103,7 @@ class TestParse:
         }
         """
         result = run(src, b"\x03\x00\x00\x00")
-        uids = [rec[ID].uid for rec in result.trace]
+        uids = [rec[ID][UID] for rec in result.trace]
         # a (<), b (>), if(a) truncation, c (==)
         assert uids == [1, 2, 3, 4]
 
@@ -131,7 +133,7 @@ class TestExecute:
 
     def test_worked_example_fallthrough(self):
         result = run(SENSE_EXAMPLE, b"\x01")
-        assert [r[ID].uid for r in result.trace] == [1, 2, 3]
+        assert [r[ID][UID] for r in result.trace] == [1, 2, 3]
         assert result.trace[2][VALUE] == -1.0
         result = run(SENSE_EXAMPLE, b"\x07")
         assert result.trace[2][VALUE] == 5.0
@@ -232,7 +234,7 @@ class TestRecordSemantics:
                      return 0; }
         """
         result = run(src, b"\x09\x00\x00\x00")
-        values = [(r[ID].uid, r[VALUE], r[DIRECTION]) for r in result.trace]
+        values = [(r[ID][UID], r[VALUE], r[DIRECTION]) for r in result.trace]
         # the comparison inside check, then the bool-returning call site
         assert values[0][1] == 6.0
         assert values[1][1] == 1.0
@@ -283,8 +285,8 @@ class TestRecordSemantics:
         result = run(src, b"\x01\x00\x00\x00\xff\xff\xff\xff")
         assert len(result.trace) == 2
         first, second = result.trace
-        assert first[ID].uid == second[ID].uid
-        assert first[ID].ctx != second[ID].ctx
+        assert first[ID][UID] == second[ID][UID]
+        assert first[ID][CTX] != second[ID][CTX]
         assert result.termination == TerminationKind.CRASH
 
     def test_context_depth_cap_stabilizes_hash(self):
@@ -294,8 +296,8 @@ class TestRecordSemantics:
         int main() { int r = down(40); return r; }
         """
         result = run(src)
-        contexts = [r[ID].ctx for r in result.trace
-                    if r[ID].uid == 1]
+        contexts = [r[ID][CTX] for r in result.trace
+                    if r[ID][UID] == 1]
         # frames beyond the cap stop changing the hash
         assert len(set(contexts[33:])) == 1
         assert len(set(contexts[:8])) == 8

@@ -17,7 +17,7 @@ from gradfuzz.strategy import (
 )
 from gradfuzz.target_abi import (
     NBYTES,
-    ExecutionId,
+    UID,
     ExecutionResult,
     TerminationKind,
     TypeTag,
@@ -27,7 +27,7 @@ from helpers import ScriptedRng, chain_from_uids, oracle_detect_loops
 
 
 def record(uid, direction, value, nbytes=1, ctx=0):
-    return condition_record(ExecutionId(uid, ctx), direction, value, False,
+    return condition_record((uid, ctx), direction, value, False,
                             nbytes)
 
 
@@ -40,7 +40,7 @@ def map_all(tree, traces, termination=TerminationKind.NORMAL):
 
 def stub_node(uid=1, value=1.0, nbytes=1, depth=0, height=0,
               sensitivity_done=False, bits=()):
-    node = TreeNode(ExecutionId(uid, 0), None)
+    node = TreeNode((uid, 0), None)
     node.depth = depth
     node.height = height
     node.sensitivity_done = sensitivity_done
@@ -293,14 +293,14 @@ class TestSelectPrimaryTarget:
         strategy = Strategy(tree, random.Random(0))
         assert strategy.primary_candidates()
         selected = strategy.select_primary_target()
-        assert selected.id.uid == head
+        assert selected.id[UID] == head
         assert selected.depth == 0
 
     def test_analyzed_candidate_beats_smaller_unanalyzed_one(self):
         tree = ExecTree()
         map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0)]])
         untouched = tree.root
-        analyzed = untouched.successor[True]
+        analyzed = untouched.true_succ
         analyzed.sensitivity_done = True
         analyzed.sensitive_bits = {0}
         for node in tree.nodes:
@@ -319,7 +319,7 @@ class TestSelectPrimaryTarget:
                         record(5, True, 1.0)]])
         path = tree.nodes[-1].path()
         for node in path:
-            if node.id.uid == 6:
+            if node.id[UID] == 6:
                 node.covered = True
         strategy = Strategy(tree, random.Random(0))
         strategy.pivots.append(stub_node(uid=5, value=9.0,
@@ -352,7 +352,7 @@ class TestSelectAnalysis:
         assert selection.kind == AnalysisKind.SENSITIVITY
         # the false child reads more bytes, so the descent walks the true
         # chain to its deepest same-size node
-        assert selection.node.id.uid == 4
+        assert selection.node.id[UID] == 4
 
     def test_bitshare_after_sensitivity(self):
         tree = self._tree_with_root([[record(1, True, 5.0)]])
@@ -368,7 +368,7 @@ class TestSelectAnalysis:
 
     def test_xor_flag_routes_to_plain_minimization(self):
         tree = ExecTree()
-        trace = (condition_record(ExecutionId(1, 0), True, 5.0, True, 1),)
+        trace = (condition_record((1, 0), True, 5.0, True, 1),)
         tree.map_trace(ExecutionResult(TerminationKind.NORMAL, b"\x00",
                                        (TypeTag.UINT8,), trace), 0)
         node = tree.root
@@ -419,8 +419,8 @@ class TestMonteCarlo:
         map_all(tree, [trace])
         pivot = tree.root
         for _ in range(4):
-            pivot = (pivot.successor[True] if pivot.successor[True]
-                     else pivot.successor[False])
+            pivot = (pivot.true_succ if pivot.true_succ
+                     else pivot.false_succ)
         pivot.sensitivity_done = True
         return tree, pivot
 
@@ -443,7 +443,7 @@ class TestMonteCarlo:
         # entry at depth 2; both walk draws exceed F = 0.5, steering true:
         # from 3@2 into 3@3 whose true edge is unexplored and open
         assert selected is not None
-        assert selected.id.uid == 3
+        assert selected.id[UID] == 3
         assert selected.depth == 3
 
     def test_never_returns_closed_or_exhausted_nodes(self):
@@ -585,11 +585,11 @@ class TestPruneTargets:
             [record(1, False, 1.0), record(2, True, 2.0)],
         ])
         strategy = Strategy(tree, random.Random(0))
-        pivot = tree.root.successor[True]
+        pivot = tree.root.true_succ
         pivot.sensitivity_done = True
         strategy.pivots.append(pivot)
         strategy.prune_targets()
-        twin = tree.root.successor[False]
+        twin = tree.root.false_succ
         assert twin in strategy.twins
         # covering the shared execution id retires pivot and twin alike
         tree.map_trace(ExecutionResult(
@@ -607,11 +607,11 @@ class TestPruneTargets:
             [record(1, False, 1.0), record(2, True, 9.0)],
         ])
         strategy = Strategy(tree, random.Random(0))
-        pivot = tree.root.successor[True]
+        pivot = tree.root.true_succ
         pivot.sensitivity_done = True
         strategy.pivots.append(pivot)
         strategy.prune_targets()
-        other = tree.root.successor[False]
+        other = tree.root.false_succ
         # |9.0| > |5.0|: not a twin
         assert other not in strategy.primary_candidates()
         assert other not in strategy.twins
