@@ -179,16 +179,6 @@ def is_indirectly_input_dependent(node: TreeNode) -> bool:
     return node.sensitivity_done and not node.sensitive_bits
 
 
-class MapReport:
-    """What one trace mapping changed."""
-
-    __slots__ = ("new_pairs", "newly_covered_uids")
-
-    def __init__(self):
-        self.new_pairs: list[tuple[int, bool]] = []
-        self.newly_covered_uids: list[int] = []
-
-
 class ExecTree:
     def __init__(self):
         self.root: Optional[TreeNode] = None
@@ -211,15 +201,14 @@ class ExecTree:
              for d in dirs))
 
     def _observe(self, rid: ExecutionId, direction: bool,
-                 report: MapReport) -> None:
-        """Record that execution id ``rid`` was seen going ``direction``."""
+                 new_pairs: list[tuple[int, bool]]) -> None:
+        """Record that execution id ``rid`` was seen going ``direction``,
+        adding the (uid, direction) pair to ``new_pairs`` if it is new."""
         uid = rid[UID]
         uid_dirs = self.uid_directions.setdefault(uid, set())
         if direction not in uid_dirs:
             uid_dirs.add(direction)
-            report.new_pairs.append((uid, direction))
-            if len(uid_dirs) == 2:
-                report.newly_covered_uids.append(uid)
+            new_pairs.append((uid, direction))
         id_dirs = self.id_directions.setdefault(rid, set())
         if direction not in id_dirs:
             id_dirs.add(direction)
@@ -247,17 +236,22 @@ class ExecTree:
             node.covered = True
         return node
 
-    def map_trace(self, result: ExecutionResult, iteration: int) -> MapReport:
-        """Walk a trace onto the tree, creating and updating nodes.
+    def map_trace(self, result: ExecutionResult,
+                  iteration: int) -> list[tuple[int, bool]]:
+        """Walk a trace onto the tree, creating and updating nodes, and
+        return the (uid, direction) pairs it was the first to observe, in
+        trace order.  The tree's ``uid_directions`` is the one record of
+        what was observed: a uid of a new pair that now has both
+        directions was covered by this trace.
 
         Empty traces update nothing.  The end-of-trace label is
         END_EXCEPTIONAL for a crash and END_NORMAL otherwise (timeouts and
         boundary violations count as normal ends for labeling).
         """
-        report = MapReport()
+        new_pairs: list[tuple[int, bool]] = []
         trace = result.trace
         if not trace:
-            return report
+            return new_pairs
         terminal = (_END_EXCEPTIONAL
                     if result.termination == TerminationKind.CRASH
                     else _END_NORMAL)
@@ -279,7 +273,7 @@ class ExecTree:
             # a covered node's id, and so its uid, was seen both ways:
             # observing the record again could change nothing
             if not node.covered:
-                self._observe(rid, b, report)
+                self._observe(rid, b, new_pairs)
             weight += value * value
             if weight < node.best_weight:
                 node.best_weight = weight
@@ -310,7 +304,7 @@ class ExecTree:
                     node.label = _LABELS[_VISITED][true_label]
                     node.false_succ = succ
             node = succ
-        return report
+        return new_pairs
 
     # -- closed maintenance -------------------------------------------------
 

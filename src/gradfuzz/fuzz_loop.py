@@ -4,14 +4,14 @@ optimizer.
 The run starts with the empty input, followed, while its trace leaves
 the tree empty, by the sensitivity value set of the bytes it read.
 Every later input comes from the active analysis session, which the
-strategy builds.  The engine executes each input, feeds the result to
-the session and checks its goal direction; when the session deactivates
-(strategy finished, budget exceeded, or its goal direction was
-observed) the engine logs it and hands it back to the strategy, which
-records its outcome and picks the next session.  A test
-is kept when it observed a new (uid, direction) pair, or crashed, or is
-the initial empty input; kept tests replay to exactly the recorded
-coverage.
+strategy builds.  The engine executes each input, maps its trace (the
+tree returns the pairs it saw first) and feeds the result to the
+session, which sets its ``achieving_input`` once its goal direction is
+observed.  When the session deactivates (analysis ended, budget spent,
+or goal observed) the engine logs it and hands it to the strategy, which
+records its outcome and picks the next session.  ``stats.iterations``
+counts the executions, and ``_keep`` is the one keep rule of the loop
+and the optimizer; kept tests replay to exactly the recorded coverage.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .exec_tree import EdgeLabel, ExecTree, MapReport, coverage_summary
+from .exec_tree import ExecTree, coverage_summary
 from .executors import LocalExecutor
 from .generators import AnalysisKind, sensitivity_mutations
 from .minivm import Program, VmLimits, execute
@@ -43,6 +43,11 @@ def optimizer_limits(limits: VmLimits) -> VmLimits:
 
 @dataclass(frozen=True)
 class FuzzBudget:
+    """Bounds on the fuzzing loop.  ``max_executions`` counts the loop's
+    executions, bootstrap included; the post-run optimizer's re-runs come
+    after it and are not counted against it (``max_seconds`` bounds
+    both)."""
+
     max_executions: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -122,7 +127,7 @@ class FuzzStats:
 
     @property
     def total_executions(self) -> int:
-        return sum(self.executions_by_kind.values())
+        return self.iterations
 
     def to_dict(self) -> dict:
         return {
@@ -134,15 +139,7 @@ class FuzzStats:
             "tree_nodes": self.tree_nodes,
             "coverage": dict(self.coverage),
             "terminated_by_strategy": self.terminated_by_strategy,
-            "sessions": [
-                {
-                    "kind": s.kind, "uid": s.uid, "ctx": s.ctx,
-                    "depth": s.depth, "goal_direction": s.goal_direction,
-                    "executions": s.executions, "calls": s.calls,
-                    "achieved": s.achieved,
-                }
-                for s in self.sessions
-            ],
+            "sessions": [asdict(s) for s in self.sessions],
         }
 
 
@@ -150,18 +147,16 @@ class FuzzEngine:
     """Owns the tree, the strategy, the active session, and the suite."""
 
     def __init__(self, program: Program, budget: FuzzBudget,
-                 options: FuzzOptions, executor=None, rng=None):
+                 options: FuzzOptions, executor=None):
         self.program = program
         self.budget = budget
         self.options = options
         self.executor = executor or LocalExecutor(program)
-        self.rng = rng or random.Random(options.seed)
         self.tree = ExecTree()
-        self.strategy = Strategy(self.tree, self.rng)
+        self.strategy = Strategy(self.tree, random.Random(options.seed))
         self.suite = TestSuite()
         self.stats = FuzzStats(options.seed)
         self.active = None  # the running session, if any
-        self.iteration = 0
         self._kept_inputs: set[bytes] = set()
         self._deadline = None
 
@@ -197,7 +192,7 @@ class FuzzEngine:
 
     def _within_budget(self) -> bool:
         if (self.budget.max_executions is not None
-                and self.stats.total_executions >= self.budget.max_executions):
+                and self.stats.iterations >= self.budget.max_executions):
             return False
         return not self._past_deadline()
 
@@ -215,56 +210,61 @@ class FuzzEngine:
                 return step
             self._finish_session()
 
-    def _execute(self, limits: VmLimits, input_bytes: bytes,
-                 kind: str) -> tuple[ExecutionResult, MapReport, int]:
-        """Run one input under these caps, count it, and map its trace."""
+    def _execute(self, limits: VmLimits, input_bytes: bytes, kind: str
+                 ) -> tuple[ExecutionResult, list[tuple[int, bool]], int]:
+        """Run one input under these caps, count it, and map its trace;
+        the result, the pairs it saw first, and its iteration."""
         result = self.executor(limits.config(self.options.fill_byte,
                                              input_bytes))
-        iteration = self.iteration
-        self.iteration += 1
-        self.stats.iterations = self.iteration
+        iteration = self.stats.iterations
+        self.stats.iterations += 1
         self.stats.executions_by_kind[kind] += 1
         self.stats.terminations[result.termination.name] += 1
         return result, self.tree.map_trace(result, iteration), iteration
 
     def _execute_and_process(self, input_bytes: bytes,
                              kind: str) -> ExecutionResult:
-        result, report, iteration = self._execute(
+        result, new_pairs, iteration = self._execute(
             self.options.limits, input_bytes, kind)
-        keep = (iteration == 0
-                or result.termination == TerminationKind.CRASH
-                or bool(report.new_pairs))
-        if keep and result.bytes_read not in self._kept_inputs:
-            self._kept_inputs.add(result.bytes_read)
-            self.suite.tests.append(self._test_case(result, report,
-                                                    iteration))
+        self._keep(result, new_pairs, iteration)
         if self.active is not None:
             self.active.feed(result)
-            goal = self.active.goal_direction
-            if (goal is not None
-                    and self.active.node.label[goal] != EdgeLabel.NOT_VISITED):
-                self._finish_session(achieving_input=input_bytes)
+            if self.active.achieving_input is not None:
+                self._finish_session()
         return result
 
-    def _test_case(self, result: ExecutionResult, report: MapReport,
-                   iteration: int, extended: bool = False) -> TestCase:
+    def _keep(self, result: ExecutionResult,
+              new_pairs: list[tuple[int, bool]], iteration: int,
+              extended: bool = False) -> None:
+        """The keep rule: a result joins the suite when its trace saw a
+        new (uid, direction) pair or, under the run's own limits, when it
+        is the first execution or crashed; and no kept test read the
+        same bytes.  Its newly covered uids are those of its new pairs
+        that the tree has now seen both ways."""
+        worth_keeping = new_pairs or not extended and (
+            iteration == 0 or result.termination == TerminationKind.CRASH)
+        if not worth_keeping or result.bytes_read in self._kept_inputs:
+            return
+        self._kept_inputs.add(result.bytes_read)
         uid_pairs, id_pairs = _observed_pairs(result.trace)
-        return TestCase(
+        self.suite.tests.append(TestCase(
             input_bytes=result.bytes_read,
             type_tags=result.type_tags,
             termination=result.termination,
-            newly_covered_uids=tuple(sorted(report.newly_covered_uids)),
+            newly_covered_uids=tuple(sorted(
+                {uid for uid, _ in new_pairs
+                 if len(self.tree.uid_directions[uid]) == 2})),
             iteration=iteration,
-            new_pairs=tuple(sorted(report.new_pairs)),
+            new_pairs=tuple(sorted(new_pairs)),
             uid_pairs=tuple(uid_pairs),
             id_pairs=tuple(id_pairs),
             extended_limits=extended,
-        )
+        ))
 
-    def _finish_session(self, achieving_input: Optional[bytes] = None) -> None:
+    def _finish_session(self) -> None:
         session = self.active
         self.active = None
-        self.strategy.finish(session, achieving_input)
+        self.strategy.finish(session)
         node = session.node
         uid, ctx = node.id
         self.stats.sessions.append(SessionLogEntry(
@@ -272,7 +272,7 @@ class FuzzEngine:
             uid=uid, ctx=ctx, depth=node.depth,
             goal_direction=session.goal_direction,
             executions=session.executions, calls=session.calls,
-            achieved=achieving_input is not None,
+            achieved=session.achieving_input is not None,
         ))
 
     # -- optimizer ------------------------------------------------------------
@@ -280,7 +280,9 @@ class FuzzEngine:
     def optimize_suite(self) -> None:
         """Re-run boundary-violating tests with highly extended limits;
         keep re-reads that add coverage and differ from the original.
-        Stops once the time budget has run out."""
+        Stops once the time budget has run out.  The re-runs come after
+        the loop and are not counted against ``max_executions``: a run
+        makes up to that many executions plus one per such test."""
         limits = optimizer_limits(self.options.limits)
         for test in list(self.suite.tests):
             if self._past_deadline():
@@ -289,14 +291,10 @@ class FuzzEngine:
                 continue
             if test.extended_limits:
                 continue
-            result, report, iteration = self._execute(
+            result, new_pairs, iteration = self._execute(
                 limits, test.input_bytes, _OPTIMIZER)
-            if (report.new_pairs
-                    and result.bytes_read != test.input_bytes
-                    and result.bytes_read not in self._kept_inputs):
-                self._kept_inputs.add(result.bytes_read)
-                self.suite.tests.append(self._test_case(
-                    result, report, iteration, extended=True))
+            if result.bytes_read != test.input_bytes:
+                self._keep(result, new_pairs, iteration, extended=True)
 
 
 def _observed_pairs(trace) -> tuple[list[tuple[int, bool]],

@@ -5,6 +5,9 @@ iteration pulls the next input to execute and feeds back the execution
 result.  Internally the analyses are written as generator coroutines;
 this adapter layers the per-session execution cache and call budget on
 top, so cache hits are resolved without surfacing an input to the loop.
+A session also owns its outcome: ``feed`` sets ``achieving_input`` to
+the input after whose execution the node's goal edge is no longer
+NOT_VISITED, and the loop then deactivates the session.
 
 Every analysis judges an execution by one path check,
 ``prefix_agreement``: how far its trace follows the node's best trace up
@@ -16,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from ..exec_tree import TreeNode
+from ..exec_tree import EdgeLabel, TreeNode
 from ..target_abi import VALUE, ExecutionResult, differing_positions
 
 
@@ -38,6 +41,8 @@ class AnalysisSession:
         self.executions = 0       # real target executions
         self.call_budget: Optional[int] = None
         self.exhausted = False
+        # the input that observed the goal direction, once one has
+        self.achieving_input: Optional[bytes] = None
         self.cache: dict[bytes, float] = {}  # keyed by the input itself
         self._gen = self._run()
         self._feed_value = None  # send(None) starts the generator
@@ -73,12 +78,19 @@ class AnalysisSession:
         return None
 
     def feed(self, result: ExecutionResult) -> None:
+        """Hand the pending input's result to the analysis.  Its trace is
+        already mapped, so the node's labels show whether the goal
+        direction has now been observed."""
         if self._pending is None:
             raise RuntimeError("no input pending")
         value = self._value_of(result)
         self.executions += 1
         if self.uses_cache:
             self.cache[self._pending] = value
+        goal = self.goal_direction
+        if (goal is not None
+                and self.node.label[goal] != EdgeLabel.NOT_VISITED):
+            self.achieving_input = self._pending
         self._pending = None
         self._feed_value = value
 

@@ -413,7 +413,7 @@ class _Emitter:
         self.flush()
         self.uses.add("record")
         self.sites.append(uid)
-        if is_float:  # NaN is stored as +inf; int differences are finite
+        if is_float:  # NaN becomes +inf, see target_abi; ints are finite
             self.line(f"if {value} != {value}: {value} = _INF")
         self.line("if steps > budget: raise _Timeout")
         self.line("if len(trace) >= cap: raise _Boundary")

@@ -251,16 +251,10 @@ class Function:
 class Program:
     functions: dict[str, Function]
     num_boolean_sites: int
-    num_call_sites: int
-    source: str = ""
     # the interpreter's entry function, emitted and compiled on the first
     # execution
     compiled: object = field(default=None, init=False, repr=False,
                              compare=False)
-
-    @property
-    def entry(self) -> Function:
-        return self.functions["main"]
 
 
 # --- Parser ------------------------------------------------------------
@@ -698,5 +692,4 @@ def parse_program(text: str) -> Program:
     functions = parser.parse_program()
     analyzer = _Analyzer(functions)
     analyzer.run()
-    return Program(analyzer.functions, analyzer.next_uid - 1,
-                   analyzer.next_call_site - 1, text)
+    return Program(analyzer.functions, analyzer.next_uid - 1)

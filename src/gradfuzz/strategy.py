@@ -456,11 +456,11 @@ class Strategy:
             return TypedDescentSession(node, goal, self.rng, variables)
         return BinaryDescentSession(node, goal, self.rng)
 
-    def finish(self, session: AnalysisSession,
-               achieving_input: Optional[bytes] = None) -> None:
+    def finish(self, session: AnalysisSession) -> None:
         """Record the outcome of a deactivated session on its node and
-        close what it closed; ``achieving_input`` is the input that
-        observed the session's goal direction, if one did."""
+        close what it closed.  A minimization's outcome is the session's
+        own ``achieving_input``: the input that observed its goal
+        direction, or None when none did."""
         node = session.node
         if session.kind == AnalysisKind.SENSITIVITY:
             self.register_examined(session.finish())
@@ -468,11 +468,11 @@ class Strategy:
             node.bitshare_done = True
         else:
             node.minimization_done = True
-            if achieving_input is None:
+            if session.achieving_input is None:
                 self.record_failure(node)
             else:
                 self.bitshare_store.record(node.id[UID],
                                            session.goal_direction,
-                                           achieving_input,
+                                           session.achieving_input,
                                            node.sensitive_bits)
         self.tree.propagate_closed(node)

@@ -28,9 +28,11 @@ their first few collections, where a named-tuple id kept them all
 tracked for life.
 A condition record is a plain 5-tuple ``(id, direction, value,
 xor_flag, nbytes)``, read by unpacking or at the named positions ``ID``
-... ``NBYTES``.  One is built for every evaluated Boolean instruction
-and read again by every layer, and only an exact tuple is built without
-a Python call and unpacked or indexed on CPython's fast paths.
+... ``NBYTES``.  Its value is never NaN: every builder of a record
+stores a NaN branching value as +infinity.  One is built for every
+evaluated Boolean instruction and read again by every layer, and only
+an exact tuple is built without a Python call and unpacked or indexed
+on CPython's fast paths.
 
 Wire format: one frame is
 
@@ -189,7 +191,7 @@ UID, CTX = 0, 1
 
 
 # one evaluation of a Boolean-valued instruction along a trace; ``value``
-# is the branching-function value, never NaN (see ``condition_record``)
+# is the branching-function value, never NaN (see the module docstring)
 ConditionRecord = tuple[ExecutionId, bool, float, bool, int]
 
 # the positions of a record's fields
@@ -204,17 +206,6 @@ def differing_positions(trace: Sequence[ConditionRecord],
     records visits only the few that changed; the fields of two records
     that compare equal compare equal too."""
     return compress(count(), map(ne, trace, base))
-
-
-def condition_record(id: ExecutionId, direction: bool, value: float,
-                     xor_flag: bool, nbytes: int) -> ConditionRecord:
-    """The record ``(id, direction, value, xor_flag, nbytes)``.  A NaN
-    value becomes +infinity, so stored traces never carry NaN.  The
-    emitted interpreter and ``wire_decode`` build their records as tuple
-    displays and apply the same rule inline."""
-    if value != value:
-        value = math.inf
-    return (id, direction, value, xor_flag, nbytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,7 +371,7 @@ def wire_decode(frame: bytes,
                                   f"increasing below {shared}")
             # a call into Python code per record would be most of the
             # cost of a frame, so each record is a tuple display that
-            # writes out the NaN rule of condition_record
+            # writes out the NaN rule (see the module docstring)
             sent = [
                 ((uid, ctx), direction != 0,
                  math.inf if value != value else value, xor != 0, nbytes)

@@ -11,14 +11,26 @@ from gradfuzz.target_abi import (
     CTX,
     UID,
     VALUE,
+    ConditionRecord,
     ExecutionConfig,
+    ExecutionId,
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
     wire_decode,
     wire_encode,
 )
+
+
+def condition_record(id: ExecutionId, direction: bool, value: float,
+                     xor_flag: bool, nbytes: int) -> ConditionRecord:
+    """The record ``(id, direction, value, xor_flag, nbytes)``, with a NaN
+    value stored as +infinity as every record builder of the package
+    does (see the ``target_abi`` module docstring)."""
+    if value != value:
+        value = math.inf
+    return (id, direction, value, xor_flag, nbytes)
+
 
 def path_weight(trace, depth: int) -> float:
     """Sum of squared branching values over trace[0..depth]."""

@@ -24,9 +24,9 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
     context_hash_push,
 )
+from helpers import condition_record
 
 
 class _Crash(Exception):
@@ -373,7 +373,7 @@ def execute(program: Program, config: ExecutionConfig) -> ExecutionResult:
     state = _RunState(program, config)
     evaluator = _Evaluator(state)
     try:
-        evaluator.call_function(program.entry, [])
+        evaluator.call_function(program.functions["main"], [])
         termination = TerminationKind.NORMAL
     except _Crash:
         termination = TerminationKind.CRASH

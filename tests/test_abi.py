@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_interp
-from helpers import random_wire_config, random_wire_result
+from helpers import condition_record, random_wire_config, random_wire_result
 from gradfuzz.executors import RemoteExecutor, TransportError
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
@@ -29,7 +29,6 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
     context_hash_push,
     differing_positions,
     flip_bit,

@@ -177,10 +177,10 @@ def test_criterion_07_descent_numeric_checks(monkeypatch):
     logs = []
     finish = Strategy.finish
 
-    def logging_finish(self, session, achieving_input=None):
+    def logging_finish(self, session):
         if isinstance(session, DescentSession):
             logs.extend(session.descent_logs)
-        finish(self, session, achieving_input)
+        finish(self, session)
 
     monkeypatch.setattr(Strategy, "finish", logging_finish)
     for name, seed in (("magic_equal.mc", 3), ("xor_mask.mc", 4)):

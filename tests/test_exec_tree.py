@@ -25,12 +25,11 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
     wire_decode,
     wire_encode,
 )
-from helpers import dump, is_directly_input_dependent, path_weight, \
-    uid_covered
+from helpers import condition_record, dump, is_directly_input_dependent, \
+    path_weight, uid_covered
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -195,9 +194,9 @@ class TestMapTrace:
 
     def test_empty_trace_is_ignored(self):
         tree = ExecTree()
-        report = tree.map_trace(result_for((), data=b"", tags=()), 0)
+        new_pairs = tree.map_trace(result_for((), data=b"", tags=()), 0)
         assert tree.root is None
-        assert not report.new_pairs
+        assert new_pairs == []
 
     def test_id_mismatch_raises(self):
         tree = ExecTree()
@@ -266,9 +265,9 @@ class TestMapTrace:
         # deeper and lighter, every id already covered: uid 2 repeats
         trace = (record(1, True, 1.0), record(2, True, 1.0),
                  record(2, False, 1.0, nbytes=3))
-        report = tree.map_trace(result_for(
+        new_pairs = tree.map_trace(result_for(
             trace, data=b"\x00" * 3, tags=(TypeTag.UINT8,) * 3), 3)
-        assert report.new_pairs == [] and report.newly_covered_uids == []
+        assert new_pairs == []
         leaf = mid.true_succ
         assert leaf.covered
         for node, weight in ((root, 1.0), (mid, 2.0), (leaf, 3.0)):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import socket
 import struct
@@ -17,6 +18,7 @@ from gradfuzz.executors import (
 from gradfuzz.fuzz_loop import (
     FuzzBudget,
     FuzzOptions,
+    load_manifest,
     optimizer_limits,
     replay_suite,
     run_fuzzing,
@@ -86,9 +88,17 @@ class TestRunFuzzing:
         suite, stats = run_fuzzing(parse_program(XOR),
                                    FuzzBudget(max_executions=2000),
                                    small_options(seed=4))
+        # every execution with a new pair is kept here, so the kept
+        # tests' pairs, in order, say when each uid became covered
+        seen = {}
         for test in suite.tests:
             assert (test.iteration == 0 or test.new_pairs
                     or test.termination == TerminationKind.CRASH)
+            for uid, direction in test.new_pairs:
+                seen.setdefault(uid, set()).add(direction)
+            assert test.newly_covered_uids == tuple(sorted(
+                {uid for uid, _ in test.new_pairs if len(seen[uid]) == 2}))
+        assert any(test.newly_covered_uids for test in suite.tests)
 
     def test_program_without_boolean_instructions_terminates(self):
         suite, stats = run_fuzzing(parse_program("int main(){ return 0; }"),
@@ -327,6 +337,15 @@ int main() {
 }
 """
 
+# every input recurses past the default 256-frame stack cap
+DEEP_RECURSION = ("int f(int n) { if (n > 0) { return f(n - 1); } return 0; }"
+                  " int main() { int x = nondet_char(); return f(x + 300); }")
+
+# 6000 loop steps overrun a 5000-record trace whatever the input
+OVERRUN_LOOP = ("int main() { int n = nondet_int(); int i = 0;"
+                " while (i < 6000) { i = i + 1; }"
+                " if (n > 5) { return 1; } return 0; }")
+
 
 class TestOptimizer:
     def test_no_boundary_tests_leave_suite_unchanged(self):
@@ -379,6 +398,34 @@ class TestOptimizer:
         assert suite.tests[0].termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
         assert stats.executions_by_kind["optimizer"] == 0
+
+    def test_reruns_come_on_top_of_max_executions(self):
+        suite, stats = run_fuzzing(parse_program(DEEP_RECURSION),
+                                   FuzzBudget(max_executions=20),
+                                   FuzzOptions())
+        optimizer = stats.executions_by_kind["optimizer"]
+        assert optimizer == 1
+        assert stats.total_executions == 20 + optimizer
+
+    def test_stats_count_pairs_the_suite_does_not_replay(self, tmp_path):
+        # the optimizer's rerun of the truncated test reads the same
+        # bytes, so the suite does not keep it; the tree keeps its pairs
+        program = parse_program(OVERRUN_LOOP)
+        options = FuzzOptions(limits=VmLimits(max_trace_length=5000))
+        suite, stats = run_fuzzing(program, FuzzBudget(max_executions=200),
+                                   options)
+        save_suite(tmp_path, suite, stats, options)
+        assert stats.executions_by_kind["optimizer"] == 1
+        assert not any(t.extended_limits for t in suite.tests)
+        reported = json.loads((tmp_path / "stats.json").read_text())
+        assert reported["coverage"] == {
+            "uids_discovered": 2, "uids_covered": 1,
+            "execution_ids_discovered": 2, "execution_ids_covered": 1}
+        assert load_manifest(tmp_path)["coverage"] == {
+            "uids_discovered": 1, "uids_covered": 0,
+            "execution_ids_discovered": 1, "execution_ids_covered": 0}
+        ok, divergence = replay_suite(program, tmp_path)
+        assert ok, divergence
 
     def test_extended_tests_replay(self, tmp_path):
         program = parse_program(BOUNDED_LOOP)

@@ -28,11 +28,10 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
     get_bit,
 )
-from helpers import (ScriptedRng, bootstrap_tree, drive_session,
-                     is_directly_input_dependent)
+from helpers import (ScriptedRng, bootstrap_tree, condition_record,
+                     drive_session, is_directly_input_dependent)
 
 SENSE_PAIR = """
 int main() {

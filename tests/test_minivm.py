@@ -57,7 +57,73 @@ int main() {
 """
 
 
+_VOID_G = "void g() { return; }\n"
+
+# (program, message, line): one minimal program per rejection
+REJECTED = [
+    ("int main() {\n  return @;\n}", "unexpected character '@'", 2),
+    ("int main() {\n  return 0\n}", "expected ';', found '}'", 3),
+    ("int main() { return 0; }\nmain() { return 0; }",
+     "expected a type name, found 'main'", 2),
+    ("int main() { return 0; }\nint 5() { return 0; }",
+     "expected a function name", 2),
+    ("int f(int 5) { return 0; }", "expected a parameter name", 1),
+    ("int main() {\n  int 5 = 1;\n  return 0;\n}",
+     "expected a variable name", 2),
+    ("int main() {\n  return );\n}", "unexpected token ')'", 2),
+    ("int f() { return 0; }\nint f() { return 1; }\nint main() { return 0; }",
+     "duplicate function 'f'", 2),
+    ("int f() { return 0; }", "no main function", 1),
+    ("int f(void a) { return 0; }\nint main() { return f(1); }",
+     "cannot use a void value", 2),
+    (_VOID_G + "int main() { bool b = g(); return 0; }",
+     "cannot convert void to bool", 2),
+    (_VOID_G + "int main() { int x = g(); return 0; }",
+     "cannot convert void to i32", 2),
+    ("int main() {\n  void v;\n  return 0;\n}",
+     "cannot declare a void variable", 2),
+    ("int main() {\n  int x = 1;\n  int x = 2;\n  return 0;\n}",
+     "redeclaration of 'x'", 3),
+    (_VOID_G + "int main() { if (g()) { abort(); } return 0; }",
+     "condition is not bool or numeric", 2),
+    ("int main() {\n  return;\n}", "missing return value", 2),
+    ("void g() { return 1; }\nint main() { return 0; }",
+     "void function returns a value", 1),
+    ("int main() {\n  ulong x = 18446744073709551616;\n  return 0;\n}",
+     "integer literal out of range", 2),
+    ("int main() {\n  bool b = -true;\n  return 0;\n}",
+     "cannot negate a non-numeric value", 2),
+    (_VOID_G + "int main() { bool b = !g(); return 0; }",
+     "operand of ! is not bool or numeric", 2),
+    (_VOID_G + "int main() { int x = g() + 1; return 0; }",
+     "invalid operand type void", 2),
+    ("int main() {\n  int x = (void)1;\n  return 0;\n}",
+     "cannot cast to void", 2),
+    ("int main() {\n  int x = nondet_int(1);\n  return 0;\n}",
+     "input reads take no arguments", 2),
+    ("int main() {\n  int x = h();\n  return 0;\n}",
+     "unknown function 'h'", 2),
+    ("int f(int a) { return a; }\nint main() { return f(); }",
+     "'f' expects 1 arguments", 2),
+]
+
+
 class TestParse:
+    @pytest.mark.parametrize("src, message, line", REJECTED,
+                             ids=[message for _, message, _ in REJECTED])
+    def test_rejection_names_the_fault_and_its_line(self, src, message,
+                                                    line):
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        assert str(exc.value) == f"{line}:{exc.value.col}: {message}"
+        assert exc.value.line == line
+
+    def test_largest_ulong_literal_accepted(self):
+        result = run("int main() {\n  ulong x = 18446744073709551615;\n"
+                     "  if (x > 18446744073709551614) { abort(); }\n"
+                     "  return 0;\n}")
+        assert result.termination == TerminationKind.CRASH
+
     def test_trivial_program_has_no_boolean_sites(self):
         program = parse_program("int main(){ return 0; }")
         assert program.num_boolean_sites == 0

@@ -21,7 +21,8 @@ INT_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"]
 FLOAT_OPS = ["+", "-", "*", "/"]
 CMP_OPS = ["==", "!=", "<", "<=", ">", ">="]
 READS = ["nondet_char()", "nondet_int()", "nondet_short()",
-         "nondet_uint()", "nondet_bool()"]
+         "nondet_uint()", "nondet_bool()", "nondet_long()", "nondet_ulong()",
+         "nondet_schar()", "nondet_uchar()", "nondet_ushort()"]
 FLOAT_READS = ["float {} = nondet_float();", "double {} = nondet_double();"]
 INT_CASTS = ["char", "schar", "short", "uint", "long", "bool"]
 FLOAT_LITS = ["0.5", "-2.0", "3.5", "1e30", "0.0"]
@@ -240,7 +241,7 @@ def test_generator_reaches_the_grammar():
     # the fast seeds alone use every construct the generator knows
     mains = [source[source.index("int main"):]
              for source in map(gen_program, range(30))]
-    for construct in ("nondet_float()", "nondet_double()", "(int)",
+    for construct in (*READS, "nondet_float()", "nondet_double()", "(int)",
                       "(double)", "(bool)", "!", "/ (nondet_", "g0(",
                       "g1(", "while", "r0(", "r0(nondet_"):
         assert any(construct in main for main in mains), construct

@@ -21,9 +21,9 @@ from gradfuzz.target_abi import (
     ExecutionResult,
     TerminationKind,
     TypeTag,
-    condition_record,
 )
-from helpers import ScriptedRng, chain_from_uids, oracle_detect_loops
+from helpers import (ScriptedRng, chain_from_uids, condition_record,
+                     oracle_detect_loops)
 
 
 def record(uid, direction, value, nbytes=1, ctx=0):
