@@ -21,6 +21,9 @@ last result sent (server) or decoded (client) on it.  Result frames are
 coded against it, so a frame carries only the records that changed.  It
 starts empty when a connection opens; the client empties it whenever it
 closes the connection, which every transport or decode error does.
+The client also keeps one id table for as long as it lives, so the ids
+of its decoded traces are the same objects from frame to frame and the
+tree's walk matches them by identity.
 """
 from __future__ import annotations
 
@@ -91,6 +94,7 @@ class RemoteExecutor:
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._previous: tuple = ()
+        self._ids: dict = {}  # see wire_decode
 
     def _connect(self) -> socket.socket:
         if self._sock is None:
@@ -106,7 +110,8 @@ class RemoteExecutor:
         sock = self._connect()
         try:
             sock.sendall(wire_encode(config))
-            message = wire_decode(_recv_frame(sock), self._previous)
+            message = wire_decode(_recv_frame(sock), self._previous,
+                                  self._ids)
         except (OSError, ValueError, TransportError) as exc:
             # ValueError: a cap the wire cannot carry, or a DecodeError
             self.close()

@@ -70,7 +70,7 @@ class FuzzOptions:
     seed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TestCase:
     input_bytes: bytes
     type_tags: tuple[TypeTag, ...]
@@ -95,7 +95,7 @@ class TestSuite:
         return self.coverage
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionLogEntry:
     kind: str
     uid: int
@@ -158,6 +158,9 @@ class FuzzEngine:
         self.stats = FuzzStats(options.seed)
         self.active = None  # the running session, if any
         self._kept_inputs: set[bytes] = set()
+        # one object per pair the kept tests hold: most tests repeat the
+        # pairs of the tests before them
+        self._pairs: dict[tuple, tuple] = {}
         self._deadline = None
 
     # -- main loop -----------------------------------------------------------
@@ -247,6 +250,7 @@ class FuzzEngine:
             return
         self._kept_inputs.add(result.bytes_read)
         uid_pairs, id_pairs = _observed_pairs(result.trace)
+        intern = self._pairs.setdefault
         self.suite.tests.append(TestCase(
             input_bytes=result.bytes_read,
             type_tags=result.type_tags,
@@ -255,9 +259,9 @@ class FuzzEngine:
                 {uid for uid, _ in new_pairs
                  if len(self.tree.uid_directions[uid]) == 2})),
             iteration=iteration,
-            new_pairs=tuple(sorted(new_pairs)),
-            uid_pairs=tuple(uid_pairs),
-            id_pairs=tuple(id_pairs),
+            new_pairs=tuple(sorted(map(intern, new_pairs, new_pairs))),
+            uid_pairs=tuple(map(intern, uid_pairs, uid_pairs)),
+            id_pairs=tuple(map(intern, id_pairs, id_pairs)),
             extended_limits=extended,
         ))
 

@@ -7,6 +7,12 @@ far (importance) and tries inverting every suffix of that order, which
 implements the carry-like multi-bit escape from integer-shaped local
 minima.  Failed executions evaluate to the largest finite double, the
 worst possible outcome for the descent.
+
+Unlike the typed descent, this one needs no neighbour probe to cross a
+strict comparison: after every accepted step it tries every single-bit
+flip.  From f = 0 on an integer comparison, clearing the lowest set bit
+of the compared value goes below it and setting its lowest clear bit
+goes above it, so one flip lands on each side.
 """
 from __future__ import annotations
 

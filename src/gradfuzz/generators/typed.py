@@ -5,7 +5,27 @@ bit; inputs are built by writing variable values back into the node's
 best input.  Each descent step computes right-difference partials, then
 tries seven step lengths 10^e * lambda for e in 0,-1,1,-2,2,-3,3 with
 lambda = |f| / ||grad f||^2, locking coordinates that stall the descent.
-The session deactivates itself after 100 * |sensitive bits| calls.
+
+A descent is there to invert the branch, and one that minimises |f|
+stops at f = 0, which a strict comparison puts on the wrong side.  Two
+rules make it end on the goal side:
+
+* **Own-value seed.**  The first seed is the node's own input: each
+  variable's value in the node's best input, which reaches the node by
+  construction.  Later seeds are drawn by ``typed_seed_value``.  A float
+  whose own value is not finite or encodes no step of 1 or less
+  (|x| >= 2^24 for a float, 2^53 for a double) is drawn at once instead:
+  lambda there is computed in doubles that round away the constant the
+  branch compares against, so the full step overshoots off the path and
+  the descent crawls down by a tenth a step.
+* **Neighbour probe.**  When a descent stops, each variable in turn is
+  moved to its neighbours, the others held: -1 and +1 for an integer,
+  the next value of its type below and above for a float, within the
+  type's domain.  A descent stopped at f = 0 is one such step from the
+  goal side.
+
+The session deactivates itself after 100 * |sensitive bits| calls; the
+loop ends it as soon as an execution observes the goal direction.
 """
 from __future__ import annotations
 
@@ -90,18 +110,36 @@ def _clamp_step(tag: TypeTag, value: float):
     return int(round(value))
 
 
-def _float_delta(tag: TypeTag, value: float) -> Optional[float]:
-    """Smallest positive delta whose addition survives the encoding."""
+def _read_back(tag: TypeTag, value: float) -> float:
+    """The float a typed read of ``value``'s encoding gives."""
+    return tag.codec.unpack(_pack_value(tag, value))[0]
+
+
+def _float_step(tag: TypeTag, value: float, toward: float
+                ) -> Optional[float]:
+    """Smallest signed step from ``value`` toward ``toward`` (+-inf) that
+    changes the float read back: math.nextafter's, doubled until it
+    does."""
     if not math.isfinite(value):
         return None
-    delta = math.nextafter(value, math.inf) - value
-    if tag == TypeTag.FLOAT32:
-        while (delta != math.inf
-               and _pack_value(tag, value + delta) == _pack_value(tag, value)):
-            delta *= 2.0
-        if delta == math.inf:
-            return None
-    return delta if delta > 0 else None
+    read = _read_back(tag, value)
+    step = math.nextafter(value, toward) - value
+    while math.isfinite(step) and _read_back(tag, value + step) == read:
+        step *= 2.0
+    return step if math.isfinite(step) else None
+
+
+def _neighbours(tag: TypeTag, value) -> list:
+    """The values next to ``value`` in its type's domain, below then
+    above: -1 and +1 for an integer, the next float read back each way
+    for a float."""
+    if tag.is_float:
+        steps = (_float_step(tag, value, toward)
+                 for toward in (-math.inf, math.inf))
+        return [_read_back(tag, value + step)
+                for step in steps if step is not None]
+    lo, hi = tag.domain
+    return [v for v in (value - 1, value + 1) if lo <= v <= hi]
 
 
 class TypedDescentSession(DescentSession):
@@ -126,85 +164,112 @@ class TypedDescentSession(DescentSession):
             buf[offset:offset + tag.byte_width] = _pack_value(tag, value)
         return bytes(buf)
 
+    def _own_values(self) -> list:
+        """The first seed: each variable's value in the node's best input,
+        but a float too coarse there to descend is drawn like a later
+        seed (see the module docstring)."""
+        values = []
+        for offset, tag in self.variables:
+            (value,) = tag.codec.unpack_from(self.base, offset)
+            if tag.is_float:
+                step = _float_step(tag, value, math.inf)
+                if step is None or step > 1.0:
+                    value = typed_seed_value(tag, self.calls,
+                                             self.call_budget, self.rng)
+            values.append(value)
+        return values
+
     def _run(self):
-        m = len(self.variables)
+        values = self._own_values()
         while True:
+            av = abs((yield self._encode(values)))
+            if math.isfinite(av):
+                self._start_seed(av)
+                values = yield from self._descend(values, av)
+                # the neighbour probe
+                for i, (_, tag) in enumerate(self.variables):
+                    for neighbour in _neighbours(tag, values[i]):
+                        probe = list(values)
+                        probe[i] = neighbour
+                        yield self._encode(probe)
             values = [typed_seed_value(tag, self.calls, self.call_budget,
                                        self.rng)
                       for _, tag in self.variables]
-            av = abs((yield self._encode(values)))
-            if not math.isfinite(av):
-                continue
-            self._start_seed(av)
-            descending = True
-            while descending:
-                grads = [0.0] * m
-                locked = [False] * m
-                for i, (_, tag) in enumerate(self.variables):
-                    delta = self._partial_delta(tag, values[i])
-                    if delta is None:
-                        locked[i] = True
-                        continue
-                    bumped = list(values)
-                    bumped[i] = values[i] + delta
-                    avi = abs((yield self._encode(bumped)))
-                    grad = (avi - av) / delta
-                    if math.isfinite(grad):
-                        grads[i] = grad
-                    else:
-                        locked[i] = True
-                descending = False
-                while True:
-                    norm2 = sum(g * g for g in grads)
-                    if not math.isfinite(norm2) or all(locked):
-                        break
-                    lam = lambda_step(av, grads) if norm2 else math.inf
-                    if lam == 0 or not math.isfinite(lam):
-                        break
-                    best_av = math.inf
-                    best_values = None
-                    for e in _STEP_EXPONENTS:
-                        scale = (10.0 ** e) * lam
-                        candidate = [
-                            _clamp_step(tag, values[i] - scale * grads[i])
-                            for i, (_, tag) in enumerate(self.variables)
-                        ]
-                        cav = abs((yield self._encode(candidate)))
-                        if cav < best_av:
-                            best_av = cav
-                            best_values = candidate
-                    if best_av < av:
-                        values = best_values
-                        av = best_av
-                        self._log_accept(av)
-                        descending = True
-                        break
-                    inverse = [
-                        math.inf if grads[i] == 0 else 1.0 / (grads[i] ** 2)
-                        for i in range(m) if not locked[i]
+
+    def _descend(self, values, av):
+        """Descend from ``values``, where |f| is ``av``; returns the values
+        where the descent stopped."""
+        m = len(self.variables)
+        descending = True
+        while descending:
+            grads = [0.0] * m
+            locked = [False] * m
+            for i, (_, tag) in enumerate(self.variables):
+                delta = self._partial_delta(tag, values[i])
+                if delta is None:
+                    locked[i] = True
+                    continue
+                bumped = list(values)
+                bumped[i] = values[i] + delta
+                avi = abs((yield self._encode(bumped)))
+                grad = (avi - av) / delta
+                if math.isfinite(grad):
+                    grads[i] = grad
+                else:
+                    locked[i] = True
+            descending = False
+            while True:
+                norm2 = sum(g * g for g in grads)
+                if not math.isfinite(norm2) or all(locked):
+                    break
+                lam = lambda_step(av, grads) if norm2 else math.inf
+                if lam == 0 or not math.isfinite(lam):
+                    break
+                best_av = math.inf
+                best_values = None
+                for e in _STEP_EXPONENTS:
+                    scale = (10.0 ** e) * lam
+                    candidate = [
+                        _clamp_step(tag, values[i] - scale * grads[i])
+                        for i, (_, tag) in enumerate(self.variables)
                     ]
-                    finite = [w for w in inverse if math.isfinite(w)]
-                    if not finite:
-                        break
-                    low = min(finite)
-                    high = max(inverse)
-                    threshold = low + 0.6 * (high - low)
-                    newly_locked = False
-                    for i in range(m):
-                        if locked[i]:
-                            continue
-                        g2 = grads[i] ** 2
-                        inv = math.inf if g2 == 0 else 1.0 / g2
-                        if g2 == 0 or not math.isfinite(inv) or inv < threshold:
-                            grads[i] = 0.0
-                            locked[i] = True
-                            newly_locked = True
-                    if not newly_locked:
-                        break
+                    cav = abs((yield self._encode(candidate)))
+                    if cav < best_av:
+                        best_av = cav
+                        best_values = candidate
+                if best_av < av:
+                    values = best_values
+                    av = best_av
+                    self._log_accept(av)
+                    descending = True
+                    break
+                inverse = [
+                    math.inf if grads[i] == 0 else 1.0 / (grads[i] ** 2)
+                    for i in range(m) if not locked[i]
+                ]
+                finite = [w for w in inverse if math.isfinite(w)]
+                if not finite:
+                    break
+                low = min(finite)
+                high = max(inverse)
+                threshold = low + 0.6 * (high - low)
+                newly_locked = False
+                for i in range(m):
+                    if locked[i]:
+                        continue
+                    g2 = grads[i] ** 2
+                    inv = math.inf if g2 == 0 else 1.0 / g2
+                    if g2 == 0 or not math.isfinite(inv) or inv < threshold:
+                        grads[i] = 0.0
+                        locked[i] = True
+                        newly_locked = True
+                if not newly_locked:
+                    break
+        return values
 
     def _partial_delta(self, tag: TypeTag, value) -> Optional[float]:
         if tag.is_float:
-            return _float_delta(tag, value)
+            return _float_step(tag, value, math.inf)
         _, hi = tag.domain
         if value >= hi:  # no headroom for a right difference
             return None

@@ -332,11 +332,16 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def wire_decode(frame: bytes,
-                previous: Sequence[ConditionRecord] = ()) -> WireMessage:
+def wire_decode(frame: bytes, previous: Sequence[ConditionRecord] = (),
+                ids: dict[ExecutionId, ExecutionId] | None = None
+                ) -> WireMessage:
     """Decode exactly one complete frame; trailing bytes are an error.  A
     result is rebuilt on ``previous``, the trace decoded before it on the
-    same connection, and is well-formed when ``previous`` is."""
+    same connection, and is well-formed when ``previous`` is.  Its ids
+    come from ``ids``, the connection's table, which keeps the first id
+    object decoded for each (uid, ctx): so the connection's traces share
+    id objects with each other, as the interpreter's traces do.  Without
+    a table, only a frame's ids are shared."""
     r = _Reader(frame)
     (kind,) = r.unpack("<B")
     (length,) = struct.unpack(">I", r.take(4))
@@ -369,11 +374,14 @@ def wire_decode(frame: bytes,
                     p >= q for p, q in zip(positions, positions[1:]))):
                 raise DecodeError("changed positions not strictly "
                                   f"increasing below {shared}")
+            # setdefault is one C call whether or not the table holds the
+            # id yet
+            intern = ({} if ids is None else ids).setdefault
             # a call into Python code per record would be most of the
             # cost of a frame, so each record is a tuple display that
             # writes out the NaN rule (see the module docstring)
             sent = [
-                ((uid, ctx), direction != 0,
+                (intern((uid, ctx), (uid, ctx)), direction != 0,
                  math.inf if value != value else value, xor != 0, nbytes)
                 for uid, ctx, direction, xor, value, nbytes
                 in _RECORD.iter_unpack(

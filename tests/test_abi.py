@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import socket
@@ -354,6 +355,34 @@ class TestDeltaFrames:
         assert got[0] is previous[0] and got[2] is previous[2]
         assert wire_encode(ExecutionResult(TerminationKind.NORMAL, b"", (),
                                            got)) == wire_encode(result)
+
+    def test_a_connection_decodes_each_id_once(self):
+        # a connection's ids come from its table, so the records of a
+        # later frame hold the objects an earlier frame's did.  Its ids
+        # and records leave the collector in one collection; a fresh id
+        # per record kept the records tracked for a second one
+        first = (record(1), record(2), record(3), record(2))
+        second = (record(1, 2.5), record(2, 0.5), record(3), record(4),
+                  record(1))
+        ids = {}
+        a = wire_decode(wire_encode(ExecutionResult(
+            TerminationKind.NORMAL, b"", (), first)), (), ids).trace
+        gc.collect()
+        b = wire_decode(wire_encode(ExecutionResult(
+            TerminationKind.NORMAL, b"", (), second), first), a, ids).trace
+        assert b == second
+        assert a[1][ID] is a[3][ID]
+        assert all(x[ID] is y[ID] for x, y in zip(a[:3], b))
+        assert b[4][ID] is a[0][ID]
+        assert len(ids) == 4
+        gc.collect()
+        for trace in (a, b):
+            assert not any(gc.is_tracked(rec) or gc.is_tracked(rec[ID])
+                           for rec in trace)
+        # a frame decoded on its own shares ids within itself only
+        c = wire_decode(wire_encode(ExecutionResult(
+            TerminationKind.NORMAL, b"", (), first))).trace
+        assert c[1][ID] is c[3][ID] and c[0][ID] is not a[0][ID]
 
     PREVIOUS = (record(1), record(2), record(3))
 

@@ -28,6 +28,7 @@ from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     _CAPS,
     _MAX_PAYLOAD,
+    ID,
     KIND_RESULT,
     ExecutionConfig,
     TerminationKind,
@@ -99,6 +100,21 @@ class TestRunFuzzing:
             assert test.newly_covered_uids == tuple(sorted(
                 {uid for uid, _ in test.new_pairs if len(seen[uid]) == 2}))
         assert any(test.newly_covered_uids for test in suite.tests)
+
+    def test_kept_tests_share_pair_objects(self):
+        # a campaign's tests repeat each other's pairs; the engine keeps
+        # one object per pair, and the tests carry no instance dict
+        source = (Path(__file__).parent.parent / "benchmarks" /
+                  "four_branch.mc").read_text()
+        suite, _ = run_fuzzing(parse_program(source),
+                               FuzzBudget(max_executions=300),
+                               small_options(seed=4))
+        first = {}
+        for test in suite.tests:
+            for pair in test.new_pairs + test.uid_pairs + test.id_pairs:
+                assert first.setdefault(pair, pair) is pair
+        assert len(suite.tests) > 3
+        assert not hasattr(suite.tests[0], "__dict__")
 
     def test_program_without_boolean_instructions_terminates(self):
         suite, stats = run_fuzzing(parse_program("int main(){ return 0; }"),
@@ -467,6 +483,19 @@ class TestRemote:
                 remote_result = remote(config)
                 assert wire_encode(local_result) == \
                     wire_encode(remote_result)
+
+    def test_ids_are_shared_across_calls(self, served):
+        # the client's id table outlives its connections: the tree's walk
+        # matches a remote trace's ids to the tree's by identity
+        program, limits, address = served
+        config = ExecutionConfig(1000, 64, 512, 200_000, 0, b"\x05")
+        with RemoteExecutor(address) as remote:
+            first = remote(config).trace
+            second = remote(replace(config, input_bytes=b"\x06")).trace
+            remote.close()
+            third = remote(config).trace
+        assert first and second[0][ID] is first[0][ID]
+        assert all(x[ID] is y[ID] for x, y in zip(first, third))
 
     def test_connection_refused_is_transport_error(self):
         dead = RemoteExecutor(("127.0.0.1", 1))

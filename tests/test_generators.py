@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy
 import pytest
 
 from gradfuzz.exec_tree import ExecTree, is_indirectly_input_dependent
+from gradfuzz.fuzz_loop import FuzzBudget, FuzzOptions, run_fuzzing
 from gradfuzz.generators import (
     AnalysisSession,
     BinaryDescentSession,
@@ -17,6 +19,7 @@ from gradfuzz.generators import (
     lambda_step,
     typed_seed_value,
 )
+from gradfuzz.minivm import parse_program
 from gradfuzz.target_abi import (
     CTX,
     DIRECTION,
@@ -290,6 +293,134 @@ class TestTypedDescent:
             # all variable regions may change; nothing else exists here
             assert data[4:] == node.best_input[4:]
 
+    def test_descent_stopped_at_zero_crosses_on_the_next_probe(self):
+        # f = x - 1000 is linear: from the node's own x = 2000 the full
+        # step lands on x = 1000, f = 0, where the strict comparison is
+        # still false; the longer steps leave the path.  At 1000 the right
+        # difference reads 1001, f = 1, lambda is 0 and the descent stops.
+        # The neighbour probe's first value, 999, takes the goal direction
+        program, tree, executor = bootstrap_tree(
+            "int main() { int x = nondet_int();"
+            " if (x > 990) { if (x < 1000) abort(); } return 0; }",
+            inputs=(TypeTag.SINT32.codec.pack(2000),))
+        node = tree.root.true_succ
+        node.sensitive_bits = set(range(32))
+        session = TypedDescentSession(node, True, _NoDraws(),
+                                      [(0, TypeTag.SINT32)])
+        executed = []
+
+        def run(data):
+            executed.append(TypeTag.SINT32.codec.unpack(data)[0])
+            return executor(data)
+
+        assert drive_session(session, run, tree) == "achieved"
+        assert executed[0] == 2000  # the own value comes first
+        assert session.descent_logs == [[1000.0, 0.0]]
+        assert executed[-2:] == [1001, 999]
+        assert session.achieving_input == TypeTag.SINT32.codec.pack(999)
+
+    def test_coarse_float_own_value_is_drawn_instead(self):
+        src = ("int main() { float x = nondet_float();"
+               " if (x > 1000.25) abort(); return 0; }")
+        for own, kept in [(2.0 ** 23, True), (-2.0 ** 24, True),
+                          (2.0 ** 24, False), (2.0 ** 64, False),
+                          (math.inf, False), (math.nan, False)]:
+            data = TypeTag.FLOAT32.codec.pack(own)
+            program, tree, executor = bootstrap_tree(src, inputs=(data,))
+            node = tree.root
+            node.sensitive_bits = set(range(32))
+            session = TypedDescentSession(node, True, random.Random(3),
+                                          [(0, TypeTag.FLOAT32)])
+            first = session.next_input()
+            assert (first == data) is kept
+            if not kept:  # drawn from the first seed interval
+                (value,) = TypeTag.FLOAT32.codec.unpack(first)
+                assert -128.0 <= value <= 128.0
+
+    @pytest.mark.parametrize("tag, value, below, above", [
+        (TypeTag.SINT32, 5, 4, 6),
+        (TypeTag.SINT32, -2 ** 31, None, -2 ** 31 + 1),
+        (TypeTag.UINT8, 0, None, 1),
+        (TypeTag.UINT8, 255, 254, None),
+        (TypeTag.BOOLEAN, True, 0, None),
+        (TypeTag.FLOAT64, 1.0, math.nextafter(1.0, -math.inf),
+         math.nextafter(1.0, math.inf)),
+        # below a binade boundary a float's step halves: 2 - 2^-23, not
+        # 2 - 2^-22 as a step the size of the one above would give
+        (TypeTag.FLOAT32, 2.0, 2.0 - 2.0 ** -23, 2.0 + 2.0 ** -22),
+        (TypeTag.FLOAT32, 0.0, -2.0 ** -149, 2.0 ** -149),
+        (TypeTag.FLOAT32, 3.4028234663852886e38,
+         3.4028232635611926e38, math.inf),
+        (TypeTag.FLOAT32, math.inf, None, None),
+        (TypeTag.FLOAT64, math.nan, None, None),
+    ])
+    def test_neighbours(self, tag, value, below, above):
+        from gradfuzz.generators.typed import _neighbours
+
+        assert _neighbours(tag, value) == [
+            v for v in (below, above) if v is not None]
+
+
+# Two-sided gates: x must fall strictly between two constants one or two
+# steps apart, so a descent on the inner strict comparison stops at f = 0
+# on the wrong side unless it steps across.  The xor gate's branching
+# values are xor-flagged, so its descent is the bit-level one
+GATES = {
+    name: parse_program(
+        f"int main() {{ {ty} x = nondet_{ty}();"
+        f" if ({v} > {lo}) {{ if ({v} < {hi}) {{ abort(); }} }}"
+        f" return 0; }}")
+    for name, ty, v, lo, hi in [
+        ("int", "int", "x", "100000", "100003"),
+        ("uint", "uint", "x", "70000", "70002"),
+        ("short", "short", "x", "1000", "1002"),
+        ("float", "float", "x", "1000.25", "1000.5"),
+        ("double", "double", "x", "1000.25", "1000.5"),
+        ("xor", "char", "(x ^ 90)", "100", "103"),
+    ]
+}
+# the float gate's first crash per seed before the own-value seed and the
+# neighbour probe; the float rule must not make it later
+FLOAT_GATE_FIRST_CRASH_BEFORE = {1: 189, 2: 127, 3: 183, 4: 167, 5: 201}
+
+
+def _gate_first_crash(name, seed):
+    suite, stats = run_fuzzing(GATES[name], FuzzBudget(max_executions=5000),
+                               FuzzOptions(seed=seed))
+    crashes = [test.iteration for test in suite.tests
+               if test.termination == TerminationKind.CRASH]
+    if name == "xor" and crashes:
+        # the inner node's one descent, bit-level, crossed
+        assert [(entry.kind, entry.achieved) for entry in stats.sessions
+                if entry.depth == 1 and entry.kind.endswith("minimization")
+                ] == [("minimization", True)]
+    return crashes[0] if crashes else None
+
+
+class TestTwoSidedGates:
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_gate_crashes(self, name):
+        first = _gate_first_crash(name, 1)
+        assert first is not None
+        if name == "float":
+            assert first <= FLOAT_GATE_FIRST_CRASH_BEFORE[1]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_gate_crashes_on_every_seed(self, name):
+        for seed in range(1, 6):
+            first = _gate_first_crash(name, seed)
+            assert first is not None, seed
+            if name == "float":
+                assert first <= FLOAT_GATE_FIRST_CRASH_BEFORE[seed], seed
+
+
+class _NoDraws:
+    """An rng that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} drawn")
+
 
 class TestBinarySeeds:
     def test_hamming_weights_exact(self):
@@ -326,6 +457,15 @@ int main() {
 """
 
 
+STRICT_NIBBLE = """
+int main() {
+  char x = nondet_char();
+  x = x & 15;
+  if (x < 8) { if (x > 6) abort(); }
+  return 0;
+}
+"""
+
 def _nibble_session(source, scripted_samples):
     program, tree, executor = bootstrap_tree(source)
     node = tree.root
@@ -356,6 +496,22 @@ class TestBinaryDescent:
         drive_session(session, executor, tree, stop_at_goal=False)
         log = session.descent_logs[2]
         assert log == [1.0, 0.0]
+
+    def test_strict_comparison_crosses_after_reaching_zero(self):
+        # the bit-level descent needs no neighbour probe: after every
+        # accepted step it tries each single-bit flip, and from f = 0
+        # those include the value next to the constant on the goal side.
+        # From seed 0 it accepts x = 4 (|f| = 2), then x = 6, f = 0,
+        # where x > 6 is still false; flipping the low bit gives 7
+        program, tree, executor = bootstrap_tree(STRICT_NIBBLE)
+        node = tree.root.true_succ
+        node.sensitivity_done = True
+        node.sensitive_bits = {4, 5, 6, 7}
+        session = BinaryDescentSession(node, True, ScriptedRng(
+            samples=[[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]))
+        assert drive_session(session, executor, tree) == "achieved"
+        assert session.descent_logs == [[6.0, 2.0, 0.0]]
+        assert session.achieving_input == bytes([7])
 
     def test_accepted_values_strictly_decrease_per_seed(self):
         program, tree, executor = bootstrap_tree(
