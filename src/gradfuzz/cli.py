@@ -115,7 +115,8 @@ def cmd_fuzz(args) -> int:
     print(f"covered {cov['uids_covered']}/{cov['uids_discovered']} "
           f"instructions, {cov['execution_ids_covered']}/"
           f"{cov['execution_ids_discovered']} execution ids, "
-          f"{stats.total_executions} executions")
+          f"{stats.total_executions} executions, {stats.memo_hits} of "
+          f"them answered from the read-prefix memo")
     return 0
 
 
@@ -162,6 +163,9 @@ def cmd_report(args) -> int:
         lines += [f"  {kind:<20} {count}"
                   for kind, count in executions.items()
                   if kind != "total" and count]
+        # a stats.json written before the memo existed has no count: it
+        # ran every input
+        lines.append(f"memo hits:       {stats.get('memo_hits', 0)}")
         lines.append(f"tree nodes:      {stats['tree_nodes']}")
         terminations = [f"  {kind:<30} {count}"
                         for kind, count in stats["terminations"].items()

@@ -9,9 +9,21 @@ tree returns the pairs it saw first) and feeds the result to the
 session, which sets its ``achieving_input`` once its goal direction is
 observed.  When the session deactivates (analysis ended, budget spent,
 or goal observed) the engine logs it and hands it to the strategy, which
-records its outcome and picks the next session.  ``stats.iterations``
-counts the executions, and ``_keep`` is the one keep rule of the loop
-and the optimizer; kept tests replay to exactly the recorded coverage.
+records its outcome and picks the next session.  ``_keep`` is the one
+keep rule of the loop and the optimizer; kept tests replay to exactly
+the recorded coverage.
+
+A read-prefix memo (``ReadPrefixMemo``) answers an input without
+running the target when an earlier run under the loop's limits stopped
+after reading a prefix of it.  The answer is exact: a run depends only
+on its caps, its fill byte and the bytes it reads.  An answered result
+skips the tree and the keep rule, where it would change nothing: the
+tree has mapped it (labels, best weights and heights only move one
+way, so a second walk finds no first pairs), it is never iteration 0,
+and a crash it repeats was kept.  The session is fed it as usual.
+``stats.iterations`` counts the inputs the loop processed, whether the
+target ran them or the memo answered them, and ``stats.memo_hits`` the
+answers.  The optimizer's re-runs, under extended limits, bypass it.
 """
 from __future__ import annotations
 
@@ -19,6 +31,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -119,7 +132,8 @@ class FuzzStats:
             AnalysisKind.MINIMIZATION.value: 0,
             _OPTIMIZER: 0,
         }
-        self.terminations = {kind.name: 0 for kind in TerminationKind}
+        self.terminations = {kind: 0 for kind in TerminationKind}
+        self.memo_hits = 0
         self.tree_nodes = 0
         self.coverage: dict[str, int] = {}
         self.sessions: list[SessionLogEntry] = []
@@ -135,12 +149,66 @@ class FuzzStats:
             "iterations": self.iterations,
             "executions": {"total": self.total_executions,
                            **self.executions_by_kind},
-            "terminations": dict(self.terminations),
+            "terminations": {kind.name: count for kind, count
+                             in self.terminations.items()},
+            "memo_hits": self.memo_hits,
             "tree_nodes": self.tree_nodes,
             "coverage": dict(self.coverage),
             "terminated_by_strategy": self.terminated_by_strategy,
             "sessions": [asdict(s) for s in self.sessions],
         }
+
+
+class ReadPrefixMemo:
+    """The results of runs that left part of their input unread, looked up
+    by the bytes they read.
+
+    A run depends only on its caps, its fill byte and the bytes it reads,
+    so a run that stopped after reading ``R`` stops after ``R``, with the
+    same result, on every input that starts with ``R`` (an input shorter
+    than ``R`` continues with the fill byte).  One memo serves one set of
+    caps and one fill byte.  Only a read shorter than its input is
+    stored: it is the only kind that answers inputs other than its own.
+
+    The stored reads are prefix-free: an input that starts with a stored
+    read is answered, never run, and a read that extended a stored one
+    would have stopped where that one stopped.  So the one stored read
+    that can be a prefix of an input is its sorted predecessor, and a
+    lookup is one bisection and one ``startswith``, after padding the
+    input with the fill byte to the longest stored read."""
+
+    __slots__ = ("reads", "results", "_fill", "_width")
+
+    def __init__(self, fill_byte: int):
+        self.reads: list[bytes] = []  # sorted
+        self.results: list[ExecutionResult] = []  # aligned with reads
+        self._fill = bytes((fill_byte,))
+        self._width = 0  # the longest stored read
+
+    def recall(self, input_bytes: bytes) -> Optional[ExecutionResult]:
+        """The result of running ``input_bytes``, if a stored read is a
+        prefix of it."""
+        reads = self.reads
+        if not reads:
+            return None
+        short = self._width - len(input_bytes)
+        if short > 0:
+            input_bytes += self._fill * short
+        index = bisect_right(reads, input_bytes) - 1
+        if index >= 0 and input_bytes.startswith(reads[index]):
+            return self.results[index]
+        return None
+
+    def store(self, input_bytes: bytes, result: ExecutionResult) -> None:
+        """Remember the result of running ``input_bytes``, which
+        ``recall`` did not answer, if the run left part of it unread."""
+        read = result.bytes_read
+        if len(read) < len(input_bytes):
+            index = bisect_right(self.reads, read)
+            self.reads.insert(index, read)
+            self.results.insert(index, result)
+            if len(read) > self._width:
+                self._width = len(read)
 
 
 class FuzzEngine:
@@ -157,6 +225,10 @@ class FuzzEngine:
         self.suite = TestSuite()
         self.stats = FuzzStats(options.seed)
         self.active = None  # the running session, if any
+        self._active_kind = ""  # its kind's value, taken once per session
+        # results under the run's own limits; the optimizer's re-runs
+        # neither read nor write it
+        self._memo = ReadPrefixMemo(options.fill_byte)
         self._kept_inputs: set[bytes] = set()
         # one object per pair the kept tests hold: most tests repeat the
         # pairs of the tests before them
@@ -174,7 +246,7 @@ class FuzzEngine:
             if step is None:
                 self.stats.terminated_by_strategy = True
                 break
-            self._execute_and_process(step, self.active.kind.value)
+            self._execute_and_process(step, self._active_kind)
         self.optimize_suite()
         self.suite.recompute_coverage()
         self.stats.coverage = self.tree.coverage_counts()
@@ -208,6 +280,7 @@ class FuzzEngine:
                 self.active = self.strategy.select_analysis()
                 if self.active is None:
                     return None
+                self._active_kind = self.active.kind.value
             step = self.active.next_input()
             if step is not None:
                 return step
@@ -219,17 +292,33 @@ class FuzzEngine:
         the result, the pairs it saw first, and its iteration."""
         result = self.executor(limits.config(self.options.fill_byte,
                                              input_bytes))
-        iteration = self.stats.iterations
-        self.stats.iterations += 1
-        self.stats.executions_by_kind[kind] += 1
-        self.stats.terminations[result.termination.name] += 1
+        iteration = self._count(result, kind)
         return result, self.tree.map_trace(result, iteration), iteration
+
+    def _count(self, result: ExecutionResult, kind: str) -> int:
+        """Count one processed input; its iteration."""
+        stats = self.stats
+        iteration = stats.iterations
+        stats.iterations += 1
+        stats.executions_by_kind[kind] += 1
+        stats.terminations[result.termination] += 1
+        return iteration
 
     def _execute_and_process(self, input_bytes: bytes,
                              kind: str) -> ExecutionResult:
-        result, new_pairs, iteration = self._execute(
-            self.options.limits, input_bytes, kind)
-        self._keep(result, new_pairs, iteration)
+        result = self._memo.recall(input_bytes)
+        if result is None:
+            result, new_pairs, iteration = self._execute(
+                self.options.limits, input_bytes, kind)
+            self._memo.store(input_bytes, result)
+            self._keep(result, new_pairs, iteration)
+        else:
+            # the tree and the keep rule have seen this result (see the
+            # module docstring): only the counts move
+            if len(input_bytes) > self.options.limits.max_input_bytes:
+                raise ValueError("input_bytes longer than max_input_bytes")
+            self._count(result, kind)
+            self.stats.memo_hits += 1
         if self.active is not None:
             self.active.feed(result)
             if self.active.achieving_input is not None:

@@ -181,6 +181,7 @@ class Call(Expr):
 @dataclass
 class Stmt:
     line: int = field(default=0, kw_only=True)
+    col: int = field(default=0, kw_only=True)
 
 
 @dataclass
@@ -325,17 +326,17 @@ class _Parser:
         return Function(name_tok.text, ret, params, body, line)
 
     def parse_block(self) -> Block:
-        line = self.cur.line
+        line, col = self.cur.line, self.cur.col
         self.expect("{")
         stmts = []
         while not self.accept("}"):
             if self.cur.kind == "eof":
                 raise self.error("unexpected end of input, expected '}'")
             stmts.append(self.parse_stmt())
-        return Block(stmts, line=line)
+        return Block(stmts, line=line, col=col)
 
     def parse_stmt(self) -> Stmt:
-        line = self.cur.line
+        line, col = self.cur.line, self.cur.col
         if self.cur.text == "{":
             return self.parse_block()
         if self.at_type():
@@ -348,40 +349,40 @@ class _Parser:
             if self.accept("="):
                 init = self.parse_expr()
             self.expect(";")
-            return Decl(decl_type, name.text, init, line=line)
+            return Decl(decl_type, name.text, init, line=line, col=col)
         if self.accept("if"):
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_stmt()
             els = self.parse_stmt() if self.accept("else") else None
-            return If(cond, then, els, line=line)
+            return If(cond, then, els, line=line, col=col)
         if self.accept("while"):
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_stmt()
-            return While(cond, body, line=line)
+            return While(cond, body, line=line, col=col)
         if self.accept("return"):
             expr = None if self.cur.text == ";" else self.parse_expr()
             self.expect(";")
-            return Return(expr, line=line)
+            return Return(expr, line=line, col=col)
         if self.cur.text == "abort":
             self.advance()
             self.expect("(")
             self.expect(")")
             self.expect(";")
-            return AbortStmt(line=line)
+            return AbortStmt(line=line, col=col)
         if (self.cur.kind == "ident" and self.cur.text not in KEYWORDS
                 and self.tokens[self.pos + 1].text == "="):
             name = self.advance().text
             self.advance()
             expr = self.parse_expr()
             self.expect(";")
-            return Assign(name, expr, line=line)
+            return Assign(name, expr, line=line, col=col)
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(expr, line=line)
+        return ExprStmt(expr, line=line, col=col)
 
     # precedence, loosest first
     _LEVELS = [["|"], ["^"], ["&"], ["==", "!="],

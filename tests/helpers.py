@@ -284,3 +284,36 @@ class FrameCheckedExecutor:
 
     def close(self) -> None:
         pass
+
+
+# A file-header parser whose guards end the run early: a 16-bit magic
+# number, a length bound, a checksum over the bytes the length counts.
+# Each flip of a magic or length bit that fails its guard leaves the rest
+# of the input unread, so a campaign answers many inputs from the
+# engine's read-prefix memo (no target under benchmarks/ does).
+HEADER_TARGET = """\
+int main() {
+  ushort magic = nondet_ushort();
+  if (magic != 0x4D42) {
+    return 1;
+  }
+  uchar len = nondet_uchar();
+  if (len > 4) {
+    return 2;
+  }
+  uchar i = 0;
+  uint sum = 0;
+  while (i < len) {
+    sum = sum + nondet_uchar();
+    i = i + 1;
+  }
+  uchar check = nondet_uchar();
+  if (check != (uchar)sum) {
+    return 3;
+  }
+  if (sum > 600) {
+    abort();
+  }
+  return 0;
+}
+"""

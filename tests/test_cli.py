@@ -10,6 +10,7 @@ import pytest
 from gradfuzz.cli import build_parser, main
 from gradfuzz.executors import TargetServer
 from gradfuzz.minivm import VmLimits, parse_program
+from helpers import HEADER_TARGET
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +49,33 @@ def test_report_prints_summary(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "instructions:" in printed
     assert "seed:            3" in printed
+
+
+def test_fuzz_and_report_count_memo_hits(tmp_path, capsys):
+    target = tmp_path / "header.mc"
+    target.write_text(HEADER_TARGET)
+    out = tmp_path / "out"
+    assert main(["fuzz", "-t", str(target), "-o", str(out),
+                 "--seed", "5", "--max-executions", "2000"]) == 0
+    hits = json.loads((out / "stats.json").read_text())["memo_hits"]
+    assert hits > 0
+    assert (f"executions, {hits} of them answered from the read-prefix "
+            f"memo") in capsys.readouterr().out
+    assert main(["report", "-s", str(out)]) == 0
+    assert f"memo hits:       {hits}\n" in capsys.readouterr().out
+
+
+def test_report_reads_stats_without_memo_hits(tmp_path, capsys):
+    # a stats.json written before the memo existed: every input ran
+    out = _fuzzed_suite(tmp_path)
+    stats = json.loads((out / "stats.json").read_text())
+    del stats["memo_hits"]
+    (out / "stats.json").write_text(json.dumps(stats))
+    capsys.readouterr()
+    assert main(["report", "-s", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "memo hits:       0\n" in printed
+    assert "instructions:" in printed
 
 
 def test_missing_target_exits_with_message(tmp_path):

@@ -17,7 +17,9 @@ from gradfuzz.executors import (
 )
 from gradfuzz.fuzz_loop import (
     FuzzBudget,
+    FuzzEngine,
     FuzzOptions,
+    ReadPrefixMemo,
     load_manifest,
     optimizer_limits,
     replay_suite,
@@ -34,6 +36,7 @@ from gradfuzz.target_abi import (
     TerminationKind,
     wire_encode,
 )
+from helpers import HEADER_TARGET
 
 MAGIC = ("int main() { int x = nondet_int();"
          " if (x == 1000000) abort(); return 0; }")
@@ -192,7 +195,8 @@ class TestRunFuzzing:
                                 max_input_bytes=32)
         suite, stats = run_fuzzing(program, FuzzBudget(max_executions=300),
                                    options)
-        assert stats.terminations["BOUNDARY_CONDITION_VIOLATION"] > 0
+        boundary = TerminationKind.BOUNDARY_CONDITION_VIOLATION
+        assert stats.terminations[boundary] > 0
         save_suite(tmp_path, suite, stats, options)
         ok, divergence = replay_suite(program, tmp_path)
         assert ok, divergence
@@ -252,6 +256,8 @@ int v12 = (!!v4 % 123456);
 return 0;
 }"""
 
+LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11, "header": HEADER_TARGET}
+
 
 class TestDeterminism:
     def test_three_runs_byte_identical(self, tmp_path):
@@ -275,8 +281,10 @@ class TestDeterminism:
     # manifest.json sha256 at a fixed seed.  counted_loop under a short
     # trace cap keeps an optimizer test; loop_accumulator selects a twin
     # twice; gen_program_11 takes a node from the Monte Carlo walk five
-    # times.  A refactor must keep these; a change meant to alter
-    # behaviour records the new values.
+    # times; the header target answers 102 of its 322 inputs from the
+    # read-prefix memo, which no target under benchmarks/ reaches.  A
+    # refactor must keep these; a change meant to alter behaviour records
+    # the new values.
     @pytest.mark.parametrize("name, limits, sha256", [
         ("counted_loop.mc", VmLimits(max_trace_length=40),
          "80eee41e99390296a4b75f9d685e54012c047dbb41988ab5e12cea4bf8ab2477"),
@@ -286,11 +294,13 @@ class TestDeterminism:
          "b9d66800c424886653fa3517e913ce875a6ce99f1fce1c93b4b302cc411fb3b8"),
         ("gen_program_11", VmLimits(100, 32, 32, 50_000),
          "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
+        ("header", VmLimits(),
+         "0a325df568ae75da994f221f07c09b080d1c39df8157d36c5bf3758bf65a628b"),
     ])
     def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
                                              sha256):
-        if name == "gen_program_11":
-            source = GEN_PROGRAM_11
+        if name in LITERAL_TARGETS:
+            source = LITERAL_TARGETS[name]
         else:
             source = (Path(__file__).parent.parent / "benchmarks"
                       / name).read_text()
@@ -453,6 +463,201 @@ class TestOptimizer:
         assert ok, divergence
 
 
+# One byte chooses an early end, which leaves the rest of the input
+# unread, or the rest of the program; ``{exit}`` is that end.
+EARLY_EXIT = """int main() {{
+  uchar a = nondet_uchar();
+  if (a != 0x41) {{
+    {exit}
+  }}
+  uchar b = nondet_uchar();
+  if (b > 0x30) {{
+    return 1;
+  }}
+  ushort c = nondet_ushort();
+  if (c == 0x1234) {{
+    return 2;
+  }}
+  return 0;
+}}"""
+EARLY_EXITS = {
+    TerminationKind.NORMAL: "return 1;",
+    TerminationKind.CRASH: "abort();",
+    TerminationKind.TIMEOUT: "while (true) { }",
+    TerminationKind.BOUNDARY_CONDITION_VIOLATION:
+        "int i = 0; while (i < 100) { i = i + 1; }",
+}
+# the trace cap ends the counted loop, the step budget the empty one
+MEMO_LIMITS = VmLimits(max_trace_length=50, max_stack_size=64,
+                       max_input_bytes=64, step_budget=5000)
+
+
+class CheckedMemo(ReadPrefixMemo):
+    """The engine's memo, checking each answer against a fresh run."""
+
+    def __init__(self, program, limits, fill_byte):
+        super().__init__(fill_byte)
+        self.program = program
+        self.config = lambda data: limits.config(fill_byte, data)
+        self.answers = []  # (input, result) per answer
+
+    def recall(self, input_bytes):
+        result = super().recall(input_bytes)
+        if result is not None:
+            fresh = execute(self.program, self.config(input_bytes))
+            assert (fresh.termination, fresh.bytes_read, fresh.type_tags,
+                    fresh.trace) == (result.termination, result.bytes_read,
+                                     result.type_tags, result.trace)
+            self.answers.append((input_bytes, result))
+        return result
+
+
+class CountingCalls:
+    """An executor wrapper that counts its calls and keeps their configs."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        self.configs = []
+
+    def __call__(self, config):
+        self.configs.append(config)
+        return self.executor(config)
+
+
+def checked_campaign(source, fill_byte=0, limits=MEMO_LIMITS, seed=2,
+                     executor=None, max_executions=2000):
+    """A campaign whose memo answers are each checked; the engine."""
+    program = parse_program(source)
+    engine = FuzzEngine(program, FuzzBudget(max_executions=max_executions),
+                        FuzzOptions(limits=limits, fill_byte=fill_byte,
+                                    seed=seed),
+                        executor=executor)
+    engine._memo = CheckedMemo(program, limits, fill_byte)
+    engine.run()
+    return engine
+
+
+def assert_prefix_free(reads):
+    assert reads == sorted(reads)
+    for i, read in enumerate(reads):
+        for other in reads[i + 1:]:
+            assert not other.startswith(read)
+
+
+class TestReadPrefixMemo:
+    @pytest.mark.parametrize("fill_byte", [0, 85])
+    def test_header_answers_equal_fresh_runs(self, fill_byte):
+        engine = checked_campaign(HEADER_TARGET, fill_byte)
+        memo = engine._memo
+        assert len(memo.answers) == engine.stats.memo_hits > 50
+        assert_prefix_free(memo.reads)
+
+    @pytest.mark.parametrize("fill_byte", [0, 85])
+    @pytest.mark.parametrize("kind", list(EARLY_EXITS),
+                             ids=[kind.name for kind in EARLY_EXITS])
+    def test_early_end_answers_equal_fresh_runs(self, kind, fill_byte):
+        engine = checked_campaign(EARLY_EXIT.format(exit=EARLY_EXITS[kind]),
+                                  fill_byte)
+        answers = engine._memo.answers
+        assert answers
+        assert {result.termination for _, result in answers} == {kind}
+        assert_prefix_free(engine._memo.reads)
+
+    @pytest.mark.parametrize("fill_byte", [0, 85])
+    def test_a_read_longer_than_the_input_answers_with_the_fill(
+            self, fill_byte):
+        # after a first byte of 0x41 the target reads two bytes (fill 85
+        # fails the second guard) or four: an input shorter than the read
+        # continues with fill bytes
+        program = parse_program(EARLY_EXIT.format(exit="return 1;"))
+        config = lambda data: MEMO_LIMITS.config(fill_byte, data)
+        memo = ReadPrefixMemo(fill_byte)
+        stored = b"\x41" + bytes((fill_byte,)) * 3 + b"\x07"
+        result = execute(program, config(stored))
+        read = len(result.bytes_read)
+        assert read == (2 if fill_byte else 4)
+        memo.store(stored, result)
+        for length in range(1, read + 1):
+            short = stored[:length]
+            assert memo.recall(short) is result
+            assert execute(program, config(short)) == result
+        other = bytes((0x55 if fill_byte == 0 else 0,))
+        for miss in (b"", b"\x42", stored[:read - 1] + other):
+            assert memo.recall(miss) is None
+
+    def test_only_reads_shorter_than_their_input_are_stored(self):
+        program = parse_program(EARLY_EXIT.format(exit="return 1;"))
+        memo = ReadPrefixMemo(0)
+        for data in (b"", b"\x41\x00\x00\x00", b"\x00"):
+            memo.store(data, execute(program, MEMO_LIMITS.config(0, data)))
+        assert memo.reads == []
+        memo.store(b"\x00\x01", execute(program,
+                                        MEMO_LIMITS.config(0, b"\x00\x01")))
+        assert memo.reads == [b"\x00"]
+
+    def test_executor_runs_what_the_memo_does_not_answer(self):
+        program = parse_program(HEADER_TARGET)
+        counting = CountingCalls(LocalExecutor(program))
+        engine = checked_campaign(HEADER_TARGET, executor=counting)
+        stats = engine.stats
+        assert stats.memo_hits > 0
+        assert len(counting.configs) == stats.iterations - stats.memo_hits
+        assert json.loads(json.dumps(stats.to_dict()))["memo_hits"] == \
+            stats.memo_hits
+
+    def test_remote_runs_what_the_memo_does_not_answer(self, tmp_path):
+        program = parse_program(HEADER_TARGET)
+        server = TargetServer(program, optimizer_limits(MEMO_LIMITS))
+        server.start()
+        try:
+            with RemoteExecutor(server.address) as remote:
+                counting = CountingCalls(remote)
+                engine = checked_campaign(HEADER_TARGET, executor=counting)
+        finally:
+            server.stop()
+        local = checked_campaign(HEADER_TARGET)
+        stats = engine.stats
+        assert stats.memo_hits == local.stats.memo_hits > 0
+        assert len(counting.configs) == stats.iterations - stats.memo_hits
+        for name, run in (("remote", engine), ("local", local)):
+            save_suite(tmp_path / name, run.suite, run.stats,
+                       run.options)
+        assert (tmp_path / "remote/manifest.json").read_bytes() == \
+            (tmp_path / "local/manifest.json").read_bytes()
+
+    def test_optimizer_reruns_bypass_the_memo(self):
+        # the first input ends at the trace cap after one byte, so the
+        # memo holds the read of a boundary test that the optimizer
+        # re-runs under its own caps
+        source = EARLY_EXIT.format(
+            exit=EARLY_EXITS[TerminationKind.BOUNDARY_CONDITION_VIOLATION])
+        program = parse_program(source)
+        counting = CountingCalls(LocalExecutor(program))
+        engine = checked_campaign(source, executor=counting)
+        extended = optimizer_limits(MEMO_LIMITS).max_trace_length
+        reruns = [config for config in counting.configs
+                  if config.max_trace_length == extended]
+        assert len(reruns) == engine.stats.executions_by_kind["optimizer"]
+        assert any(engine._memo.recall(config.input_bytes) is not None
+                   for config in reruns)
+        assert len(counting.configs) == \
+            engine.stats.iterations - engine.stats.memo_hits
+        for config in reruns:
+            assert execute(program, config).termination == \
+                TerminationKind.NORMAL
+
+    def test_an_input_over_the_cap_raises_after_a_prefix_matches(self):
+        program = parse_program(EARLY_EXIT.format(exit="return 1;"))
+        engine = FuzzEngine(program, FuzzBudget(max_executions=10),
+                            FuzzOptions(limits=MEMO_LIMITS))
+        engine._execute_and_process(b"\x00\x01", "bootstrap")
+        long_input = b"\x00" * (MEMO_LIMITS.max_input_bytes + 1)
+        assert engine._memo.recall(long_input) is not None
+        with pytest.raises(ValueError, match="longer than max_input_bytes"):
+            engine._execute_and_process(long_input, "bootstrap")
+        assert engine.stats.iterations == 1
+
+
 class TestRemote:
     @pytest.fixture()
     def served(self):
@@ -610,7 +815,7 @@ class TestStepBudget:
                                      executor=remote)
         save_suite(tmp_path / "local", *local, options)
         save_suite(tmp_path / "remote", *remote_run, options)
-        assert local[1].terminations["TIMEOUT"] > 0
+        assert local[1].terminations[TerminationKind.TIMEOUT] > 0
         assert (tmp_path / "local/manifest.json").read_bytes() == \
             (tmp_path / "remote/manifest.json").read_bytes()
 
