@@ -3,9 +3,9 @@
 Each node corresponds to one evaluation position of a Boolean instruction
 along a path; the edge labels form the lattice NOT_VISITED <
 END_EXCEPTIONAL < END_NORMAL < VISITED and only ever increase.  Every node
-keeps the best (input, tags, trace) triple seen so far, where "best"
-minimizes the sum of squared branching values over the path prefix; a
-new node starts with the trace that created it, at infinite weight.
+keeps its best result, the ``ExecutionResult`` whose trace minimizes
+the sum of squared branching values over the path prefix; a new node
+starts with the result that created it, at infinite weight.
 
 A node's two labels are one immutable pair of plain ints (the
 ``EdgeLabel`` values, which compare equal to them), rebound when a
@@ -18,8 +18,8 @@ nodes, so labelling a node allocates nothing: every object a walk
 allocates and keeps brings the next collection nearer, and a young
 collection counts towards the full ones.  For the same reason as the
 labels, a node's two successors are two slots, ``false_succ`` and
-``true_succ``, not a list: the node itself is then the one object per
-node the collector tracks.
+``true_succ``, not a list: the collector then tracks each node and one
+result per distinct best, which the nodes a trace created share.
 
 Mapping is the per-record hot loop of the engine, so it leans on two
 invariants instead of re-checking them per record: an edge's successor
@@ -45,11 +45,9 @@ from .target_abi import (
     UID,
     VALUE,
     XOR_FLAG,
-    ConditionRecord,
     ExecutionId,
     ExecutionResult,
     TerminationKind,
-    TypeTag,
 )
 
 
@@ -94,32 +92,32 @@ _UNLABELLED: tuple[int, int] = _LABELS[_NOT_VISITED][_NOT_VISITED]
 
 
 class TreeNode:
-    """One evaluation position along a path.  ``label`` is the
-    immutable pair (false edge, true edge) of ``EdgeLabel`` values as
+    """One evaluation position along a path.  ``best`` is the node's best
+    result, the one that gave it ``best_weight``, and is only ever
+    rebound to the result of a strictly lighter trace, which comes from a
+    later execution: a changed ``best`` is a refreshed one.  ``label`` is
+    the immutable pair (false edge, true edge) of ``EdgeLabel`` values as
     plain ints, one of the sixteen shared pairs, so the collector need
     not track it; ``sensitive_bits`` is immutable too and rebound when
     sensitivity publishes marks, so nodes can share the empty set."""
 
     __slots__ = (
         "id", "parent", "false_succ", "true_succ", "label", "depth",
-        "best_input", "best_tags", "best_trace", "best_weight", "best_iter",
-        "sensitive_bits",
+        "best", "best_weight", "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
         "height", "covered", "closed", "loop_scanned",
     )
 
-    def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"]):
+    def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"],
+                 result: ExecutionResult):
         self.id = node_id
         self.parent = parent
         self.false_succ: Optional[TreeNode] = None
         self.true_succ: Optional[TreeNode] = None
         self.label: tuple[int, int] = _UNLABELLED
         self.depth = 0 if parent is None else parent.depth + 1
-        self.best_input = b""
-        self.best_tags: tuple[TypeTag, ...] = ()
-        self.best_trace: tuple[ConditionRecord, ...] = ()
+        self.best = result
         self.best_weight = float("inf")
-        self.best_iter = 0
         self.sensitive_bits: frozenset[int] = _NO_BITS
         self.sensitivity_done = False
         self.bitshare_done = False
@@ -132,15 +130,15 @@ class TreeNode:
     # convenience views of the node's own record in the best trace
     @property
     def value(self) -> float:
-        return self.best_trace[self.depth][VALUE]
+        return self.best.trace[self.depth][VALUE]
 
     @property
     def xor_flag(self) -> bool:
-        return self.best_trace[self.depth][XOR_FLAG]
+        return self.best.trace[self.depth][XOR_FLAG]
 
     @property
     def nbytes(self) -> int:
-        return self.best_trace[self.depth][NBYTES]
+        return self.best.trace[self.depth][NBYTES]
 
     def path(self) -> list["TreeNode"]:
         nodes = []
@@ -219,25 +217,20 @@ class ExecTree:
     # -- construction -----------------------------------------------------
 
     def _new_node(self, node_id: ExecutionId, parent: Optional[TreeNode],
-                  result: ExecutionResult, iteration: int) -> TreeNode:
-        """A node for ``node_id`` under ``parent``, holding the input,
-        tags and trace of the result that creates it.  Its best weight
-        stays infinite, so the walk's first finite weight at the node
-        replaces them (with the same trace) and an infinite one keeps
-        them: a new node takes its first trace at any weight."""
-        node = TreeNode(node_id, parent)
-        node.best_input = result.bytes_read
-        node.best_tags = result.type_tags
-        node.best_trace = result.trace
-        node.best_iter = iteration
+                  result: ExecutionResult) -> TreeNode:
+        """A node for ``node_id`` under ``parent``, holding the result
+        that creates it.  Its best weight stays infinite, so the walk's
+        first finite weight at the node keeps that result as its best
+        and an infinite one leaves it: a new node takes its first trace
+        at any weight."""
+        node = TreeNode(node_id, parent, result)
         self.nodes.append(node)
         self.nodes_by_id.setdefault(node_id, []).append(node)
         if self.id_covered(node_id):
             node.covered = True
         return node
 
-    def map_trace(self, result: ExecutionResult,
-                  iteration: int) -> list[tuple[int, bool]]:
+    def map_trace(self, result: ExecutionResult) -> list[tuple[int, bool]]:
         """Walk a trace onto the tree, creating and updating nodes, and
         return the (uid, direction) pairs it was the first to observe, in
         trace order.  The tree's ``uid_directions`` is the one record of
@@ -256,7 +249,7 @@ class ExecTree:
                     if result.termination == TerminationKind.CRASH
                     else _END_NORMAL)
         if self.root is None:
-            self.root = self._new_node(trace[0][ID], None, result, iteration)
+            self.root = self._new_node(trace[0][ID], None, result)
         # nbytes are monotone along a trace: the last record has the most
         nbytes = trace[-1][NBYTES]
         if nbytes > self.max_nbytes:
@@ -277,10 +270,7 @@ class ExecTree:
             weight += value * value
             if weight < node.best_weight:
                 node.best_weight = weight
-                node.best_input = result.bytes_read
-                node.best_tags = result.type_tags
-                node.best_trace = trace
-                node.best_iter = iteration
+                node.best = result
             if max_depth > node.height:
                 node.height = max_depth
             succ = node.true_succ if b else node.false_succ
@@ -295,8 +285,7 @@ class ExecTree:
                     elif false_label < terminal:
                         node.label = _LABELS[terminal][true_label]
                     break
-                succ = self._new_node(
-                    trace[node.depth + 1][ID], node, result, iteration)
+                succ = self._new_node(trace[node.depth + 1][ID], node, result)
                 if b:
                     node.label = _LABELS[false_label][_VISITED]
                     node.true_succ = succ

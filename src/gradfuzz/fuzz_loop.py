@@ -9,9 +9,11 @@ tree returns the pairs it saw first) and feeds the result to the
 session, which sets its ``achieving_input`` once its goal direction is
 observed.  When the session deactivates (analysis ended, budget spent,
 or goal observed) the engine logs it and hands it to the strategy, which
-records its outcome and picks the next session.  ``_keep`` is the one
-keep rule of the loop and the optimizer; kept tests replay to exactly
-the recorded coverage.
+records its outcome and picks the next session.  A session still active
+when the run's budget ends the loop is logged then, but not handed to
+the strategy: its analysis did not end.  ``_keep`` is the one keep rule
+of the loop and the optimizer; kept tests replay to exactly the
+recorded coverage.
 
 A read-prefix memo (``ReadPrefixMemo``) answers an input without
 running the target when an earlier run under the loop's limits stopped
@@ -38,7 +40,7 @@ from typing import Optional
 
 from .exec_tree import ExecTree, coverage_summary
 from .executors import LocalExecutor
-from .generators import AnalysisKind, sensitivity_mutations
+from .generators import AnalysisKind, AnalysisSession, sensitivity_mutations
 from .minivm import Program, VmLimits, execute
 from .strategy import Strategy
 from .target_abi import ExecutionResult, TerminationKind, TypeTag
@@ -247,6 +249,8 @@ class FuzzEngine:
                 self.stats.terminated_by_strategy = True
                 break
             self._execute_and_process(step, self._active_kind)
+        if self.active is not None:  # cut off by the budget
+            self._log_session(self.active)
         self.optimize_suite()
         self.suite.recompute_coverage()
         self.stats.coverage = self.tree.coverage_counts()
@@ -293,7 +297,7 @@ class FuzzEngine:
         result = self.executor(limits.config(self.options.fill_byte,
                                              input_bytes))
         iteration = self._count(result, kind)
-        return result, self.tree.map_trace(result, iteration), iteration
+        return result, self.tree.map_trace(result), iteration
 
     def _count(self, result: ExecutionResult, kind: str) -> int:
         """Count one processed input; its iteration."""
@@ -358,6 +362,9 @@ class FuzzEngine:
         session = self.active
         self.active = None
         self.strategy.finish(session)
+        self._log_session(session)
+
+    def _log_session(self, session: AnalysisSession) -> None:
         node = session.node
         uid, ctx = node.id
         self.stats.sessions.append(SessionLogEntry(

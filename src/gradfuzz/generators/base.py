@@ -9,13 +9,15 @@ A session also owns its outcome: ``feed`` sets ``achieving_input`` to
 the input after whose execution the node's goal edge is no longer
 NOT_VISITED, and the loop then deactivates the session.
 
-Every analysis judges an execution by one path check,
-``prefix_agreement``: how far its trace follows the node's best trace up
-to the node.  A trace reaches the node when it follows it all the way,
-and ``mapped_value`` then reads the node's branching value from it.
+A session keeps the node's best result as it was when the session was
+built, as ``best``.  Every analysis judges an execution by one path
+check, ``prefix_agreement``: how far its trace follows that best trace
+up to the node.  A trace reaches the node when it follows it all the
+way, and ``mapped_value`` then reads the node's branching value from it.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Optional
 
@@ -47,9 +49,10 @@ class AnalysisSession:
         self._gen = self._run()
         self._feed_value = None  # send(None) starts the generator
         self._pending: Optional[bytes] = None  # input awaiting its result
+        self.best = node.best
         # the records of the path to the node: ids and directions are
         # those of every trace reaching it, the values are the best ones
-        self.base_trace = node.best_trace[:node.depth + 1]
+        self.base_trace = self.best.trace[:node.depth + 1]
 
     # -- driving ----------------------------------------------------------
 
@@ -129,15 +132,25 @@ class AnalysisSession:
 
 
 class DescentSession(AnalysisSession):
-    """Base for the two gradient-descent analyses: logs accepted |f|
-    values per seed so descent monotonicity is checkable after the run."""
+    """Base for the two gradient-descent analyses, which descend from the
+    best input over the value |f| at the node, ``failure_value`` when a
+    trace misses the node or f is not finite.  Logs accepted values per
+    seed so descent monotonicity is checkable after the run."""
 
     uses_cache = True
+    failure_value: float
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng):
         super().__init__(node, goal_direction)
         self.rng = rng
+        self.base = self.best.bytes_read
         self.descent_logs: list[list[float]] = []
+
+    def _value_of(self, result: ExecutionResult) -> float:
+        value = self.mapped_value(result)
+        if value is None or not math.isfinite(value):
+            return self.failure_value
+        return abs(value)
 
     def _start_seed(self, first_value: float) -> None:
         self.descent_logs.append([first_value])

@@ -20,10 +20,8 @@ import math
 import sys
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult, set_bit
+from ..target_abi import set_bit
 from .base import AnalysisKind, DescentSession
-
-FAILURE_VALUE = sys.float_info.max
 
 
 def binary_seeds(m: int, rng) -> list[tuple[int, ...]]:
@@ -40,17 +38,11 @@ def binary_seeds(m: int, rng) -> list[tuple[int, ...]]:
 
 class BinaryDescentSession(DescentSession):
     kind = AnalysisKind.MINIMIZATION
+    failure_value = sys.float_info.max
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng):
         super().__init__(node, goal_direction, rng)
-        self.base = bytes(node.best_input)
         self.bit_indices = sorted(node.sensitive_bits)
-
-    def _value_of(self, result: ExecutionResult) -> float:
-        value = self.mapped_value(result)
-        if value is None or not math.isfinite(value):
-            return FAILURE_VALUE
-        return abs(value)
 
     def _encode(self, bits) -> bytes:
         buf = bytearray(self.base)

@@ -32,12 +32,12 @@ class BitshareStore:
 
 def bitshare_compose(node: TreeNode, goal_direction: bool,
                      store: BitshareStore) -> bytes | None:
-    """Donor bits written position-wise into the node's sensitive bits;
-    None when no donor is known."""
+    """Donor bits written position-wise into the node's sensitive bits of
+    its best input; None when no donor is known."""
     donor = store.lookup(node.id[UID], goal_direction)
     if donor is None:
         return None
-    composed = bytearray(node.best_input)
+    composed = bytearray(node.best.bytes_read)
     indices = sorted(node.sensitive_bits)
     for i in range(min(len(indices), len(donor))):
         set_bit(composed, indices[i], donor[i])
@@ -49,14 +49,12 @@ class BitshareSession(AnalysisSession):
 
     def __init__(self, node: TreeNode, goal_direction: bool,
                  store: BitshareStore):
-        self.store = store
         super().__init__(node, goal_direction)
+        self.composed = bitshare_compose(node, goal_direction, store)
 
     def _value_of(self, result: ExecutionResult):
         return self.mapped_value(result)
 
     def _run(self):
-        composed = bitshare_compose(self.node, self.goal_direction,
-                                    self.store)
-        if composed is not None:
-            yield composed
+        if self.composed is not None:
+            yield self.composed

@@ -68,7 +68,7 @@ class SensitivitySession(AnalysisSession):
 
     def __init__(self, node: TreeNode):
         super().__init__(node, None)
-        self.base = bytes(node.best_input[:node.nbytes])
+        self.base = self.best.bytes_read[:node.nbytes]
         self.path_nodes = node.path()
         self.raw_marks: dict[int, set[int]] = {}
         self.region_marks: dict[int, set[int]] = {}
@@ -80,7 +80,7 @@ class SensitivitySession(AnalysisSession):
 
     def _run(self):
         for mutated, bits, is_region in sensitivity_mutations(
-                self.base, self.node.best_tags):
+                self.base, self.best.type_tags):
             self._candidate_bits = bits
             self._candidate_is_region = is_region
             yield mutated

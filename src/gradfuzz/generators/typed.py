@@ -33,7 +33,7 @@ import math
 from typing import Optional, Sequence
 
 from ..exec_tree import TreeNode
-from ..target_abi import ExecutionResult, TypeTag
+from ..target_abi import TypeTag
 from .base import AnalysisKind, DescentSession
 
 CALL_BUDGET_PER_BIT = 100
@@ -144,19 +144,13 @@ def _neighbours(tag: TypeTag, value) -> list:
 
 class TypedDescentSession(DescentSession):
     kind = AnalysisKind.TYPED_MINIMIZATION
+    failure_value = math.inf
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng,
                  variables: list[tuple[int, TypeTag]]):
         super().__init__(node, goal_direction, rng)
         self.variables = variables
-        self.base = bytes(node.best_input)
         self.call_budget = CALL_BUDGET_PER_BIT * len(node.sensitive_bits)
-
-    def _value_of(self, result: ExecutionResult) -> float:
-        value = self.mapped_value(result)
-        if value is None or not math.isfinite(value):
-            return math.inf
-        return value
 
     def _encode(self, values) -> bytes:
         buf = bytearray(self.base)
@@ -182,7 +176,7 @@ class TypedDescentSession(DescentSession):
     def _run(self):
         values = self._own_values()
         while True:
-            av = abs((yield self._encode(values)))
+            av = yield self._encode(values)
             if math.isfinite(av):
                 self._start_seed(av)
                 values = yield from self._descend(values, av)
@@ -211,7 +205,7 @@ class TypedDescentSession(DescentSession):
                     continue
                 bumped = list(values)
                 bumped[i] = values[i] + delta
-                avi = abs((yield self._encode(bumped)))
+                avi = yield self._encode(bumped)
                 grad = (avi - av) / delta
                 if math.isfinite(grad):
                     grads[i] = grad
@@ -233,7 +227,7 @@ class TypedDescentSession(DescentSession):
                         _clamp_step(tag, values[i] - scale * grads[i])
                         for i, (_, tag) in enumerate(self.variables)
                     ]
-                    cav = abs((yield self._encode(candidate)))
+                    cav = yield self._encode(candidate)
                     if cav < best_av:
                         best_av = cav
                         best_values = candidate

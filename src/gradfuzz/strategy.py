@@ -18,8 +18,8 @@ nodes are eligible anywhere:
 * twins: unanalysed nodes sharing an execution id with a pivot but with
   a strictly smaller |branching value| (stored, FIFO).
 
-The pivots and the recovery records, (node, the node's best iteration
-at the failure), are stored as well.
+The pivots and the recovery records, (node, the node's best result at
+the failure), are stored as well.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .generators import (
     TypedDescentSession,
     identify_typed_variables,
 )
-from .target_abi import UID
+from .target_abi import UID, ExecutionResult
 
 _POW2_BUCKETS = [2 ** i for i in range(11)]
 
@@ -203,7 +203,7 @@ class Strategy:
         self.twins: list[TreeNode] = []
         # uncovered indirectly-input-dependent nodes, in registration order
         self.pivots: list[TreeNode] = []
-        self.recovery_records: list[tuple[TreeNode, int]] = []
+        self.recovery_records: list[tuple[TreeNode, ExecutionResult]] = []
         self.bitshare_store = BitshareStore()
         self._loop_bodies: dict[TreeNode, set[int]] = {}
 
@@ -248,7 +248,7 @@ class Strategy:
 
     def record_failure(self, node: TreeNode) -> None:
         """A minimization ended without reaching its goal."""
-        self.recovery_records.append((node, node.best_iter))
+        self.recovery_records.append((node, node.best))
 
     # -- loop head detection -----------------------------------------------
 
@@ -398,15 +398,15 @@ class Strategy:
     # -- recovery ----------------------------------------------------------
 
     def recover_nodes(self) -> int:
-        """Reopen failed-minimization nodes whose best triple has been
+        """Reopen failed-minimization nodes whose best result has been
         refreshed since the failure; returns how many were reopened."""
-        kept: list[tuple[TreeNode, int]] = []
+        kept: list[tuple[TreeNode, ExecutionResult]] = []
         reopened = 0
-        for node, best_iter in self.recovery_records:
+        for node, best in self.recovery_records:
             if node.covered:
                 continue
-            if best_iter >= node.best_iter:
-                kept.append((node, best_iter))
+            if node.best is best:
+                kept.append((node, best))
                 continue
             node.sensitivity_done = False
             node.bitshare_done = False
@@ -451,7 +451,7 @@ class Strategy:
         if not node.bitshare_done:
             return BitshareSession(node, goal, self.bitshare_store)
         variables = None if node.xor_flag else identify_typed_variables(
-            node.best_input, node.best_tags, node.sensitive_bits)
+            node.best.bytes_read, node.best.type_tags, node.sensitive_bits)
         if variables:
             return TypedDescentSession(node, goal, self.rng, variables)
         return BinaryDescentSession(node, goal, self.rng)

@@ -32,6 +32,14 @@ def condition_record(id: ExecutionId, direction: bool, value: float,
     return (id, direction, value, xor_flag, nbytes)
 
 
+def traced_result(trace=(), bytes_read: bytes = b"",
+                  type_tags=()) -> ExecutionResult:
+    """A normal result with ``trace``: the best result of a node built by
+    hand."""
+    return ExecutionResult(TerminationKind.NORMAL, bytes_read,
+                           tuple(type_tags), tuple(trace))
+
+
 def path_weight(trace, depth: int) -> float:
     """Sum of squared branching values over trace[0..depth]."""
     total = 0.0
@@ -95,24 +103,21 @@ def bootstrap_tree(source: str, inputs=(b"",), fill: int = 0):
     program = parse_program(source)
     tree = ExecTree()
     executor = CountingExecutor(program, fill=fill)
-    for i, data in enumerate(inputs):
-        tree.map_trace(executor(data), i)
+    for data in inputs:
+        tree.map_trace(executor(data))
     return program, tree, executor
 
 
-def drive_session(session, executor, tree=None, stop_at_goal=True,
-                  start_iteration=100):
+def drive_session(session, executor, tree=None, stop_at_goal=True):
     """Run a session to completion (or until its goal direction appears);
     returns 'achieved' or 'exhausted'."""
-    iteration = start_iteration
     while True:
         data = session.next_input()
         if data is None:
             return "exhausted"
         result = executor(data)
         if tree is not None:
-            tree.map_trace(result, iteration)
-            iteration += 1
+            tree.map_trace(result)
         session.feed(result)
         if (stop_at_goal and session.goal_direction is not None
                 and session.node.label[session.goal_direction]
@@ -161,10 +166,9 @@ def chain_from_uids(uids, directions=None):
     nodes = []
     parent = None
     for i, uid in enumerate(uids):
-        node = TreeNode((uid, 0), parent)
-        node.best_trace = tuple(
+        node = TreeNode((uid, 0), parent, traced_result(
             condition_record((uids[j], 0), True, 1.0, False, 1)
-            for j in range(i + 1))
+            for j in range(i + 1)))
         if parent is not None:
             direction = True if directions is None else directions[i - 1]
             if direction:

@@ -263,9 +263,9 @@ def test_criterion_11_boolean_expression_coverage():
     limits = VmLimits(1000, 64, 256, 200_000)
     executor = LocalExecutor(program)
     tree = ExecTree()
-    for i, (x, y) in enumerate(((0, 0), (1, 1))):
+    for x, y in ((0, 0), (1, 1)):
         data = x.to_bytes(4, "little") + y.to_bytes(4, "little")
-        tree.map_trace(executor(limits.config(0, data)), i)
+        tree.map_trace(executor(limits.config(0, data)))
     # uids in source order: 1 = x==1, 2 = y==1, then the three branch
     # conditions 3, 4, 5
     assert uid_covered(tree, 1)

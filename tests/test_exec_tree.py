@@ -29,7 +29,7 @@ from gradfuzz.target_abi import (
     wire_encode,
 )
 from helpers import condition_record, dump, is_directly_input_dependent, \
-    path_weight, uid_covered
+    path_weight, traced_result, uid_covered
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -60,7 +60,7 @@ class TestMapTrace:
         tree = ExecTree()
         trace = (record(1, True, 5.0), record(2, False, 2.0, nbytes=2))
         tree.map_trace(result_for(trace, data=b"\x00\x00",
-                                  tags=(TypeTag.UINT8, TypeTag.UINT8)), 0)
+                                  tags=(TypeTag.UINT8, TypeTag.UINT8)))
         root = tree.root
         assert root.label[True] == EdgeLabel.VISITED
         assert root.label[False] == EdgeLabel.NOT_VISITED
@@ -72,81 +72,85 @@ class TestMapTrace:
     def test_crash_labels_end_exceptional(self):
         tree = ExecTree()
         tree.map_trace(result_for((record(1, True, 1.0),),
-                                  TerminationKind.CRASH), 0)
+                                  TerminationKind.CRASH))
         assert tree.root.label[True] == EdgeLabel.END_EXCEPTIONAL
 
     def test_end_label_upgrades_to_visited_with_child(self):
         tree = ExecTree()
         tree.map_trace(result_for((record(1, True, 1.0),),
-                                  TerminationKind.CRASH), 0)
+                                  TerminationKind.CRASH))
         tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 2.0))), 1)
+            (record(1, True, 1.0), record(2, True, 2.0))))
         assert tree.root.label[True] == EdgeLabel.VISITED
         assert tree.root.true_succ is not None
 
     def test_labels_never_downgrade(self):
         tree = ExecTree()
         tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 2.0))), 0)
+            (record(1, True, 1.0), record(2, True, 2.0))))
         tree.map_trace(result_for((record(1, True, 1.0),),
-                                  TerminationKind.CRASH), 1)
+                                  TerminationKind.CRASH))
         assert tree.root.label[True] == EdgeLabel.VISITED
 
     def test_timeout_counts_as_normal_end(self):
         tree = ExecTree()
         tree.map_trace(result_for((record(1, False, 1.0),),
-                                  TerminationKind.TIMEOUT), 0)
+                                  TerminationKind.TIMEOUT))
         assert tree.root.label[False] == EdgeLabel.END_NORMAL
 
     def test_best_triple_keeps_smaller_weight(self):
         tree = ExecTree()
-        tree.map_trace(result_for((record(1, True, 3.0),), data=b"\x03"), 0)
-        tree.map_trace(result_for((record(1, True, -2.0),), data=b"\x02"), 1)
+        tree.map_trace(result_for((record(1, True, 3.0),), data=b"\x03"))
+        lighter = result_for((record(1, True, -2.0),), data=b"\x02")
+        tree.map_trace(lighter)
         assert tree.root.best_weight == 4.0
-        assert tree.root.best_input == b"\x02"
-        assert tree.root.best_iter == 1
-        tree.map_trace(result_for((record(1, True, 2.5),), data=b"\x07"), 2)
-        assert tree.root.best_input == b"\x02"
+        assert tree.root.best.bytes_read == b"\x02"
+        assert tree.root.best is lighter
+        tree.map_trace(result_for((record(1, True, 2.5),), data=b"\x07"))
+        assert tree.root.best.bytes_read == b"\x02"
 
     def test_new_node_takes_first_trace_at_infinite_weight(self):
         tree = ExecTree()
         trace = (record(1, True, math.inf), record(2, False, 1.0))
-        tree.map_trace(result_for(trace), 0)
+        first = result_for(trace)
+        tree.map_trace(first)
         child = tree.root.true_succ
         assert tree.root.value == math.inf
         assert child.value == 1.0
-        assert child.best_trace == trace
+        assert child.best.trace == trace
         # non-root new nodes below a prefix of weight +inf: the existing
         # node keeps its trace, the new ones take this one
         second = (record(1, True, 2.0), record(2, True, math.inf),
                   record(3, False, 1.0), record(4, True, 1.0))
-        tree.map_trace(result_for(second, data=b"\x02"), 1)
+        second_result = result_for(second, data=b"\x02")
+        tree.map_trace(second_result)
         root = tree.root
         mid = root.true_succ
-        assert root.best_trace == second and root.best_weight == 4.0
-        assert mid.best_trace == trace and mid.best_iter == 0
+        assert root.best.trace == second and root.best_weight == 4.0
+        assert mid.best.trace == trace and mid.best is first
         leaf = mid.true_succ
         for node in (leaf, leaf.false_succ):
             assert node.best_weight == math.inf
-            assert node.best_trace == second
-            assert node.best_input == b"\x02"
-            assert node.best_tags == (TypeTag.UINT8,)
-            assert node.best_iter == 1
+            assert node.best.trace == second
+            assert node.best.bytes_read == b"\x02"
+            assert node.best.type_tags == (TypeTag.UINT8,)
+            assert node.best is second_result
         # the first finite weight replaces it
         third = (record(1, True, 0.0), record(2, True, 0.0),
                  record(3, True, 0.5))
-        tree.map_trace(result_for(third, data=b"\x03"), 2)
-        assert leaf.best_trace == third and leaf.best_weight == 0.25
-        assert leaf.best_input == b"\x03" and leaf.best_iter == 2
+        third_result = result_for(third, data=b"\x03")
+        tree.map_trace(third_result)
+        assert leaf.best.trace == third and leaf.best_weight == 0.25
+        assert leaf.best.bytes_read == b"\x03" and leaf.best is third_result
 
     def test_labels_are_untracked_int_pairs(self):
         rng = random.Random(12)
         tree = ExecTree()
-        for i in range(200):
+        for _ in range(200):
             trace = tuple(record(depth + 1, rng.random() < 0.5, 1.0)
                           for depth in range(rng.randrange(1, 7)))
             termination = rng.choice(list(TerminationKind))
-            tree.map_trace(result_for(trace, termination), i)
+            tree.map_trace(result_for(trace, termination))
         gc.collect()
         for node in tree.nodes:
             assert type(node.label) is tuple and len(node.label) == 2
@@ -157,15 +161,16 @@ class TestMapTrace:
         assert len({id(node.label) for node in tree.nodes}) == len(
             {node.label for node in tree.nodes})
         # nodes never labelled share one pair
-        fresh = [TreeNode((uid, 0), None) for uid in (1, 2)]
+        fresh = [TreeNode((uid, 0), None, traced_result()) for uid in (1, 2)]
         assert fresh[0].label is fresh[1].label
         assert fresh[0].label == (EdgeLabel.NOT_VISITED,
                                   EdgeLabel.NOT_VISITED)
 
     def test_ids_records_and_traces_leave_the_collector(self):
         # the layout a tree of thousands of nodes relies on: once
-        # collected, the collector tracks a node itself and none of its
-        # ids, records and traces, and no container of its successors.  A
+        # collected, the collector tracks a node and its best result,
+        # which the nodes a trace created share, and none of its ids,
+        # records and traces, and no container of its successors.  A
         # collection untracks a tuple only when its items are untracked
         # already, and it may visit a tuple before its items, so a fresh
         # trace (ids in records in a tuple) can take three collections
@@ -173,7 +178,7 @@ class TestMapTrace:
         engine = FuzzEngine(program, FuzzBudget(max_executions=200),
                             FuzzOptions(seed=1))
         engine.run()
-        last = engine.tree.nodes[-1].best_trace
+        last = engine.tree.nodes[-1].best.trace
         decoded = wire_decode(wire_encode(ExecutionResult(
             TerminationKind.NORMAL, b"", (), last)))
         for _ in range(3):
@@ -181,12 +186,14 @@ class TestMapTrace:
         assert len(engine.tree.nodes) > 10
         for node in engine.tree.nodes:
             assert not gc.is_tracked(node.id)
-            assert not gc.is_tracked(node.best_trace)
-            for rec in node.best_trace:
+            assert not gc.is_tracked(node.best.trace)
+            for rec in node.best.trace:
                 assert not gc.is_tracked(rec[ID])
                 assert not gc.is_tracked(rec)
             assert not any(isinstance(ref, (list, dict, set))
                            for ref in gc.get_referents(node))
+        assert len({id(node.best) for node in engine.tree.nodes}) < len(
+            engine.tree.nodes)
         assert not gc.is_tracked(decoded.trace)
         assert not any(map(gc.is_tracked, decoded.trace))
         assert {"false_succ", "true_succ"} <= set(TreeNode.__slots__)
@@ -194,46 +201,46 @@ class TestMapTrace:
 
     def test_empty_trace_is_ignored(self):
         tree = ExecTree()
-        new_pairs = tree.map_trace(result_for((), data=b"", tags=()), 0)
+        new_pairs = tree.map_trace(result_for((), data=b"", tags=()))
         assert tree.root is None
         assert new_pairs == []
 
     def test_id_mismatch_raises(self):
         tree = ExecTree()
-        tree.map_trace(result_for((record(1, True, 1.0),)), 0)
+        tree.map_trace(result_for((record(1, True, 1.0),)))
         with pytest.raises(TreeMappingError):
-            tree.map_trace(result_for((record(9, True, 1.0),)), 1)
+            tree.map_trace(result_for((record(9, True, 1.0),)))
 
     def test_id_mismatch_names_the_record_index(self):
         tree = ExecTree()
         tree.map_trace(result_for((record(1, True, 1.0), record(2, True, 1.0),
-                                   record(3, False, 1.0))), 0)
+                                   record(3, False, 1.0))))
         message = ("trace record 2 has id (9, 0), tree node has (3, 0); "
                    "target looks nondeterministic")
         with pytest.raises(TreeMappingError, match=re.escape(message)):
             tree.map_trace(result_for((record(1, True, 1.0),
                                        record(2, True, 1.0),
-                                       record(9, True, 1.0))), 1)
+                                       record(9, True, 1.0))))
 
     def test_max_nbytes_is_the_largest_over_mapped_traces(self):
         rng = random.Random(8)
         tree = ExecTree()
         largest = 0
-        for i in range(300):
+        for _ in range(300):
             nbytes = rng.randrange(0, 4)
             trace = []
             for depth in range(rng.randrange(1, 6)):
                 nbytes += rng.randrange(0, 3)
                 trace.append(record(depth + 1, rng.random() < 0.5, 1.0,
                                     nbytes=nbytes))
-            tree.map_trace(result_for(tuple(trace)), i)
+            tree.map_trace(result_for(tuple(trace)))
             largest = max([largest] + [rec[NBYTES] for rec in trace])
             assert tree.max_nbytes == largest
 
     def test_coverage_tracked_per_execution_id(self):
         tree = ExecTree()
-        tree.map_trace(result_for((record(1, True, 1.0, ctx=5),)), 0)
-        tree.map_trace(result_for((record(1, False, 1.0, ctx=5),)), 1)
+        tree.map_trace(result_for((record(1, True, 1.0, ctx=5),)))
+        tree.map_trace(result_for((record(1, False, 1.0, ctx=5),)))
         assert tree.root.covered
         assert uid_covered(tree, 1)
         assert tree.id_covered((1, 5))
@@ -243,21 +250,20 @@ class TestMapTrace:
         tree = ExecTree()
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 5.0, ctx=1),
-             record(2, True, 4.0, ctx=1))), 0)
+             record(2, True, 4.0, ctx=1))))
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 5.0, ctx=1),
-             record(2, False, 4.0, ctx=1))), 1)
+             record(2, False, 4.0, ctx=1))))
         nodes = [n for n in tree.nodes if n.id[UID] == 2]
         assert len(nodes) == 2
         assert all(n.covered for n in nodes)
 
     def test_covered_nodes_still_update_on_a_better_deeper_trace(self):
         tree = ExecTree()
-        for i, trace in enumerate((
-                (record(1, True, 5.0), record(2, True, 5.0)),
-                (record(1, False, 5.0),),
-                (record(1, True, 5.0), record(2, False, 5.0)))):
-            tree.map_trace(result_for(trace), i)
+        for trace in ((record(1, True, 5.0), record(2, True, 5.0)),
+                      (record(1, False, 5.0),),
+                      (record(1, True, 5.0), record(2, False, 5.0))):
+            tree.map_trace(result_for(trace))
         root = tree.root
         mid = root.true_succ
         assert root.covered and mid.covered
@@ -265,16 +271,17 @@ class TestMapTrace:
         # deeper and lighter, every id already covered: uid 2 repeats
         trace = (record(1, True, 1.0), record(2, True, 1.0),
                  record(2, False, 1.0, nbytes=3))
-        new_pairs = tree.map_trace(result_for(
-            trace, data=b"\x00" * 3, tags=(TypeTag.UINT8,) * 3), 3)
+        deeper = result_for(trace, data=b"\x00" * 3,
+                            tags=(TypeTag.UINT8,) * 3)
+        new_pairs = tree.map_trace(deeper)
         assert new_pairs == []
         leaf = mid.true_succ
         assert leaf.covered
         for node, weight in ((root, 1.0), (mid, 2.0), (leaf, 3.0)):
             assert node.best_weight == weight
-            assert node.best_trace == trace
-            assert node.best_input == b"\x00" * 3
-            assert node.best_iter == 3
+            assert node.best.trace == trace
+            assert node.best.bytes_read == b"\x00" * 3
+            assert node.best is deeper
             assert node.height == 2
         assert mid.label[True] == EdgeLabel.VISITED
         assert leaf.label[False] == EdgeLabel.END_NORMAL
@@ -296,8 +303,8 @@ class TestMapTrace:
             order = base[:]
             rng.shuffle(order)
             tree = ExecTree()
-            for i, (termination, trace) in enumerate(order):
-                tree.map_trace(result_for(trace, termination), i)
+            for termination, trace in order:
+                tree.map_trace(result_for(trace, termination))
             snapshot = _label_snapshot(tree.root)
             if reference is None:
                 reference = snapshot
@@ -306,13 +313,13 @@ class TestMapTrace:
     def test_height_matches_full_recomputation(self):
         rng = random.Random(5)
         tree = ExecTree()
-        for i in range(200):
+        for _ in range(200):
             length = rng.randrange(1, 8)
             trace = []
             for depth in range(length):
                 trace.append(record(depth + 1, rng.random() < 0.5,
                                     rng.uniform(-5, 5), nbytes=1))
-            tree.map_trace(result_for(tuple(trace)), i)
+            tree.map_trace(result_for(tuple(trace)))
 
         def subtree_max_depth(node):
             best = node.depth
@@ -328,12 +335,12 @@ class TestMapTrace:
         rng = random.Random(6)
         tree = ExecTree()
         highs = {}
-        for i in range(300):
+        for _ in range(300):
             trace = []
             for depth in range(rng.randrange(1, 5)):
                 trace.append(record(depth + 1, rng.random() < 0.5,
                                     rng.choice((-3.0, 1.0, 4.0, 0.5))))
-            tree.map_trace(result_for(tuple(trace)), i)
+            tree.map_trace(result_for(tuple(trace)))
             for node in tree.nodes:
                 prev = highs.get(id(node), math.inf)
                 assert node.best_weight <= prev
@@ -342,10 +349,8 @@ class TestMapTrace:
 
 def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     tree = ExecTree()
-    tree.map_trace(result_for((record(1, True, 1.0), record(2, False, 1.0))),
-                   0)
-    tree.map_trace(result_for((record(1, False, 1.0), record(3, True, 1.0))),
-                   1)
+    tree.map_trace(result_for((record(1, True, 1.0), record(2, False, 1.0))))
+    tree.map_trace(result_for((record(1, False, 1.0), record(3, True, 1.0))))
     root = tree.root
     node, sibling = root.true_succ, root.false_succ
     session = SensitivitySession(node)
@@ -355,7 +360,7 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     assert root.sensitive_bits == {9}
     assert node.sensitive_bits == set(range(8))
     assert sibling.sensitive_bits == set()
-    assert TreeNode((4, 0), None).sensitive_bits == set()
+    assert TreeNode((4, 0), None, traced_result()).sensitive_bits == set()
 
 
 def _label_snapshot(node):
@@ -368,12 +373,11 @@ def _label_snapshot(node):
 
 def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
                sensitivity_done=False, bits=(), covered=False):
-    node = TreeNode((uid, 0), None)
+    node = TreeNode((uid, 0), None, traced_result((record(uid, True, 1.0),)))
     node.label = tuple(map(int, labels))
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
     node.covered = covered
-    node.best_trace = (record(uid, True, 1.0),)
     return node
 
 
@@ -433,13 +437,13 @@ class TestPropagateClosed:
         tree = ExecTree()
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, True, 1.0))), 0)
-        tree.map_trace(result_for((record(1, False, 1.0),)), 1)
+             record(3, True, 1.0))))
+        tree.map_trace(result_for((record(1, False, 1.0),)))
         tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, False, 1.0))), 2)
+            (record(1, True, 1.0), record(2, False, 1.0))))
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, False, 1.0))), 3)
+             record(3, False, 1.0))))
         return tree
 
     def test_chain_closes_to_root(self):
@@ -457,12 +461,12 @@ class TestPropagateClosed:
         tree = ExecTree()
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, True, 1.0))), 0)
+             record(3, True, 1.0))))
         tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, False, 1.0))), 1)
+            (record(1, True, 1.0), record(2, False, 1.0))))
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, False, 1.0))), 2)
+             record(3, False, 1.0))))
         leaf = tree.root.true_succ.true_succ
         leaf.sensitivity_done = True
         mid = tree.root.true_succ
@@ -495,7 +499,7 @@ class TestDump:
         tree = ExecTree()
         tree.map_trace(result_for(
             (record(1, True, 5.0), record(2, False, -2.0, nbytes=1,
-                                          ctx=3))), 0)
+                                          ctx=3))))
         expected = (
             "0 uid=1 ctx=00000000 labels=NOT_VISITED/VISITED f=5.0 "
             "nbytes=1 -----\n"

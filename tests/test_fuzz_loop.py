@@ -26,6 +26,7 @@ from gradfuzz.fuzz_loop import (
     run_fuzzing,
     save_suite,
 )
+from gradfuzz.generators import AnalysisKind
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     _CAPS,
@@ -118,6 +119,31 @@ class TestRunFuzzing:
                 assert first.setdefault(pair, pair) is pair
         assert len(suite.tests) > 3
         assert not hasattr(suite.tests[0], "__dict__")
+
+    @pytest.mark.parametrize("budget, cut", [(50, True), (200, False)])
+    def test_logged_sessions_hold_every_analysis_execution(self, budget,
+                                                           cut):
+        # at 50 executions the budget ends the loop inside a sensitivity
+        # session, at 200 the strategy ends it: either way each analysis
+        # kind's executions are those of its logged sessions
+        source = (Path(__file__).parent.parent / "benchmarks" /
+                  "four_branch.mc").read_text()
+        engine = FuzzEngine(parse_program(source),
+                            FuzzBudget(max_executions=budget),
+                            small_options(seed=2))
+        _, stats = engine.run()
+        assert stats.terminated_by_strategy is not cut
+        for kind in AnalysisKind:
+            assert stats.executions_by_kind[kind.value] == sum(
+                s.executions for s in stats.sessions if s.kind == kind.value)
+        if cut:
+            # logged once, and not finished: its analysis did not end
+            session = engine.active
+            assert session.kind == AnalysisKind.SENSITIVITY
+            assert session.executions > 0
+            assert stats.sessions[-1].executions == session.executions
+            assert not stats.sessions[-1].achieved
+            assert not session.node.sensitivity_done
 
     def test_program_without_boolean_instructions_terminates(self):
         suite, stats = run_fuzzing(parse_program("int main(){ return 0; }"),

@@ -50,7 +50,7 @@ int main() {
 class TestSensitivity:
     def _run_pair_session(self):
         program, tree, executor = bootstrap_tree(SENSE_PAIR)
-        deep = (tree.root.true_succ if tree.root.best_trace[0][DIRECTION]
+        deep = (tree.root.true_succ if tree.root.best.trace[0][DIRECTION]
                 else tree.root.false_succ)
         session = SensitivitySession(deep)
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
@@ -107,18 +107,18 @@ class TestBitshareCompose:
     def test_inverted_donor_flips_every_sensitive_bit(self):
         node = self._node()
         store = BitshareStore()
-        donor_input = bytes([0x00, ~node.best_input[1] & 0xFF])
+        donor_input = bytes([0x00, ~node.best.bytes_read[1] & 0xFF])
         store.record(node.id[UID], True, donor_input, node.sensitive_bits)
         composed = bitshare_compose(node, True, store)
         flipped = [s for s in range(16)
-                   if get_bit(composed, s) != get_bit(node.best_input, s)]
+                   if get_bit(composed, s) != get_bit(node.best.bytes_read, s)]
         assert flipped == sorted(node.sensitive_bits)
 
     def test_empty_donor_bits_leave_input_unchanged(self):
         node = self._node()
         store = BitshareStore()
         store.record(node.id[UID], True, b"\x55", set())
-        assert bitshare_compose(node, True, store) == node.best_input
+        assert bitshare_compose(node, True, store) == node.best.bytes_read
 
     def test_no_donor_entry_returns_none(self):
         node = self._node()
@@ -136,7 +136,7 @@ class TestBitshareCompose:
         store.record(node.id[UID], True, b"\xff", {0, 1, 2})  # 3 donor bits
         composed = bitshare_compose(node, True, store)
         changed = [s for s in range(16)
-                   if get_bit(composed, s) != get_bit(node.best_input, s)]
+                   if get_bit(composed, s) != get_bit(node.best.bytes_read, s)]
         assert changed == [8, 9, 10]
 
 
@@ -226,6 +226,60 @@ MAGIC = ("int main() { int x = nondet_int();"
          " if (x == 1000000) abort(); return 0; }")
 
 
+class TestSessionKeepsItsBest:
+    """A session reads its node's best result once, when it is built: a
+    lighter trace mapped while it runs moves the node's best, and not the
+    session's base, path or inputs."""
+
+    LIGHTER = (999_990, 999_999)  # |f| 10, then 1, on the false side
+
+    def _run(self, map_lighter: bool):
+        _, tree, executor = bootstrap_tree(MAGIC)
+        node = tree.root
+        # the low half only, so each input keeps the base's high bytes
+        node.sensitive_bits = frozenset(range(16))
+        node.sensitivity_done = True
+        store = BitshareStore()
+        store.record(node.id[UID], True, (1_000_000).to_bytes(4, "little"),
+                     node.sensitive_bits)
+        best = node.best
+        sessions = [
+            SensitivitySession(node),
+            BitshareSession(node, True, store),
+            TypedDescentSession(node, True, random.Random(3),
+                                identify_typed_variables(
+                                    best.bytes_read, best.type_tags,
+                                    node.sensitive_bits)),
+            BinaryDescentSession(node, True, random.Random(3)),
+        ]
+        built = [(s.base_trace, getattr(s, "base", None),
+                  getattr(s, "composed", None)) for s in sessions]
+        lighter = iter(self.LIGHTER)
+        inputs = [[] for _ in sessions]
+        for step in range(30):
+            if map_lighter and step in (0, 10):
+                data = next(lighter).to_bytes(4, "little")
+                tree.map_trace(executor(data))
+                assert node.best is not best
+                assert node.best.bytes_read == data
+            for session, seen in zip(sessions, inputs):
+                data = session.next_input()
+                seen.append(data)
+                if data is not None:
+                    session.feed(executor(data))
+        for session, (base_trace, base, composed) in zip(sessions, built):
+            assert session.best is best
+            assert session.base_trace is base_trace
+            assert getattr(session, "base", None) is base
+            assert getattr(session, "composed", None) is composed
+        return inputs
+
+    def test_lighter_trace_mapped_mid_session_moves_only_the_node(self):
+        moved = self._run(map_lighter=True)
+        assert moved == self._run(map_lighter=False)
+        assert all(any(seen) for seen in moved)
+
+
 class TestTypedDescent:
     def test_step_candidates_span_seven_orders(self):
         from gradfuzz.generators.typed import _STEP_EXPONENTS
@@ -237,8 +291,8 @@ class TestTypedDescent:
         node = tree.root
         node.sensitive_bits = set(range(32))
         node.sensitivity_done = True
-        variables = identify_typed_variables(node.best_input, node.best_tags,
-                                             node.sensitive_bits)
+        variables = identify_typed_variables(
+            node.best.bytes_read, node.best.type_tags, node.sensitive_bits)
         session = TypedDescentSession(node, True, random.Random(seed),
                                       variables)
         return session, executor, tree
@@ -289,9 +343,9 @@ class TestTypedDescent:
             seen.append(data)
             session.feed(executor(data))
         for data in seen:
-            assert len(data) == len(node.best_input)
+            assert len(data) == len(node.best.bytes_read)
             # all variable regions may change; nothing else exists here
-            assert data[4:] == node.best_input[4:]
+            assert data[4:] == node.best.bytes_read[4:]
 
     def test_descent_stopped_at_zero_crosses_on_the_next_probe(self):
         # f = x - 1000 is linear: from the node's own x = 2000 the full
@@ -547,7 +601,7 @@ class TestBinaryDescent:
                 break
             for s in range(8 * len(data)):
                 if s not in node.sensitive_bits:
-                    assert get_bit(data, s) == get_bit(node.best_input, s)
+                    assert get_bit(data, s) == get_bit(node.best.bytes_read, s)
             session.feed(executor(data))
 
 
@@ -624,8 +678,7 @@ class TestMappedValue:
     def _session(self):
         tree = ExecTree()
         tree.map_trace(_result(
-            [_record(u, d, 5.0) for u, d in self.PATH] + [_record(4, True)]),
-            0)
+            [_record(u, d, 5.0) for u, d in self.PATH] + [_record(4, True)]))
         node = tree.root.true_succ.false_succ
         assert node.id[UID] == 3 and node.depth == 2
         return _PathProbe(node)
@@ -761,7 +814,7 @@ class TestWalksOverChangedRecords:
         for _ in range(60):
             full = self._base_trace(rng)
             tree = ExecTree()
-            tree.map_trace(_result(full), 0)
+            tree.map_trace(_result(full))
             node = tree.root
             for direction in [r[DIRECTION] for r in full[
                     :rng.randrange(len(full))]]:

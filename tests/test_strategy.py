@@ -23,7 +23,7 @@ from gradfuzz.target_abi import (
     TypeTag,
 )
 from helpers import (ScriptedRng, chain_from_uids, condition_record,
-                     oracle_detect_loops)
+                     oracle_detect_loops, traced_result)
 
 
 def record(uid, direction, value, nbytes=1, ctx=0):
@@ -32,22 +32,21 @@ def record(uid, direction, value, nbytes=1, ctx=0):
 
 
 def map_all(tree, traces, termination=TerminationKind.NORMAL):
-    for i, trace in enumerate(traces):
+    for trace in traces:
         n = max(r[NBYTES] for r in trace)
         tree.map_trace(ExecutionResult(
-            termination, bytes(n), (TypeTag.UINT8,) * n, tuple(trace)), i)
+            termination, bytes(n), (TypeTag.UINT8,) * n, tuple(trace)))
 
 
 def stub_node(uid=1, value=1.0, nbytes=1, depth=0, height=0,
               sensitivity_done=False, bits=()):
-    node = TreeNode((uid, 0), None)
+    node = TreeNode((uid, 0), None, traced_result(
+        record(uid, True, value if d == depth else 0.0, nbytes)
+        for d in range(depth + 1)))
     node.depth = depth
     node.height = height
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
-    node.best_trace = tuple(
-        record(uid, True, value if d == depth else 0.0, nbytes)
-        for d in range(depth + 1))
     return node
 
 
@@ -206,9 +205,9 @@ class TestDetectLoopHeads:
     def test_nearby_sizes_share_a_bucket(self):
         strategy = self._strategy()
         path = chain_from_uids([1, 1])
-        path[0].best_trace = (record(1, True, 1.0, nbytes=1000),)
-        path[1].best_trace = (record(1, True, 1.0, nbytes=1000),
-                              record(1, True, 1.0, nbytes=1004))
+        path[0].best = traced_result((record(1, True, 1.0, nbytes=1000),))
+        path[1].best = traced_result((record(1, True, 1.0, nbytes=1000),
+                                      record(1, True, 1.0, nbytes=1004)))
         inserted = strategy.detect_loop_heads(path, {1: {9}})
         assert len(inserted) == 1
         assert inserted[0] is path[0]
@@ -216,9 +215,9 @@ class TestDetectLoopHeads:
     def test_small_sizes_stay_distinct(self):
         strategy = self._strategy()
         path = chain_from_uids([1, 1])
-        path[0].best_trace = (record(1, True, 1.0, nbytes=4),)
-        path[1].best_trace = (record(1, True, 1.0, nbytes=4),
-                              record(1, True, 1.0, nbytes=8))
+        path[0].best = traced_result((record(1, True, 1.0, nbytes=4),))
+        path[1].best = traced_result((record(1, True, 1.0, nbytes=4),
+                                      record(1, True, 1.0, nbytes=8)))
         inserted = strategy.detect_loop_heads(path, {1: {9}})
         assert len(inserted) == 2
 
@@ -234,8 +233,8 @@ class TestDetectLoopHeads:
         uids = [1] * 40
         path = chain_from_uids(uids)
         for i, node in enumerate(path):
-            node.best_trace = tuple(record(1, True, 1.0, nbytes=1 + 27 * j)
-                                    for j in range(i + 1))
+            node.best = traced_result(
+                record(1, True, 1.0, nbytes=1 + 27 * j) for j in range(i + 1))
         inserted = strategy.detect_loop_heads(path, {1: {2}})
         assert len(inserted) <= 11
 
@@ -370,7 +369,7 @@ class TestSelectAnalysis:
         tree = ExecTree()
         trace = (condition_record((1, 0), True, 5.0, True, 1),)
         tree.map_trace(ExecutionResult(TerminationKind.NORMAL, b"\x00",
-                                       (TypeTag.UINT8,), trace), 0)
+                                       (TypeTag.UINT8,), trace))
         node = tree.root
         node.sensitivity_done = True
         node.bitshare_done = True
@@ -395,7 +394,7 @@ class TestSelectAnalysis:
         tree = ExecTree()
         trace = (record(1, True, 5.0),)
         tree.map_trace(ExecutionResult(
-            TerminationKind.NORMAL, b"\x00", (TypeTag.UNTYPED8,), trace), 0)
+            TerminationKind.NORMAL, b"\x00", (TypeTag.UNTYPED8,), trace))
         node = tree.root
         node.sensitivity_done = True
         node.bitshare_done = True
@@ -500,10 +499,10 @@ class TestRecovery:
         strategy = Strategy(tree, random.Random(0))
         node = self._failed_node(tree)
         strategy.record_failure(node)
-        # a later, better execution refreshes the best triple
+        # a later, better execution refreshes the best result
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, True, 1.5),)), 9)
+            (record(1, True, 1.5),)))
         assert strategy.recover_nodes() == 1
         assert not node.sensitivity_done
         assert not node.bitshare_done
@@ -521,13 +520,36 @@ class TestRecovery:
         assert len(strategy.recovery_records) == 1
         assert node.minimization_done
 
+    def test_same_or_equal_weight_trace_does_not_reopen(self):
+        # the best moves only to a strictly lighter trace: mapping the
+        # failure's best again, its trace from another input, or a trace
+        # of equal weight leaves the record as it was
+        tree = ExecTree()
+        first = ExecutionResult(TerminationKind.NORMAL, b"\x00",
+                                (TypeTag.UINT8,), (record(1, True, 3.0),))
+        tree.map_trace(first)
+        strategy = Strategy(tree, random.Random(0))
+        node = self._failed_node(tree)
+        strategy.record_failure(node)
+        for result in (first,
+                       ExecutionResult(TerminationKind.NORMAL, b"\x01",
+                                       (TypeTag.UINT8,), first.trace),
+                       ExecutionResult(TerminationKind.NORMAL, b"\x02",
+                                       (TypeTag.UINT8,),
+                                       (record(1, True, -3.0),))):
+            tree.map_trace(result)
+            assert node.best is first
+            assert strategy.recover_nodes() == 0
+            assert strategy.recovery_records == [(node, first)]
+            assert node.minimization_done
+
     def test_empty_records(self):
         strategy = Strategy(ExecTree(), random.Random(0))
         assert strategy.recover_nodes() == 0
 
     def test_selection_continues_after_recovery(self):
         # two-phase scenario: a failed minimization exhausts the tree,
-        # then a refreshed best triple lets recovery hand out one more
+        # then a refreshed best result lets recovery hand out one more
         # session instead of terminating
         tree = ExecTree()
         map_all(tree, [[record(1, True, 3.0)]])
@@ -537,7 +559,7 @@ class TestRecovery:
         strategy.record_failure(node)
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, True, 1.5),)), 9)
+            (record(1, True, 1.5),)))
         selection = strategy.select_analysis()
         assert selection is not None
         assert selection.kind == AnalysisKind.SENSITIVITY
@@ -574,7 +596,7 @@ class TestPruneTargets:
         strategy.loop_heads.append(tree.root)
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, False, 1.0),)), 1)
+            (record(1, False, 1.0),)))
         strategy.prune_targets()
         assert strategy.loop_heads == []
 
@@ -595,7 +617,7 @@ class TestPruneTargets:
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00\x00",
             (TypeTag.UINT8, TypeTag.UINT8),
-            (record(1, False, 1.0), record(2, False, 2.0))), 5)
+            (record(1, False, 1.0), record(2, False, 2.0))))
         strategy.prune_targets()
         assert twin not in strategy.twins
         assert len(strategy.pivots) == 0
