@@ -1,5 +1,10 @@
 """Command-line frontend: fuzz a target, replay a suite, print reports,
-or serve a target over TCP for a remote engine."""
+or serve a target over TCP for a remote engine.
+
+Only ``fuzz`` and ``replay`` import the engine (``fuzz_loop`` and the
+tree, strategy and generators under it), inside their handlers:
+``serve`` loads the interpreter and the wire codec alone, and ``report``
+reads two JSON documents."""
 from __future__ import annotations
 
 import argparse
@@ -9,16 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .executors import RemoteExecutor, TargetServer, TransportError
-from .fuzz_loop import (
-    FuzzBudget,
-    FuzzOptions,
-    load_manifest,
-    optimizer_limits,
-    replay_suite,
-    run_fuzzing,
-    save_suite,
-)
-from .minivm import ParseError, VmLimits, parse_program
+from .minivm import ParseError, VmLimits, optimizer_limits, parse_program
 
 
 def _add_limit_args(parser: argparse.ArgumentParser,
@@ -83,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz_loop import FuzzBudget, FuzzOptions, run_fuzzing, save_suite
+
     program = _load_target(args.target)
     options = FuzzOptions(limits=_limits(args), fill_byte=args.fill_byte,
                           seed=args.seed)
@@ -134,6 +132,8 @@ _BAD_DOCUMENT = (ValueError, KeyError, TypeError, AttributeError)
 
 
 def cmd_replay(args) -> int:
+    from .fuzz_loop import replay_suite
+
     program = _load_target(args.target)
     try:
         ok, divergence = replay_suite(program, args.suite)
@@ -174,7 +174,8 @@ def cmd_report(args) -> int:
         raise SystemExit(f"error: bad stats document {stats_path}: "
                          f"{_why(exc)}")
     try:
-        manifest = load_manifest(args.suite)
+        manifest = json.loads((Path(args.suite) / "manifest.json")
+                              .read_text(encoding="utf-8"))
         cov = manifest["coverage"]
         lines += [f"instructions:    {cov['uids_covered']}/"
                   f"{cov['uids_discovered']} covered",

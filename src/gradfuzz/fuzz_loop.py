@@ -34,34 +34,41 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .exec_tree import ExecTree, coverage_summary
 from .executors import LocalExecutor
 from .generators import AnalysisKind, AnalysisSession, sensitivity_mutations
-from .minivm import Program, VmLimits, execute
+from .minivm import (
+    OPTIMIZER_SCALE,
+    Program,
+    VmLimits,
+    execute,
+    optimizer_limits,
+)
 from .strategy import Strategy
 from .target_abi import ExecutionResult, TerminationKind, TypeTag
-
-OPTIMIZER_SCALE = {"trace": 32, "stack": 4, "input": 4, "steps": 32}
 
 _BOOTSTRAP = "bootstrap"
 _OPTIMIZER = "optimizer"
 
-
-def optimizer_limits(limits: VmLimits) -> VmLimits:
-    """The caps under which the post-run optimizer re-runs tests."""
-    return limits.scaled(**OPTIMIZER_SCALE)
+# Under a time budget, an optimizer re-run's step budget is cut to the
+# seconds left at this rate.  It sits below the slowest rate measured for
+# the interpreter (8.4 M steps/s on deep recursion, 14-40 M on loops,
+# CPython 3.11 on a 2-vCPU host), so a cut re-run ends by the deadline
+# wherever the interpreter runs at least this fast.
+OPTIMIZER_STEPS_PER_SECOND = 5_000_000
 
 
 @dataclass(frozen=True)
 class FuzzBudget:
     """Bounds on the fuzzing loop.  ``max_executions`` counts the loop's
     executions, bootstrap included; the post-run optimizer's re-runs come
-    after it and are not counted against it (``max_seconds`` bounds
-    both)."""
+    after it and are not counted against it.  ``max_seconds`` bounds
+    both: no re-run starts after the deadline, and each one's step budget
+    is cut to the time left (see ``OPTIMIZER_STEPS_PER_SECOND``)."""
 
     max_executions: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -380,9 +387,12 @@ class FuzzEngine:
     def optimize_suite(self) -> None:
         """Re-run boundary-violating tests with highly extended limits;
         keep re-reads that add coverage and differ from the original.
-        Stops once the time budget has run out.  The re-runs come after
-        the loop and are not counted against ``max_executions``: a run
-        makes up to that many executions plus one per such test."""
+        Stops once the time budget has run out, and cuts each re-run's
+        step budget to the time left; a re-run that the cut ends in a
+        timeout is not kept, since replay under the full caps would not
+        time out there.  The re-runs come after the loop and are not
+        counted against ``max_executions``: a run makes up to that many
+        executions plus one per such test."""
         limits = optimizer_limits(self.options.limits)
         for test in list(self.suite.tests):
             if self._past_deadline():
@@ -391,8 +401,18 @@ class FuzzEngine:
                 continue
             if test.extended_limits:
                 continue
+            rerun = limits
+            if self._deadline is not None:
+                # a float product first: the time left may be infinite
+                steps = ((self._deadline - time.monotonic())
+                         * OPTIMIZER_STEPS_PER_SECOND)
+                if steps < limits.step_budget:
+                    rerun = replace(limits, step_budget=max(1, int(steps)))
             result, new_pairs, iteration = self._execute(
-                limits, test.input_bytes, _OPTIMIZER)
+                rerun, test.input_bytes, _OPTIMIZER)
+            if (result.termination == TerminationKind.TIMEOUT
+                    and rerun is not limits):
+                continue
             if result.bytes_read != test.input_bytes:
                 self._keep(result, new_pairs, iteration, extended=True)
 
@@ -486,7 +506,7 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
     pairs, and the coverage summary; (ok, first divergence)."""
     manifest = load_manifest(outdir)
     base = VmLimits(**manifest["limits"])
-    extended = base.scaled(**manifest["optimizer_scale"])
+    extended = optimizer_limits(base, manifest["optimizer_scale"])
     uid_pairs = set()
     id_pairs = set()
     for entry in manifest["tests"]:

@@ -1,5 +1,6 @@
 """Parser and instrumenting interpreter for `.mc` target programs."""
-from .interp import VmLimits, execute
+from .interp import OPTIMIZER_SCALE, VmLimits, execute, optimizer_limits
 from .parser import ParseError, Program, parse_program
 
-__all__ = ["VmLimits", "execute", "ParseError", "Program", "parse_program"]
+__all__ = ["OPTIMIZER_SCALE", "VmLimits", "execute", "optimizer_limits",
+           "ParseError", "Program", "parse_program"]

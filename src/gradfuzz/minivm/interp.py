@@ -83,18 +83,26 @@ class VmLimits:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    def scaled(self, trace: int, stack: int, input: int,
-               steps: int) -> "VmLimits":
-        return VmLimits(self.max_trace_length * trace,
-                        self.max_stack_size * stack,
-                        self.max_input_bytes * input,
-                        self.step_budget * steps)
-
     def config(self, fill_byte: int, input_bytes: bytes) -> ExecutionConfig:
         """The execution config that asks for exactly these caps."""
         return ExecutionConfig(self.max_trace_length, self.max_stack_size,
                                self.max_input_bytes, self.step_budget,
                                fill_byte, input_bytes)
+
+
+# the post-run optimizer's caps, as multiples of the run's own; a
+# manifest records the scale its extended tests ran under
+OPTIMIZER_SCALE = {"trace": 32, "stack": 4, "input": 4, "steps": 32}
+
+
+def optimizer_limits(limits: VmLimits,
+                     scale: dict[str, int] = OPTIMIZER_SCALE) -> VmLimits:
+    """The caps under which the post-run optimizer re-runs tests, and
+    which a serving process admits by default."""
+    return VmLimits(limits.max_trace_length * scale["trace"],
+                    limits.max_stack_size * scale["stack"],
+                    limits.max_input_bytes * scale["input"],
+                    limits.step_budget * scale["steps"])
 
 
 class _Crash(Exception):

@@ -85,7 +85,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass
+# Tokens and tree nodes are built once per parse and compared or printed
+# by nothing, so they skip the generated __repr__ and __eq__: each method
+# costs an exec at import time, which every command, `serve` included,
+# pays on start.  They hash by identity.
+_node = dataclass(repr=False, eq=False)
+
+
+@_node
 class Token:
     kind: str
     text: str
@@ -119,41 +126,41 @@ def tokenize(text: str) -> list[Token]:
 
 # --- AST ---------------------------------------------------------------
 
-@dataclass
+@_node
 class Expr:
     line: int = field(default=0, kw_only=True)
     col: int = field(default=0, kw_only=True)
     type: Type = field(default=VOID, kw_only=True)
 
 
-@dataclass
+@_node
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@_node
 class FloatLit(Expr):
     value: float
 
 
-@dataclass
+@_node
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@_node
 class VarRef(Expr):
     name: str
 
 
-@dataclass
+@_node
 class Unary(Expr):
     op: str
     operand: Expr
     cmp_uid: int = 0       # set for `!` on a numeric operand
 
 
-@dataclass
+@_node
 class Binary(Expr):
     op: str
     left: Expr
@@ -162,14 +169,14 @@ class Binary(Expr):
     operand_type: Type = VOID
 
 
-@dataclass
+@_node
 class Cast(Expr):
     target: Type
     operand: Expr
     conv_uid: int = 0      # set for numeric -> bool
 
 
-@dataclass
+@_node
 class Call(Expr):
     name: str
     args: list[Expr] = field(default_factory=list)
@@ -178,13 +185,13 @@ class Call(Expr):
     arg_conv_uids: list[int] = field(default_factory=list)
 
 
-@dataclass
+@_node
 class Stmt:
     line: int = field(default=0, kw_only=True)
     col: int = field(default=0, kw_only=True)
 
 
-@dataclass
+@_node
 class Decl(Stmt):
     decl_type: Type
     name: str
@@ -192,7 +199,7 @@ class Decl(Stmt):
     conv_uid: int = 0
 
 
-@dataclass
+@_node
 class Assign(Stmt):
     name: str
     expr: Expr
@@ -200,7 +207,7 @@ class Assign(Stmt):
     target_type: Type = VOID
 
 
-@dataclass
+@_node
 class If(Stmt):
     cond: Expr
     then: Stmt
@@ -209,7 +216,7 @@ class If(Stmt):
     cond_uid: int = 0
 
 
-@dataclass
+@_node
 class While(Stmt):
     cond: Expr
     body: Stmt
@@ -217,29 +224,29 @@ class While(Stmt):
     cond_uid: int = 0
 
 
-@dataclass
+@_node
 class Return(Stmt):
     expr: Optional[Expr]
     conv_uid: int = 0
     target_type: Type = VOID
 
 
-@dataclass
+@_node
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@_node
 class AbortStmt(Stmt):
     pass
 
 
-@dataclass
+@_node
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
 
-@dataclass
+@_node
 class Function:
     name: str
     return_type: Type
@@ -248,14 +255,13 @@ class Function:
     line: int = 0
 
 
-@dataclass
+@_node
 class Program:
     functions: dict[str, Function]
     num_boolean_sites: int
     # the interpreter's entry function, emitted and compiled on the first
     # execution
-    compiled: object = field(default=None, init=False, repr=False,
-                             compare=False)
+    compiled: object = field(default=None, init=False)
 
 
 # --- Parser ------------------------------------------------------------

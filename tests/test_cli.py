@@ -3,13 +3,14 @@ import os
 import socket
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 from gradfuzz.cli import build_parser, main
 from gradfuzz.executors import TargetServer
-from gradfuzz.minivm import VmLimits, parse_program
+from gradfuzz.minivm import VmLimits, optimizer_limits, parse_program
 from helpers import HEADER_TARGET
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
@@ -78,11 +79,16 @@ def test_report_reads_stats_without_memo_hits(tmp_path, capsys):
     assert "instructions:" in printed
 
 
-def test_missing_target_exits_with_message(tmp_path):
+# the arguments each command takes besides its target
+OTHER_ARGS = {"fuzz": ["-o", "out"], "serve": ["--port", "0"]}
+
+
+@pytest.mark.parametrize("command", ["fuzz", "serve"])
+def test_missing_target_exits_with_message(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["fuzz", "-t", str(tmp_path / "nope.mc"), "-o",
-              str(tmp_path / "out")])
-    assert "nope.mc" in str(exc.value)
+        main([command, "-t", "nope.mc", *OTHER_ARGS[command]])
+    assert str(exc.value) == "error: target not found: nope.mc"
 
 
 def test_bad_flags_exit_nonzero(capsys):
@@ -91,12 +97,13 @@ def test_bad_flags_exit_nonzero(capsys):
     assert exc.value.code != 0
 
 
-def test_parse_error_reported(tmp_path):
-    target = tmp_path / "broken.mc"
-    target.write_text("int main() { return 0;")
+@pytest.mark.parametrize("command", ["fuzz", "serve"])
+def test_parse_error_reported(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("broken.mc").write_text("int main() { return 0;")
     with pytest.raises(SystemExit) as exc:
-        main(["fuzz", "-t", str(target), "-o", str(tmp_path / "out")])
-    assert "broken.mc" in str(exc.value)
+        main([command, "-t", "broken.mc", *OTHER_ARGS[command]])
+    assert str(exc.value).startswith("error: broken.mc: ")
 
 
 def test_stats_echo_seed_and_test_values(tmp_path):
@@ -119,8 +126,42 @@ def test_stats_echo_seed_and_test_values(tmp_path):
 ])
 def test_default_limits(command, limits):
     args = build_parser().parse_args(command)
+    defaults = (VmLimits() if command[0] == "fuzz"
+                else optimizer_limits(VmLimits()))
     assert (args.max_trace_length, args.max_stack_size, args.max_input_bytes,
-            args.step_budget) == limits
+            args.step_budget) == limits == astuple(defaults)
+
+
+ENGINE_MODULES = ("gradfuzz.fuzz_loop", "gradfuzz.strategy",
+                  "gradfuzz.generators", "gradfuzz.exec_tree")
+
+
+def engine_modules_loaded(code):
+    """The engine modules a fresh interpreter, started as the other CLI
+    tests start one, has loaded after running ``code``."""
+    check = (f"{code}\nimport sys\n"
+             f"print(*(name for name in {ENGINE_MODULES!r}"
+             f" if name in sys.modules), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", check],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stderr.split()
+
+
+def test_serve_does_not_import_the_engine():
+    assert engine_modules_loaded(
+        "from gradfuzz.cli import build_parser\n"
+        "build_parser().parse_args(['serve', '-t', 'x.mc'])") == []
+
+
+def test_report_does_not_import_the_engine(tmp_path):
+    out = tmp_path / "out"
+    main(["fuzz", "-t", str(BENCH / "magic_equal.mc"), "-o", str(out),
+          "--max-executions", "20"])
+    assert engine_modules_loaded(
+        "from gradfuzz.cli import main\n"
+        f"assert main(['report', '-s', {str(out)!r}]) == 0") == []
 
 
 def run_cli(*args):

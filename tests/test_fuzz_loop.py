@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import random
 import socket
 import struct
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from gradfuzz.executors import (
     TransportError,
 )
 from gradfuzz.fuzz_loop import (
+    OPTIMIZER_STEPS_PER_SECOND,
     FuzzBudget,
     FuzzEngine,
     FuzzOptions,
@@ -390,6 +393,20 @@ int main() {
 """
 
 # every input recurses past the default 256-frame stack cap
+# overruns a 10-record trace cap before its read; under the optimizer's
+# caps it reads a byte, sees a new pair and spins to the step budget
+# (3.2e8 steps at default limits, ~10 s)
+SPIN_AFTER_OVERRUN = """
+int main() {
+  int i = 0;
+  while (i < 20) { i = i + 1; }
+  char x = nondet_char();
+  if (x == 7) { i = 0; }
+  while (true) { i = i + 1; }
+  return 0;
+}
+"""
+
 DEEP_RECURSION = ("int f(int n) { if (n > 0) { return f(n - 1); } return 0; }"
                   " int main() { int x = nondet_char(); return f(x + 300); }")
 
@@ -450,6 +467,48 @@ class TestOptimizer:
         assert suite.tests[0].termination == \
             TerminationKind.BOUNDARY_CONDITION_VIOLATION
         assert stats.executions_by_kind["optimizer"] == 0
+
+    def test_rerun_under_a_time_budget_ends_by_the_deadline(self):
+        """Cut to the time left, the re-run that would spin for ~10 s
+        ends within a second of the deadline (the bound holds wherever
+        the interpreter spins at 5 M steps/s or faster).  It timed out
+        only because of the cut, so it is not kept."""
+        program = parse_program(SPIN_AFTER_OVERRUN)
+        configs = []
+
+        def executor(config):
+            configs.append(config)
+            return execute(program, config)
+
+        start = time.monotonic()
+        suite, stats = run_fuzzing(
+            program, FuzzBudget(max_seconds=0.5),
+            FuzzOptions(limits=VmLimits(max_trace_length=10)),
+            executor=executor)
+        assert time.monotonic() - start < 0.5 + 1.0
+        assert stats.executions_by_kind["optimizer"] == 1
+        assert configs[-1].step_budget <= 0.5 * OPTIMIZER_STEPS_PER_SECOND
+        assert stats.terminations[TerminationKind.TIMEOUT] == 1
+        assert not any(t.extended_limits for t in suite.tests)
+
+    # no time budget, or one with no end: nothing to cut
+    @pytest.mark.parametrize("max_seconds", [None, math.inf])
+    def test_rerun_under_an_execution_budget_keeps_the_full_step_budget(
+            self, max_seconds):
+        program = parse_program(FIXED_LOOP)
+        options = small_options(seed=0, max_trace_length=20)
+        configs = []
+
+        def executor(config):
+            configs.append(config)
+            return execute(program, config)
+
+        run_fuzzing(program, FuzzBudget(max_executions=50,
+                                        max_seconds=max_seconds),
+                    options, executor=executor)
+        assert configs[-1].max_trace_length == 20 * 32
+        assert configs[-1].step_budget == \
+            optimizer_limits(options.limits).step_budget
 
     def test_reruns_come_on_top_of_max_executions(self):
         suite, stats = run_fuzzing(parse_program(DEEP_RECURSION),
