@@ -21,6 +21,14 @@ labels, a node's two successors are two slots, ``false_succ`` and
 ``true_succ``, not a list: the collector then tracks each node and one
 result per distinct best, which the nodes a trace created share.
 
+The successor slots are the one link between nodes: a node owns its
+successors, and no node points back at its parent.  The tree is then
+free of reference cycles, so dropping a finished campaign frees it by
+reference counting, at once, instead of leaving thousands of nodes to
+the next full collection.  A node's root path is rebuilt when it is
+needed (``ExecTree.path``), from the root along the directions of the
+node's best trace, which always passes through the node.
+
 Mapping is the per-record hot loop of the engine, so it leans on two
 invariants instead of re-checking them per record: an edge's successor
 exists exactly when its label is VISITED (both are set together, and
@@ -40,6 +48,7 @@ from enum import IntEnum
 from typing import Iterable, Optional
 
 from .target_abi import (
+    DIRECTION,
     ID,
     NBYTES,
     UID,
@@ -99,23 +108,24 @@ class TreeNode:
     the immutable pair (false edge, true edge) of ``EdgeLabel`` values as
     plain ints, one of the sixteen shared pairs, so the collector need
     not track it; ``sensitive_bits`` is immutable too and rebound when
-    sensitivity publishes marks, so nodes can share the empty set."""
+    sensitivity publishes marks, so nodes can share the empty set.  A
+    node links only to its successors (see the module docstring); its
+    ``depth`` is the index of its record in every trace reaching it."""
 
     __slots__ = (
-        "id", "parent", "false_succ", "true_succ", "label", "depth",
+        "id", "false_succ", "true_succ", "label", "depth",
         "best", "best_weight", "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
         "height", "covered", "closed", "loop_scanned",
     )
 
-    def __init__(self, node_id: ExecutionId, parent: Optional["TreeNode"],
+    def __init__(self, node_id: ExecutionId, depth: int,
                  result: ExecutionResult):
         self.id = node_id
-        self.parent = parent
         self.false_succ: Optional[TreeNode] = None
         self.true_succ: Optional[TreeNode] = None
         self.label: tuple[int, int] = _UNLABELLED
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.depth = depth
         self.best = result
         self.best_weight = float("inf")
         self.sensitive_bits: frozenset[int] = _NO_BITS
@@ -139,15 +149,6 @@ class TreeNode:
     @property
     def nbytes(self) -> int:
         return self.best.trace[self.depth][NBYTES]
-
-    def path(self) -> list["TreeNode"]:
-        nodes = []
-        node: Optional[TreeNode] = self
-        while node is not None:
-            nodes.append(node)
-            node = node.parent
-        nodes.reverse()
-        return nodes
 
     def __repr__(self) -> str:
         uid, ctx = self.id
@@ -216,14 +217,14 @@ class ExecTree:
 
     # -- construction -----------------------------------------------------
 
-    def _new_node(self, node_id: ExecutionId, parent: Optional[TreeNode],
+    def _new_node(self, node_id: ExecutionId, depth: int,
                   result: ExecutionResult) -> TreeNode:
-        """A node for ``node_id`` under ``parent``, holding the result
+        """A node for ``node_id`` at ``depth``, holding the result
         that creates it.  Its best weight stays infinite, so the walk's
         first finite weight at the node keeps that result as its best
         and an infinite one leaves it: a new node takes its first trace
         at any weight."""
-        node = TreeNode(node_id, parent, result)
+        node = TreeNode(node_id, depth, result)
         self.nodes.append(node)
         self.nodes_by_id.setdefault(node_id, []).append(node)
         if self.id_covered(node_id):
@@ -249,7 +250,7 @@ class ExecTree:
                     if result.termination == TerminationKind.CRASH
                     else _END_NORMAL)
         if self.root is None:
-            self.root = self._new_node(trace[0][ID], None, result)
+            self.root = self._new_node(trace[0][ID], 0, result)
         # nbytes are monotone along a trace: the last record has the most
         nbytes = trace[-1][NBYTES]
         if nbytes > self.max_nbytes:
@@ -285,7 +286,8 @@ class ExecTree:
                     elif false_label < terminal:
                         node.label = _LABELS[terminal][true_label]
                     break
-                succ = self._new_node(trace[node.depth + 1][ID], node, result)
+                succ = self._new_node(trace[node.depth + 1][ID],
+                                      node.depth + 1, result)
                 if b:
                     node.label = _LABELS[false_label][_VISITED]
                     node.true_succ = succ
@@ -295,27 +297,32 @@ class ExecTree:
             node = succ
         return new_pairs
 
-    # -- closed maintenance -------------------------------------------------
+    # -- paths and closed maintenance --------------------------------------
+
+    def path(self, node: TreeNode) -> list[TreeNode]:
+        """The nodes from the root to ``node``, found by following the
+        directions of its best trace, which passes through it."""
+        cur = self.root
+        nodes = [cur]
+        for record in node.best.trace[:node.depth]:
+            cur = cur.true_succ if record[DIRECTION] else cur.false_succ
+            nodes.append(cur)
+        return nodes
 
     def propagate_closed(self, start: TreeNode) -> None:
         """Re-evaluate the closed flag from ``start`` towards the root,
         stopping at the first node that remains non-closed.  Flags are
         only ever set here; recovery is the one place they are cleared."""
-        node: Optional[TreeNode] = start
-        while node is not None:
-            now_closed = node.closed or closed_predicate(node)
-            if not now_closed:
+        for node in reversed(self.path(start)):
+            if not (node.closed or closed_predicate(node)):
                 break
             node.closed = True
-            node = node.parent
 
     def reopen(self, node: TreeNode) -> None:
         """Clear the closed flag of ``node`` and re-evaluate ancestors,
         clearing flags that no longer hold."""
         node.closed = False
-        cur = node.parent
-        while cur is not None and cur.closed:
-            if closed_predicate(cur):
+        for cur in reversed(self.path(node)[:-1]):
+            if not cur.closed or closed_predicate(cur):
                 break
             cur.closed = False
-            cur = cur.parent

@@ -8,12 +8,14 @@ strategy builds.  The engine executes each input, maps its trace (the
 tree returns the pairs it saw first) and feeds the result to the
 session, which sets its ``achieving_input`` once its goal direction is
 observed.  When the session deactivates (analysis ended, budget spent,
-or goal observed) the engine logs it and hands it to the strategy, which
-records its outcome and picks the next session.  A session still active
-when the run's budget ends the loop is logged then, but not handed to
-the strategy: its analysis did not end.  ``_keep`` is the one keep rule
-of the loop and the optimizer; kept tests replay to exactly the
-recorded coverage.
+or goal observed) the engine hands it to the strategy, which records its
+outcome, then closes and logs it; the strategy picks the next session.
+A session still active when the run's budget ends the loop is closed
+and logged then, but not handed to the strategy: its analysis did not
+end.  A closed session's coroutine no longer refers back to it, so a
+dropped engine leaves no session for the cyclic collector.  ``_keep``
+is the one keep rule of the loop and the optimizer; kept tests replay
+to exactly the recorded coverage.
 
 A read-prefix memo (``ReadPrefixMemo``) answers an input without
 running the target when an earlier run under the loop's limits stopped
@@ -257,7 +259,7 @@ class FuzzEngine:
                 break
             self._execute_and_process(step, self._active_kind)
         if self.active is not None:  # cut off by the budget
-            self._log_session(self.active)
+            self._deactivate(self.active)
         self.optimize_suite()
         self.suite.recompute_coverage()
         self.stats.coverage = self.tree.coverage_counts()
@@ -369,9 +371,12 @@ class FuzzEngine:
         session = self.active
         self.active = None
         self.strategy.finish(session)
-        self._log_session(session)
+        self._deactivate(session)
 
-    def _log_session(self, session: AnalysisSession) -> None:
+    def _deactivate(self, session: AnalysisSession) -> None:
+        """Close and log a session that leaves the loop, finished or cut
+        by the budget: the one place a session is deactivated."""
+        session.close()
         node = session.node
         uid, ctx = node.id
         self.stats.sessions.append(SessionLogEntry(

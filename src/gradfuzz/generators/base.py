@@ -69,8 +69,7 @@ class AnalysisSession:
                 break
             if (self.call_budget is not None
                     and self.calls >= self.call_budget):
-                self.exhausted = True
-                self._gen.close()
+                self.close()
                 break
             self.calls += 1
             if self.uses_cache and item in self.cache:
@@ -79,6 +78,14 @@ class AnalysisSession:
             self._pending = item
             return item
         return None
+
+    def close(self) -> None:
+        """Deactivate the session.  Its coroutine ends, and with it the
+        coroutine frame's reference back to the session, so a dropped
+        session, and the nodes it holds, are freed by reference
+        counting instead of waiting for the cyclic collector."""
+        self.exhausted = True
+        self._gen.close()
 
     def feed(self, result: ExecutionResult) -> None:
         """Hand the pending input's result to the analysis.  Its trace is

@@ -66,10 +66,12 @@ def sensitivity_mutations(base: bytes, tags):
 class SensitivitySession(AnalysisSession):
     kind = AnalysisKind.SENSITIVITY
 
-    def __init__(self, node: TreeNode):
-        super().__init__(node, None)
-        self.base = self.best.bytes_read[:node.nbytes]
-        self.path_nodes = node.path()
+    def __init__(self, path_nodes: list[TreeNode]):
+        """A session at the last node of ``path_nodes``, the tree's root
+        path to it."""
+        super().__init__(path_nodes[-1], None)
+        self.base = self.best.bytes_read[:self.node.nbytes]
+        self.path_nodes = path_nodes
         self.raw_marks: dict[int, set[int]] = {}
         self.region_marks: dict[int, set[int]] = {}
         self._candidate_bits: list[int] = []

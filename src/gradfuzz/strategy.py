@@ -100,8 +100,9 @@ class LoopBoundary:
 
 def detect_loops(path: Sequence[TreeNode]
                  ) -> tuple[list[LoopBoundary], dict[int, set[int]]]:
-    """Find repetitions of instruction uids along a root path, scanning
-    backwards so loop exits are seen first.
+    """Find repetitions of instruction uids along a root path, whose node
+    at index i has depth i, scanning backwards so loop exits are seen
+    first.
 
     Returns the loop boundaries (entry, exit, successor-of-exit) and a map
     from loop-head uid to the set of uids in its body.
@@ -133,10 +134,12 @@ def detect_loops(path: Sequence[TreeNode]
                 stack.pop()
     for loop in loops:
         body = heads2bodies.get(loop.exit.id[UID], set())
-        while (loop.entry.parent is not None
-               and (loop.entry.parent.id[UID] == loop.exit.id[UID]
-                    or loop.entry.parent.id[UID] in body)):
-            loop.entry = loop.entry.parent
+        while loop.entry.depth > 0:
+            before = path[loop.entry.depth - 1]
+            if (before.id[UID] != loop.exit.id[UID]
+                    and before.id[UID] not in body):
+                break
+            loop.entry = before
     return loops, heads2bodies
 
 
@@ -253,7 +256,7 @@ class Strategy:
     # -- loop head detection -----------------------------------------------
 
     def _scan_loop_heads(self, node: TreeNode) -> None:
-        path = node.path()
+        path = self.tree.path(node)
         _, heads2bodies = detect_loops(path)
         self.detect_loop_heads(path, heads2bodies)
         node.loop_scanned = True
@@ -309,7 +312,7 @@ class Strategy:
 
     def _pivot_loop_bodies(self, pivot: TreeNode) -> set[int]:
         if pivot not in self._loop_bodies:
-            _, heads2bodies = detect_loops(pivot.path())
+            _, heads2bodies = detect_loops(self.tree.path(pivot))
             bodies: set[int] = set()
             for body in heads2bodies.values():
                 bodies |= body
@@ -329,7 +332,7 @@ class Strategy:
         uid = self.rng.choice(sorted(classes))
         members = sorted(classes[uid], key=lambda n: iid_key(n, max_bytes))
         pivot = members[biased_index(len(members), self.rng)]
-        path = pivot.path()
+        path = self.tree.path(pivot)
         loops, _ = detect_loops(path)
         entries = sorted((loop.entry for loop in loops),
                          key=lambda n: -n.depth)
@@ -344,13 +347,13 @@ class Strategy:
         if k >= len(path):
             return None
         class_prime = [n for n in members if n.nbytes == pivot.nbytes]
-        counts = [direction_counts(n.path()) for n in class_prime]
+        counts = [direction_counts(self.tree.path(n)) for n in class_prime]
         body_uids: set[int] = set()
         for member in class_prime:
             body_uids |= self._pivot_loop_bodies(member)
         domain: set[int] = set()
         for member in classes[uid]:
-            domain.update(n.id[UID] for n in member.path())
+            domain.update(n.id[UID] for n in self.tree.path(member))
         probabilities: dict[int, float] = {}
         streams: dict[int, Callable[[], float]] = {}
         uniform = self.rng.random
@@ -446,7 +449,8 @@ class Strategy:
             if not self.recover_nodes():
                 return None
         if not node.sensitivity_done:
-            return SensitivitySession(self._descend_for_sensitivity(node))
+            return SensitivitySession(
+                self.tree.path(self._descend_for_sensitivity(node)))
         goal = False if node.label[False] == EdgeLabel.NOT_VISITED else True
         if not node.bitshare_done:
             return BitshareSession(node, goal, self.bitshare_store)

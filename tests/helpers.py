@@ -162,15 +162,19 @@ class ScriptedRng:
 
 
 def chain_from_uids(uids, directions=None):
-    """Build a parent-linked path of nodes from a uid sequence."""
+    """Build a root path of nodes from a uid sequence, each wired to the
+    next through a successor slot; node i sits at depth i, and its best
+    trace takes the chain's directions to it (true by default)."""
+    if directions is None:
+        directions = [True] * (len(uids) - 1)
     nodes = []
-    parent = None
     for i, uid in enumerate(uids):
-        node = TreeNode((uid, 0), parent, traced_result(
-            condition_record((uids[j], 0), True, 1.0, False, 1)
+        node = TreeNode((uid, 0), i, traced_result(
+            condition_record((uids[j], 0), j == i or directions[j], 1.0,
+                             False, 1)
             for j in range(i + 1)))
-        if parent is not None:
-            direction = True if directions is None else directions[i - 1]
+        if nodes:
+            parent, direction = nodes[-1], directions[i - 1]
             if direction:
                 parent.true_succ = node
             else:
@@ -181,7 +185,6 @@ def chain_from_uids(uids, directions=None):
             parent.label = ((false_label, visited) if direction
                             else (visited, true_label))
         nodes.append(node)
-        parent = node
     return nodes
 
 

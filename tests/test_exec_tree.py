@@ -161,7 +161,7 @@ class TestMapTrace:
         assert len({id(node.label) for node in tree.nodes}) == len(
             {node.label for node in tree.nodes})
         # nodes never labelled share one pair
-        fresh = [TreeNode((uid, 0), None, traced_result()) for uid in (1, 2)]
+        fresh = [TreeNode((uid, 0), 0, traced_result()) for uid in (1, 2)]
         assert fresh[0].label is fresh[1].label
         assert fresh[0].label == (EdgeLabel.NOT_VISITED,
                                   EdgeLabel.NOT_VISITED)
@@ -353,14 +353,14 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     tree.map_trace(result_for((record(1, False, 1.0), record(3, True, 1.0))))
     root = tree.root
     node, sibling = root.true_succ, root.false_succ
-    session = SensitivitySession(node)
+    session = SensitivitySession(tree.path(node))
     session.raw_marks = {1: {3}}
     session.region_marks = {0: {9}}
     session.finish()
     assert root.sensitive_bits == {9}
     assert node.sensitive_bits == set(range(8))
     assert sibling.sensitive_bits == set()
-    assert TreeNode((4, 0), None, traced_result()).sensitive_bits == set()
+    assert TreeNode((4, 0), 0, traced_result()).sensitive_bits == set()
 
 
 def _label_snapshot(node):
@@ -373,7 +373,7 @@ def _label_snapshot(node):
 
 def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
                sensitivity_done=False, bits=(), covered=False):
-    node = TreeNode((uid, 0), None, traced_result((record(uid, True, 1.0),)))
+    node = TreeNode((uid, 0), 0, traced_result((record(uid, True, 1.0),)))
     node.label = tuple(map(int, labels))
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
@@ -414,7 +414,6 @@ class TestClassify:
                 parent.true_succ = child
             else:
                 parent.false_succ = child
-            child.parent = parent
         assert is_directly_input_dependent(parent)
         assert not is_indirectly_input_dependent(parent)
         assert not is_open(parent)
@@ -429,6 +428,26 @@ class TestClassify:
             iid = is_indirectly_input_dependent(node)
             assert not (did and iid)
             assert (did or iid) == node.sensitivity_done
+
+
+class TestPath:
+    def test_every_node_of_a_fuzzed_scanner_tree(self):
+        # the tree holds no parent links: each root path is rebuilt from
+        # the directions of the node's best trace
+        program = parse_program(
+            (BENCH.parent / "bench/targets/scanner.mc").read_text())
+        engine = FuzzEngine(program, FuzzBudget(max_executions=600),
+                            FuzzOptions(seed=5))
+        engine.run()
+        tree = engine.tree
+        assert len(tree.nodes) > 1000
+        for node in tree.nodes:
+            path = tree.path(node)
+            assert path[0] is tree.root
+            assert path[-1] is node
+            assert len(path) == node.depth + 1
+            for above, below in zip(path, path[1:]):
+                assert below is above.false_succ or below is above.true_succ
 
 
 class TestPropagateClosed:

@@ -1,9 +1,13 @@
+import gc
 import hashlib
 import json
 import math
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -11,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from gradfuzz.exec_tree import TreeNode
 from gradfuzz.executors import (
     LocalExecutor,
     RemoteExecutor,
@@ -140,9 +145,11 @@ class TestRunFuzzing:
             assert stats.executions_by_kind[kind.value] == sum(
                 s.executions for s in stats.sessions if s.kind == kind.value)
         if cut:
-            # logged once, and not finished: its analysis did not end
+            # logged once, and not finished: its analysis did not end;
+            # closed, so its coroutine no longer refers back to it
             session = engine.active
             assert session.kind == AnalysisKind.SENSITIVITY
+            assert session.exhausted and session.next_input() is None
             assert session.executions > 0
             assert stats.sessions[-1].executions == session.executions
             assert not stats.sessions[-1].achieved
@@ -941,3 +948,108 @@ class TestStepBudget:
                 assert wire_encode(remote(config)) == wire_encode(local)
         finally:
             server.stop()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BENCH_TARGETS = ROOT / "bench" / "targets"
+
+
+def tree_nodes_alive():
+    return sum(type(o) is TreeNode for o in gc.get_objects())
+
+
+def assert_freed_on_drop(make_engine):
+    """Run the engine ``make_engine`` builds and drop it with the
+    collector off: its tree must go with it, by reference counting, so
+    no node outlives it and a collection then finds nothing."""
+    gc.collect()
+    before = tree_nodes_alive()
+    engine = make_engine()
+    engine.run()
+    assert engine.tree.nodes
+    gc.collect()
+    gc.disable()
+    try:
+        del engine
+        left = tree_nodes_alive() - before
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert (left, found) == (0, 0)
+
+
+def bench_program(name):
+    return parse_program((BENCH_TARGETS / name).read_text())
+
+
+def bench_engine(program, seed, max_executions, executor=None):
+    return FuzzEngine(program, FuzzBudget(max_executions=max_executions),
+                      FuzzOptions(seed=seed), executor=executor)
+
+
+class TestFreedByReferenceCounting:
+    """A finished campaign holds no reference cycle: the tree's successor
+    slots are its only links, and a session that leaves the loop closes
+    its coroutine, whose frame refers back to the session.  The program
+    outlives the engines that fuzz it (a compiled program with calls is
+    a cycle of its own)."""
+
+    # scanner stops mid-session at 600 executions, parser fuzzes to
+    # completion well below 20,000
+    CASES = [("scanner.mc", 600), ("parser.mc", 20_000)]
+
+    @pytest.mark.parametrize("name, budget", CASES)
+    def test_local(self, name, budget):
+        program = bench_program(name)
+        assert_freed_on_drop(lambda: bench_engine(program, 5, budget))
+
+    @pytest.mark.parametrize("name, budget", CASES)
+    def test_remote(self, name, budget):
+        program = bench_program(name)
+        server = TargetServer(program, optimizer_limits(VmLimits()))
+        server.start()
+        try:
+            with RemoteExecutor(server.address) as remote:
+                assert_freed_on_drop(
+                    lambda: bench_engine(program, 5, budget, remote))
+        finally:
+            server.stop()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("path", sorted(
+        (ROOT / "benchmarks").glob("*.mc"))
+        + [BENCH_TARGETS / "parser.mc", BENCH_TARGETS / "scanner.mc"],
+        ids=lambda path: path.name)
+    def test_every_target(self, path, seed):
+        program = parse_program(path.read_text())
+        assert_freed_on_drop(lambda: bench_engine(program, seed, 2_000))
+
+    def test_a_deep_chain_is_freed(self):
+        # 20,000 loop steps overrun the 10,000-record trace cap; the
+        # optimizer's re-run under 32 times the cap maps all 20,001
+        # records, a chain of as many nodes.  With the collector off,
+        # dropping the engine frees the chain node by node from the root,
+        # through CPython's deallocation trashcan, in a fresh interpreter
+        # at its default C stack.
+        code = (
+            "import gc\n"
+            "from gradfuzz.exec_tree import TreeNode\n"
+            "from gradfuzz.fuzz_loop import FuzzBudget, FuzzEngine,"
+            " FuzzOptions\n"
+            "from gradfuzz.minivm import parse_program\n"
+            "program = parse_program('int main() { int i = 0;"
+            " while (i < 20000) { i = i + 1; } return 0; }')\n"
+            "engine = FuzzEngine(program, FuzzBudget(max_executions=10),"
+            " FuzzOptions())\n"
+            "engine.run()\n"
+            "print(max(node.depth for node in engine.tree.nodes))\n"
+            "gc.disable()\n"
+            "del engine\n"
+            "print(sum(type(o) is TreeNode for o in gc.get_objects()))\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["20000", "0"]

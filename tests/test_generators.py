@@ -52,7 +52,7 @@ class TestSensitivity:
         program, tree, executor = bootstrap_tree(SENSE_PAIR)
         deep = (tree.root.true_succ if tree.root.best.trace[0][DIRECTION]
                 else tree.root.false_succ)
-        session = SensitivitySession(deep)
+        session = SensitivitySession(tree.path(deep))
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"
         session.finish()
@@ -78,7 +78,7 @@ class TestSensitivity:
         """
         program, tree, executor = bootstrap_tree(src)
         node = tree.root
-        session = SensitivitySession(node)
+        session = SensitivitySession(tree.path(node))
         drive_session(session, executor, tree, stop_at_goal=False)
         session.finish()
         assert node.sensitive_bits == set()
@@ -244,7 +244,7 @@ class TestSessionKeepsItsBest:
                      node.sensitive_bits)
         best = node.best
         sessions = [
-            SensitivitySession(node),
+            SensitivitySession(tree.path(node)),
             BitshareSession(node, True, store),
             TypedDescentSession(node, True, random.Random(3),
                                 identify_typed_variables(
@@ -819,7 +819,7 @@ class TestWalksOverChangedRecords:
             for direction in [r[DIRECTION] for r in full[
                     :rng.randrange(len(full))]]:
                 node = node.true_succ if direction else node.false_succ
-            session = SensitivitySession(node)
+            session = SensitivitySession(tree.path(node))
             base = session.base_trace
             raw, region = {}, {}
             for _ in range(40):

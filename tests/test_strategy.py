@@ -40,10 +40,9 @@ def map_all(tree, traces, termination=TerminationKind.NORMAL):
 
 def stub_node(uid=1, value=1.0, nbytes=1, depth=0, height=0,
               sensitivity_done=False, bits=()):
-    node = TreeNode((uid, 0), None, traced_result(
+    node = TreeNode((uid, 0), depth, traced_result(
         record(uid, True, value if d == depth else 0.0, nbytes)
         for d in range(depth + 1)))
-    node.depth = depth
     node.height = height
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
@@ -316,7 +315,7 @@ class TestSelectPrimaryTarget:
         map_all(tree, [[record(5, True, 1.0), record(6, True, 1.0),
                         record(5, True, 1.0), record(6, True, 1.0),
                         record(5, True, 1.0)]])
-        path = tree.nodes[-1].path()
+        path = tree.path(tree.nodes[-1])
         for node in path:
             if node.id[UID] == 6:
                 node.covered = True
@@ -461,7 +460,7 @@ class TestMonteCarlo:
         # at depth 3 shares the second pivot's id (excluded from the
         # untouched set) without a smaller |value| (not a twin)
         tree, pivot = self._pivot_tree()
-        path = pivot.path()
+        path = tree.path(pivot)
         path[0].covered = True
         path[1].covered = True
         second_pivot = path[2]
