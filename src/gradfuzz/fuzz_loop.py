@@ -2,14 +2,21 @@
 optimizer.
 
 The run starts with the empty input, followed, while its trace leaves
-the tree empty, by the sensitivity value set of the bytes it read.
-Every later input comes from the active analysis session, which the
-strategy builds.  The engine executes each input, maps its trace (the
-tree returns the pairs it saw first) and feeds the result to the
-session, which sets its ``achieving_input`` once its goal direction is
-observed.  When the session deactivates (analysis ended, budget spent,
-or goal observed) the engine hands it to the strategy, which records its
-outcome, then closes and logs it; the strategy picks the next session.
+the tree empty, by the sensitivity value set of the bytes it read (the
+bootstrap).  Every later input comes from the active analysis session,
+which the strategy builds.  Every input, the bootstrap's included, takes
+one path through the body of ``FuzzEngine.run``: the memo's answer, or
+a run whose trace the tree maps (it returns the pairs it saw first),
+the memo stores and the keep rule sees; then the count, and the result
+goes to the active session, which sets its ``achieving_input`` once its
+goal direction is observed.  The budget is checked after each input, so
+the empty input runs under any budget, and no session is built once the
+budget is spent.  The loop calls a session through ``next_input`` and
+``feed``, not by driving its coroutine: the bench traces those methods
+by name, and times each analysis per call.  When the session deactivates
+(analysis ended, budget spent, or goal observed) the engine hands it to
+the strategy, which records its outcome, then closes and logs it; the
+strategy picks the next session.
 A session still active when the run's budget ends the loop is closed
 and logged then, but not handed to the strategy: its analysis did not
 end.  A closed session's coroutine no longer refers back to it, so a
@@ -236,7 +243,6 @@ class FuzzEngine:
         self.suite = TestSuite()
         self.stats = FuzzStats(options.seed)
         self.active = None  # the running session, if any
-        self._active_kind = ""  # its kind's value, taken once per session
         # results under the run's own limits; the optimizer's re-runs
         # neither read nor write it
         self._memo = ReadPrefixMemo(options.fill_byte)
@@ -249,60 +255,96 @@ class FuzzEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> tuple[TestSuite, FuzzStats]:
-        if self.budget.max_seconds is not None:
-            self._deadline = time.monotonic() + self.budget.max_seconds
-        self._bootstrap()
-        while self._within_budget():
-            step = self._next_input()
-            if step is None:
-                self.stats.terminated_by_strategy = True
+        budget, stats = self.budget, self.stats
+        if budget.max_seconds is not None:
+            self._deadline = time.monotonic() + budget.max_seconds
+        deadline = self._deadline
+        max_executions = (math.inf if budget.max_executions is None
+                          else budget.max_executions)
+        monotonic = time.monotonic
+        recall, store = self._memo.recall, self._memo.store
+        limits = self.options.limits
+        config, fill_byte = limits.config, self.options.fill_byte
+        executor, map_trace = self.executor, self.tree.map_trace
+        keep, count = self._keep, self._count
+        select_analysis = self.strategy.select_analysis
+        bootstrap = self._bootstrap_inputs()
+        kind = _BOOTSTRAP
+        active = next_input = feed = result = None
+        while True:
+            # the next input: the bootstrap's, then the sessions'
+            if bootstrap is not None:
+                try:
+                    data = bootstrap.send(result)
+                except StopIteration:
+                    bootstrap = None
+            if bootstrap is None:
+                while True:
+                    if active is None:
+                        active = self.active = select_analysis()
+                        if active is None:
+                            break
+                        kind = active.kind.value
+                        next_input, feed = active.next_input, active.feed
+                    data = next_input()
+                    if data is not None:
+                        break
+                    self._finish_session(active)
+                    active = None
+                if active is None:
+                    stats.terminated_by_strategy = True
+                    break
+            # its result: the memo's answer, which the tree and the keep
+            # rule have seen (see the module docstring), or a run
+            result = recall(data)
+            if result is None:
+                result = executor(config(fill_byte, data))
+                new_pairs = map_trace(result)
+                store(data, result)
+                keep(result, new_pairs, stats.iterations)
+            elif len(data) > limits.max_input_bytes:
+                raise ValueError("input_bytes longer than max_input_bytes")
+            else:
+                stats.memo_hits += 1
+            count(result, kind)
+            if active is not None:
+                feed(result)
+                if active.achieving_input is not None:
+                    self._finish_session(active)
+                    active = None
+            # after the input: the empty one runs under any budget
+            if (stats.iterations >= max_executions
+                    or deadline is not None and monotonic() >= deadline):
                 break
-            self._execute_and_process(step, self._active_kind)
-        if self.active is not None:  # cut off by the budget
-            self._deactivate(self.active)
+        if active is not None:  # cut off by the budget
+            self._deactivate(active)
         self.optimize_suite()
         self.suite.recompute_coverage()
         self.stats.coverage = self.tree.coverage_counts()
         self.stats.tree_nodes = len(self.tree.nodes)
         return self.suite, self.stats
 
-    def _bootstrap(self) -> None:
-        """Runs the empty input and, while the tree is still empty, the
-        sensitivity value set of the bytes it read, so that a target that
-        ends before its first record at the fill bytes (say, dividing by
-        a read zero) still gets a first trace."""
-        result = self._execute_and_process(b"", _BOOTSTRAP)
+    def _bootstrap_inputs(self):
+        """The empty input, then, while the tree has no root, the
+        sensitivity value set of the bytes that run read, so that a
+        target that ends before its first record at the fill bytes (say,
+        dividing by a read zero) still gets a first trace.  The loop
+        sends it each input's result."""
+        result = yield b""
         for data, _, _ in sensitivity_mutations(result.bytes_read,
                                                 result.type_tags):
-            if self.tree.root is not None or not self._within_budget():
-                break
-            self._execute_and_process(data, _BOOTSTRAP)
-
-    def _within_budget(self) -> bool:
-        if (self.budget.max_executions is not None
-                and self.stats.iterations >= self.budget.max_executions):
-            return False
-        return not self._past_deadline()
+            if self.tree.root is not None:
+                return
+            yield data
 
     def _past_deadline(self) -> bool:
         return self._deadline is not None and time.monotonic() >= self._deadline
 
-    def _next_input(self) -> Optional[bytes]:
-        while True:
-            if self.active is None:
-                self.active = self.strategy.select_analysis()
-                if self.active is None:
-                    return None
-                self._active_kind = self.active.kind.value
-            step = self.active.next_input()
-            if step is not None:
-                return step
-            self._finish_session()
-
     def _execute(self, limits: VmLimits, input_bytes: bytes, kind: str
                  ) -> tuple[ExecutionResult, list[tuple[int, bool]], int]:
-        """Run one input under these caps, count it, and map its trace;
-        the result, the pairs it saw first, and its iteration."""
+        """The optimizer's re-run of one input under these caps, past the
+        memo: counted and mapped; the result, the pairs it saw first, and
+        its iteration."""
         result = self.executor(limits.config(self.options.fill_byte,
                                              input_bytes))
         iteration = self._count(result, kind)
@@ -316,27 +358,6 @@ class FuzzEngine:
         stats.executions_by_kind[kind] += 1
         stats.terminations[result.termination] += 1
         return iteration
-
-    def _execute_and_process(self, input_bytes: bytes,
-                             kind: str) -> ExecutionResult:
-        result = self._memo.recall(input_bytes)
-        if result is None:
-            result, new_pairs, iteration = self._execute(
-                self.options.limits, input_bytes, kind)
-            self._memo.store(input_bytes, result)
-            self._keep(result, new_pairs, iteration)
-        else:
-            # the tree and the keep rule have seen this result (see the
-            # module docstring): only the counts move
-            if len(input_bytes) > self.options.limits.max_input_bytes:
-                raise ValueError("input_bytes longer than max_input_bytes")
-            self._count(result, kind)
-            self.stats.memo_hits += 1
-        if self.active is not None:
-            self.active.feed(result)
-            if self.active.achieving_input is not None:
-                self._finish_session()
-        return result
 
     def _keep(self, result: ExecutionResult,
               new_pairs: list[tuple[int, bool]], iteration: int,
@@ -367,8 +388,7 @@ class FuzzEngine:
             extended_limits=extended,
         ))
 
-    def _finish_session(self) -> None:
-        session = self.active
+    def _finish_session(self, session: AnalysisSession) -> None:
         self.active = None
         self.strategy.finish(session)
         self._deactivate(session)

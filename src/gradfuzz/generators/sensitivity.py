@@ -22,7 +22,6 @@ from ..target_abi import (
     ExecutionResult,
     TypeTag,
     differing_positions,
-    flip_bit,
 )
 from .base import AnalysisKind, AnalysisSession
 
@@ -44,10 +43,11 @@ def sensitivity_mutations(base: bytes, tags):
     """The sensitivity value set of ``base``: every 1-bit flip, then the
     extreme values of each typed region ``tags`` lays over it, as
     ``(input, candidate bits, whether the bits are a whole region)``."""
-    for s in range(8 * len(base)):
-        mutated = bytearray(base)
-        flip_bit(mutated, s)
-        yield bytes(mutated), [s], False
+    n = len(base)
+    value = int.from_bytes(base, "big")
+    top = 8 * n - 1  # bit s of the input is bit top - s of the int
+    for s in range(8 * n):
+        yield (value ^ 1 << (top - s)).to_bytes(n, "big"), [s], False
     offset = 0
     for tag in tags:
         width = tag.byte_width
@@ -77,9 +77,6 @@ class SensitivitySession(AnalysisSession):
         self._candidate_bits: list[int] = []
         self._candidate_is_region = False
 
-    def _value_of(self, result: ExecutionResult) -> ExecutionResult:
-        return result
-
     def _run(self):
         for mutated, bits, is_region in sensitivity_mutations(
                 self.base, self.best.type_tags):
@@ -88,20 +85,21 @@ class SensitivitySession(AnalysisSession):
             yield mutated
 
     def feed(self, result: ExecutionResult) -> None:
+        """Hand the pending input's result to the analysis: no goal, no
+        cache and no value to send back, so the bookkeeping is the count.
+        Then one walk over the records that differ from the path's (a
+        record equal to the path's has the path's value: no marks).  It
+        stops where the trace leaves the path: before a record with
+        another id, and after one with another direction."""
+        if self._pending is None:
+            raise RuntimeError("no input pending")
+        self._pending = None
+        self.executions += 1
         candidates = self._candidate_bits
-        is_region = self._candidate_is_region
-        super().feed(result)
-        self._apply_marks(candidates, result, region=is_region)
-
-    def _apply_marks(self, candidates: list[int], result: ExecutionResult,
-                     region: bool) -> None:
-        """One walk over the records that differ from the path's (a record
-        equal to the path's has the path's value: no marks).  It stops
-        where the trace leaves the path: before a record with another id,
-        and after one with another direction."""
+        marks = (self.region_marks if self._candidate_is_region
+                 else self.raw_marks)
         trace = result.trace
         base = self.base_trace
-        marks = self.region_marks if region else self.raw_marks
         for k in differing_positions(trace, base):
             rid, direction, value, _, _ = trace[k]
             path_id, path_direction, path_value, _, nbytes = base[k]

@@ -431,7 +431,3 @@ def set_bit(data: bytearray, index: int, value: int) -> None:
         data[index // 8] |= mask
     else:
         data[index // 8] &= ~mask
-
-
-def flip_bit(data: bytearray, index: int) -> None:
-    data[index // 8] ^= 1 << (7 - index % 8)

@@ -32,6 +32,12 @@ def condition_record(id: ExecutionId, direction: bool, value: float,
     return (id, direction, value, xor_flag, nbytes)
 
 
+def flip_bit(data: bytearray, index: int) -> None:
+    """Flip bit ``index`` of ``data`` in place, MSB-first within the byte
+    (see ``target_abi.get_bit``)."""
+    data[index // 8] ^= 1 << (7 - index % 8)
+
+
 def traced_result(trace=(), bytes_read: bytes = b"",
                   type_tags=()) -> ExecutionResult:
     """A normal result with ``trace``: the best result of a node built by

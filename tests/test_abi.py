@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_interp
-from helpers import condition_record, random_wire_config, random_wire_result
+from helpers import (condition_record, flip_bit, random_wire_config,
+                     random_wire_result)
 from gradfuzz.executors import RemoteExecutor, TransportError
 from gradfuzz.fuzz_loop import _render_value
 from gradfuzz.generators.typed import _pack_value
@@ -32,7 +33,6 @@ from gradfuzz.target_abi import (
     TypeTag,
     context_hash_push,
     differing_positions,
-    flip_bit,
     get_bit,
     set_bit,
     wire_decode,

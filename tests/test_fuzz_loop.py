@@ -64,10 +64,15 @@ def small_options(seed=0, **limit_overrides):
 
 class TestRunFuzzing:
     def test_budget_one_keeps_exactly_the_empty_input(self):
-        suite, stats = run_fuzzing(parse_program(MAGIC),
-                                   FuzzBudget(max_executions=1),
-                                   small_options())
+        # the budget is checked after each input, so the loop stops
+        # before it asks the strategy for a session
+        engine = FuzzEngine(parse_program(MAGIC),
+                            FuzzBudget(max_executions=1), small_options())
+        engine.strategy.select_analysis = lambda: pytest.fail(
+            "a session was built")
+        suite, stats = engine.run()
         assert stats.total_executions == 1
+        assert engine.active is None and stats.sessions == []
         assert len(suite.tests) == 1
         assert suite.tests[0].iteration == 0
         assert suite.tests[0].input_bytes == b"\x00\x00\x00\x00"
@@ -96,6 +101,19 @@ class TestRunFuzzing:
         assert [(t.input_bytes, t.termination) for t in suite.tests] == [
             (b"\x00", TerminationKind.CRASH),
             (b"\x80", TerminationKind.NORMAL)]
+        # only the lowest bit of the byte read avoids the division by
+        # zero, so the trace appears at the ninth input: a budget of three
+        # ends the loop inside the bootstrap, before any session
+        source = ("int main() { int q = 5 / (nondet_char() & 1);"
+                  " if (q > 1) { abort(); } return 0; }")
+        for budget, bootstrap in ((3, 3), (200, 9)):
+            engine = FuzzEngine(parse_program(source),
+                                FuzzBudget(max_executions=budget),
+                                small_options())
+            _, stats = engine.run()
+            assert stats.executions_by_kind["bootstrap"] == bootstrap
+            assert (engine.tree.root is None) is (budget == 3)
+            assert bool(stats.sessions) is (budget == 200)
 
     def test_kept_tests_brought_new_pairs_or_crashed(self):
         suite, stats = run_fuzzing(parse_program(XOR),
@@ -139,8 +157,15 @@ class TestRunFuzzing:
         engine = FuzzEngine(parse_program(source),
                             FuzzBudget(max_executions=budget),
                             small_options(seed=2))
+        deactivated = []
+        deactivate = engine._deactivate
+        engine._deactivate = lambda session: (deactivated.append(session),
+                                              deactivate(session))
         _, stats = engine.run()
         assert stats.terminated_by_strategy is not cut
+        # each session leaves the loop once, and is logged then
+        assert len({id(s) for s in deactivated}) == len(deactivated) \
+            == len(stats.sessions)
         for kind in AnalysisKind:
             assert stats.executions_by_kind[kind.value] == sum(
                 s.executions for s in stats.sessions if s.kind == kind.value)
@@ -148,6 +173,7 @@ class TestRunFuzzing:
             # logged once, and not finished: its analysis did not end;
             # closed, so its coroutine no longer refers back to it
             session = engine.active
+            assert deactivated[-1] is session
             assert session.kind == AnalysisKind.SENSITIVITY
             assert session.exhausted and session.next_input() is None
             assert session.executions > 0
@@ -175,6 +201,12 @@ class TestRunFuzzing:
                                    FuzzBudget(max_seconds=5.0),
                                    small_options(seed=1))
         assert stats.coverage["uids_covered"] == 1
+        # a spent budget still runs the empty input, and nothing after it
+        suite, stats = run_fuzzing(parse_program(MAGIC),
+                                   FuzzBudget(max_seconds=0),
+                                   small_options(seed=1))
+        assert stats.total_executions == 1 and stats.sessions == []
+        assert [t.input_bytes for t in suite.tests] == [bytes(4)]
 
     def test_budget_exhaustion_mid_session_leaves_valid_suite(self, tmp_path):
         program = parse_program(MAGIC)
@@ -320,7 +352,23 @@ class TestDeterminism:
     # times; the header target answers 102 of its 322 inputs from the
     # read-prefix memo, which no target under benchmarks/ reaches.  A
     # refactor must keep these; a change meant to alter behaviour records
-    # the new values.
+    # the new values.  STATS_SHA256 pins each case's stats.json beside
+    # its manifest: the per-session calls and executions, the session
+    # the budget cut, the memo hits and the executions by kind can move
+    # while the manifest stays the same.
+    STATS_SHA256 = {
+        "counted_loop.mc":
+        "ecc34370feb2fbfadb41ea1c9cd65161a249ecb845425bd4f21e9c8624ea6181",
+        "four_branch.mc":
+        "b0943a653772fc6242843d7f8ac0e1338ee2b3d88987edd27fbd63f84c3384f0",
+        "loop_accumulator.mc":
+        "7aa028cdfee8ccfa6a1cfde50ea010109be1c50fa8b475b24d9d3dbf45f22062",
+        "gen_program_11":
+        "f5d7cf38a5d394a1ecc1328e0851d9d4d3217e99b7783812c1dcb0f8aa75a20d",
+        "header":
+        "63839f42d72223ceaaaf1b49c08f96463eeff3456842b4f796b74c266a8b7af9",
+    }
+
     @pytest.mark.parametrize("name, limits, sha256", [
         ("counted_loop.mc", VmLimits(max_trace_length=40),
          "80eee41e99390296a4b75f9d685e54012c047dbb41988ab5e12cea4bf8ab2477"),
@@ -347,6 +395,9 @@ class TestDeterminism:
         save_suite(tmp_path, suite, stats, options)
         manifest = (tmp_path / "manifest.json").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == sha256
+        stats_json = (tmp_path / "stats.json").read_bytes()
+        assert hashlib.sha256(stats_json).hexdigest() == \
+            self.STATS_SHA256[name]
 
     def test_different_seeds_may_differ_but_still_cover(self):
         for seed in range(5):
@@ -616,6 +667,23 @@ class CountingCalls:
         return self.executor(config)
 
 
+class ScriptedSession:
+    """A session that hands the loop fixed inputs and counts its feeds."""
+
+    kind = AnalysisKind.SENSITIVITY
+    achieving_input = None
+
+    def __init__(self, inputs):
+        self.inputs = list(inputs)
+        self.fed = 0
+
+    def next_input(self):
+        return self.inputs.pop(0) if self.inputs else None
+
+    def feed(self, result):
+        self.fed += 1
+
+
 def checked_campaign(source, fill_byte=0, limits=MEMO_LIMITS, seed=2,
                      executor=None, max_executions=2000):
     """A campaign whose memo answers are each checked; the engine."""
@@ -739,15 +807,20 @@ class TestReadPrefixMemo:
                 TerminationKind.NORMAL
 
     def test_an_input_over_the_cap_raises_after_a_prefix_matches(self):
+        # the empty input maps the one record; then a session hands the
+        # loop an input whose run reads one byte of two, and one over the
+        # cap that starts with that byte
         program = parse_program(EARLY_EXIT.format(exit="return 1;"))
         engine = FuzzEngine(program, FuzzBudget(max_executions=10),
                             FuzzOptions(limits=MEMO_LIMITS))
-        engine._execute_and_process(b"\x00\x01", "bootstrap")
         long_input = b"\x00" * (MEMO_LIMITS.max_input_bytes + 1)
-        assert engine._memo.recall(long_input) is not None
+        session = ScriptedSession([b"\x00\x01", long_input])
+        engine.strategy.select_analysis = lambda: session
         with pytest.raises(ValueError, match="longer than max_input_bytes"):
-            engine._execute_and_process(long_input, "bootstrap")
-        assert engine.stats.iterations == 1
+            engine.run()
+        assert engine._memo.recall(long_input) is not None
+        assert engine.stats.iterations == 2
+        assert session.fed == 1
 
 
 class TestRemote:

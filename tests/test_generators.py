@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy
 import pytest
@@ -17,9 +18,11 @@ from gradfuzz.generators import (
     bitshare_compose,
     identify_typed_variables,
     lambda_step,
+    sensitivity_mutations,
     typed_seed_value,
 )
-from gradfuzz.minivm import parse_program
+from gradfuzz.generators.sensitivity import _extreme_values
+from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     CTX,
     DIRECTION,
@@ -34,7 +37,7 @@ from gradfuzz.target_abi import (
     get_bit,
 )
 from helpers import (ScriptedRng, bootstrap_tree, condition_record,
-                     drive_session, is_directly_input_dependent)
+                     drive_session, flip_bit, is_directly_input_dependent)
 
 SENSE_PAIR = """
 int main() {
@@ -92,6 +95,63 @@ class TestSensitivity:
                 byte = s // 8
                 assert set(range(8 * byte, 8 * byte + 8)) <= \
                     node.sensitive_bits
+
+
+def _bytearray_mutations(base, tags):
+    """The sensitivity value set built one bytearray per input, with
+    ``flip_bit``: the construction ``sensitivity_mutations`` replaced."""
+    for s in range(8 * len(base)):
+        mutated = bytearray(base)
+        flip_bit(mutated, s)
+        yield bytes(mutated), [s], False
+    offset = 0
+    for tag in tags:
+        width = tag.byte_width
+        if offset + width > len(base):
+            break
+        for raw in _extreme_values(tag):
+            mutated = bytearray(base)
+            mutated[offset:offset + width] = raw
+            if bytes(mutated) == base:
+                continue
+            yield bytes(mutated), list(range(8 * offset,
+                                             8 * (offset + width))), True
+        offset += width
+
+
+class TestSensitivityMutations:
+    def _scanner_prefix(self):
+        source = (Path(__file__).parent.parent / "bench/targets/scanner.mc")
+        result = execute(parse_program(source.read_text()),
+                         VmLimits().config(0, random.Random(4).randbytes(82)))
+        assert len(result.bytes_read) == 82
+        return result.bytes_read, result.type_tags
+
+    def test_equal_to_the_bytearray_construction(self):
+        T = TypeTag
+        cases = [
+            (b"", ()),
+            (b"", (T.UINT8,)),                    # cut short at once
+            (b"\x5a", (T.UINT8,)),
+            (b"\x00", (T.UINT8,)),                # the zero value is skipped
+            (b"\xff\xff", (T.SINT16,)),           # the all-ones value too
+            (b"\x00\x00", (T.BOOLEAN, T.UNTYPED8)),
+            (random.Random(1).randbytes(9),
+             (T.SINT32, T.UINT8, T.FLOAT64)),     # the double is cut short
+            (bytes(9), (T.FLOAT32, T.UINT32, T.SINT8)),
+            self._scanner_prefix(),
+        ]
+        for base, tags in cases:
+            got = list(sensitivity_mutations(base, tags))
+            assert got == list(_bytearray_mutations(base, tags))
+            assert len(got) >= 8 * len(base)
+        # bit s is MSB-first within its byte (see target_abi.get_bit)
+        flips = [data for data, _, _ in sensitivity_mutations(bytes(2), ())]
+        assert flips[0] == b"\x80\x00" and flips[7] == b"\x01\x00"
+        assert flips[15] == b"\x00\x01"
+        # the skips happen: the zero byte yields only its 0xff region
+        assert [(d, r) for d, _, r in sensitivity_mutations(
+            b"\x00", (T.UINT8,)) if r] == [(b"\xff", True)]
 
 
 class TestBitshareCompose:
@@ -742,8 +802,8 @@ def _loop_prefix_agreement(trace, base_trace):
 
 
 def _loop_apply_marks(marks, candidates, trace, base_trace):
-    """The record-by-record walk ``SensitivitySession._apply_marks``
-    replaced."""
+    """The record-by-record loop that the marks walk in
+    ``SensitivitySession.feed`` replaced."""
     top = _loop_prefix_agreement(trace, base_trace)
     for k, (_, _, value, _, _), (_, _, base_value, _, nbytes) in zip(
             range(top + 1), trace, base_trace):
@@ -828,7 +888,10 @@ class TestWalksOverChangedRecords:
                         == _loop_prefix_agreement(trace, base))
                 is_region = rng.random() < 0.3
                 candidates = rng.sample(range(24), rng.randrange(1, 5))
-                session._apply_marks(candidates, _result(trace), is_region)
+                session._candidate_bits = candidates
+                session._candidate_is_region = is_region
+                session._pending = b""
+                session.feed(_result(trace))
                 _loop_apply_marks(region if is_region else raw, candidates,
                                   trace, base)
                 assert session.raw_marks == raw
