@@ -1,25 +1,19 @@
 """Binary rooted execution tree built from accepted traces.
 
 Each node corresponds to one evaluation position of a Boolean instruction
-along a path; the edge labels form the lattice NOT_VISITED <
-END_EXCEPTIONAL < END_NORMAL < VISITED and only ever increase.  Every node
-keeps its best result, the ``ExecutionResult`` whose trace minimizes
-the sum of squared branching values over the path prefix; a new node
-starts with the result that created it, at infinite weight.
+along a path.  A node's ``seen`` has bit ``1 << d`` set once a mapped
+trace took direction ``d`` there, whether the trace went on or ended at
+the node; bits are only ever set.  Every node keeps its best result, the
+``ExecutionResult`` whose trace minimizes the sum of squared branching
+values over the path prefix; a new node starts with the result that
+created it, at infinite weight.
 
-A node's two labels are one immutable pair of plain ints (the
-``EdgeLabel`` values, which compare equal to them), rebound when a
-label rises and never changed in place.  A tuple of ints holds no
-reference the cyclic collector must follow, so the collector stops
-tracking it, while a list per node (or a tuple of ``IntEnum`` members)
-would be traversed by every full collection of a tree of thousands of
-nodes.  The sixteen possible pairs are built once and shared by all
-nodes, so labelling a node allocates nothing: every object a walk
-allocates and keeps brings the next collection nearer, and a young
-collection counts towards the full ones.  For the same reason as the
-labels, a node's two successors are two slots, ``false_succ`` and
-``true_succ``, not a list: the collector then tracks each node and one
-result per distinct best, which the nodes a trace created share.
+``seen`` is a plain int from 0 to 3, which holds no reference the cyclic
+collector must follow, while a list per node would be traversed by every
+full collection of a tree of thousands of nodes.  For the same reason a
+node's two successors are two slots, ``false_succ`` and ``true_succ``,
+not a list: the collector then tracks each node and one result per
+distinct best, which the nodes a trace created share.
 
 The successor slots are the one link between nodes: a node owns its
 successors, and no node points back at its parent.  The tree is then
@@ -31,9 +25,9 @@ node's best trace, which always passes through the node.
 
 Mapping is the per-record hot loop of the engine, so it leans on two
 invariants instead of re-checking them per record: an edge's successor
-exists exactly when its label is VISITED (both are set together, and
-VISITED is the top of the lattice), and ``nbytes`` never decreases along
-a trace (the executor contract, which ``wire_decode`` checks on results
+exists only once its ``seen`` bit is set (both are set together when a
+trace goes on past the node), and ``nbytes`` never decreases along a
+trace (the executor contract, which ``wire_decode`` checks on results
 from another process), so the tree's ``max_nbytes`` is taken from each
 trace's last record.  A node's ``sensitive_bits`` is an immutable set
 that starts as one shared empty frozenset and is only ever rebound,
@@ -44,7 +38,6 @@ local trace are the tree's own.
 from __future__ import annotations
 
 from collections import Counter
-from enum import IntEnum
 from typing import Iterable, Optional
 
 from .target_abi import (
@@ -56,15 +49,7 @@ from .target_abi import (
     XOR_FLAG,
     ExecutionId,
     ExecutionResult,
-    TerminationKind,
 )
-
-
-class EdgeLabel(IntEnum):
-    NOT_VISITED = 0
-    END_EXCEPTIONAL = 1
-    END_NORMAL = 2
-    VISITED = 3
 
 
 class TreeMappingError(Exception):
@@ -90,30 +75,20 @@ def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
 
 _NO_BITS: frozenset[int] = frozenset()
 
-_NOT_VISITED = int(EdgeLabel.NOT_VISITED)
-_VISITED = int(EdgeLabel.VISITED)
-_END_EXCEPTIONAL = int(EdgeLabel.END_EXCEPTIONAL)
-_END_NORMAL = int(EdgeLabel.END_NORMAL)
-# every label pair, shared: _LABELS[false label][true label]
-_LABELS = tuple(tuple((f, t) for t in range(len(EdgeLabel)))
-                for f in range(len(EdgeLabel)))
-_UNLABELLED: tuple[int, int] = _LABELS[_NOT_VISITED][_NOT_VISITED]
-
 
 class TreeNode:
     """One evaluation position along a path.  ``best`` is the node's best
     result, the one that gave it ``best_weight``, and is only ever
     rebound to the result of a strictly lighter trace, which comes from a
-    later execution: a changed ``best`` is a refreshed one.  ``label`` is
-    the immutable pair (false edge, true edge) of ``EdgeLabel`` values as
-    plain ints, one of the sixteen shared pairs, so the collector need
-    not track it; ``sensitive_bits`` is immutable too and rebound when
-    sensitivity publishes marks, so nodes can share the empty set.  A
-    node links only to its successors (see the module docstring); its
-    ``depth`` is the index of its record in every trace reaching it."""
+    later execution: a changed ``best`` is a refreshed one.  ``seen`` has
+    bit ``1 << d`` set once a mapped trace took direction ``d`` at the
+    node; ``sensitive_bits`` is immutable and rebound when sensitivity
+    publishes marks, so nodes can share the empty set.  A node links
+    only to its successors (see the module docstring); its ``depth`` is
+    the index of its record in every trace reaching it."""
 
     __slots__ = (
-        "id", "false_succ", "true_succ", "label", "depth",
+        "id", "false_succ", "true_succ", "seen", "depth",
         "best", "best_weight", "sensitive_bits",
         "sensitivity_done", "bitshare_done", "minimization_done",
         "height", "covered", "closed", "loop_scanned",
@@ -124,7 +99,7 @@ class TreeNode:
         self.id = node_id
         self.false_succ: Optional[TreeNode] = None
         self.true_succ: Optional[TreeNode] = None
-        self.label: tuple[int, int] = _UNLABELLED
+        self.seen = 0
         self.depth = depth
         self.best = result
         self.best_weight = float("inf")
@@ -156,7 +131,7 @@ class TreeNode:
 
 
 def is_open(node: TreeNode) -> bool:
-    if _NOT_VISITED not in node.label:
+    if node.seen == 3:
         return False
     if not node.sensitivity_done:
         return True
@@ -238,17 +213,13 @@ class ExecTree:
         what was observed: a uid of a new pair that now has both
         directions was covered by this trace.
 
-        Empty traces update nothing.  The end-of-trace label is
-        END_EXCEPTIONAL for a crash and END_NORMAL otherwise (timeouts and
-        boundary violations count as normal ends for labeling).
+        Each record sets its direction's bit in its node's ``seen``,
+        however the execution terminated.  Empty traces update nothing.
         """
         new_pairs: list[tuple[int, bool]] = []
         trace = result.trace
         if not trace:
             return new_pairs
-        terminal = (_END_EXCEPTIONAL
-                    if result.termination == TerminationKind.CRASH
-                    else _END_NORMAL)
         if self.root is None:
             self.root = self._new_node(trace[0][ID], 0, result)
         # nbytes are monotone along a trace: the last record has the most
@@ -276,23 +247,15 @@ class ExecTree:
                 node.height = max_depth
             succ = node.true_succ if b else node.false_succ
             if succ is None:
-                # the edge is not VISITED yet, so the label can still
-                # rise; the pair is rebound, never changed in place
-                false_label, true_label = node.label
+                # an edge with a successor has its bit set already
+                node.seen |= 1 << b
                 if node.depth == max_depth:
-                    if b:
-                        if true_label < terminal:
-                            node.label = _LABELS[false_label][terminal]
-                    elif false_label < terminal:
-                        node.label = _LABELS[terminal][true_label]
                     break
                 succ = self._new_node(trace[node.depth + 1][ID],
                                       node.depth + 1, result)
                 if b:
-                    node.label = _LABELS[false_label][_VISITED]
                     node.true_succ = succ
                 else:
-                    node.label = _LABELS[_VISITED][true_label]
                     node.false_succ = succ
             node = succ
         return new_pairs

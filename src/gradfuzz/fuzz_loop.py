@@ -29,7 +29,7 @@ running the target when an earlier run under the loop's limits stopped
 after reading a prefix of it.  The answer is exact: a run depends only
 on its caps, its fill byte and the bytes it reads.  An answered result
 skips the tree and the keep rule, where it would change nothing: the
-tree has mapped it (labels, best weights and heights only move one
+tree has mapped it (seen bits, best weights and heights only move one
 way, so a second walk finds no first pairs), it is never iteration 0,
 and a crash it repeats was kept.  The session is fed it as usual.
 ``stats.iterations`` counts the inputs the loop processed, whether the

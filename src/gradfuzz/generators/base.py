@@ -6,8 +6,8 @@ result.  Internally the analyses are written as generator coroutines;
 this adapter layers the per-session execution cache and call budget on
 top, so cache hits are resolved without surfacing an input to the loop.
 A session also owns its outcome: ``feed`` sets ``achieving_input`` to
-the input after whose execution the node's goal edge is no longer
-NOT_VISITED, and the loop then deactivates the session.
+the input after whose execution some trace has taken the goal direction
+at the node, and the loop then deactivates the session.
 
 A session keeps the node's best result as it was when the session was
 built, as ``best``.  Every analysis judges an execution by one path
@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from typing import Optional
 
-from ..exec_tree import EdgeLabel, TreeNode
+from ..exec_tree import TreeNode
 from ..target_abi import VALUE, ExecutionResult, differing_positions
 
 
@@ -34,7 +34,6 @@ class AnalysisKind(Enum):
 
 class AnalysisSession:
     kind: AnalysisKind
-    uses_cache = False
 
     def __init__(self, node: TreeNode, goal_direction: Optional[bool] = None):
         self.node = node
@@ -72,7 +71,7 @@ class AnalysisSession:
                 self.close()
                 break
             self.calls += 1
-            if self.uses_cache and item in self.cache:
+            if item in self.cache:
                 self._feed_value = self.cache[item]
                 continue
             self._pending = item
@@ -89,17 +88,15 @@ class AnalysisSession:
 
     def feed(self, result: ExecutionResult) -> None:
         """Hand the pending input's result to the analysis.  Its trace is
-        already mapped, so the node's labels show whether the goal
+        already mapped, so the node's ``seen`` shows whether the goal
         direction has now been observed."""
         if self._pending is None:
             raise RuntimeError("no input pending")
         value = self._value_of(result)
         self.executions += 1
-        if self.uses_cache:
-            self.cache[self._pending] = value
+        self.cache[self._pending] = value
         goal = self.goal_direction
-        if (goal is not None
-                and self.node.label[goal] != EdgeLabel.NOT_VISITED):
+        if goal is not None and self.node.seen >> goal & 1:
             self.achieving_input = self._pending
         self._pending = None
         self._feed_value = value
@@ -144,7 +141,6 @@ class DescentSession(AnalysisSession):
     trace misses the node or f is not finite.  Logs accepted values per
     seed so descent monotonicity is checkable after the run."""
 
-    uses_cache = True
     failure_value: float
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng):

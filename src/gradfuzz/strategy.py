@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .exec_tree import (
-    EdgeLabel,
     ExecTree,
     TreeNode,
     is_indirectly_input_dependent,
@@ -451,7 +450,8 @@ class Strategy:
         if not node.sensitivity_done:
             return SensitivitySession(
                 self.tree.path(self._descend_for_sensitivity(node)))
-        goal = False if node.label[False] == EdgeLabel.NOT_VISITED else True
+        # a direction no trace has taken here, false if neither
+        goal = bool(node.seen & 1)
         if not node.bitshare_done:
             return BitshareSession(node, goal, self.bitshare_store)
         variables = None if node.xor_flag else identify_typed_variables(

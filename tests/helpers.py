@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from gradfuzz.exec_tree import EdgeLabel, ExecTree, TreeNode
+from gradfuzz.exec_tree import ExecTree, TreeNode
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     CTX,
@@ -78,8 +78,8 @@ def dump(tree: ExecTree) -> str:
         ))
         lines.append(
             f"{node.depth} uid={node.id[UID]} ctx={node.id[CTX]:08x} "
-            f"labels={EdgeLabel(node.label[0]).name}/"
-            f"{EdgeLabel(node.label[1]).name} "
+            f"seen={'F' if node.seen & 1 else '-'}"
+            f"{'T' if node.seen & 2 else '-'} "
             f"f={node.value!r} nbytes={node.nbytes} {flags}")
         visit(node.false_succ)
         visit(node.true_succ)
@@ -126,8 +126,7 @@ def drive_session(session, executor, tree=None, stop_at_goal=True):
             tree.map_trace(result)
         session.feed(result)
         if (stop_at_goal and session.goal_direction is not None
-                and session.node.label[session.goal_direction]
-                != EdgeLabel.NOT_VISITED):
+                and session.node.seen >> session.goal_direction & 1):
             return "achieved"
 
 
@@ -185,11 +184,7 @@ def chain_from_uids(uids, directions=None):
                 parent.true_succ = node
             else:
                 parent.false_succ = node
-            # labels are an immutable pair of ints, rebound on each change
-            false_label, true_label = parent.label
-            visited = int(EdgeLabel.VISITED)
-            parent.label = ((false_label, visited) if direction
-                            else (visited, true_label))
+            parent.seen |= 1 << direction
         nodes.append(node)
     return nodes
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from gradfuzz.exec_tree import (
-    EdgeLabel,
     ExecTree,
     TreeMappingError,
     TreeNode,
@@ -62,18 +61,25 @@ class TestMapTrace:
         tree.map_trace(result_for(trace, data=b"\x00\x00",
                                   tags=(TypeTag.UINT8, TypeTag.UINT8)))
         root = tree.root
-        assert root.label[True] == EdgeLabel.VISITED
-        assert root.label[False] == EdgeLabel.NOT_VISITED
+        assert root.seen == 0b10  # true taken, false not
         child = root.true_succ
         assert child is not None
-        assert child.label[False] == EdgeLabel.END_NORMAL
+        assert child.seen == 0b01
         assert child.depth == 1
 
-    def test_crash_labels_end_exceptional(self):
-        tree = ExecTree()
-        tree.map_trace(result_for((record(1, True, 1.0),),
-                                  TerminationKind.CRASH))
-        assert tree.root.label[True] == EdgeLabel.END_EXCEPTIONAL
+    @pytest.mark.parametrize("termination", list(TerminationKind),
+                             ids=lambda kind: kind.name)
+    def test_the_last_direction_is_seen_whatever_the_termination(
+            self, termination):
+        for direction in (False, True):
+            tree = ExecTree()
+            tree.map_trace(result_for(
+                (record(1, True, 1.0), record(2, direction, 1.0)),
+                termination))
+            assert tree.root.seen == 0b10
+            last = tree.root.true_succ
+            assert last.seen == 1 << direction
+            assert last.false_succ is None and last.true_succ is None
 
     def test_end_label_upgrades_to_visited_with_child(self):
         tree = ExecTree()
@@ -81,7 +87,7 @@ class TestMapTrace:
                                   TerminationKind.CRASH))
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 2.0))))
-        assert tree.root.label[True] == EdgeLabel.VISITED
+        assert tree.root.seen == 0b10
         assert tree.root.true_succ is not None
 
     def test_labels_never_downgrade(self):
@@ -90,13 +96,12 @@ class TestMapTrace:
             (record(1, True, 1.0), record(2, True, 2.0))))
         tree.map_trace(result_for((record(1, True, 1.0),),
                                   TerminationKind.CRASH))
-        assert tree.root.label[True] == EdgeLabel.VISITED
-
-    def test_timeout_counts_as_normal_end(self):
-        tree = ExecTree()
+        assert tree.root.seen == 0b10
+        assert tree.root.true_succ.seen == 0b10
         tree.map_trace(result_for((record(1, False, 1.0),),
                                   TerminationKind.TIMEOUT))
-        assert tree.root.label[False] == EdgeLabel.END_NORMAL
+        assert tree.root.seen == 0b11
+        assert tree.root.true_succ.seen == 0b10
 
     def test_best_triple_keeps_smaller_weight(self):
         tree = ExecTree()
@@ -143,7 +148,7 @@ class TestMapTrace:
         assert leaf.best.trace == third and leaf.best_weight == 0.25
         assert leaf.best.bytes_read == b"\x03" and leaf.best is third_result
 
-    def test_labels_are_untracked_int_pairs(self):
+    def test_seen_is_an_untracked_small_int(self):
         rng = random.Random(12)
         tree = ExecTree()
         for _ in range(200):
@@ -151,20 +156,10 @@ class TestMapTrace:
                           for depth in range(rng.randrange(1, 7)))
             termination = rng.choice(list(TerminationKind))
             tree.map_trace(result_for(trace, termination))
-        gc.collect()
         for node in tree.nodes:
-            assert type(node.label) is tuple and len(node.label) == 2
-            assert all(type(label) is int for label in node.label)
-            # a tuple of ints leaves the collector's lists once collected
-            assert not gc.is_tracked(node.label)
-        # labelling allocates nothing: equal pairs are one object
-        assert len({id(node.label) for node in tree.nodes}) == len(
-            {node.label for node in tree.nodes})
-        # nodes never labelled share one pair
-        fresh = [TreeNode((uid, 0), 0, traced_result()) for uid in (1, 2)]
-        assert fresh[0].label is fresh[1].label
-        assert fresh[0].label == (EdgeLabel.NOT_VISITED,
-                                  EdgeLabel.NOT_VISITED)
+            assert type(node.seen) is int and 1 <= node.seen <= 3
+            assert not gc.is_tracked(node.seen)
+        assert TreeNode((1, 0), 0, traced_result()).seen == 0
 
     def test_ids_records_and_traces_leave_the_collector(self):
         # the layout a tree of thousands of nodes relies on: once
@@ -283,8 +278,9 @@ class TestMapTrace:
             assert node.best.bytes_read == b"\x00" * 3
             assert node.best is deeper
             assert node.height == 2
-        assert mid.label[True] == EdgeLabel.VISITED
-        assert leaf.label[False] == EdgeLabel.END_NORMAL
+        # mid saw both directions, in the first and third traces
+        assert mid.seen == 0b11
+        assert leaf.seen == 0b01
         assert tree.max_nbytes == 3
 
     def test_label_state_order_independent(self):
@@ -305,10 +301,11 @@ class TestMapTrace:
             tree = ExecTree()
             for termination, trace in order:
                 tree.map_trace(result_for(trace, termination))
-            snapshot = _label_snapshot(tree.root)
+            snapshot = _seen_snapshot(tree.root)
             if reference is None:
                 reference = snapshot
             assert snapshot == reference
+        assert reference == _seen_from_traces(trace for _, trace in base)
 
     def test_height_matches_full_recomputation(self):
         rng = random.Random(5)
@@ -363,18 +360,32 @@ def test_sensitivity_finish_leaves_other_nodes_bits_alone():
     assert TreeNode((4, 0), 0, traced_result()).sensitive_bits == set()
 
 
-def _label_snapshot(node):
-    if node is None:
-        return None
-    return (node.id[UID], node.label[0], node.label[1],
-            _label_snapshot(node.false_succ),
-            _label_snapshot(node.true_succ))
+def _seen_snapshot(node, path=()):
+    """{directions from the root: (uid, seen)} over the subtree."""
+    snapshot = {path: (node.id[UID], node.seen)}
+    for direction, succ in ((False, node.false_succ),
+                            (True, node.true_succ)):
+        if succ is not None:
+            snapshot.update(_seen_snapshot(succ, path + (direction,)))
+    return snapshot
 
 
-def _make_leaf(uid=1, labels=(EdgeLabel.NOT_VISITED, EdgeLabel.NOT_VISITED),
-               sensitivity_done=False, bits=(), covered=False):
+def _seen_from_traces(traces):
+    """The snapshot from the traces alone: after each distinct prefix of
+    directions, the uid there and the directions taken."""
+    snapshot = {}
+    for trace in traces:
+        for i, (rid, direction, _, _, _) in enumerate(trace):
+            path = tuple(rec[1] for rec in trace[:i])
+            uid, seen = snapshot.get(path, (rid[UID], 0))
+            snapshot[path] = (uid, seen | 1 << direction)
+    return snapshot
+
+
+def _make_leaf(uid=1, seen=0, sensitivity_done=False, bits=(),
+               covered=False):
     node = TreeNode((uid, 0), 0, traced_result((record(uid, True, 1.0),)))
-    node.label = tuple(map(int, labels))
+    node.seen = seen
     node.sensitivity_done = sensitivity_done
     node.sensitive_bits = set(bits)
     node.covered = covered
@@ -391,23 +402,19 @@ class TestClassify:
         assert not is_indirectly_input_dependent(node)
 
     def test_iid_leaf_not_open(self):
-        node = _make_leaf(labels=(EdgeLabel.NOT_VISITED,
-                                  EdgeLabel.END_NORMAL),
-                          sensitivity_done=True, bits=())
+        node = _make_leaf(seen=0b10, sensitivity_done=True, bits=())
         assert is_indirectly_input_dependent(node)
         assert not is_directly_input_dependent(node)
         assert not is_open(node)
         assert closed_predicate(node)  # no visited successor to check
 
     def test_fully_analyzed_with_closed_children(self):
-        parent = _make_leaf(uid=1, labels=(EdgeLabel.VISITED,
-                                           EdgeLabel.VISITED),
-                            sensitivity_done=True, bits=(0, 1))
+        parent = _make_leaf(uid=1, seen=0b11, sensitivity_done=True,
+                            bits=(0, 1))
         parent.bitshare_done = True
         parent.minimization_done = True
         for b in (False, True):
-            child = _make_leaf(uid=2, labels=(EdgeLabel.END_NORMAL,
-                                              EdgeLabel.END_NORMAL))
+            child = _make_leaf(uid=2, seen=0b11)
             child.sensitivity_done = True
             child.closed = True
             if b:
@@ -452,7 +459,7 @@ class TestPath:
 
 class TestPropagateClosed:
     def _chain(self):
-        # root -(True)-> mid -(True)-> leaf, other edges END_NORMAL
+        # root -(True)-> mid -(True)-> leaf, every edge taken
         tree = ExecTree()
         tree.map_trace(result_for(
             (record(1, True, 1.0), record(2, True, 1.0),
@@ -520,9 +527,9 @@ class TestDump:
             (record(1, True, 5.0), record(2, False, -2.0, nbytes=1,
                                           ctx=3))))
         expected = (
-            "0 uid=1 ctx=00000000 labels=NOT_VISITED/VISITED f=5.0 "
+            "0 uid=1 ctx=00000000 seen=-T f=5.0 "
             "nbytes=1 -----\n"
-            "1 uid=2 ctx=00000003 labels=END_NORMAL/NOT_VISITED f=-2.0 "
+            "1 uid=2 ctx=00000003 seen=F- f=-2.0 "
             "nbytes=1 -----"
         )
         assert dump(tree) == expected

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import socket
 import struct
 import subprocess
@@ -324,7 +325,211 @@ int v12 = (!!v4 % 123456);
 return 0;
 }"""
 
-LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11, "header": HEADER_TARGET}
+# the ROADMAP's measured misses: a 32-bit xor gate, the same gate on a
+# variable holding the xor, a division before the only branch, and the
+# xor gate starving a later range gate
+XOR_GATE = """int main() {
+  int x = nondet_int();
+  if ((x ^ 23130) > 100000) { if ((x ^ 23130) < 100003) { abort(); } }
+  return 0;
+}"""
+XOR_VARIABLE = """int main() {
+  int x = nondet_int();
+  int y = x ^ 23130;
+  if (y > 100000) { if (y < 100003) { abort(); } }
+  return 0;
+}"""
+DIVISION_FIRST = """int main() {
+  int q = 5 / nondet_char();
+  if (q > 1) { abort(); }
+  return 0;
+}"""
+STARVATION = """int main() {
+  int x = nondet_int();
+  if ((x ^ 23130) > 100000) { if ((x ^ 23130) < 100003) { abort(); } }
+  int y = nondet_int();
+  if (y > 5000) { if (y < 5003) { if (y == 5001) { return 1; } } }
+  return 0;
+}"""
+
+LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11, "header": HEADER_TARGET,
+                   "xor_gate": XOR_GATE, "xor_variable": XOR_VARIABLE,
+                   "division_first": DIVISION_FIRST, "starvation": STARVATION}
+
+# the byte-identity sweep: (manifest.json, stats.json) sha256 of every
+# target under benchmarks/ and bench/targets/ and of the four misses, at
+# seeds 1 and 2, fill bytes 0 and 85 and default limits, each case named
+# <target>-seed<n>-fill<byte>
+SWEEP_SHA256 = {
+    "counted_loop.mc-seed1-fill0": (
+        "9236e9e6744e660612709b5f0386c328a846f3f45c1b66d4f5500e01e3228359",
+        "ff09792b2e38aa8e5d9d913c4aac815392656b0e28ef29c51849dbaaebff6a6f"),
+    "counted_loop.mc-seed1-fill85": (
+        "105ca0ae1f9d57875574d425d30a8ee65cccb0a4bcc40d4321bf74b37cd97493",
+        "748c0b4ef4160a03e6338ccf91793c6537912357d0d2e2e60ee284be7de46012"),
+    "counted_loop.mc-seed2-fill0": (
+        "7adb6da6e28076a4ffd637c85c653efd5513f513de018de455179b0fc53ebd59",
+        "0ae385ff22540a266ff7dbb80cb6636ebfc892a9e967e9b93df0afa19a1f70a7"),
+    "counted_loop.mc-seed2-fill85": (
+        "72d13a9a81b0358887b00e24ae1446297dc04004a77fd51b1a4841ae5834cfb4",
+        "c6806264c581b08772cf27d691b720482e72e393854fac4d7747799d474d9c3c"),
+    "four_branch.mc-seed1-fill0": (
+        "ee13ee93abb14b4bc9aedbf41ff7ed1c982f27c710d30ba1e3c265ab1aedf25b",
+        "cfbfb3cde3ac92347daba6d9d973dee3230e4f67dc28fe9a079308eb836288fc"),
+    "four_branch.mc-seed1-fill85": (
+        "006b69b085b5f45f211361e1a945bd5495cc867b23f2f8fdfa49dad313250db6",
+        "c02c351602d2497b43ae565037285c48a4763327b4be430b5b1b354df9014221"),
+    "four_branch.mc-seed2-fill0": (
+        "52b1000d4d72b33e0ffa5ac6563d5c371c77cbbd2b07df9d456a45f60e40f0b0",
+        "6fa926169199fbbc31a7b93210fb187df362138c35e6908bd4c61855fd2feb0a"),
+    "four_branch.mc-seed2-fill85": (
+        "ba4a0d98935535ab5f0d793e3830e8f96a7d6bdb2788fd46587039e5a937a7e5",
+        "de0ff18b63df660498e09f4bb0437188643c859fd4e637e5e1601cda77f2e2bc"),
+    "loop_accumulator.mc-seed1-fill0": (
+        "e43d5a65f3201bc464ec6cde37faa510177a2e1fa454372815f7fe0302ab90be",
+        "3b03cb5e2735a104c7ea0261211c7798174d265bd6cec3a295019b6051cb528f"),
+    "loop_accumulator.mc-seed1-fill85": (
+        "c9db0979c2beb6b4cd186f7cc31685c2f2cdf39a621914171a5e045cf0c25df4",
+        "c5fc7498b0c3fdb542f97608ba463a1ba40f08664c236d9a510ff0eec5892085"),
+    "loop_accumulator.mc-seed2-fill0": (
+        "ebed3063a546ff1afa871c0d64b7bad3ade2e26529068645c740833e55174b55",
+        "1310855bc0086a0c8c862c324b21f1fc647a4dff8bf2e7709604cd56e687e670"),
+    "loop_accumulator.mc-seed2-fill85": (
+        "beacb87c5d5a8eeb383ba9faa4244022360fe3e7149f28299442bfdff5be815f",
+        "e598594250f5d64668b8c130c16f7263beb0f23bf97d39ef9bbab510f7d54435"),
+    "magic_equal.mc-seed1-fill0": (
+        "8ccb86409ec0f7317eef4fc2d7dfc37830ac2b1c273895b4a1711840a5596d3e",
+        "1e9f7b9e984d9cf09e8a473a03b3c953500fc55d262de0c2e5223ff00a5704ff"),
+    "magic_equal.mc-seed1-fill85": (
+        "a654dfb73dcb049a722249aa173e772f55d19005fe10306ccaa0717ee0a1f05a",
+        "8439c06ddc6d422736e0a64a5b68e58dc5372f840313b26a5fae6c59951cbbe7"),
+    "magic_equal.mc-seed2-fill0": (
+        "d436f473848a7e5eb27d71f18ee8f3201d51f5fc9ca70e7dc798339d71604060",
+        "724f64ee03eb3dd40c735b3bc68f715b3a606cecc074b2afe0ffed64c9b01869"),
+    "magic_equal.mc-seed2-fill85": (
+        "21f7b6cccbb1a5f3503ffdbf2f80891646c50860688ec6498c148b6b068c23d7",
+        "54292a7224fc570358277d1521828b38d4b52eda55a3daca4d1eadb2e72c8cc4"),
+    "sensitivity_pair.mc-seed1-fill0": (
+        "003b0229d23c5c4a51026e80c65a907e9d75b327de7618276f5a54887150e282",
+        "4ef18d8766472bfeee5dcbd2a48c9f483c0a82ef691f3291a46f4e3d89c4a8fd"),
+    "sensitivity_pair.mc-seed1-fill85": (
+        "897f10047f2f52ac7566ad3c6db2e648af969b94d042595129836869723cb657",
+        "131acf23093f62205f612dcc67251e0afe58d339beffa01cad0471d37a7a9a92"),
+    "sensitivity_pair.mc-seed2-fill0": (
+        "9c8bab39bcad4b88c30c6ba9ce82ff810d13ef6875c5dcfe64ead7f060f21f00",
+        "e896e0e6392b9d4b37b023bf07ade951c4e0c234161138239b15903136b2b49f"),
+    "sensitivity_pair.mc-seed2-fill85": (
+        "f6f243fea578c06583a89e983022dc54be896806bdee0434c966b345474eff07",
+        "8222045778a9efc142bf66fbefe10583e516d47af3328ef851839d6bc2af0a11"),
+    "shared_check.mc-seed1-fill0": (
+        "4c38025ec138ac642af8b5c1418e67bed5174a2a9d51b4e155511e36fd5e5361",
+        "5ff91ef2a02ae6ac0de54f078214284480dfd8a7ec4696d1d939109982c897d4"),
+    "shared_check.mc-seed1-fill85": (
+        "deeec9cd7607d5f92ee80b523e19cccf49433e92ccda9269237427055d5d1ae7",
+        "1dcb6dfbfb00fcea4a4bc629fe5ccadb70a32ad1d1afa0191c01855f701e65c0"),
+    "shared_check.mc-seed2-fill0": (
+        "1b7a1bda1d5366f1d07c6f60aef1fdbcde34628ecef1c3aaff46e62986dfb3e2",
+        "2c41fea7d7ce202a27324bb8fe0ad8af499bf83be4c84346725f12c0e9a0f627"),
+    "shared_check.mc-seed2-fill85": (
+        "fb1206ec369af76b021b3b9c73c193bb1c535d4d7889c879a6057c85259eb6d6",
+        "be9930687c88ebe6a70539f809ceb530d8ec5ffd7d65d35f6be6a2992a9565ec"),
+    "stuck_nibble.mc-seed1-fill0": (
+        "8d48ec08495629b45b1599c6ff4175a128356d4b323e115a24b8a699aa558e88",
+        "55d4050ac32723abcbf17054a708f456f113658158dd5dc734c7045c67e69949"),
+    "stuck_nibble.mc-seed1-fill85": (
+        "02000e41b24f64f6f4930dc3791679fa1e440fe674bcac658a1e548f3d12c617",
+        "de5cfbab6b51f80dbcf1438f779786ccf160bd06d0924037eed99250ae25d137"),
+    "stuck_nibble.mc-seed2-fill0": (
+        "582f96a603f0a453eecb7c21fd610fa98503761f76c17f729cc86fbc0a328b10",
+        "c992dadf13cac2c9d937453e99c05777d354fb05aead27ffef9bb687b2077fdd"),
+    "stuck_nibble.mc-seed2-fill85": (
+        "766172fd329a22b8fd96923e58117ebe617153312a47dbb86532871368981173",
+        "fddb0fbdb807f4f52f84caf2f6a0f64f39cccd374c5c078bf95a889e8a23622b"),
+    "xor_mask.mc-seed1-fill0": (
+        "97c4e75ade740f8abf48231240e7059c05756f3c73a20a5206baf53a9fcf1290",
+        "3baeb41d5c190ad4f4d6204e20e293746018df00139d1e8082de758926649b11"),
+    "xor_mask.mc-seed1-fill85": (
+        "091c936ec85c040895c8f9155b826df615ebf9e68b795ab1e1bd023d4a35ade9",
+        "26de00561e706072a4d205f052e5703f9d1f9146843ca42df55f5e5ebee613ac"),
+    "xor_mask.mc-seed2-fill0": (
+        "6232d6b267dad68acd51c46ae9ac12d7fd3111b3a59cfd9402ee60f3f40672d8",
+        "ba780ecd8ec21bc4dd993d559ef792d4b8e4e8b43db9cb291915f6f819cf2d5f"),
+    "xor_mask.mc-seed2-fill85": (
+        "e3a4554623d2514ef3c4eb71c7eb1f72990ca76153a48b0ee8160eeddb40c0fc",
+        "7831afd908d3743718baf47a2419933f20892fae93c768e34a9e1decd1d548bc"),
+    "parser.mc-seed1-fill0": (
+        "af95bf0e0334e5b7a794736ff1c3ae9dcbe67b4fc33342a080f79fac34c57122",
+        "8cd810c9327ad3a0dfe6bd5b7fafb26c36fc2e6f20e78e6c33670f58153b22a8"),
+    "parser.mc-seed1-fill85": (
+        "fbae383f5998c9aae9b697a2bbb6d23b1faac68a52b4809b15578d882240ccd5",
+        "249799415e2b11e875becce49e4bd1d4c767eb06229691b85e684f79e5629f5a"),
+    "parser.mc-seed2-fill0": (
+        "9206ff5daf71126ae4fa72b44ec82271f95180131d06b30b1618db5c38fe757c",
+        "d4f5e0341020ea5bead0284a3c29198631a406ed2dd7270bf091273acffad295"),
+    "parser.mc-seed2-fill85": (
+        "180b8698351e2ac82c04a1ec2995d15cd156b4c66a172ba7a7f2b3b4de560e45",
+        "521f552fa65f072020123d168227754f39748d83f933e85bc206e4a7d510c761"),
+    "scanner.mc-seed1-fill0": (
+        "e56c0c66618daa6dc57d80750483092536e474d14e30ac78ff82acb34fbf216c",
+        "0c79f1e43cc059c7c2b1dd6447ab61a02c8b15c763d3e6a579bd49e9f698e274"),
+    "scanner.mc-seed1-fill85": (
+        "96a8501e3ccf8b622bfee6b5de04e496b8661ec53bc0c612c3620780ffac5c5d",
+        "9d8a12270ad694e71e437e6502494f72801b249ba50a8354cac2a17053b0b5ae"),
+    "scanner.mc-seed2-fill0": (
+        "aa4086dbb2d2c55ba6b0c72660880f91915bab2f44eb897c5dadb1e2b4be926c",
+        "2fb244facdc9fcfe604c5b73eced19ff23b313f8989102301b30ab37a87073ac"),
+    "scanner.mc-seed2-fill85": (
+        "fe8349c795562027a352c6ac5caf9b2aacf0082063e864f37881baa8d556482f",
+        "63a52ebaebd9d4847a42464f0907658f6639870d0377649f81bfd5338b3de56a"),
+    "xor_gate-seed1-fill0": (
+        "ecb6c78635f941843f5bb228e2a9c4f15355f13b8163d21a8d0bb4e0bbc02051",
+        "5d4f923fab4c6ffe7108de95f57cdddf21f5a2e81a960eb4d6b14c455b0a973c"),
+    "xor_gate-seed1-fill85": (
+        "73b9c0343423594392f34befe633206838fb505e4296e4fc1db624637ba389ca",
+        "7446d03bf55338071ec2f3599d6b31ecabc3cfd609c021d90c76c5f4a94a285d"),
+    "xor_gate-seed2-fill0": (
+        "defa1657c05c3ae6ffa2cef679382689f2d09afaa93e2a1820216675a0379368",
+        "9ed3231ac62bb5fd0d785a987e541f1f3c52e54038a2a2e42f7c8c373df25212"),
+    "xor_gate-seed2-fill85": (
+        "23e1458fa32b7238d6f3c36c01d320a61cfde54375aa47fd06f43e1cceceb965",
+        "574f5c04d6b4adc89cb86f547b65ff5bc24790380f69e83964299b842a78d53d"),
+    "xor_variable-seed1-fill0": (
+        "08494b4c0f03a08002c80e4a7ae4d83b210422716d1293d55e86306de0e7bb46",
+        "f9fe9ce467a8e24a5488d543638dcbc1badd4241509487e6f5e31f99fee80f87"),
+    "xor_variable-seed1-fill85": (
+        "f1e8a9ece98a009e78b4d7c32861ff6ac8bf31a5da6e6650ee3fafe7214aa6d7",
+        "9fe31cfc0b4c639bfbfdd1d7165851b75af037cf8ddc4fcdbae6f7a6c6798e12"),
+    "xor_variable-seed2-fill0": (
+        "200ec76f77f7791f094d10ff1d0c319d3f4eb45f26110b56c675e1772691ffd5",
+        "2df05cb90fa711955963244aab286bb2ac0ddf73ca338b4569deacd6c24a1b7f"),
+    "xor_variable-seed2-fill85": (
+        "6bbb92a4364fe476a118fc4a3fdac300b2b6d628f8aa123662818da7d50e8d4e",
+        "a1638e5f17f52afe600ebbebe5397e4b96559aa84733e4dcf1631cb9b661347b"),
+    "division_first-seed1-fill0": (
+        "a9c2e293694ceae3dd1d5a5879eecec1e95673d3ddaef95bf230aa2e7715f5ae",
+        "faa586e327202006ba96a3f2945d9abf84e291cbcee5a9868b8b220de4981bd1"),
+    "division_first-seed1-fill85": (
+        "3f05be6f910581106f88d3f5cedc2f30bb0eba24aee7d9b544c1b3a5c6546479",
+        "1e4b3de5c6822fd8a33446e596f13935e4716f2c909922bb684c18bf5efc2a0b"),
+    "division_first-seed2-fill0": (
+        "5c8bf083da1a7329bb3cb1b67af9bdb9adfe5f87e42a73ad7ed4c795085dea10",
+        "3c87f1e11700f53c9468a7c2f68e3cea08a4ff423fccc00912035405f073d4ec"),
+    "division_first-seed2-fill85": (
+        "1b241761f8762d5d08b3d4adab69c71d73d0cd9062119905eec41b04119c1ab9",
+        "74ea345b83d8edee77bc065e057e6afd24ca099cfcb0875e75f541ca607f626d"),
+    "starvation-seed1-fill0": (
+        "7ebae21892580dac1701d0c76221867614ac95331cfd99ff470773ffc56a95a8",
+        "0d1b1db5c27948217d380c7927ee4aa8afeb19e5789a94abf531d0689e02d2b8"),
+    "starvation-seed1-fill85": (
+        "7bb09b24dd6af7ef6c86fcdd6ad91ff4e0b844d9745879c8097fb248264cedce",
+        "425b460db51359dc3778faf6a1ea868163e035ac233b941c97799368780cd029"),
+    "starvation-seed2-fill0": (
+        "9650919b7517122995da17ea7c9dcf79d50619059b9dc9dd01c96ba54dc05905",
+        "99525775788b464e910ecb5eef5bb641f03cec2b45162221517da69da273c372"),
+    "starvation-seed2-fill85": (
+        "9d05d3fd03160740ccd006a1c97a231fe2c7300179a03aa7624a2c02571d2e2f",
+        "20065ec9bfeda7d5663144063409db719934651c0bad485762088e1392065960"),
+}
 
 
 class TestDeterminism:
@@ -346,11 +551,12 @@ class TestDeterminism:
             digests.append(blob)
         assert digests[0] == digests[1] == digests[2]
 
-    # manifest.json sha256 at a fixed seed.  counted_loop under a short
-    # trace cap keeps an optimizer test; loop_accumulator selects a twin
-    # twice; gen_program_11 takes a node from the Monte Carlo walk five
-    # times; the header target answers 102 of its 322 inputs from the
-    # read-prefix memo, which no target under benchmarks/ reaches.  A
+    # manifest.json sha256 at a fixed seed, seed 5 and fill byte 0
+    # unless the case is one of SWEEP_SHA256's.  counted_loop under a
+    # short trace cap keeps an optimizer test; loop_accumulator selects a
+    # twin twice; gen_program_11 takes a node from the Monte Carlo walk
+    # five times; the header target answers 102 of its 322 inputs from
+    # the read-prefix memo, which no target under benchmarks/ reaches.  A
     # refactor must keep these; a change meant to alter behaviour records
     # the new values.  STATS_SHA256 pins each case's stats.json beside
     # its manifest: the per-session calls and executions, the session
@@ -367,6 +573,7 @@ class TestDeterminism:
         "f5d7cf38a5d394a1ecc1328e0851d9d4d3217e99b7783812c1dcb0f8aa75a20d",
         "header":
         "63839f42d72223ceaaaf1b49c08f96463eeff3456842b4f796b74c266a8b7af9",
+        **{case: stats for case, (_, stats) in SWEEP_SHA256.items()},
     }
 
     @pytest.mark.parametrize("name, limits, sha256", [
@@ -380,16 +587,23 @@ class TestDeterminism:
          "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
         ("header", VmLimits(),
          "0a325df568ae75da994f221f07c09b080d1c39df8157d36c5bf3758bf65a628b"),
+        *[(case, VmLimits(), manifest)
+          for case, (manifest, _) in SWEEP_SHA256.items()],
     ])
     def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
                                              sha256):
-        if name in LITERAL_TARGETS:
-            source = LITERAL_TARGETS[name]
+        target, seed, fill = name, 5, 0
+        swept = re.fullmatch(r"(.+)-seed(\d+)-fill(\d+)", name)
+        if swept:
+            target, seed, fill = swept[1], int(swept[2]), int(swept[3])
+        if target in LITERAL_TARGETS:
+            source = LITERAL_TARGETS[target]
         else:
-            source = (Path(__file__).parent.parent / "benchmarks"
-                      / name).read_text()
+            source = next(path for path in (ROOT / "benchmarks" / target,
+                                            BENCH_TARGETS / target)
+                          if path.exists()).read_text()
         program = parse_program(source)
-        options = FuzzOptions(limits=limits, seed=5)
+        options = FuzzOptions(limits=limits, seed=seed, fill_byte=fill)
         suite, stats = run_fuzzing(program, FuzzBudget(max_executions=2000),
                                    options)
         save_suite(tmp_path, suite, stats, options)
