@@ -57,14 +57,22 @@ class TreeMappingError(Exception):
     target); mapping is aborted."""
 
 
-def coverage_summary(uid_pairs: Iterable[tuple[int, bool]],
-                     id_pairs: Iterable[tuple[int, int, bool]]
+def uid_pairs(id_pairs: Iterable[tuple[int, int, bool]]
+              ) -> list[tuple[int, bool]]:
+    """The distinct (uid, direction) pairs of (uid, ctx, direction)
+    pairs, sorted: an instruction was seen going each direction one of
+    its execution ids was seen going."""
+    return sorted({(uid, direction) for uid, _, direction in id_pairs})
+
+
+def coverage_summary(id_pairs: Iterable[tuple[int, int, bool]]
                      ) -> dict[str, int]:
-    """Coverage counts from observed (uid, direction) and (uid, ctx,
-    direction) pairs: an instruction or execution id is discovered by one
-    direction and covered by both."""
-    uid_dirs = Counter(u for u, _ in set(uid_pairs))
-    id_dirs = Counter((u, c) for u, c, _ in set(id_pairs))
+    """Coverage counts from observed (uid, ctx, direction) pairs: an
+    execution id, or an instruction (counted off the pairs' ``uid_pairs``
+    projection), is discovered by one direction and covered by both."""
+    id_pairs = set(id_pairs)
+    uid_dirs = Counter(u for u, _ in uid_pairs(id_pairs))
+    id_dirs = Counter((u, c) for u, c, _ in id_pairs)
     return {
         "uids_discovered": len(uid_dirs),
         "uids_covered": sum(n == 2 for n in uid_dirs.values()),
@@ -169,10 +177,8 @@ class ExecTree:
 
     def coverage_counts(self) -> dict[str, int]:
         return coverage_summary(
-            ((uid, d) for uid, dirs in self.uid_directions.items()
-             for d in dirs),
-            ((uid, ctx, d) for (uid, ctx), dirs in self.id_directions.items()
-             for d in dirs))
+            (uid, ctx, d) for (uid, ctx), dirs in self.id_directions.items()
+            for d in dirs)
 
     def _observe(self, rid: ExecutionId, direction: bool,
                  new_pairs: list[tuple[int, bool]]) -> None:

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .exec_tree import ExecTree, coverage_summary
+from .exec_tree import ExecTree, coverage_summary, uid_pairs
 from .executors import LocalExecutor
 from .generators import AnalysisKind, AnalysisSession, sensitivity_mutations
 from .minivm import (
@@ -109,7 +109,6 @@ class TestCase:
     newly_covered_uids: tuple[int, ...]
     iteration: int
     new_pairs: tuple[tuple[int, bool], ...]
-    uid_pairs: tuple[tuple[int, bool], ...]
     id_pairs: tuple[tuple[int, int, bool], ...]
     extended_limits: bool = False
 
@@ -121,8 +120,7 @@ class TestSuite:
 
     def recompute_coverage(self) -> dict[str, int]:
         self.coverage = coverage_summary(
-            (pair for test in self.tests for pair in test.uid_pairs),
-            (pair for test in self.tests for pair in test.id_pairs))
+            pair for test in self.tests for pair in test.id_pairs)
         return self.coverage
 
 
@@ -242,7 +240,6 @@ class FuzzEngine:
         self.strategy = Strategy(self.tree, random.Random(options.seed))
         self.suite = TestSuite()
         self.stats = FuzzStats(options.seed)
-        self.active = None  # the running session, if any
         # results under the run's own limits; the optimizer's re-runs
         # neither read nor write it
         self._memo = ReadPrefixMemo(options.fill_byte)
@@ -281,7 +278,7 @@ class FuzzEngine:
             if bootstrap is None:
                 while True:
                     if active is None:
-                        active = self.active = select_analysis()
+                        active = select_analysis()
                         if active is None:
                             break
                         kind = active.kind.value
@@ -340,16 +337,6 @@ class FuzzEngine:
     def _past_deadline(self) -> bool:
         return self._deadline is not None and time.monotonic() >= self._deadline
 
-    def _execute(self, limits: VmLimits, input_bytes: bytes, kind: str
-                 ) -> tuple[ExecutionResult, list[tuple[int, bool]], int]:
-        """The optimizer's re-run of one input under these caps, past the
-        memo: counted and mapped; the result, the pairs it saw first, and
-        its iteration."""
-        result = self.executor(limits.config(self.options.fill_byte,
-                                             input_bytes))
-        iteration = self._count(result, kind)
-        return result, self.tree.map_trace(result), iteration
-
     def _count(self, result: ExecutionResult, kind: str) -> int:
         """Count one processed input; its iteration."""
         stats = self.stats
@@ -372,7 +359,7 @@ class FuzzEngine:
         if not worth_keeping or result.bytes_read in self._kept_inputs:
             return
         self._kept_inputs.add(result.bytes_read)
-        uid_pairs, id_pairs = _observed_pairs(result.trace)
+        id_pairs = _observed_pairs(result.trace)
         intern = self._pairs.setdefault
         self.suite.tests.append(TestCase(
             input_bytes=result.bytes_read,
@@ -383,13 +370,11 @@ class FuzzEngine:
                  if len(self.tree.uid_directions[uid]) == 2})),
             iteration=iteration,
             new_pairs=tuple(sorted(map(intern, new_pairs, new_pairs))),
-            uid_pairs=tuple(map(intern, uid_pairs, uid_pairs)),
             id_pairs=tuple(map(intern, id_pairs, id_pairs)),
             extended_limits=extended,
         ))
 
     def _finish_session(self, session: AnalysisSession) -> None:
-        self.active = None
         self.strategy.finish(session)
         self._deactivate(session)
 
@@ -419,12 +404,12 @@ class FuzzEngine:
         counted against ``max_executions``: a run makes up to that many
         executions plus one per such test."""
         limits = optimizer_limits(self.options.limits)
+        # a snapshot of the loop's tests, none of them extended: the
+        # re-runs kept here are not re-run
         for test in list(self.suite.tests):
             if self._past_deadline():
                 break
             if test.termination != TerminationKind.BOUNDARY_CONDITION_VIOLATION:
-                continue
-            if test.extended_limits:
                 continue
             rerun = limits
             if self._deadline is not None:
@@ -433,8 +418,11 @@ class FuzzEngine:
                          * OPTIMIZER_STEPS_PER_SECOND)
                 if steps < limits.step_budget:
                     rerun = replace(limits, step_budget=max(1, int(steps)))
-            result, new_pairs, iteration = self._execute(
-                rerun, test.input_bytes, _OPTIMIZER)
+            # past the memo: counted, then mapped
+            result = self.executor(rerun.config(self.options.fill_byte,
+                                                test.input_bytes))
+            iteration = self._count(result, _OPTIMIZER)
+            new_pairs = self.tree.map_trace(result)
             if (result.termination == TerminationKind.TIMEOUT
                     and rerun is not limits):
                 continue
@@ -442,14 +430,11 @@ class FuzzEngine:
                 self._keep(result, new_pairs, iteration, extended=True)
 
 
-def _observed_pairs(trace) -> tuple[list[tuple[int, bool]],
-                                   list[tuple[int, int, bool]]]:
-    """The distinct (uid, direction) and (uid, ctx, direction) pairs a
-    trace observed, each sorted."""
-    id_pairs = {(uid, ctx, direction)
-                for (uid, ctx), direction, _, _, _ in trace}
-    return (sorted({(uid, direction) for uid, _, direction in id_pairs}),
-            sorted(id_pairs))
+def _observed_pairs(trace) -> list[tuple[int, int, bool]]:
+    """The distinct (uid, ctx, direction) pairs a trace observed, sorted:
+    the one record of a kept test's coverage."""
+    return sorted({(uid, ctx, direction)
+                   for (uid, ctx), direction, _, _, _ in trace})
 
 
 def run_fuzzing(program: Program, budget: FuzzBudget,
@@ -499,7 +484,7 @@ def save_suite(outdir: "Path | str", suite: TestSuite, stats: FuzzStats,
             "extended_limits": test.extended_limits,
             "newly_covered_uids": list(test.newly_covered_uids),
             "new_pairs": [[u, d] for u, d in test.new_pairs],
-            "uid_pairs": [[u, d] for u, d in test.uid_pairs],
+            "uid_pairs": [[u, d] for u, d in uid_pairs(test.id_pairs)],
             "id_pairs": [[u, c, d] for u, c, d in test.id_pairs],
         })
     manifest = {
@@ -527,12 +512,12 @@ def load_manifest(outdir: "Path | str") -> dict:
 
 
 def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
-    """Re-execute every manifest test and verify terminations, observed
-    pairs, and the coverage summary; (ok, first divergence)."""
+    """Re-execute every manifest test and verify its termination, its
+    observed uid and id pairs and the bytes it read, then the suite's
+    coverage summary; (ok, first divergence)."""
     manifest = load_manifest(outdir)
     base = VmLimits(**manifest["limits"])
     extended = optimizer_limits(base, manifest["optimizer_scale"])
-    uid_pairs = set()
     id_pairs = set()
     for entry in manifest["tests"]:
         input_bytes = bytes.fromhex(entry["input"])
@@ -543,15 +528,18 @@ def replay_suite(program: Program, outdir: "Path | str") -> tuple[bool, str]:
             return False, (f"{entry['file']}: termination "
                            f"{result.termination.name} != "
                            f"{entry['termination']}")
-        got_pairs, got_id_pairs = _observed_pairs(result.trace)
+        got_id_pairs = _observed_pairs(result.trace)
         want_pairs = sorted((u, bool(d)) for u, d in entry["uid_pairs"])
-        if got_pairs != want_pairs:
+        if uid_pairs(got_id_pairs) != want_pairs:
             return False, f"{entry['file']}: observed uid pairs differ"
+        want_id_pairs = sorted((u, c, bool(d))
+                               for u, c, d in entry["id_pairs"])
+        if got_id_pairs != want_id_pairs:
+            return False, f"{entry['file']}: observed id pairs differ"
         if result.bytes_read != input_bytes:
             return False, f"{entry['file']}: bytes read differ"
-        uid_pairs.update(got_pairs)
         id_pairs.update(got_id_pairs)
-    recomputed = coverage_summary(uid_pairs, id_pairs)
+    recomputed = coverage_summary(id_pairs)
     if recomputed != manifest["coverage"]:
         return False, (f"coverage summary differs: {recomputed!r} != "
                        f"{manifest['coverage']!r}")

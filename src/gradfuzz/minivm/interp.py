@@ -128,11 +128,11 @@ def _f32(value: float) -> float:
 
 
 def _float_div(left: float, right: float) -> float:
-    if right == 0.0:
-        if left == 0.0 or math.isnan(left):
-            return math.nan
-        return math.copysign(math.inf, left) * math.copysign(1.0, right)
-    return left / right
+    """``left / right`` for a divisor of 0.0 or -0.0, where Python raises:
+    IEEE 754's NaN or signed infinity."""
+    if left == 0.0 or math.isnan(left):
+        return math.nan
+    return math.copysign(math.inf, left) * math.copysign(1.0, right)
 
 
 def _int_quot(left: int, right: int) -> int:

@@ -539,8 +539,6 @@ class _Analyzer:
         if src is dst:
             return 0
         if dst is BOOL:
-            if src is BOOL:
-                return 0
             if src.is_numeric:
                 return self.new_uid()
             raise self.error(node, f"cannot convert {src.name} to bool")

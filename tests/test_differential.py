@@ -319,13 +319,34 @@ int main() {
 }
 """
 
+# declarations without an initializer, which start each loop round at
+# zero, of each kind of type
+DECLARATIONS = """
+int main() {
+  uchar n = nondet_uchar() & 3;
+  int sum = 0;
+  while (n > 0) {
+    int i; uchar u; float f; double d; bool b;
+    if (i == 0) { i = nondet_int(); }
+    if (u < 1) { u = u + nondet_uchar(); }
+    if (!f) { f = (float)u / f; }
+    if (d == 0.0) { d = d - (double)i; }
+    if (!b) { b = d < 0.0; }
+    if (b) { sum = sum + i; } else { sum = sum - u; }
+    n = n - 1;
+  }
+  return sum;
+}
+"""
+
 EDGE_TARGETS = {"floats": FLOATS, "float_overflow": FLOAT_OVERFLOW,
                 "division": DIVISION, "divide_by_zero": DIVIDE_BY_ZERO,
                 "mixed": MIXED, "spin": SPIN,
                 "recursion": RECURSION, "returns": RETURNS,
                 "nested_whiles": NESTED_WHILES, "nested_ifs": NESTED_IFS,
                 "deep_expression": DEEP_EXPRESSION, "long_sum": LONG_SUM,
-                "identifiers": IDENTIFIERS, "literals": LITERALS}
+                "identifiers": IDENTIFIERS, "literals": LITERALS,
+                "declarations": DECLARATIONS}
 
 # targets whose full run takes more steps than the default edge budget
 LONG_TARGETS = ("long_sum",)
@@ -375,6 +396,7 @@ FULL_RUN_INPUTS = {
     "long_sum": b"\x9c",
     "identifiers": (11).to_bytes(4, "little"),
     "literals": f64(2.5),
+    "declarations": bytes.fromhex("030500000007fbffffff00f6ffffff09"),
 }
 
 

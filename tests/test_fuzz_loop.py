@@ -73,7 +73,7 @@ class TestRunFuzzing:
             "a session was built")
         suite, stats = engine.run()
         assert stats.total_executions == 1
-        assert engine.active is None and stats.sessions == []
+        assert stats.sessions == []
         assert len(suite.tests) == 1
         assert suite.tests[0].iteration == 0
         assert suite.tests[0].input_bytes == b"\x00\x00\x00\x00"
@@ -142,7 +142,7 @@ class TestRunFuzzing:
                                small_options(seed=4))
         first = {}
         for test in suite.tests:
-            for pair in test.new_pairs + test.uid_pairs + test.id_pairs:
+            for pair in test.new_pairs + test.id_pairs:
                 assert first.setdefault(pair, pair) is pair
         assert len(suite.tests) > 3
         assert not hasattr(suite.tests[0], "__dict__")
@@ -173,8 +173,7 @@ class TestRunFuzzing:
         if cut:
             # logged once, and not finished: its analysis did not end;
             # closed, so its coroutine no longer refers back to it
-            session = engine.active
-            assert deactivated[-1] is session
+            session = deactivated[-1]
             assert session.kind == AnalysisKind.SENSITIVITY
             assert session.exhausted and session.next_input() is None
             assert session.executions > 0
@@ -641,6 +640,22 @@ class TestReplay:
         ok, divergence = replay_suite(other, tmp_path)
         assert not ok
         assert divergence
+
+    def test_replay_checks_stored_id_pairs(self, tmp_path):
+        # an id pair no run observed, with the uid pairs and the coverage
+        # summary left as the engine wrote them
+        program = parse_program(SENSE_PAIR)
+        options = small_options(seed=3)
+        suite, stats = run_fuzzing(program, FuzzBudget(max_executions=100),
+                                   options)
+        save_suite(tmp_path, suite, stats, options)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["tests"][-1]["id_pairs"][-1] = [99999, 1, True]
+        path.write_text(json.dumps(manifest))
+        ok, divergence = replay_suite(program, tmp_path)
+        assert not ok
+        assert divergence.endswith("observed id pairs differ")
 
 
 BOUNDED_LOOP = """
