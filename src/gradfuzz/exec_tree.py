@@ -6,7 +6,8 @@ trace took direction ``d`` there, whether the trace went on or ended at
 the node; bits are only ever set.  Every node keeps its best result, the
 ``ExecutionResult`` whose trace minimizes the sum of squared branching
 values over the path prefix; a new node starts with the result that
-created it, at infinite weight.
+created it, at that trace's prefix weight (which may be infinite: the
+first finite weight there then replaces it).
 
 ``seen`` is a plain int from 0 to 3, which holds no reference the cyclic
 collector must follow, while a list per node would be traversed by every
@@ -34,15 +35,27 @@ that starts as one shared empty frozenset and is only ever rebound,
 never changed in place.  The id check is an identity test first: the
 interpreter makes one id object per (uid, context), so the ids of a
 local trace are the tree's own.
+
+Two more invariants let a walk skip what a trace cannot change.  Heights
+never rise toward the root: a node is at least as high as each of its
+successors, since every trace through a successor runs through it.  And
+a record equal to a mapped trace's record at the same node changes
+nothing but heights: that trace set the edge's bit, observed the pair,
+and left a best weight no heavier than the equal prefix it summed.  So
+a walk anchored past a verified shared prefix only raises heights along
+it, and stops at the first node already high enough.  Where a trace
+leaves the tree, the rest of it is built in one loop, each node with its
+final state, with no id check and no best comparison.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
+from itertools import islice
 from typing import Iterable, Optional
 
 from .target_abi import (
     DIRECTION,
-    ID,
     NBYTES,
     UID,
     VALUE,
@@ -103,19 +116,20 @@ class TreeNode:
     )
 
     def __init__(self, node_id: ExecutionId, depth: int,
-                 result: ExecutionResult):
+                 result: ExecutionResult, best_weight: float = math.inf,
+                 seen: int = 0, height: int = 0):
         self.id = node_id
         self.false_succ: Optional[TreeNode] = None
         self.true_succ: Optional[TreeNode] = None
-        self.seen = 0
+        self.seen = seen
         self.depth = depth
         self.best = result
-        self.best_weight = float("inf")
+        self.best_weight = best_weight
         self.sensitive_bits: frozenset[int] = _NO_BITS
         self.sensitivity_done = False
         self.bitshare_done = False
         self.minimization_done = False
-        self.height = 0
+        self.height = height
         self.covered = False
         self.closed = False
         self.loop_scanned = False
@@ -172,9 +186,6 @@ class ExecTree:
 
     # -- coverage ---------------------------------------------------------
 
-    def id_covered(self, node_id: ExecutionId) -> bool:
-        return len(self.id_directions.get(node_id, ())) == 2
-
     def coverage_counts(self) -> dict[str, int]:
         return coverage_summary(
             (uid, ctx, d) for (uid, ctx), dirs in self.id_directions.items()
@@ -198,21 +209,50 @@ class ExecTree:
 
     # -- construction -----------------------------------------------------
 
-    def _new_node(self, node_id: ExecutionId, depth: int,
-                  result: ExecutionResult) -> TreeNode:
-        """A node for ``node_id`` at ``depth``, holding the result
-        that creates it.  Its best weight stays infinite, so the walk's
-        first finite weight at the node keeps that result as its best
-        and an infinite one leaves it: a new node takes its first trace
-        at any weight."""
-        node = TreeNode(node_id, depth, result)
-        self.nodes.append(node)
-        self.nodes_by_id.setdefault(node_id, []).append(node)
-        if self.id_covered(node_id):
-            node.covered = True
-        return node
+    def _grow(self, result: ExecutionResult, depth: int, weight: float,
+              new_pairs: list[tuple[int, bool]],
+              parent: Optional[TreeNode] = None, b: bool = False) -> None:
+        """Build the nodes of the records of ``result``'s trace from
+        ``depth`` on, where the walk left the tree at ``parent`` going
+        ``b`` (no parent: the first node is the root) with path weight
+        ``weight``.  Each node is built finished: the trace is its best
+        at its prefix weight (values are never NaN, so an infinite weight
+        is the only one the walk would not have taken, and it is the
+        initial one), it is as high as the trace is long, its one seen
+        bit is its record's direction, and it is covered when its id was
+        seen both ways."""
+        trace = result.trace
+        max_depth = len(trace) - 1
+        append_node = self.nodes.append
+        nodes_by_id = self.nodes_by_id
+        id_directions = self.id_directions
+        for rid, direction, value, _, _ in islice(trace, depth, None):
+            weight += value * value
+            node = TreeNode(rid, depth, result, weight, 1 << direction,
+                            max_depth)
+            append_node(node)
+            same_id = nodes_by_id.get(rid)
+            if same_id is None:
+                nodes_by_id[rid] = [node]
+            else:
+                same_id.append(node)
+            dirs = id_directions.get(rid)
+            if dirs is not None and len(dirs) == 2:
+                node.covered = True
+            else:
+                self._observe(rid, direction, new_pairs)
+            if parent is None:
+                self.root = node
+            elif b:
+                parent.true_succ = node
+            else:
+                parent.false_succ = node
+            parent, b = node, direction
+            depth += 1
 
-    def map_trace(self, result: ExecutionResult) -> list[tuple[int, bool]]:
+    def map_trace(self, result: ExecutionResult,
+                  anchor: Optional[tuple[list[TreeNode], int, float]] = None
+                  ) -> list[tuple[int, bool]]:
         """Walk a trace onto the tree, creating and updating nodes, and
         return the (uid, direction) pairs it was the first to observe, in
         trace order.  The tree's ``uid_directions`` is the one record of
@@ -221,22 +261,42 @@ class ExecTree:
 
         Each record sets its direction's bit in its node's ``seen``,
         however the execution terminated.  Empty traces update nothing.
+
+        ``anchor`` is ``(path, k, weight)`` when the trace's first ``k``
+        records are known to equal those of a mapped trace through the
+        root path ``path`` (``k < len(path)``), whose squared values sum
+        to ``weight``: the walk then starts at ``path[k]``, and of the
+        first ``k`` records only the heights they raise are applied (see
+        the module docstring).
         """
         new_pairs: list[tuple[int, bool]] = []
         trace = result.trace
         if not trace:
             return new_pairs
-        if self.root is None:
-            self.root = self._new_node(trace[0][ID], 0, result)
         # nbytes are monotone along a trace: the last record has the most
         nbytes = trace[-1][NBYTES]
         if nbytes > self.max_nbytes:
             self.max_nbytes = nbytes
-        node = self.root
+        if self.root is None:
+            self._grow(result, 0, 0.0, new_pairs)
+            return new_pairs
         max_depth = len(trace) - 1
-        weight = 0.0
+        if anchor is None:
+            node = self.root
+            records = trace
+            weight = 0.0
+        else:
+            path, k, weight = anchor
+            node = path[k]
+            records = islice(trace, k, None)
+            # heights never rise toward the root: the first ancestor high
+            # enough has every node above it high enough
+            for above in reversed(path[:k]):
+                if above.height >= max_depth:
+                    break
+                above.height = max_depth
         # record i maps onto the node at depth i
-        for rid, b, value, _, _ in trace:
+        for rid, b, value, _, _ in records:
             if node.id is not rid and node.id != rid:
                 raise TreeMappingError(
                     f"trace record {node.depth} has id {rid}, tree node has "
@@ -255,14 +315,10 @@ class ExecTree:
             if succ is None:
                 # an edge with a successor has its bit set already
                 node.seen |= 1 << b
-                if node.depth == max_depth:
-                    break
-                succ = self._new_node(trace[node.depth + 1][ID],
-                                      node.depth + 1, result)
-                if b:
-                    node.true_succ = succ
-                else:
-                    node.false_succ = succ
+                if node.depth < max_depth:
+                    self._grow(result, node.depth + 1, weight, new_pairs,
+                               node, b)
+                break
             node = succ
         return new_pairs
 

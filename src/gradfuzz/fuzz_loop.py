@@ -6,8 +6,10 @@ the tree empty, by the sensitivity value set of the bytes it read (the
 bootstrap).  Every later input comes from the active analysis session,
 which the strategy builds.  Every input, the bootstrap's included, takes
 one path through the body of ``FuzzEngine.run``: the memo's answer, or
-a run whose trace the tree maps (it returns the pairs it saw first),
-the memo stores and the keep rule sees; then the count, and the result
+a run whose trace the tree maps (it returns the pairs it saw first;
+an ``anchored`` session's ``anchor`` lets the walk start past the
+records the trace was checked to share with the session's path), the
+memo stores and the keep rule sees; then the count, and the result
 goes to the active session, which sets its ``achieving_input`` once its
 goal direction is observed.  The budget is checked after each input, so
 the empty input runs under any budget, and no session is built once the
@@ -267,7 +269,7 @@ class FuzzEngine:
         select_analysis = self.strategy.select_analysis
         bootstrap = self._bootstrap_inputs()
         kind = _BOOTSTRAP
-        active = next_input = feed = result = None
+        active = next_input = feed = anchor = result = None
         while True:
             # the next input: the bootstrap's, then the sessions'
             if bootstrap is not None:
@@ -283,6 +285,7 @@ class FuzzEngine:
                             break
                         kind = active.kind.value
                         next_input, feed = active.next_input, active.feed
+                        anchor = active.anchor if active.anchored else None
                     data = next_input()
                     if data is not None:
                         break
@@ -296,7 +299,8 @@ class FuzzEngine:
             result = recall(data)
             if result is None:
                 result = executor(config(fill_byte, data))
-                new_pairs = map_trace(result)
+                new_pairs = map_trace(
+                    result, None if anchor is None else anchor(result.trace))
                 store(data, result)
                 keep(result, new_pairs, stats.iterations)
             elif len(data) > limits.max_input_bytes:

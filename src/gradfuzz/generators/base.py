@@ -34,6 +34,8 @@ class AnalysisKind(Enum):
 
 class AnalysisSession:
     kind: AnalysisKind
+    # whether the session's ``anchor`` places the mapping of its traces
+    anchored = False
 
     def __init__(self, node: TreeNode, goal_direction: Optional[bool] = None):
         self.node = node

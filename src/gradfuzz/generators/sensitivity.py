@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Optional
 
 from ..exec_tree import TreeNode
 from ..target_abi import (
+    NBYTES,
+    VALUE,
     ExecutionResult,
     TypeTag,
     differing_positions,
@@ -26,6 +31,12 @@ from ..target_abi import (
 from .base import AnalysisKind, AnalysisSession
 
 _F32_EPSILON = 2.0 ** -23
+
+# A session anchors its traces' mapping (``SensitivitySession.anchor``)
+# only on a path longer than this many records: on shorter ones, the
+# anchor's bisection and prefix comparison cost more than the walks they
+# save (measured break-even: a path of 6 records, one read per record).
+MIN_ANCHORED_PATH = 6
 
 
 def _extreme_values(tag: TypeTag) -> list[bytes]:
@@ -76,6 +87,15 @@ class SensitivitySession(AnalysisSession):
         self.region_marks: dict[int, set[int]] = {}
         self._candidate_bits: list[int] = []
         self._candidate_is_region = False
+        # the length of the base prefix the pending input's trace was
+        # verified to repeat (see ``anchor``)
+        self._verified = 0
+        base = self.base_trace
+        self.anchored = len(base) > MIN_ANCHORED_PATH
+        self._nbytes = [record[NBYTES] for record in base]
+        # summed in the walk's order, so equal prefixes weigh the same
+        self._weights = list(accumulate(
+            (record[VALUE] * record[VALUE] for record in base), initial=0.0))
 
     def _run(self):
         for mutated, bits, is_region in sensitivity_mutations(
@@ -84,23 +104,40 @@ class SensitivitySession(AnalysisSession):
             self._candidate_is_region = is_region
             yield mutated
 
+    def anchor(self, trace) -> Optional[tuple[list[TreeNode], int, float]]:
+        """Where the mapping of the pending input's trace can start, as
+        ``ExecTree.map_trace``'s ``anchor``, or None to walk it whole.
+        The path's records read before the input's first changed byte
+        are the trace's first k, if the target is deterministic; one
+        comparison checks that before they are skipped, here and in
+        ``feed``, so a trace that disagrees is walked whole and a
+        nondeterministic target is caught as before.  The changed byte
+        lies below the node's ``nbytes``, so k is at most its depth."""
+        k = bisect_right(self._nbytes, self._candidate_bits[0] >> 3)
+        if k == 0 or trace[:k] != self.base_trace[:k]:
+            return None
+        self._verified = k
+        return self.path_nodes, k, self._weights[k]
+
     def feed(self, result: ExecutionResult) -> None:
         """Hand the pending input's result to the analysis: no goal, no
         cache and no value to send back, so the bookkeeping is the count.
         Then one walk over the records that differ from the path's (a
-        record equal to the path's has the path's value: no marks).  It
-        stops where the trace leaves the path: before a record with
-        another id, and after one with another direction."""
+        record equal to the path's has the path's value: no marks), from
+        the prefix ``anchor`` verified, if it did.  It stops where the
+        trace leaves the path: before a record with another id, and
+        after one with another direction."""
         if self._pending is None:
             raise RuntimeError("no input pending")
         self._pending = None
         self.executions += 1
+        start, self._verified = self._verified, 0
         candidates = self._candidate_bits
         marks = (self.region_marks if self._candidate_is_region
                  else self.raw_marks)
         trace = result.trace
         base = self.base_trace
-        for k in differing_positions(trace, base):
+        for k in differing_positions(trace, base, start):
             rid, direction, value, _, _ = trace[k]
             path_id, path_direction, path_value, _, nbytes = base[k]
             if rid != path_id:
@@ -118,8 +155,7 @@ class SensitivitySession(AnalysisSession):
         """Widen and publish marks; flags every examined path node."""
         for k, node in enumerate(self.path_nodes):
             widened = set()
-            for s in self.raw_marks.get(k, ()):
-                byte = s // 8
+            for byte in {s >> 3 for s in self.raw_marks.get(k, ())}:
                 widened.update(range(8 * byte, 8 * byte + 8))
             # rebinds: the node's set may be shared (see TreeNode)
             node.sensitive_bits = node.sensitive_bits.union(

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -218,6 +219,10 @@ class _Emitter:
             source += self.function(fn)
         exec(compile("\n".join(source), "<minivm>", "exec"), self.ns)
         self.entry = self.ns["f_main"]
+        # the emitted functions and their namespace refer to each other;
+        # emptying it once the program goes frees them by reference
+        # counting, not at the next full collection
+        weakref.finalize(program, self.ns.clear)
 
     def bind(self, value) -> str:
         """A global name for ``value`` in the emitted module."""

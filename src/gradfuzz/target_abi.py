@@ -83,7 +83,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import ne
 from typing import Iterator, Sequence, Union
 
@@ -199,13 +199,16 @@ ID, DIRECTION, VALUE, XOR_FLAG, NBYTES = range(5)
 
 
 def differing_positions(trace: Sequence[ConditionRecord],
-                        base: Sequence[ConditionRecord]) -> Iterator[int]:
-    """The positions, in increasing order and below the shorter length,
-    where the records of ``trace`` and ``base`` differ.  Records are
-    compared as tuples in C, so a walk over two traces that share most
-    records visits only the few that changed; the fields of two records
-    that compare equal compare equal too."""
-    return compress(count(), map(ne, trace, base))
+                        base: Sequence[ConditionRecord],
+                        start: int = 0) -> Iterator[int]:
+    """The positions from ``start`` on, in increasing order and below the
+    shorter length, where the records of ``trace`` and ``base`` differ.
+    Records are compared as tuples in C, so a walk over two traces that
+    share most records visits only the few that changed; the fields of
+    two records that compare equal compare equal too."""
+    if start:
+        trace, base = islice(trace, start, None), islice(base, start, None)
+    return compress(count(start), map(ne, trace, base))
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,6 +58,10 @@ def uid_covered(tree: ExecTree, uid: int) -> bool:
     return len(tree.uid_directions.get(uid, ())) == 2
 
 
+def id_covered(tree: ExecTree, node_id: ExecutionId) -> bool:
+    return len(tree.id_directions.get(node_id, ())) == 2
+
+
 def is_directly_input_dependent(node: TreeNode) -> bool:
     return node.sensitivity_done and bool(node.sensitive_bits)
 

@@ -160,6 +160,11 @@ class TestRecords:
         assert list(differing_positions(a, b)) == [1, 3]
         assert list(differing_positions(b[:2], a)) == [1]
         assert list(differing_positions((), a)) == []
+        # from a start position on
+        assert list(differing_positions(a, b, 1)) == [1, 3]
+        assert list(differing_positions(a, b, 2)) == [3]
+        assert list(differing_positions(a, b, 4)) == []
+        assert list(differing_positions(b[:2], a, 3)) == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradfuzz.exec_tree import (
     ExecTree,
@@ -27,8 +29,8 @@ from gradfuzz.target_abi import (
     wire_decode,
     wire_encode,
 )
-from helpers import condition_record, dump, is_directly_input_dependent, \
-    path_weight, traced_result, uid_covered
+from helpers import condition_record, dump, id_covered, \
+    is_directly_input_dependent, path_weight, traced_result, uid_covered
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -238,7 +240,7 @@ class TestMapTrace:
         tree.map_trace(result_for((record(1, False, 1.0, ctx=5),)))
         assert tree.root.covered
         assert uid_covered(tree, 1)
-        assert tree.id_covered((1, 5))
+        assert id_covered(tree, (1, 5))
 
     def test_coverage_spans_nodes_sharing_id(self):
         # two tree positions of the same execution id cover together
@@ -342,6 +344,244 @@ class TestMapTrace:
                 prev = highs.get(id(node), math.inf)
                 assert node.best_weight <= prev
                 highs[id(node)] = node.best_weight
+
+
+def assert_same_tree(a: ExecTree, b: ExecTree) -> None:
+    """``a`` and ``b``, built from the same results, hold the same nodes,
+    in the same order, with the same state, and saw the same pairs."""
+    assert a.max_nbytes == b.max_nbytes
+    assert a.id_directions == b.id_directions
+    assert a.uid_directions == b.uid_directions
+    assert ({rid: len(nodes) for rid, nodes in a.nodes_by_id.items()}
+            == {rid: len(nodes) for rid, nodes in b.nodes_by_id.items()})
+    assert ([(n.id, n.depth) for n in a.nodes]
+            == [(n.id, n.depth) for n in b.nodes])
+    pairs = [(a.root, b.root)]
+    while pairs:
+        x, y = pairs.pop()
+        assert (x is None) == (y is None)
+        if x is None:
+            continue
+        assert ((x.id, x.depth, x.seen, x.best_weight, x.height, x.covered)
+                == (y.id, y.depth, y.seen, y.best_weight, y.height,
+                    y.covered))
+        assert x.best is y.best
+        pairs += [(x.false_succ, y.false_succ), (x.true_succ, y.true_succ)]
+
+
+# a step of a synthetic target: direction, branching value, bytes read
+STEPS = st.tuples(st.booleans(),
+                  st.sampled_from((0.0, -0.0, 1.0, -2.5, 1e200, math.inf)),
+                  st.integers(0, 2))
+
+
+def synthetic_trace(steps, nbytes=0):
+    """The records of a deterministic synthetic target: the id at a
+    position is a function of the directions before it, shared by other
+    positions, so that ids repeat and get covered across the tree."""
+    records = []
+    taken = 0
+    for depth, (direction, value, read) in enumerate(steps):
+        nbytes += read
+        uid = 1 + (7 * depth + 3 * taken) % 5
+        records.append(record(uid, direction, value, nbytes=nbytes,
+                              ctx=depth % 2))
+        taken += direction
+    return tuple(records)
+
+
+def root_path(tree: ExecTree, trace) -> list[TreeNode]:
+    """The nodes a mapped ``trace`` runs through."""
+    node = tree.root
+    path = [node]
+    for rec in trace[:-1]:
+        node = node.true_succ if rec[1] else node.false_succ
+        path.append(node)
+    return path
+
+
+class TestAnchoredAndFreshWalks:
+    """The two shortcuts of ``map_trace``: a walk anchored past a prefix
+    the trace shares with a mapped trace, and the loop that builds the
+    nodes of a trace's fresh suffix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(history=st.lists(st.lists(STEPS, min_size=1, max_size=12),
+                            max_size=6),
+           base=st.lists(STEPS, min_size=1, max_size=12),
+           suffix=st.lists(STEPS, max_size=12),
+           data=st.data())
+    def test_an_anchored_walk_leaves_the_full_walks_tree(
+            self, history, base, suffix, data):
+        k = data.draw(st.integers(0, len(base) - 1))
+        results = [result_for(synthetic_trace(steps))
+                   for steps in history + [base]]
+        base_trace = results[-1].trace
+        # the trace repeats the base's first k records, then goes its own
+        # way; the synthetic target gives it the ids it must have
+        trace = synthetic_trace(base[:k] + suffix)
+        assert trace[:k] == base_trace[:k]
+        if not trace:
+            return
+        result = result_for(trace)
+        anchored, full = ExecTree(), ExecTree()
+        for tree in (anchored, full):
+            for mapped in results:
+                tree.map_trace(mapped)
+        weight = path_weight(base_trace, k - 1) if k else 0.0
+        new_pairs = anchored.map_trace(
+            result, (root_path(anchored, base_trace), k, weight))
+        assert new_pairs == full.map_trace(result)
+        assert_same_tree(anchored, full)
+
+    def test_a_trace_ending_one_record_after_leaving_the_tree(self):
+        tree = ExecTree()
+        tree.map_trace(result_for((record(1, True, 1.0),
+                                   record(2, True, 2.0, nbytes=2))))
+        result = result_for((record(1, True, 1.0),
+                             record(2, False, 2.0, nbytes=2),
+                             record(3, True, -3.0, nbytes=5)))
+        assert tree.map_trace(result) == [(2, False), (3, True)]
+        mid = tree.root.true_succ
+        leaf = mid.false_succ
+        assert mid.seen == 0b11 and mid.height == 2
+        assert tree.root.height == 2
+        assert (leaf.id, leaf.depth, leaf.seen, leaf.height) == (
+            (3, 0), 2, 0b10, 2)
+        assert leaf.best is result and leaf.best_weight == 14.0
+        assert leaf.false_succ is leaf.true_succ is None
+        assert not leaf.covered
+        assert tree.nodes[-1] is leaf and tree.nodes_by_id[(3, 0)] == [leaf]
+        assert tree.max_nbytes == 5
+
+    def test_a_fresh_infinite_value_keeps_infinite_weights(self):
+        tree = ExecTree()
+        tree.map_trace(result_for((record(1, True, 1.0),)))
+        result = result_for((record(1, False, 1.0), record(2, True, math.inf),
+                             record(3, True, 0.0)))
+        tree.map_trace(result)
+        first = tree.root.false_succ
+        second = first.true_succ
+        for node in (first, second):
+            assert node.best_weight == math.inf and node.best is result
+        # the first finite weight there replaces it
+        lighter = result_for((record(1, False, 1.0), record(2, True, 1.0)))
+        tree.map_trace(lighter)
+        assert first.best_weight == 2.0 and first.best is lighter
+        assert second.best is result
+
+    def test_a_fresh_record_of_a_covered_id(self):
+        tree = ExecTree()
+        tree.map_trace(result_for((record(1, True, 1.0),
+                                   record(2, True, 1.0))))
+        tree.map_trace(result_for((record(1, True, 1.0),
+                                   record(2, False, 1.0))))
+        assert id_covered(tree, (2, 0))
+        # a fresh node of the covered id is covered when it is built, and
+        # the record it maps shows nothing new
+        new_pairs = tree.map_trace(result_for((record(1, False, 1.0),
+                                               record(2, True, 1.0))))
+        assert new_pairs == [(1, False)]
+        fresh = tree.root.false_succ
+        assert fresh.covered
+        assert tree.nodes_by_id[(2, 0)][-1] is fresh
+        assert all(node.covered for node in tree.nodes_by_id[(2, 0)])
+
+    def test_a_fresh_suffix_covers_its_own_repeated_id(self):
+        # the suffix's second record of id 2 covers it, and with it the
+        # suffix's first node of that id
+        tree = ExecTree()
+        tree.map_trace(result_for((record(1, True, 1.0),)))
+        tree.map_trace(result_for((record(1, False, 1.0),
+                                   record(2, True, 1.0),
+                                   record(2, False, 1.0),
+                                   record(3, True, 1.0))))
+        first = tree.root.false_succ
+        second = first.true_succ
+        assert first.covered and second.covered
+        assert not second.false_succ.covered
+
+
+class TestSessionAnchor:
+    """``SensitivitySession.anchor`` places the walk of a flip's trace
+    only past a prefix it has compared with the path's."""
+
+    DEPTH = 40  # records on the path, one byte read before each
+
+    def setup_method(self):
+        self.base = tuple(record(i + 1, True, 1.0, nbytes=i + 1)
+                          for i in range(self.DEPTH))
+        first = self.result(self.base)
+        self.tree, self.full = ExecTree(), ExecTree()
+        self.tree.map_trace(first)
+        self.full.map_trace(first)
+        deepest = self.tree.nodes[-1]
+        self.session = SensitivitySession(self.tree.path(deepest))
+        assert self.session.anchored
+        # pend the first flip of byte 20: the path's first 20 records
+        # were read before it
+        while self.session.next_input()[20] == 0:
+            self.session.feed(self.result(self.base))
+
+    def result(self, trace):
+        return result_for(trace, data=bytes(self.DEPTH),
+                          tags=(TypeTag.UINT8,) * self.DEPTH)
+
+    def changed(self, position, uid=None, direction=True, value=1.0):
+        """The path's records, with the one at ``position`` changed."""
+        trace = list(self.base)
+        trace[position] = record(uid or position + 1, direction, value,
+                                 nbytes=position + 1)
+        return trace
+
+    def test_a_repeated_prefix_anchors_the_walk(self):
+        trace = tuple(self.changed(25, value=3.0))
+        anchor = self.session.anchor(trace)
+        assert anchor is not None
+        path, k, weight = anchor
+        assert path == self.session.path_nodes and k == 20
+        assert weight == path_weight(self.base, 19)
+        result = self.result(trace)
+        assert (self.tree.map_trace(result, anchor)
+                == self.full.map_trace(result))
+        assert_same_tree(self.tree, self.full)
+        self.session.feed(result)
+        assert self.session.raw_marks == {25: {160}}
+
+    def test_an_id_changed_in_the_prefix_fails_as_the_full_walk(self):
+        trace = tuple(self.changed(5, uid=99))
+        assert self.session.anchor(trace) is None
+        message = ("trace record 5 has id (99, 0), tree node has (6, 0); "
+                   "target looks nondeterministic")
+        with pytest.raises(TreeMappingError, match=re.escape(message)):
+            self.tree.map_trace(self.result(trace), None)
+
+    def test_a_value_changed_in_the_prefix_walks_the_whole_trace(self):
+        trace = tuple(self.changed(5, value=3.0))
+        assert self.session.anchor(trace) is None
+        result = self.result(trace)
+        assert (self.tree.map_trace(result, None)
+                == self.full.map_trace(result))
+        assert_same_tree(self.tree, self.full)
+
+    def test_feed_walks_from_the_start_without_a_verified_prefix(self):
+        # the trace leaves the path at record 5, so the change at 25 marks
+        # nothing; a walk from k = 20 would mark it
+        trace = self.changed(5, direction=False)
+        trace[25] = self.changed(25, value=3.0)[25]
+        leaving = self.result(tuple(trace))
+        self.tree.map_trace(leaving)
+        # after a flip whose trace was anchored, another one comes from
+        # the read-prefix memo, which maps nothing
+        self.session.anchor(self.base)
+        self.session.feed(self.result(self.base))
+        self.session.next_input()
+        self.session.feed(leaving)
+        # and one whose prefix fails the comparison
+        self.session.next_input()
+        assert self.session.anchor(leaving.trace) is None
+        self.session.feed(leaving)
+        assert self.session.raw_marks == {}
 
 
 def test_sensitivity_finish_leaves_other_nodes_bits_alone():

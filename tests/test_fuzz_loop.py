@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -901,6 +902,7 @@ class ScriptedSession:
 
     kind = AnalysisKind.SENSITIVITY
     achieving_input = None
+    anchored = False
 
     def __init__(self, inputs):
         self.inputs = list(inputs)
@@ -1293,9 +1295,9 @@ def bench_engine(program, seed, max_executions, executor=None):
 class TestFreedByReferenceCounting:
     """A finished campaign holds no reference cycle: the tree's successor
     slots are its only links, and a session that leaves the loop closes
-    its coroutine, whose frame refers back to the session.  The program
-    outlives the engines that fuzz it (a compiled program with calls is
-    a cycle of its own)."""
+    its coroutine, whose frame refers back to the session.  A compiled
+    program goes the same way: its emitted functions refer back to their
+    namespace, which is emptied once the program is freed."""
 
     # scanner stops mid-session at 600 executions, parser fuzzes to
     # completion well below 20,000
@@ -1317,6 +1319,21 @@ class TestFreedByReferenceCounting:
                     lambda: bench_engine(program, 5, budget, remote))
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("name", ["scanner.mc", "parser.mc"])
+    def test_a_dropped_program(self, name):
+        program = bench_program(name)
+        execute(program, VmLimits().config(0, b""))
+        entry = weakref.ref(program.compiled)
+        gc.collect()
+        gc.disable()
+        try:
+            del program
+            alive = entry() is not None
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert (alive, found) == (False, 0)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(4))
