@@ -20,7 +20,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Optional
 
-from ..exec_tree import TreeNode
+from ..exec_tree import MIN_COMPARED_REST, TreeNode
 from ..target_abi import (
     NBYTES,
     VALUE,
@@ -126,7 +126,11 @@ class SensitivitySession(AnalysisSession):
         record equal to the path's has the path's value: no marks), from
         the prefix ``anchor`` verified, if it did.  It stops where the
         trace leaves the path: before a record with another id, and
-        after one with another direction."""
+        after one with another direction.  It also stops after the first
+        differing record that keeps to the path, if the trace's records
+        after it up to the path's length equal the path's: one
+        comparison of at least ``MIN_COMPARED_REST`` records (a path
+        that long is ``anchored``) shows that no later record differs."""
         if self._pending is None:
             raise RuntimeError("no input pending")
         self._pending = None
@@ -137,6 +141,7 @@ class SensitivitySession(AnalysisSession):
                  else self.raw_marks)
         trace = result.trace
         base = self.base_trace
+        compare = len(base) - start > MIN_COMPARED_REST
         for k in differing_positions(trace, base, start):
             rid, direction, value, _, _ = trace[k]
             path_id, path_direction, path_value, _, nbytes = base[k]
@@ -150,6 +155,11 @@ class SensitivitySession(AnalysisSession):
                         bucket.add(s)
             if direction != path_direction:
                 break
+            if compare:
+                compare = False
+                if (len(base) - k > MIN_COMPARED_REST
+                        and trace[k + 1:len(base)] == base[k + 1:]):
+                    break
 
     def finish(self) -> list[TreeNode]:
         """Widen and publish marks; flags every examined path node."""

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 
-from gradfuzz.exec_tree import ExecTree, TreeNode
+from gradfuzz.exec_tree import ExecTree, TreeMappingError, TreeNode
 from gradfuzz.minivm import VmLimits, execute, parse_program
 from gradfuzz.target_abi import (
     CTX,
+    NBYTES,
     UID,
     VALUE,
     ConditionRecord,
@@ -60,6 +61,57 @@ def uid_covered(tree: ExecTree, uid: int) -> bool:
 
 def id_covered(tree: ExecTree, node_id: ExecutionId) -> bool:
     return len(tree.id_directions.get(node_id, ())) == 2
+
+
+def reference_map_trace(tree: ExecTree, result: ExecutionResult
+                        ) -> list[tuple[int, bool]]:
+    """``ExecTree.map_trace`` as one walk over every record: each record
+    is id-checked against its node, or builds it, and compared with the
+    node's best, with no anchor and no comparison of the trace's rest.
+    Nodes of an id not yet covered are listed in ``tree.nodes_by_id``
+    until it is."""
+    new_pairs: list[tuple[int, bool]] = []
+    trace = result.trace
+    tree.max_nbytes = max([tree.max_nbytes]
+                          + [record[NBYTES] for record in trace])
+    node, parent, taken = tree.root, None, False
+    weight = 0.0
+    for depth, (rid, direction, value, _, _) in enumerate(trace):
+        if node is None:
+            node = TreeNode(rid, depth, result)
+            tree.nodes.append(node)
+            if parent is None:
+                tree.root = node
+            elif taken:
+                parent.true_succ = node
+            else:
+                parent.false_succ = node
+            if id_covered(tree, rid):
+                node.covered = True
+            else:
+                tree.nodes_by_id.setdefault(rid, []).append(node)
+        elif node.id != rid:
+            raise TreeMappingError(
+                f"trace record {depth} has id {rid}, tree node has "
+                f"{node.id}; target looks nondeterministic")
+        uid_dirs = tree.uid_directions.setdefault(rid[UID], set())
+        if direction not in uid_dirs:
+            uid_dirs.add(direction)
+            new_pairs.append((rid[UID], direction))
+        id_dirs = tree.id_directions.setdefault(rid, set())
+        id_dirs.add(direction)
+        if len(id_dirs) == 2:
+            for same_id in tree.nodes_by_id.pop(rid, ()):
+                same_id.covered = True
+        weight += value * value
+        if weight < node.best_weight:
+            node.best_weight = weight
+            node.best = result
+        node.height = max(node.height, len(trace) - 1)
+        node.seen |= 1 << direction
+        parent, taken = node, direction
+        node = node.true_succ if direction else node.false_succ
+    return new_pairs
 
 
 def is_directly_input_dependent(node: TreeNode) -> bool:

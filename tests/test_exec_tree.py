@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradfuzz.exec_tree import (
+    MIN_COMPARED_REST,
     ExecTree,
     TreeMappingError,
     TreeNode,
@@ -30,7 +31,8 @@ from gradfuzz.target_abi import (
     wire_encode,
 )
 from helpers import condition_record, dump, id_covered, \
-    is_directly_input_dependent, path_weight, traced_result, uid_covered
+    is_directly_input_dependent, path_weight, reference_map_trace, \
+    traced_result, uid_covered
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -370,9 +372,8 @@ def assert_same_tree(a: ExecTree, b: ExecTree) -> None:
 
 
 # a step of a synthetic target: direction, branching value, bytes read
-STEPS = st.tuples(st.booleans(),
-                  st.sampled_from((0.0, -0.0, 1.0, -2.5, 1e200, math.inf)),
-                  st.integers(0, 2))
+VALUES = st.sampled_from((0.0, -0.0, 1.0, -2.5, 1e200, math.inf))
+STEPS = st.tuples(st.booleans(), VALUES, st.integers(0, 2))
 
 
 def synthetic_trace(steps, nbytes=0):
@@ -483,9 +484,10 @@ class TestAnchoredAndFreshWalks:
                                                record(2, True, 1.0))))
         assert new_pairs == [(1, False)]
         fresh = tree.root.false_succ
-        assert fresh.covered
-        assert tree.nodes_by_id[(2, 0)][-1] is fresh
-        assert all(node.covered for node in tree.nodes_by_id[(2, 0)])
+        assert fresh.covered and tree.nodes[-1] is fresh
+        # the tree lists the nodes of uncovered ids only
+        assert (2, 0) not in tree.nodes_by_id
+        assert all(node.covered for node in tree.nodes if node.id == (2, 0))
 
     def test_a_fresh_suffix_covers_its_own_repeated_id(self):
         # the suffix's second record of id 2 covers it, and with it the
@@ -500,6 +502,149 @@ class TestAnchoredAndFreshWalks:
         second = first.true_succ
         assert first.covered and second.covered
         assert not second.false_succ.covered
+
+
+class CountedTrace(tuple):
+    """A trace that counts the records iterating over it hands out."""
+
+    read = 0
+
+    def __iter__(self):
+        for rec in tuple.__iter__(self):
+            self.read += 1
+            yield rec
+
+
+def counted_result(trace) -> ExecutionResult:
+    """``result_for(trace)``, keeping its trace a ``CountedTrace``."""
+    return ExecutionResult(TerminationKind.NORMAL, b"\x00",
+                           (TypeTag.UINT8,), CountedTrace(trace))
+
+
+class TestRestComparison:
+    """``map_trace`` stops at the first node past the walk's start that
+    keeps its best, when the trace's rest equals that best's rest: one
+    comparison replaces the walk, and the tree is the reference walk's."""
+
+    LENGTH = MIN_COMPARED_REST + 4
+
+    def trace(self, head, tail=1.0, length=LENGTH):
+        """A chain of ``length`` records going true: the first has value
+        ``head``, the others ``tail``."""
+        return tuple(
+            record(i + 1, True, head if i == 0 else tail, nbytes=i + 1)
+            for i in range(length))
+
+    def map_both(self, *traces):
+        """Map ``traces`` onto a tree and onto the reference's; returns
+        the tree, the last result, its new pairs and the number of its
+        records the tree's walk read."""
+        tree, reference = ExecTree(), ExecTree()
+        for trace in traces:
+            result = counted_result(trace)
+            new_pairs = tree.map_trace(result)
+            read = result.trace.read
+            assert new_pairs == reference_map_trace(reference, result)
+        assert_same_tree(tree, reference)
+        return tree, result, new_pairs, read
+
+    @settings(max_examples=300, deadline=None)
+    @given(tails=st.lists(st.lists(STEPS, min_size=MIN_COMPARED_REST + 1,
+                                   max_size=MIN_COMPARED_REST + 8),
+                          min_size=1, max_size=3),
+           traces=st.lists(st.tuples(
+               st.lists(st.tuples(st.booleans(), VALUES, st.just(1)),
+                        max_size=3),
+               st.integers(0, 2), st.booleans()), min_size=1, max_size=8),
+           data=st.data())
+    def test_traces_sharing_long_tails_leave_the_reference_tree(
+            self, tails, traces, data):
+        tree, reference = ExecTree(), ExecTree()
+        mapped = []
+        for head, which, anchored in traces:
+            # a head of one-byte reads: traces with equal head directions
+            # reach the same node with equal rests
+            trace = synthetic_trace(head + tails[which % len(tails)])
+            result = result_for(trace)
+            anchor = None
+            if anchored and mapped:
+                base = data.draw(st.sampled_from(mapped))
+                shared = next((i for i, (a, b) in enumerate(zip(trace, base))
+                               if a != b), min(len(trace), len(base)))
+                k = data.draw(st.integers(0, min(shared, len(base) - 1)))
+                weight = path_weight(base, k - 1) if k else 0.0
+                anchor = (root_path(tree, base), k, weight)
+            assert (tree.map_trace(result, anchor)
+                    == reference_map_trace(reference, result))
+            assert_same_tree(tree, reference)
+            mapped.append(trace)
+
+    def test_a_lighter_prefix_rebinds_every_best(self):
+        tree, lighter, _, read = self.map_both(self.trace(3.0),
+                                               self.trace(1.0))
+        assert read == self.LENGTH
+        assert all(node.best is lighter for node in tree.nodes)
+
+    @pytest.mark.parametrize("head", [3.0, -3.0, 4.0])
+    def test_a_rest_equal_at_no_lighter_weight_is_not_walked(self, head):
+        tree, _, new_pairs, read = self.map_both(self.trace(3.0),
+                                                 self.trace(head))
+        # the root starts the walk; the node after it compares the rest
+        assert read == 2 and new_pairs == []
+        first = tree.root.best
+        assert tree.root.value == 3.0
+        assert all(node.best is first for node in tree.nodes)
+
+    @pytest.mark.parametrize("length", [LENGTH - 1, LENGTH + 1])
+    def test_a_shorter_or_longer_trace_is_walked(self, length):
+        tree, _, new_pairs, read = self.map_both(
+            self.trace(3.0), self.trace(4.0, length=length))
+        assert read >= length
+        assert len(tree.nodes) == max(length, self.LENGTH)
+        assert new_pairs == ([(length, True)] if length > self.LENGTH
+                             else [])
+
+    def test_another_direction_at_the_compared_node_is_walked(self):
+        # the record after the root keeps its id and takes the other way:
+        # the rest after it, equal to the best's, maps onto new nodes
+        trace = list(self.trace(4.0))
+        trace[1] = record(2, False, 1.0, nbytes=2)
+        tree, _, new_pairs, _ = self.map_both(self.trace(3.0), trace)
+        assert new_pairs == [(2, False)]
+        assert len(tree.nodes) == 2 * self.LENGTH - 2
+
+    @pytest.mark.parametrize("rest", [MIN_COMPARED_REST,
+                                      MIN_COMPARED_REST - 1])
+    def test_only_a_long_rest_is_compared(self, rest):
+        # the node past the root has ``rest`` records after it
+        tree = ExecTree()
+        tree.map_trace(counted_result(self.trace(3.0, length=rest + 2)))
+        again = counted_result(self.trace(4.0, length=rest + 2))
+        tree.map_trace(again)
+        walked = 2 if rest >= MIN_COMPARED_REST else rest + 2
+        assert again.trace.read == walked
+
+    def test_an_id_changed_in_the_rest_fails_as_the_reference(self):
+        tree, reference = ExecTree(), ExecTree()
+        first = counted_result(self.trace(3.0))
+        tree.map_trace(first)
+        reference_map_trace(reference, first)
+        trace = list(self.trace(4.0))
+        trace[10] = record(99, True, 1.0, nbytes=11)
+        message = ("trace record 10 has id (99, 0), tree node has (11, 0); "
+                   "target looks nondeterministic")
+        for mapping in (tree.map_trace,
+                        lambda result: reference_map_trace(reference,
+                                                           result)):
+            with pytest.raises(TreeMappingError, match=re.escape(message)):
+                mapping(counted_result(trace))
+
+    def test_negative_zero_in_the_rest_leaves_the_reference_tree(self):
+        tree, _, _, read = self.map_both(self.trace(3.0, tail=0.0),
+                                         self.trace(4.0, tail=-0.0))
+        assert read == 2
+        first = tree.root.best
+        assert all(node.best is first for node in tree.nodes)
 
 
 class TestSessionAnchor:

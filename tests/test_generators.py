@@ -5,7 +5,11 @@ from pathlib import Path
 import numpy
 import pytest
 
-from gradfuzz.exec_tree import ExecTree, is_indirectly_input_dependent
+from gradfuzz.exec_tree import (
+    MIN_COMPARED_REST,
+    ExecTree,
+    is_indirectly_input_dependent,
+)
 from gradfuzz.fuzz_loop import FuzzBudget, FuzzOptions, run_fuzzing
 from gradfuzz.generators import (
     AnalysisSession,
@@ -829,10 +833,10 @@ class TestWalksOverChangedRecords:
             rng.random() < 0.5, rng.choice(self.VALUES),
             rng.random() < 0.5, nbytes)
 
-    def _base_trace(self, rng):
+    def _base_trace(self, rng, shortest, longest):
         records = []
         nbytes = 0
-        for _ in range(rng.randrange(1, 16)):
+        for _ in range(rng.randrange(shortest, longest + 1)):
             nbytes += rng.randrange(0, 2)
             records.append(self._random_record(rng, nbytes))
         return records
@@ -871,28 +875,64 @@ class TestWalksOverChangedRecords:
 
     def test_against_the_record_loops(self):
         rng = random.Random(13)
-        for _ in range(60):
-            full = self._base_trace(rng)
+        # paths of up to 15 records, then paths long enough for an
+        # anchored session to compare the rest of a trace in one go
+        longer = MIN_COMPARED_REST + 2
+        for shortest, longest in [(1, 15)] * 60 + [(longer, 3 * longer)] * 60:
+            full = self._base_trace(rng, shortest, longest)
             tree = ExecTree()
             tree.map_trace(_result(full))
             node = tree.root
             for direction in [r[DIRECTION] for r in full[
-                    :rng.randrange(len(full))]]:
+                    :rng.randrange(shortest - 1, len(full))]]:
                 node = node.true_succ if direction else node.false_succ
             session = SensitivitySession(tree.path(node))
             base = session.base_trace
+            assert session.anchored or shortest == 1
+            bits = 24 if shortest == 1 else 8 * full[-1][NBYTES] + 8
             raw, region = {}, {}
             for _ in range(40):
                 trace = self._mutated(rng, full)
                 assert (session.prefix_agreement(trace)
                         == _loop_prefix_agreement(trace, base))
                 is_region = rng.random() < 0.3
-                candidates = rng.sample(range(24), rng.randrange(1, 5))
+                candidates = rng.sample(range(bits), rng.randrange(1, 5))
                 session._candidate_bits = candidates
                 session._candidate_is_region = is_region
                 session._pending = b""
-                session.feed(_result(trace))
+                result = _result(trace)
+                if session.anchored:
+                    session.anchor(result.trace)
+                session.feed(result)
                 _loop_apply_marks(region if is_region else raw, candidates,
                                   trace, base)
                 assert session.raw_marks == raw
                 assert session.region_marks == region
+
+    def test_a_flip_changing_two_records_marks_both(self):
+        full = [condition_record((1 + i % 3, 0), True, 1.0, False, i + 1)
+                for i in range(3 * MIN_COMPARED_REST)]
+        tree = ExecTree()
+        tree.map_trace(_result(full))
+        session = SensitivitySession(tree.path(tree.nodes[-1]))
+        assert session.anchored
+        far = len(full) - 2
+        # one changed record, two far apart, two next to each other
+        for changed in ((3,), (3, far), (3, 4)):
+            marks = {p: {16} for p in changed}
+            trace = list(full)
+            for p in changed:
+                trace[p] = condition_record(trace[p][ID], True, 2.0, False,
+                                            trace[p][NBYTES])
+            session.raw_marks = {}
+            # a flip of bit 16, in byte 2: the path's first two records
+            # were read before it
+            session._candidate_bits = [16]
+            session._pending = b""
+            result = _result(trace)
+            assert session.anchor(result.trace)[1] == 2
+            session.feed(result)
+            assert session.raw_marks == marks
+            loop_marks = {}
+            _loop_apply_marks(loop_marks, [16], trace, full)
+            assert loop_marks == marks
