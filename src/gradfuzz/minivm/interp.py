@@ -7,9 +7,10 @@ Python source with one function per ``.mc`` function, compiled with
 expressions are flattened into one temporary per node, with wrap masks,
 numeric conversions and records written inline; float literals are named
 constants, never source text.  The run state (steps, budget, bytes
-consumed, the trace and its cap, the input) lives in locals too; steps
-and bytes consumed are written back to the run object before each call
-and on return, and reloaded after each call.  A statement nested too
+consumed, the trace and its cap, the input, the record ids ``e<k>``)
+lives in locals too; steps and bytes consumed are written back to the
+run object before each call and on return, and reloaded after each
+call.  A statement nested too
 deep for one Python function (CPython allows 20 nested loops) becomes a
 nested function sharing the locals as ``nonlocal``.
 
@@ -36,6 +37,13 @@ steps of adjacent nodes and comes before the next check, branch, call or
 return.  The budget is checked before every observable event (a record, a
 read, a call, a crash) and on every loop iteration, so a run ends with
 the same termination and trace as a check at every node would give.
+The trace cap is checked before every call and on the back edge of every
+loop that can record; ``execute`` cuts a run that went past it back to
+its record ``cap``, which, with the step check before every record,
+stands where a check at every record would have raised.  The input cap
+is the end of ``data``: only reads index it, so ``execute`` reports
+their ``IndexError`` and ``struct.error`` as the boundary, and a read is
+tagged after it succeeds.
 
 Each target call costs a Python frame, and one more per outlined
 statement.  Importing the interpreter raises Python's recursion limit to
@@ -46,15 +54,18 @@ Python frame also takes C stack, overflows a default 8 MB stack.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from ..target_abi import (
     _CAPS,
     DEFAULT_CONTEXT_DEPTH,
     FNV32_BASIS,
+    NBYTES,
     ExecutionConfig,
     ExecutionResult,
     TerminationKind,
@@ -144,22 +155,20 @@ def _int_quot(left: int, right: int) -> int:
 class _Run:
     """Mutable state of one execution that outlives a function call."""
 
-    __slots__ = ("steps", "budget", "data", "max_input", "consumed",
-                 "tags", "tag", "trace", "append", "max_trace", "max_stack")
+    __slots__ = ("steps", "budget", "data", "consumed", "tags", "trace",
+                 "max_trace", "max_stack")
 
     def __init__(self, config: ExecutionConfig):
         self.steps = 0
         self.budget = config.step_budget
-        self.max_input = config.max_input_bytes
         # reads past the provided input continue with the fill byte
         self.data = config.input_bytes + bytes((config.fill_byte,)) * (
-            self.max_input - len(config.input_bytes))
+            config.max_input_bytes - len(config.input_bytes))
         self.consumed = 0
         self.tags = []
-        self.tag = self.tags.append
         self.trace = []
-        self.append = self.trace.append
-        self.max_trace = config.max_trace_length
+        # a negative cap stops a run where 0 does: at its first record
+        self.max_trace = max(config.max_trace_length, 0)
         self.max_stack = config.max_stack_size
 
 
@@ -217,7 +226,8 @@ class _Emitter:
         source = []
         for fn in program.functions.values():
             source += self.function(fn)
-        exec(compile("\n".join(source), "<minivm>", "exec"), self.ns)
+        self.source = "\n".join(source)
+        exec(compile(self.source, "<minivm>", "exec"), self.ns)
         self.entry = self.ns["f_main"]
         # the emitted functions and their namespace refer to each other;
         # emptying it once the program goes frees them by reference
@@ -252,8 +262,9 @@ class _Emitter:
         self.pending = 0
         self.dirty = False
         self.ntemps = 0
-        self.sites: list[int] = []    # record uids, by index into E
-        self.uses: set[str] = set()   # "record", "call", "xor"
+        self.sites: list[int] = []    # record uids, by id local e<k>
+        self.calls = 0
+        self.uses: set[str] = set()   # "record", "call", "cap", "xor"
         self.nested: list[tuple[str, list[str]]] = []
         self.outlined = False
         nodes = list(_nodes(fn.body))
@@ -272,15 +283,15 @@ class _Emitter:
                 "    steps = run.steps", "    budget = run.budget"]
         consumes = self.reads or bool(self.uses & {"record", "call"})
         head += ["    consumed = run.consumed"] * consumes
+        head += ["    trace = run.trace"] * bool(self.uses & {"record", "cap"})
         if "record" in self.uses:
             sites = tuple(self.sites)
             ids = self.bind(_Memo(lambda ctx: tuple(
                 (uid, ctx) for uid in sites)))
-            head += ["    trace = run.trace", "    append = run.append",
-                     "    cap = run.max_trace", f"    E = {ids}[ctx]"]
-        if self.reads:
-            head += ["    data = run.data", "    max_input = run.max_input",
-                     "    tag = run.tag"]
+            head.append("    " + "".join(f"e{k}, " for k in range(len(sites)))
+                        + f"= {ids}[ctx]")
+        head += ["    cap = run.max_trace"] * ("cap" in self.uses)
+        head += ["    data = run.data", "    tags = run.tags"] * self.reads
         head += ["    max_stack = run.max_stack"] * ("call" in self.uses)
         if self.nested:
             shared = ["steps"]
@@ -349,12 +360,16 @@ class _Emitter:
             self.flush()
             self.line("while True:")
             self.indent += 1
+            events = len(self.sites), self.calls
             test, exit_dirty = self.condition(stmt)
             self.line(f"if not {test}: break")
             self.stmt(stmt.body)
             self.flush()
             self.clear_xor()
             self.line("if steps > budget: raise _Timeout")
+            if (len(self.sites), self.calls) != events:  # it can record
+                self.uses.add("cap")
+                self.line("if len(trace) > cap: raise _Boundary")
             self.indent -= 1
             # the loop ends at the break, with xor as the condition left it
             self.dirty = exit_dirty
@@ -429,9 +444,8 @@ class _Emitter:
         if is_float:  # NaN becomes +inf, see target_abi; ints are finite
             self.line(f"if {value} != {value}: {value} = _INF")
         self.line("if steps > budget: raise _Timeout")
-        self.line("if len(trace) >= cap: raise _Boundary")
         xor = "xor" if self.dirty else "False"
-        self.line(f"append((E[{len(self.sites) - 1}], {direction}, "
+        self.line(f"trace.append((e{len(self.sites) - 1}, {direction}, "
                   f"{value}, {xor}, consumed))")
 
     def read(self, ty: Type) -> _Val:
@@ -439,8 +453,6 @@ class _Emitter:
         tag = TYPE_TAGS[ty]
         width = tag.byte_width
         self.line("if steps > budget: raise _Timeout")
-        self.line(f"if consumed > max_input - {width}: raise _Boundary")
-        self.line(f"tag({self.bind(tag)})")
         if ty is BOOL:
             value = self.temp("data[consumed] != 0")
         elif width == 1 and not ty.signed:
@@ -448,6 +460,7 @@ class _Emitter:
         else:
             unpack = self.bind(tag.codec.unpack_from)
             value = self.temp(f"{unpack}(data, consumed)[0]")
+        self.line(f"tags.append({self.bind(tag)})")
         self.line(f"consumed += {width}")
         return self.typed(value, ty)
 
@@ -457,11 +470,13 @@ class _Emitter:
                 for arg, conv_uid, (_, ptype)
                 in zip(expr.args, expr.arg_conv_uids, fn.params)]
         self.flush()
-        self.uses.add("call")
+        self.uses |= {"call", "cap"}
+        self.calls += 1
         site = expr.site_uid
         pushes = self.bind(_Memo(lambda ctx: context_hash_push(ctx, site)))
         self.line("if steps > budget: raise _Timeout")
-        self.line("if depth >= max_stack: raise _Boundary")
+        self.line("if depth >= max_stack or len(trace) > cap: "
+                  "raise _Boundary")
         self.line(self.sync())
         child = self.temp(f"{pushes}[ctx] if depth <= "
                           f"{DEFAULT_CONTEXT_DEPTH} else ctx")
@@ -593,7 +608,8 @@ class _Emitter:
                 self.record(expr.cmp_uid, taken, self.temp(f"{x} - {y}"),
                             True)
             elif ty.bits <= 32:  # the difference is exact in a double
-                self.record(expr.cmp_uid, taken, f"{x} - {y} + 0.0")
+                y = repr(float(b.lo)) if b.lo == b.hi else f"{y} + 0.0"
+                self.record(expr.cmp_uid, taken, f"{x} - {y}")
             else:
                 self.record(expr.cmp_uid, taken,
                             f"float({x}) - float({y})")
@@ -654,7 +670,9 @@ class _Emitter:
 _STOPS = {_Crash: TerminationKind.CRASH,
           _Boundary: TerminationKind.BOUNDARY_CONDITION_VIOLATION,
           _Timeout: TerminationKind.TIMEOUT,
-          RecursionError: TerminationKind.CRASH}
+          RecursionError: TerminationKind.CRASH,
+          IndexError: TerminationKind.BOUNDARY_CONDITION_VIOLATION,
+          struct.error: TerminationKind.BOUNDARY_CONDITION_VIOLATION}
 
 # the frame ceiling for deep target recursion (see the module docstring)
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
@@ -662,7 +680,8 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
 
 def execute(program: Program, config: ExecutionConfig) -> ExecutionResult:
     """Run the program on the config's input; always terminates.  The
-    program is compiled on its first execution."""
+    program is compiled on its first execution; a run past its trace cap
+    is cut back to the cap (see the module docstring)."""
     entry = program.compiled
     if entry is None:
         entry = program.compiled = _Emitter(program).entry
@@ -672,10 +691,17 @@ def execute(program: Program, config: ExecutionConfig) -> ExecutionResult:
         termination = (TerminationKind.TIMEOUT if run.steps > run.budget
                        else TerminationKind.NORMAL)
         consumed = run.consumed
-    except (_Crash, _Boundary, _Timeout, RecursionError) as stop:
+    except tuple(_STOPS) as stop:
         termination = _STOPS[type(stop)]
         # run.consumed lags behind the raising function; every read is
         # tagged
         consumed = sum(tag.byte_width for tag in run.tags)
-    return ExecutionResult(termination, run.data[:consumed], tuple(run.tags),
-                           tuple(run.trace))
+    trace, tags, cap = run.trace, run.tags, run.max_trace
+    if len(trace) > cap:
+        termination = TerminationKind.BOUNDARY_CONDITION_VIOLATION
+        consumed = trace[cap][NBYTES]
+        trace = trace[:cap]
+        widths = accumulate((tag.byte_width for tag in tags), initial=0)
+        tags = tags[:list(widths).index(consumed)]
+    return ExecutionResult(termination, run.data[:consumed], tuple(tags),
+                           tuple(trace))

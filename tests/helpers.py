@@ -1,12 +1,13 @@
-"""Shared test drivers and oracles: execute programs, map traces, run
-sessions, generate random wire messages, reference loop detection, and
-inspect trees."""
+"""Shared test drivers and oracles: execute programs, read the source
+they compile to, map traces, run sessions, generate random wire messages,
+reference loop detection, and inspect trees."""
 from __future__ import annotations
 
 import math
 
 from gradfuzz.exec_tree import ExecTree, TreeMappingError, TreeNode
 from gradfuzz.minivm import VmLimits, execute, parse_program
+from gradfuzz.minivm.interp import _Emitter
 from gradfuzz.target_abi import (
     CTX,
     NBYTES,
@@ -31,6 +32,11 @@ def condition_record(id: ExecutionId, direction: bool, value: float,
     if value != value:
         value = math.inf
     return (id, direction, value, xor_flag, nbytes)
+
+
+def emitted_source(program) -> str:
+    """The Python source the interpreter compiles ``program`` to."""
+    return _Emitter(program).source
 
 
 def flip_bit(data: bytearray, index: int) -> None:

@@ -436,6 +436,25 @@ def test_every_step_budget(name):
                                | set(range(max(end - 100, 1), end + 1))))
 
 
+@pytest.mark.parametrize("name", sorted(EDGE_TARGETS))
+def test_every_trace_and_input_cap(name):
+    """A trace cap that stops the run at any record, and an input cap that
+    stops it at any read: every trace cap up to one past the full run's
+    trace length (from -1, which acts as 0), and every input cap from the
+    input's length to one past the bytes the full run reads (spin's full
+    run here is a timeout)."""
+    run = DifferentialExecutor(parse_program(EDGE_TARGETS[name]))
+    data = FULL_RUN_INPUTS[name]
+    limits = VmLimits(1000, 64, 512,
+                      20_000 if name in LONG_TARGETS else 5_000)
+    for fill in (0, 85):
+        full = run(limits.config(fill, data))
+        for cap in range(-1, len(full.trace) + 2):
+            run(replace(limits.config(fill, data), max_trace_length=cap))
+        for cap in range(len(data), len(full.bytes_read) + 2):
+            run(replace(limits.config(fill, data), max_input_bytes=cap))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["nested_ifs", "deep_expression",
                                   *LONG_TARGETS])

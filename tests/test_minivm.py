@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradfuzz.minivm import ParseError, VmLimits, execute, parse_program
+import reference_interp
+from gradfuzz.minivm import (
+    ParseError,
+    VmLimits,
+    execute,
+    interp,
+    parse_program,
+)
 from gradfuzz.target_abi import (
     DIRECTION,
     CTX,
@@ -22,7 +29,10 @@ from gradfuzz.target_abi import (
     TerminationKind,
     TypeTag,
 )
+from helpers import emitted_source
 from reference_interp import branching_value
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LIMITS = VmLimits(max_trace_length=1000, max_stack_size=64,
                   max_input_bytes=512, step_budget=200_000)
@@ -284,6 +294,105 @@ class TestExecute:
     def test_modulo_by_zero_crashes(self):
         src = "int main(){ int x = nondet_int(); int y = 7 % x; return 0; }"
         assert run(src, b"").termination == TerminationKind.CRASH
+
+
+# a run past the trace cap of OVERRUN_LIMITS: fib records once per call,
+# the loop twice per iteration
+FIB = """
+int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+int main() { return fib(25); }
+"""
+TWO_PER_ITERATION = """
+int main() {
+  int i = 0;
+  int odd = 0;
+  while (i < 100000) { if ((i & 1) == 1) { odd = odd + 1; } i = i + 1; }
+  return odd;
+}
+"""
+# record 10 (`b == 7`) is the eleventh, after two bytes read; the tail is
+# the statement after it
+PAST_THE_CAP = """
+int main() {
+  uchar a = nondet_uchar();
+  int i = 0;
+  while (i < 9) { i = i + 1; }
+  uchar b = nondet_uchar();
+  bool last = b == 7;
+  %s
+  return 0;
+}
+"""
+OVERRUN_LIMITS = VmLimits(max_trace_length=10, max_stack_size=64,
+                          max_input_bytes=2, step_budget=10 ** 7)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every run state ``execute`` makes, its own trace list included."""
+    made = []
+
+    class Kept(interp._Run):
+        __slots__ = ()
+
+        def __init__(self, config):
+            super().__init__(config)
+            made.append(self)
+
+    monkeypatch.setattr(interp, "_Run", Kept)
+    return made
+
+
+class TestTraceCap:
+    """The trace cap is checked on loop back edges and before calls, not
+    at every record; a run past it ends as a check at every record would
+    have ended it."""
+
+    @pytest.mark.parametrize("src, overrun", [(FIB, 1),
+                                              (TWO_PER_ITERATION, 2)],
+                             ids=["recursion", "loop"])
+    def test_overrun_stays_bounded(self, runs, src, overrun):
+        result = run(src, limits=OVERRUN_LIMITS)
+        assert result.termination == \
+            TerminationKind.BOUNDARY_CONDITION_VIOLATION
+        assert len(result.trace) == 10
+        # at most one call's or one iteration's records past the cap
+        assert len(runs[-1].trace) <= 10 + overrun
+
+    @pytest.mark.parametrize("tail", ["abort();",
+                                      "while (true) { i = i + 1; }",
+                                      "uchar c = nondet_uchar();",
+                                      "int c = nondet_int();"])
+    def test_stop_past_the_cap_reports_the_cap(self, tail):
+        program = parse_program(PAST_THE_CAP % tail)
+        config = OVERRUN_LIMITS.config(0, b"\x05\x07")
+        result = execute(program, config)
+        assert result.termination == \
+            TerminationKind.BOUNDARY_CONDITION_VIOLATION
+        assert len(result.trace) == 10
+        assert result.bytes_read == b"\x05\x07"
+        assert result.type_tags == (TypeTag.UINT8, TypeTag.UINT8)
+        assert result == reference_interp.execute(program, config)
+
+    def test_scanner_checks_once_per_iteration(self):
+        source = emitted_source(parse_program(
+            (ROOT / "bench" / "targets" / "scanner.mc").read_text()))
+        lines = source[source.index("def f_main("):].splitlines()
+        records = [k for k, line in enumerate(lines)
+                   if "trace.append(" in line]
+        assert records
+        for k in records:
+            assert lines[k - 1].strip() == "if steps > budget: raise _Timeout"
+        checks = [k for k, line in enumerate(lines) if "len(trace)" in line]
+        loops = [k for k, line in enumerate(lines)
+                 if line.strip() == "while True:"]
+        assert len(checks) == len(loops) == 1
+        # the check ends the loop body, after the back edge's step check
+        indent = len(lines[checks[0]]) - len(lines[checks[0]].lstrip())
+        assert lines[checks[0] - 1].strip() == \
+            "if steps > budget: raise _Timeout"
+        assert not lines[checks[0] + 1].startswith(" " * indent)
+        assert "max_input" not in source
 
 
 class TestRecordSemantics:
