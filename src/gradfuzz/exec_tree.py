@@ -9,6 +9,10 @@ values over the path prefix; a new node starts with the result that
 created it, at that trace's prefix weight (which may be infinite: the
 first finite weight there then replaces it).
 
+The tree maps traces, rebuilds root paths and keeps coverage.  It reads
+no analysis state: a node's analysis slots (see ``TreeNode``) belong
+to the strategy (``gradfuzz.strategy``).
+
 ``seen`` is a plain int from 0 to 3, which holds no reference the cyclic
 collector must follow, while a list per node would be traversed by every
 full collection of a tree of thousands of nodes.  For the same reason a
@@ -126,12 +130,13 @@ class TreeNode:
     node; ``sensitive_bits`` is immutable and rebound when sensitivity
     publishes marks, so nodes can share the empty set.  A node links
     only to its successors (see the module docstring); its ``depth`` is
-    the index of its record in every trace reaching it."""
+    the index of its record in every trace reaching it.  The strategy
+    owns ``stage``, ``closed`` and ``loop_scanned``; the tree only
+    initialises them."""
 
     __slots__ = (
         "id", "false_succ", "true_succ", "seen", "depth",
-        "best", "best_weight", "sensitive_bits",
-        "sensitivity_done", "bitshare_done", "minimization_done",
+        "best", "best_weight", "sensitive_bits", "stage",
         "height", "covered", "closed", "loop_scanned",
     )
 
@@ -146,9 +151,7 @@ class TreeNode:
         self.best = result
         self.best_weight = best_weight
         self.sensitive_bits: frozenset[int] = _NO_BITS
-        self.sensitivity_done = False
-        self.bitshare_done = False
-        self.minimization_done = False
+        self.stage = 0
         self.height = height
         self.covered = False
         self.closed = False
@@ -170,29 +173,6 @@ class TreeNode:
     def __repr__(self) -> str:
         uid, ctx = self.id
         return f"TreeNode(uid={uid}, ctx={ctx:#010x}, depth={self.depth})"
-
-
-def is_open(node: TreeNode) -> bool:
-    if node.seen == 3:
-        return False
-    if not node.sensitivity_done:
-        return True
-    return bool(node.sensitive_bits) and not (
-        node.bitshare_done and node.minimization_done)
-
-
-def closed_predicate(node: TreeNode) -> bool:
-    """Closed check against the children's stored closed flags."""
-    if is_open(node):
-        return False
-    for succ in (node.false_succ, node.true_succ):
-        if succ is not None and not succ.closed:
-            return False
-    return True
-
-
-def is_indirectly_input_dependent(node: TreeNode) -> bool:
-    return node.sensitivity_done and not node.sensitive_bits
 
 
 class ExecTree:
@@ -358,7 +338,7 @@ class ExecTree:
             node = succ
         return new_pairs
 
-    # -- paths and closed maintenance --------------------------------------
+    # -- paths ------------------------------------------------------------
 
     def path(self, node: TreeNode) -> list[TreeNode]:
         """The nodes from the root to ``node``, found by following the
@@ -369,21 +349,3 @@ class ExecTree:
             cur = cur.true_succ if record[DIRECTION] else cur.false_succ
             nodes.append(cur)
         return nodes
-
-    def propagate_closed(self, start: TreeNode) -> None:
-        """Re-evaluate the closed flag from ``start`` towards the root,
-        stopping at the first node that remains non-closed.  Flags are
-        only ever set here; recovery is the one place they are cleared."""
-        for node in reversed(self.path(start)):
-            if not (node.closed or closed_predicate(node)):
-                break
-            node.closed = True
-
-    def reopen(self, node: TreeNode) -> None:
-        """Clear the closed flag of ``node`` and re-evaluate ancestors,
-        clearing flags that no longer hold."""
-        node.closed = False
-        for cur in reversed(self.path(node)[:-1]):
-            if not cur.closed or closed_predicate(cur):
-                break
-            cur.closed = False

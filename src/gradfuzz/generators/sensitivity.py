@@ -162,7 +162,8 @@ class SensitivitySession(AnalysisSession):
                     break
 
     def finish(self) -> list[TreeNode]:
-        """Widen and publish marks; flags every examined path node."""
+        """Widen and publish marks on every examined path node, and
+        return the path nodes."""
         for k, node in enumerate(self.path_nodes):
             widened = set()
             for byte in {s >> 3 for s in self.raw_marks.get(k, ())}:
@@ -170,5 +171,4 @@ class SensitivitySession(AnalysisSession):
             # rebinds: the node's set may be shared (see TreeNode)
             node.sensitive_bits = node.sensitive_bits.union(
                 widened, self.region_marks.get(k, ()))
-            node.sensitivity_done = True
         return self.path_nodes

@@ -8,6 +8,15 @@ bit-level minimization), and ``finish`` records a deactivated session's
 outcome on its node, on the pivots, on the bitshare store or on the
 recovery records.  The engine only executes the session's inputs.
 
+A node's ``stage`` counts its finished analyses in that order: 0 is
+none, 1 sensitivity, 2 bitshare, 3 minimization.  A sensitivity pass
+raises each node of its path to at least 1, bitshare sets 2, a
+minimization 3, and recovery 0.  A node is open (``is_open``) while it
+was not seen both ways and is at 0, or below 3 with sensitive bits; it
+is closed once it is not open and no successor is unclosed.  A finished
+session sets closed flags from its node up (``propagate_closed``), and
+recovery alone clears them (``reopen``).
+
 Primary targets are taken in a fixed priority, and only uncovered, open
 nodes are eligible anywhere:
 
@@ -27,12 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .exec_tree import (
-    ExecTree,
-    TreeNode,
-    is_indirectly_input_dependent,
-    is_open,
-)
+from .exec_tree import ExecTree, TreeNode
 from .generators import (
     AnalysisKind,
     AnalysisSession,
@@ -46,6 +50,27 @@ from .generators import (
 from .target_abi import UID, ExecutionResult
 
 _POW2_BUCKETS = [2 ** i for i in range(11)]
+
+
+# --- the analysis pipeline --------------------------------------------------
+
+def is_open(node: TreeNode) -> bool:
+    """Whether an analysis is left at the node: it was not seen both
+    ways, and sensitivity has not run, or it found sensitive bits and
+    minimization has not run."""
+    return node.seen != 3 and (
+        node.stage == 0 or node.stage < 3 and bool(node.sensitive_bits))
+
+
+def closed_predicate(node: TreeNode) -> bool:
+    """Closed check against the children's stored closed flags."""
+    return not is_open(node) and all(
+        succ is None or succ.closed
+        for succ in (node.false_succ, node.true_succ))
+
+
+def is_indirectly_input_dependent(node: TreeNode) -> bool:
+    return node.stage > 0 and not node.sensitive_bits
 
 
 # --- sort keys ----------------------------------------------------------
@@ -67,7 +92,7 @@ def su_key(node: TreeNode, max_bytes: int) -> tuple:
     """Sort key of the primary candidates: analysed first, fewer
     sensitive bits first, input size near half the maximum first, then
     smaller reads, shallower depth, larger subtree."""
-    return (not node.sensitivity_done, len(node.sensitive_bits),
+    return (node.stage == 0, len(node.sensitive_bits),
             _center_distance(node.nbytes, max_bytes), node.nbytes,
             node.depth, -node.height)
 
@@ -207,7 +232,6 @@ class Strategy:
         self.pivots: list[TreeNode] = []
         self.recovery_records: list[tuple[TreeNode, ExecutionResult]] = []
         self.bitshare_store = BitshareStore()
-        self._loop_bodies: dict[TreeNode, set[int]] = {}
 
     # -- membership predicates -------------------------------------------
 
@@ -215,7 +239,7 @@ class Strategy:
         return not node.covered and is_open(node)
 
     def _twin_member(self, node: TreeNode) -> bool:
-        if not self._eligible(node) or node.sensitivity_done:
+        if not self._eligible(node) or node.stage:
             return False
         return any(node.id == pivot.id and abs(node.value) < abs(pivot.value)
                    for pivot in self.pivots)
@@ -226,7 +250,7 @@ class Strategy:
         locations = {p.id for p in self.pivots}
         return [n for n in self.tree.nodes
                 if self._eligible(n)
-                and (n.sensitivity_done or n.id not in locations)]
+                and (n.stage or n.id not in locations)]
 
     def prune_targets(self) -> None:
         """Re-check the stored targets against their membership
@@ -242,8 +266,11 @@ class Strategy:
         self.twins = kept
 
     def register_examined(self, nodes: Sequence[TreeNode]) -> None:
-        """After a sensitivity pass: uncovered IID nodes become pivots."""
+        """After a sensitivity pass: each examined node has finished
+        sensitivity, and the uncovered IID ones become pivots."""
         for node in nodes:
+            if not node.stage:
+                node.stage = 1
             if (not node.covered and is_indirectly_input_dependent(node)
                     and node not in self.pivots):
                 self.pivots.append(node)
@@ -261,7 +288,7 @@ class Strategy:
         node.loop_scanned = True
 
     def detect_loop_heads(self, path: Sequence[TreeNode],
-                          heads2bodies: dict[int, set[int]]) -> list[TreeNode]:
+                          heads2bodies: dict[int, set[int]]) -> None:
         """Bucket open loop-head nodes by the nearest power of two of
         their read count; the smallest node per bucket joins the targets."""
         buckets: dict[int, list[TreeNode]] = {}
@@ -271,14 +298,10 @@ class Strategy:
             if node.id[UID] not in heads2bodies:
                 continue
             buckets.setdefault(_nearest_bucket(node.nbytes), []).append(node)
-        inserted = []
         for w in sorted(buckets):
-            nodes = buckets[w]
-            best = min(nodes, key=lambda n: (n.nbytes, n.depth))
+            best = min(buckets[w], key=lambda n: (n.nbytes, n.depth))
             if best not in self.loop_heads:
                 self.loop_heads.append(best)
-                inserted.append(best)
-        return inserted
 
     # -- primary target selection -------------------------------------------
 
@@ -309,15 +332,6 @@ class Strategy:
 
     # -- Monte Carlo walk ------------------------------------------------------
 
-    def _pivot_loop_bodies(self, pivot: TreeNode) -> set[int]:
-        if pivot not in self._loop_bodies:
-            _, heads2bodies = detect_loops(self.tree.path(pivot))
-            bodies: set[int] = set()
-            for body in heads2bodies.values():
-                bodies |= body
-            self._loop_bodies[pivot] = bodies
-        return self._loop_bodies[pivot]
-
     def monte_carlo_select(self) -> Optional[TreeNode]:
         """A walk from a pivot's loop entry, steered by the direction
         frequencies of the pivot's partition class.  The pivots are those
@@ -346,10 +360,13 @@ class Strategy:
         if k >= len(path):
             return None
         class_prime = [n for n in members if n.nbytes == pivot.nbytes]
-        counts = [direction_counts(self.tree.path(n)) for n in class_prime]
+        prime_paths = [self.tree.path(n) for n in class_prime]
+        counts = [direction_counts(p) for p in prime_paths]
         body_uids: set[int] = set()
-        for member in class_prime:
-            body_uids |= self._pivot_loop_bodies(member)
+        for prime_path in prime_paths:
+            _, heads2bodies = detect_loops(prime_path)
+            for body in heads2bodies.values():
+                body_uids |= body
         domain: set[int] = set()
         for member in classes[uid]:
             domain.update(n.id[UID] for n in self.tree.path(member))
@@ -410,10 +427,8 @@ class Strategy:
             if node.best is best:
                 kept.append((node, best))
                 continue
-            node.sensitivity_done = False
-            node.bitshare_done = False
-            node.minimization_done = False
-            self.tree.reopen(node)
+            node.stage = 0
+            self.reopen(node)
             reopened += 1
         self.recovery_records = kept
         if reopened:
@@ -447,12 +462,12 @@ class Strategy:
                 break
             if not self.recover_nodes():
                 return None
-        if not node.sensitivity_done:
+        if node.stage == 0:
             return SensitivitySession(
                 self.tree.path(self._descend_for_sensitivity(node)))
         # a direction no trace has taken here, false if neither
         goal = bool(node.seen & 1)
-        if not node.bitshare_done:
+        if node.stage == 1:
             return BitshareSession(node, goal, self.bitshare_store)
         variables = None if node.xor_flag else identify_typed_variables(
             node.best.bytes_read, node.best.type_tags, node.sensitive_bits)
@@ -469,9 +484,9 @@ class Strategy:
         if session.kind == AnalysisKind.SENSITIVITY:
             self.register_examined(session.finish())
         elif session.kind == AnalysisKind.BITSHARE:
-            node.bitshare_done = True
+            node.stage = 2
         else:
-            node.minimization_done = True
+            node.stage = 3
             if session.achieving_input is None:
                 self.record_failure(node)
             else:
@@ -479,4 +494,24 @@ class Strategy:
                                            session.goal_direction,
                                            session.achieving_input,
                                            node.sensitive_bits)
-        self.tree.propagate_closed(node)
+        self.propagate_closed(node)
+
+    # -- closed flags -----------------------------------------------------
+
+    def propagate_closed(self, start: TreeNode) -> None:
+        """Re-evaluate the closed flag from ``start`` towards the root,
+        stopping at the first node that remains non-closed.  Flags are
+        only ever set here; recovery is the one place they are cleared."""
+        for node in reversed(self.tree.path(start)):
+            if not (node.closed or closed_predicate(node)):
+                break
+            node.closed = True
+
+    def reopen(self, node: TreeNode) -> None:
+        """Clear the closed flag of ``node`` and re-evaluate ancestors,
+        clearing flags that no longer hold."""
+        node.closed = False
+        for cur in reversed(self.tree.path(node)[:-1]):
+            if not cur.closed or closed_predicate(cur):
+                break
+            cur.closed = False

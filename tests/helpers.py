@@ -121,7 +121,7 @@ def reference_map_trace(tree: ExecTree, result: ExecutionResult
 
 
 def is_directly_input_dependent(node: TreeNode) -> bool:
-    return node.sensitivity_done and bool(node.sensitive_bits)
+    return node.stage > 0 and bool(node.sensitive_bits)
 
 
 def dump(tree: ExecTree) -> str:
@@ -132,9 +132,9 @@ def dump(tree: ExecTree) -> str:
         if node is None:
             return
         flags = "".join((
-            "S" if node.sensitivity_done else "-",
-            "B" if node.bitshare_done else "-",
-            "M" if node.minimization_done else "-",
+            "S" if node.stage >= 1 else "-",
+            "B" if node.stage >= 2 else "-",
+            "M" if node.stage >= 3 else "-",
             "c" if node.covered else "-",
             "x" if node.closed else "-",
         ))

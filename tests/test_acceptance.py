@@ -121,7 +121,7 @@ def test_criterion_03_xor_dispatches_bit_level_minimization():
 def test_criterion_04_stuck_minimum_escaped_within_one_sweep():
     program, tree, executor = bootstrap_tree(bench("stuck_nibble.mc"))
     node = tree.root
-    node.sensitivity_done = True
+    node.stage = 1
     node.sensitive_bits = set(range(8))
     session = BinaryDescentSession(node, True, random.Random(0))
     outcome = drive_session(session, executor, tree)

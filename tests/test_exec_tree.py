@@ -13,9 +13,6 @@ from gradfuzz.exec_tree import (
     ExecTree,
     TreeMappingError,
     TreeNode,
-    closed_predicate,
-    is_indirectly_input_dependent,
-    is_open,
 )
 from gradfuzz.fuzz_loop import FuzzBudget, FuzzEngine, FuzzOptions
 from gradfuzz.generators import SensitivitySession
@@ -30,9 +27,8 @@ from gradfuzz.target_abi import (
     wire_decode,
     wire_encode,
 )
-from helpers import condition_record, dump, id_covered, \
-    is_directly_input_dependent, path_weight, reference_map_trace, \
-    traced_result, uid_covered
+from helpers import condition_record, dump, id_covered, path_weight, \
+    reference_map_trace, traced_result, uid_covered
 
 BENCH = Path(__file__).parent.parent / "benchmarks"
 
@@ -767,61 +763,6 @@ def _seen_from_traces(traces):
     return snapshot
 
 
-def _make_leaf(uid=1, seen=0, sensitivity_done=False, bits=(),
-               covered=False):
-    node = TreeNode((uid, 0), 0, traced_result((record(uid, True, 1.0),)))
-    node.seen = seen
-    node.sensitivity_done = sensitivity_done
-    node.sensitive_bits = set(bits)
-    node.covered = covered
-    return node
-
-
-class TestClassify:
-    """Input dependency (DID/IID) and openness of a node."""
-
-    def test_fresh_node_open_neither(self):
-        node = _make_leaf()
-        assert is_open(node)
-        assert not is_directly_input_dependent(node)
-        assert not is_indirectly_input_dependent(node)
-
-    def test_iid_leaf_not_open(self):
-        node = _make_leaf(seen=0b10, sensitivity_done=True, bits=())
-        assert is_indirectly_input_dependent(node)
-        assert not is_directly_input_dependent(node)
-        assert not is_open(node)
-        assert closed_predicate(node)  # no visited successor to check
-
-    def test_fully_analyzed_with_closed_children(self):
-        parent = _make_leaf(uid=1, seen=0b11, sensitivity_done=True,
-                            bits=(0, 1))
-        parent.bitshare_done = True
-        parent.minimization_done = True
-        for b in (False, True):
-            child = _make_leaf(uid=2, seen=0b11)
-            child.sensitivity_done = True
-            child.closed = True
-            if b:
-                parent.true_succ = child
-            else:
-                parent.false_succ = child
-        assert is_directly_input_dependent(parent)
-        assert not is_indirectly_input_dependent(parent)
-        assert not is_open(parent)
-        assert closed_predicate(parent)
-
-    def test_did_iid_mutually_exclusive(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            node = _make_leaf(sensitivity_done=rng.random() < 0.5,
-                              bits=tuple(range(rng.randrange(0, 3))))
-            did = is_directly_input_dependent(node)
-            iid = is_indirectly_input_dependent(node)
-            assert not (did and iid)
-            assert (did or iid) == node.sensitivity_done
-
-
 class TestPath:
     def test_every_node_of_a_fuzzed_scanner_tree(self):
         # the tree holds no parent links: each root path is rebuilt from
@@ -840,69 +781,6 @@ class TestPath:
             assert len(path) == node.depth + 1
             for above, below in zip(path, path[1:]):
                 assert below is above.false_succ or below is above.true_succ
-
-
-class TestPropagateClosed:
-    def _chain(self):
-        # root -(True)-> mid -(True)-> leaf, every edge taken
-        tree = ExecTree()
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, True, 1.0))))
-        tree.map_trace(result_for((record(1, False, 1.0),)))
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, False, 1.0))))
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, False, 1.0))))
-        return tree
-
-    def test_chain_closes_to_root(self):
-        tree = self._chain()
-        for node in tree.nodes:
-            node.sensitivity_done = True  # IID everywhere: nothing open
-        leaf = tree.root.true_succ.true_succ
-        tree.propagate_closed(leaf)
-        assert leaf.closed
-        assert tree.root.closed
-
-    def test_propagation_stops_at_open_node(self):
-        # like _chain but the root's false edge stays unvisited, so the
-        # root is open and propagation must stop there
-        tree = ExecTree()
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, True, 1.0))))
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, False, 1.0))))
-        tree.map_trace(result_for(
-            (record(1, True, 1.0), record(2, True, 1.0),
-             record(3, False, 1.0))))
-        leaf = tree.root.true_succ.true_succ
-        leaf.sensitivity_done = True
-        mid = tree.root.true_succ
-        mid.sensitivity_done = True
-        tree.propagate_closed(leaf)
-        assert leaf.closed
-        assert mid.closed
-        assert not tree.root.closed
-
-    def test_root_open_stops_immediately(self):
-        tree = self._chain()
-        tree.propagate_closed(tree.root)
-        assert not tree.root.closed
-
-    def test_reopen_clears_stale_ancestors(self):
-        tree = self._chain()
-        for node in tree.nodes:
-            node.sensitivity_done = True
-        leaf = tree.root.true_succ.true_succ
-        tree.propagate_closed(leaf)
-        assert tree.root.closed
-        tree.reopen(leaf)
-        leaf.sensitivity_done = False
-        assert not leaf.closed
-        assert not tree.root.closed
 
 
 class TestDump:

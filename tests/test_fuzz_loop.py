@@ -180,7 +180,7 @@ class TestRunFuzzing:
             assert session.executions > 0
             assert stats.sessions[-1].executions == session.executions
             assert not stats.sessions[-1].achieved
-            assert not session.node.sensitivity_done
+            assert session.node.stage == 0
 
     def test_program_without_boolean_instructions_terminates(self):
         suite, stats = run_fuzzing(parse_program("int main(){ return 0; }"),
@@ -305,9 +305,10 @@ int main() {
 """
 
 
-# A target fingerprinted below that has no file under benchmarks/: the
-# program test_robustness.gen_program(11) generates, kept as a literal so
-# that a change to the generator does not move its fingerprint.
+# Targets fingerprinted below that have no file under benchmarks/: the
+# programs test_robustness.gen_program(11), (275) and (95) generate, kept
+# as literals so that a change to the generator does not move their
+# fingerprints.
 GEN_PROGRAM_11 = """\
 bool g0(int a) {
 return (((-1 * a) + -1) ^ ((6 + a) + 123456));
@@ -322,6 +323,47 @@ bool b9 = (v4 <= 3);
 int v10 = (v5 ^ !v4);
 }
 int v12 = (!!v4 % 123456);
+return 0;
+}"""
+GEN_PROGRAM_275 = """\
+int main() {
+int v1 = nondet_uchar();
+int v2 = nondet_bool();
+double d3 = nondet_double();
+bool b4 = (d3 <= ((double)v1 - (d3 / 3.5)));
+if ((0 << v2) == !(0 >> v1)) {
+int q6 = (v2 % 3) / (nondet_char() - 2);
+v2 = v1;
+abort();
+}
+if ((long)(((int)d3 * (int)d3) - (long)v1) >= (int)d3) {
+int v11 = nondet_bool();
+d3 = (double)v1;
+bool b13 = ((char)1 <= ((123456 * (-1 << v11)) ^ 5));
+}
+return 0;
+}"""
+GEN_PROGRAM_95 = """\
+bool g0(int a) {
+return (a * ((a & -2) * 2));
+}
+bool g1(int a) {
+if (((7 + 1) >> 5) < a) { return false; }
+return (g0((schar)((8 ^ 8) ^ -2)));
+}
+int main() {
+int v8 = nondet_ushort();
+double d9 = nondet_double();
+int v10 = nondet_int();
+int v11 = v10;
+if (v8 >= (v10 << (3 + 165))) {
+int c13 = 0;
+while (c13 < (v10 & 7)) {
+c13 = c13 + 1;
+bool b16 = (g1(v8));
+}
+float d18 = nondet_float();
+}
 return 0;
 }"""
 
@@ -352,7 +394,9 @@ STARVATION = """int main() {
   return 0;
 }"""
 
-LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11, "header": HEADER_TARGET,
+LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11,
+                   "gen_program_275": GEN_PROGRAM_275,
+                   "gen_program_95": GEN_PROGRAM_95, "header": HEADER_TARGET,
                    "xor_gate": XOR_GATE, "xor_variable": XOR_VARIABLE,
                    "division_first": DIVISION_FIRST, "starvation": STARVATION}
 
@@ -532,6 +576,10 @@ SWEEP_SHA256 = {
 }
 
 
+# the caps test_robustness runs generated programs under
+GENERATED_LIMITS = VmLimits(150, 32, 48, 50_000)
+
+
 class TestDeterminism:
     def test_three_runs_byte_identical(self, tmp_path):
         digests = []
@@ -556,7 +604,10 @@ class TestDeterminism:
     # short trace cap keeps an optimizer test; loop_accumulator selects a
     # twin twice; gen_program_11 takes a node from the Monte Carlo walk
     # five times; the header target answers 102 of its 322 inputs from
-    # the read-prefix memo, which no target under benchmarks/ reaches.  A
+    # the read-prefix memo, which no target under benchmarks/ reaches;
+    # gen_program_275 and gen_program_95 run the two strategy paths no
+    # other case reaches, recovery and the loop-body streams of the
+    # Monte Carlo walk (test_strategy_paths_pinned counts them).  A
     # refactor must keep these; a change meant to alter behaviour records
     # the new values.  STATS_SHA256 pins each case's stats.json beside
     # its manifest: the per-session calls and executions, the session
@@ -573,6 +624,10 @@ class TestDeterminism:
         "f5d7cf38a5d394a1ecc1328e0851d9d4d3217e99b7783812c1dcb0f8aa75a20d",
         "header":
         "63839f42d72223ceaaaf1b49c08f96463eeff3456842b4f796b74c266a8b7af9",
+        "gen_program_275-seed1-fill85":
+        "4fc3b5b8769e7fdf3c22e4467371cefaeb1064d5c607e1077e59ae349c9e6ceb",
+        "gen_program_95-seed1-fill0":
+        "a21ed59d236c20e22db3d4ca08f53fbbde92831e14ca5b7250f2bb78a08d1bb0",
         **{case: stats for case, (_, stats) in SWEEP_SHA256.items()},
     }
 
@@ -587,6 +642,10 @@ class TestDeterminism:
          "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
         ("header", VmLimits(),
          "0a325df568ae75da994f221f07c09b080d1c39df8157d36c5bf3758bf65a628b"),
+        ("gen_program_275-seed1-fill85", GENERATED_LIMITS,
+         "66867c47869a79ab05ca756599d0eb466a1c8cd098ca505d5995771aa8a5f1e8"),
+        ("gen_program_95-seed1-fill0", GENERATED_LIMITS,
+         "6e49121c7dea732d36d741fd8d418f39614ca7dc5ac939380591bf9b53f1cfa8"),
         *[(case, VmLimits(), manifest)
           for case, (manifest, _) in SWEEP_SHA256.items()],
     ])
@@ -612,6 +671,42 @@ class TestDeterminism:
         stats_json = (tmp_path / "stats.json").read_bytes()
         assert hashlib.sha256(stats_json).hexdigest() == \
             self.STATS_SHA256[name]
+
+    @pytest.mark.parametrize("target, seed, fill, executions, reopened, "
+                             "body_probabilities", [
+                                 ("gen_program_275", 1, 85, 710, 1, 0),
+                                 ("gen_program_95", 1, 0, 375, 0, 28),
+                             ])
+    def test_strategy_paths_pinned(self, monkeypatch, target, seed, fill,
+                                   executions, reopened, body_probabilities):
+        # what two fingerprint cases are for: the strategy stops each
+        # before the budget, one after recovery reopened a node, the
+        # other after walks that computed loop-body probabilities
+        from gradfuzz import strategy
+        counts = {"reopened": 0, "body": 0}
+        recover_nodes = strategy.Strategy.recover_nodes
+        probability = strategy.compute_direction_probability
+
+        def counted_recovery(self):
+            n = recover_nodes(self)
+            counts["reopened"] += n
+            return n
+
+        def counted_probability(stats, in_loop_body=False):
+            counts["body"] += in_loop_body
+            return probability(stats, in_loop_body)
+
+        monkeypatch.setattr(strategy.Strategy, "recover_nodes",
+                            counted_recovery)
+        monkeypatch.setattr(strategy, "compute_direction_probability",
+                            counted_probability)
+        _, stats = run_fuzzing(
+            parse_program(LITERAL_TARGETS[target]),
+            FuzzBudget(max_executions=2000),
+            FuzzOptions(limits=GENERATED_LIMITS, seed=seed, fill_byte=fill))
+        assert stats.terminated_by_strategy
+        assert stats.total_executions == executions
+        assert counts == {"reopened": reopened, "body": body_probabilities}
 
     def test_different_seeds_may_differ_but_still_cover(self):
         for seed in range(5):

@@ -5,11 +5,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from gradfuzz.exec_tree import (
-    MIN_COMPARED_REST,
-    ExecTree,
-    is_indirectly_input_dependent,
-)
+from gradfuzz.exec_tree import MIN_COMPARED_REST, ExecTree
 from gradfuzz.fuzz_loop import FuzzBudget, FuzzOptions, run_fuzzing
 from gradfuzz.generators import (
     AnalysisSession,
@@ -27,6 +23,7 @@ from gradfuzz.generators import (
 )
 from gradfuzz.generators.sensitivity import _extreme_values
 from gradfuzz.minivm import VmLimits, execute, parse_program
+from gradfuzz.strategy import Strategy, is_indirectly_input_dependent
 from gradfuzz.target_abi import (
     CTX,
     DIRECTION,
@@ -62,7 +59,7 @@ class TestSensitivity:
         session = SensitivitySession(tree.path(deep))
         outcome = drive_session(session, executor, tree, stop_at_goal=False)
         assert outcome == "exhausted"
-        session.finish()
+        Strategy(tree, random.Random(0)).register_examined(session.finish())
         return tree, session
 
     def test_worked_example_marks(self):
@@ -72,7 +69,7 @@ class TestSensitivity:
         assert sorted(session.raw_marks[bi0.depth]) == [5, 6, 7]
         assert sorted(session.raw_marks[bi1.depth]) == [5, 6]
         assert sorted(bi1.sensitive_bits) == list(range(8))
-        assert bi0.sensitivity_done and bi1.sensitivity_done
+        assert bi0.stage == bi1.stage == 1
 
     def test_constant_branching_value_yields_iid(self):
         src = """
@@ -87,7 +84,7 @@ class TestSensitivity:
         node = tree.root
         session = SensitivitySession(tree.path(node))
         drive_session(session, executor, tree, stop_at_goal=False)
-        session.finish()
+        Strategy(tree, random.Random(0)).register_examined(session.finish())
         assert node.sensitive_bits == set()
         assert is_indirectly_input_dependent(node)
         assert not is_directly_input_dependent(node)
@@ -302,7 +299,7 @@ class TestSessionKeepsItsBest:
         node = tree.root
         # the low half only, so each input keeps the base's high bytes
         node.sensitive_bits = frozenset(range(16))
-        node.sensitivity_done = True
+        node.stage = 1
         store = BitshareStore()
         store.record(node.id[UID], True, (1_000_000).to_bytes(4, "little"),
                      node.sensitive_bits)
@@ -354,7 +351,7 @@ class TestTypedDescent:
         program, tree, executor = bootstrap_tree(MAGIC)
         node = tree.root
         node.sensitive_bits = set(range(32))
-        node.sensitivity_done = True
+        node.stage = 1
         variables = identify_typed_variables(
             node.best.bytes_read, node.best.type_tags, node.sensitive_bits)
         session = TypedDescentSession(node, True, random.Random(seed),
@@ -587,7 +584,7 @@ int main() {
 def _nibble_session(source, scripted_samples):
     program, tree, executor = bootstrap_tree(source)
     node = tree.root
-    node.sensitivity_done = True
+    node.stage = 1
     node.sensitive_bits = {4, 5, 6, 7}  # the masked nibble, unwidened
     rng = ScriptedRng(samples=scripted_samples)
     session = BinaryDescentSession(node, True, rng)
@@ -623,7 +620,7 @@ class TestBinaryDescent:
         # where x > 6 is still false; flipping the low bit gives 7
         program, tree, executor = bootstrap_tree(STRICT_NIBBLE)
         node = tree.root.true_succ
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = {4, 5, 6, 7}
         session = BinaryDescentSession(node, True, ScriptedRng(
             samples=[[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]))
@@ -636,7 +633,7 @@ class TestBinaryDescent:
             "int main(){ char x = nondet_char();"
             " if ((x ^ 0xA5) == 0) abort(); return 0; }")
         node = tree.root
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = set(range(8))
         session = BinaryDescentSession(node, True, random.Random(0))
         outcome = drive_session(session, executor, tree)
@@ -681,7 +678,7 @@ class TestExecutionCache:
     def test_cache_scope_is_one_session(self):
         program, tree, executor = bootstrap_tree(STUCK_PLAIN)
         node = tree.root
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = {4, 5, 6, 7}
         before = executor.count
         for _ in range(2):
@@ -697,7 +694,7 @@ class TestSessionProtocol:
     def _session(self):
         program, tree, executor = bootstrap_tree(STUCK_PLAIN)
         node = tree.root
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = {4, 5, 6, 7}
         session = BinaryDescentSession(node, True, ScriptedRng(
             samples=[[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]))

@@ -9,10 +9,13 @@ from gradfuzz.strategy import (
     Strategy,
     biased_index,
     class_prime_stats,
+    closed_predicate,
     compute_direction_probability,
     detect_loops,
     direction_counts,
     iid_key,
+    is_indirectly_input_dependent,
+    is_open,
     su_key,
 )
 from gradfuzz.target_abi import (
@@ -23,7 +26,8 @@ from gradfuzz.target_abi import (
     TypeTag,
 )
 from helpers import (ScriptedRng, chain_from_uids, condition_record,
-                     oracle_detect_loops, traced_result)
+                     is_directly_input_dependent, oracle_detect_loops,
+                     traced_result)
 
 
 def record(uid, direction, value, nbytes=1, ctx=0):
@@ -39,20 +43,20 @@ def map_all(tree, traces, termination=TerminationKind.NORMAL):
 
 
 def stub_node(uid=1, value=1.0, nbytes=1, depth=0, height=0,
-              sensitivity_done=False, bits=()):
+              stage=0, bits=(), seen=0):
     node = TreeNode((uid, 0), depth, traced_result(
         record(uid, True, value if d == depth else 0.0, nbytes)
-        for d in range(depth + 1)))
+        for d in range(depth + 1)), seen=seen)
     node.height = height
-    node.sensitivity_done = sensitivity_done
+    node.stage = stage
     node.sensitive_bits = set(bits)
     return node
 
 
 class TestOrderSU:
     def test_fewer_sensitive_bits_first(self):
-        p = stub_node(sensitivity_done=True, bits=(0, 1))
-        q = stub_node(sensitivity_done=True, bits=(0, 1, 2, 3, 4))
+        p = stub_node(stage=1, bits=(0, 1))
+        q = stub_node(stage=1, bits=(0, 1, 2, 3, 4))
         assert su_key(p, 64) < su_key(q, 64)
 
     def test_center_bias(self):
@@ -66,7 +70,7 @@ class TestOrderSU:
         assert su_key(p, 64) < su_key(q, 64)
 
     def test_analyzed_before_unanalyzed(self):
-        p = stub_node(sensitivity_done=True, bits=(0,))
+        p = stub_node(stage=1, bits=(0,))
         q = stub_node()
         assert su_key(p, 64) < su_key(q, 64)
 
@@ -76,7 +80,7 @@ class TestOrderSU:
             stub_node(uid=1, nbytes=rng.randrange(0, 40),
                       depth=rng.randrange(0, 4),
                       height=rng.randrange(0, 9),
-                      sensitivity_done=rng.random() < 0.5,
+                      stage=int(rng.random() < 0.5),
                       bits=tuple(range(rng.randrange(0, 5))))
             for _ in range(40)
         ]
@@ -207,9 +211,8 @@ class TestDetectLoopHeads:
         path[0].best = traced_result((record(1, True, 1.0, nbytes=1000),))
         path[1].best = traced_result((record(1, True, 1.0, nbytes=1000),
                                       record(1, True, 1.0, nbytes=1004)))
-        inserted = strategy.detect_loop_heads(path, {1: {9}})
-        assert len(inserted) == 1
-        assert inserted[0] is path[0]
+        strategy.detect_loop_heads(path, {1: {9}})
+        assert strategy.loop_heads == [path[0]]
 
     def test_small_sizes_stay_distinct(self):
         strategy = self._strategy()
@@ -217,15 +220,16 @@ class TestDetectLoopHeads:
         path[0].best = traced_result((record(1, True, 1.0, nbytes=4),))
         path[1].best = traced_result((record(1, True, 1.0, nbytes=4),
                                       record(1, True, 1.0, nbytes=8)))
-        inserted = strategy.detect_loop_heads(path, {1: {9}})
-        assert len(inserted) == 2
+        strategy.detect_loop_heads(path, {1: {9}})
+        assert len(strategy.loop_heads) == 2
 
     def test_no_open_heads_inserts_nothing(self):
         strategy = self._strategy()
         path = chain_from_uids([1, 1])
         for node in path:
             node.covered = True
-        assert strategy.detect_loop_heads(path, {1: set()}) == []
+        strategy.detect_loop_heads(path, {1: set()})
+        assert strategy.loop_heads == []
 
     def test_at_most_eleven_buckets(self):
         strategy = self._strategy()
@@ -234,8 +238,8 @@ class TestDetectLoopHeads:
         for i, node in enumerate(path):
             node.best = traced_result(
                 record(1, True, 1.0, nbytes=1 + 27 * j) for j in range(i + 1))
-        inserted = strategy.detect_loop_heads(path, {1: {2}})
-        assert len(inserted) <= 11
+        strategy.detect_loop_heads(path, {1: {2}})
+        assert len(strategy.loop_heads) <= 11
 
 
 class TestDirectionProbability:
@@ -299,7 +303,7 @@ class TestSelectPrimaryTarget:
         map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0)]])
         untouched = tree.root
         analyzed = untouched.true_succ
-        analyzed.sensitivity_done = True
+        analyzed.stage = 1
         analyzed.sensitive_bits = {0}
         for node in tree.nodes:
             node.loop_scanned = True
@@ -320,8 +324,7 @@ class TestSelectPrimaryTarget:
             if node.id[UID] == 6:
                 node.covered = True
         strategy = Strategy(tree, random.Random(0))
-        strategy.pivots.append(stub_node(uid=5, value=9.0,
-                                         sensitivity_done=True))
+        strategy.pivots.append(stub_node(uid=5, value=9.0, stage=1))
         twin = path[-1]
         strategy.twins.append(twin)
         assert strategy.primary_candidates() == []
@@ -355,7 +358,7 @@ class TestSelectAnalysis:
     def test_bitshare_after_sensitivity(self):
         tree = self._tree_with_root([[record(1, True, 5.0)]])
         node = tree.root
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = {0, 1}
         strategy = Strategy(tree, random.Random(0))
         node.loop_scanned = True
@@ -370,8 +373,7 @@ class TestSelectAnalysis:
         tree.map_trace(ExecutionResult(TerminationKind.NORMAL, b"\x00",
                                        (TypeTag.UINT8,), trace))
         node = tree.root
-        node.sensitivity_done = True
-        node.bitshare_done = True
+        node.stage = 2
         node.sensitive_bits = {0, 1}
         node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
@@ -381,8 +383,7 @@ class TestSelectAnalysis:
     def test_typed_when_variables_identified(self):
         tree = self._tree_with_root([[record(1, True, 5.0)]])
         node = tree.root
-        node.sensitivity_done = True
-        node.bitshare_done = True
+        node.stage = 2
         node.sensitive_bits = {0, 1}
         node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
@@ -395,8 +396,7 @@ class TestSelectAnalysis:
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00", (TypeTag.UNTYPED8,), trace))
         node = tree.root
-        node.sensitivity_done = True
-        node.bitshare_done = True
+        node.stage = 2
         node.sensitive_bits = {0, 1}
         node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
@@ -419,7 +419,7 @@ class TestMonteCarlo:
         for _ in range(4):
             pivot = (pivot.true_succ if pivot.true_succ
                      else pivot.false_succ)
-        pivot.sensitivity_done = True
+        pivot.stage = 1
         return tree, pivot
 
     def test_empty_store_returns_none(self):
@@ -448,7 +448,6 @@ class TestMonteCarlo:
         tree, pivot = self._pivot_tree()
         strategy = Strategy(tree, random.Random(3))
         strategy.pivots.append(pivot)
-        from gradfuzz.exec_tree import is_open
         for _ in range(50):
             node = strategy.monte_carlo_select()
             if node is not None:
@@ -464,7 +463,7 @@ class TestMonteCarlo:
         path[0].covered = True
         path[1].covered = True
         second_pivot = path[2]
-        second_pivot.sensitivity_done = True
+        second_pivot.stage = 1
         strategy = Strategy(tree, ScriptedRng(randoms=[0.9, 0.9], seed=1))
         strategy.pivots.append(pivot)
         strategy.pivots.append(second_pivot)
@@ -477,9 +476,7 @@ class TestMonteCarlo:
 class TestRecovery:
     def _failed_node(self, tree):
         node = tree.root
-        node.sensitivity_done = True
-        node.bitshare_done = True
-        node.minimization_done = True
+        node.stage = 3
         node.sensitive_bits = {0}
         return node
 
@@ -503,9 +500,7 @@ class TestRecovery:
             TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
             (record(1, True, 1.5),)))
         assert strategy.recover_nodes() == 1
-        assert not node.sensitivity_done
-        assert not node.bitshare_done
-        assert not node.minimization_done
+        assert node.stage == 0
         strategy.prune_targets()
         assert node in strategy.primary_candidates()
 
@@ -517,7 +512,7 @@ class TestRecovery:
         strategy.record_failure(node)
         assert strategy.recover_nodes() == 0
         assert len(strategy.recovery_records) == 1
-        assert node.minimization_done
+        assert node.stage == 3
 
     def test_same_or_equal_weight_trace_does_not_reopen(self):
         # the best moves only to a strictly lighter trace: mapping the
@@ -540,7 +535,7 @@ class TestRecovery:
             assert node.best is first
             assert strategy.recover_nodes() == 0
             assert strategy.recovery_records == [(node, first)]
-            assert node.minimization_done
+            assert node.stage == 3
 
     def test_empty_records(self):
         strategy = Strategy(ExecTree(), random.Random(0))
@@ -571,8 +566,8 @@ class TestRecovery:
 class TestPruneTargets:
     def test_register_examined_adds_each_pivot_once(self):
         strategy = Strategy(ExecTree(), random.Random(0))
-        pivot = stub_node(uid=5, sensitivity_done=True)
-        direct = stub_node(uid=6, sensitivity_done=True, bits=(3,))
+        pivot = stub_node(uid=5, stage=1)
+        direct = stub_node(uid=6, stage=1, bits=(3,))
         strategy.register_examined([pivot, direct, pivot])
         strategy.register_examined([pivot])
         assert strategy.pivots == [pivot]
@@ -583,7 +578,7 @@ class TestPruneTargets:
         strategy = Strategy(tree, random.Random(0))
         node = tree.root
         assert strategy.primary_candidates() == [node]
-        node.sensitivity_done = True
+        node.stage = 1
         node.sensitive_bits = {0}
         strategy.prune_targets()
         assert strategy.primary_candidates() == [node]
@@ -607,7 +602,7 @@ class TestPruneTargets:
         ])
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.true_succ
-        pivot.sensitivity_done = True
+        pivot.stage = 1
         strategy.pivots.append(pivot)
         strategy.prune_targets()
         twin = tree.root.false_succ
@@ -629,10 +624,112 @@ class TestPruneTargets:
         ])
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.true_succ
-        pivot.sensitivity_done = True
+        pivot.stage = 1
         strategy.pivots.append(pivot)
         strategy.prune_targets()
         other = tree.root.false_succ
         # |9.0| > |5.0|: not a twin
         assert other not in strategy.primary_candidates()
         assert other not in strategy.twins
+
+
+class TestClassify:
+    """Input dependency (DID/IID) and openness of a node."""
+
+    def test_fresh_node_open_neither(self):
+        node = stub_node()
+        assert is_open(node)
+        assert not is_directly_input_dependent(node)
+        assert not is_indirectly_input_dependent(node)
+
+    def test_iid_leaf_not_open(self):
+        node = stub_node(seen=0b10, stage=1, bits=())
+        assert is_indirectly_input_dependent(node)
+        assert not is_directly_input_dependent(node)
+        assert not is_open(node)
+        assert closed_predicate(node)  # no visited successor to check
+
+    def test_fully_analyzed_with_closed_children(self):
+        parent = stub_node(uid=1, seen=0b11, stage=3, bits=(0, 1))
+        for b in (False, True):
+            child = stub_node(uid=2, seen=0b11, stage=1)
+            child.closed = True
+            if b:
+                parent.true_succ = child
+            else:
+                parent.false_succ = child
+        assert is_directly_input_dependent(parent)
+        assert not is_indirectly_input_dependent(parent)
+        assert not is_open(parent)
+        assert closed_predicate(parent)
+
+    def test_did_iid_mutually_exclusive(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            node = stub_node(stage=int(rng.random() < 0.5),
+                              bits=tuple(range(rng.randrange(0, 3))))
+            did = is_directly_input_dependent(node)
+            iid = is_indirectly_input_dependent(node)
+            assert not (did and iid)
+            assert (did or iid) == (node.stage > 0)
+
+
+class TestPropagateClosed:
+    def _chain(self):
+        # root -(True)-> mid -(True)-> leaf, every edge taken
+        tree = ExecTree()
+        map_all(tree, [
+            [record(1, True, 1.0), record(2, True, 1.0),
+             record(3, True, 1.0)],
+            [record(1, False, 1.0)],
+            [record(1, True, 1.0), record(2, False, 1.0)],
+            [record(1, True, 1.0), record(2, True, 1.0),
+             record(3, False, 1.0)],
+        ])
+        return tree, Strategy(tree, random.Random(0))
+
+    def test_chain_closes_to_root(self):
+        tree, strategy = self._chain()
+        for node in tree.nodes:
+            node.stage = 1  # IID everywhere: nothing open
+        leaf = tree.root.true_succ.true_succ
+        strategy.propagate_closed(leaf)
+        assert leaf.closed
+        assert tree.root.closed
+
+    def test_propagation_stops_at_open_node(self):
+        # like _chain but the root's false edge stays unvisited, so the
+        # root is open and propagation must stop there
+        tree = ExecTree()
+        map_all(tree, [
+            [record(1, True, 1.0), record(2, True, 1.0),
+             record(3, True, 1.0)],
+            [record(1, True, 1.0), record(2, False, 1.0)],
+            [record(1, True, 1.0), record(2, True, 1.0),
+             record(3, False, 1.0)],
+        ])
+        leaf = tree.root.true_succ.true_succ
+        leaf.stage = 1
+        mid = tree.root.true_succ
+        mid.stage = 1
+        Strategy(tree, random.Random(0)).propagate_closed(leaf)
+        assert leaf.closed
+        assert mid.closed
+        assert not tree.root.closed
+
+    def test_root_open_stops_immediately(self):
+        tree, strategy = self._chain()
+        strategy.propagate_closed(tree.root)
+        assert not tree.root.closed
+
+    def test_reopen_clears_stale_ancestors(self):
+        tree, strategy = self._chain()
+        for node in tree.nodes:
+            node.stage = 1
+        leaf = tree.root.true_succ.true_succ
+        strategy.propagate_closed(leaf)
+        assert tree.root.closed
+        strategy.reopen(leaf)
+        leaf.stage = 0
+        assert not leaf.closed
+        assert not tree.root.closed
