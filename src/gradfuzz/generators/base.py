@@ -10,10 +10,10 @@ the input after whose execution some trace has taken the goal direction
 at the node, and the loop then deactivates the session.
 
 A session keeps the node's best result as it was when the session was
-built, as ``best``.  Every analysis judges an execution by one path
-check, ``prefix_agreement``: how far its trace follows that best trace
-up to the node.  A trace reaches the node when it follows it all the
-way, and ``mapped_value`` then reads the node's branching value from it.
+built, as ``best``.  An execution's value is |f| at the node, which
+``mapped_value`` reads off a trace that follows the best trace's path to
+the node, or ``failure_value`` for a trace that does not; sensitivity
+keeps no value (see ``SensitivitySession.feed``).
 """
 from __future__ import annotations
 
@@ -36,14 +36,16 @@ class AnalysisSession:
     kind: AnalysisKind
     # whether the session's ``anchor`` places the mapping of its traces
     anchored = False
+    # ExecuteTarget calls after which the session deactivates itself
+    call_budget = math.inf
+    # the value of a trace missing the node, or of an f that is not finite
+    failure_value = math.inf
 
     def __init__(self, node: TreeNode, goal_direction: Optional[bool] = None):
         self.node = node
         self.goal_direction = goal_direction
         self.calls = 0            # ExecuteTarget calls, cache hits included
         self.executions = 0       # real target executions
-        self.call_budget: Optional[int] = None
-        self.exhausted = False
         # the input that observed the goal direction, once one has
         self.achieving_input: Optional[bytes] = None
         self.cache: dict[bytes, float] = {}  # keyed by the input itself
@@ -58,34 +60,31 @@ class AnalysisSession:
     # -- driving ----------------------------------------------------------
 
     def next_input(self) -> Optional[bytes]:
-        """Next input needing a target execution, or None when the session
-        has deactivated itself (strategy finished or budget exceeded)."""
+        """Next input needing a target execution, or None once the
+        session is over: its coroutine has ended, or the session is
+        closed, by the loop or by its call budget."""
         if self._pending is not None:
             raise RuntimeError("previous input has not been fed a result")
-        while not self.exhausted:
+        while True:
             try:
                 item = self._gen.send(self._feed_value)
             except StopIteration:
-                self.exhausted = True
-                break
-            if (self.call_budget is not None
-                    and self.calls >= self.call_budget):
+                return None
+            if self.calls >= self.call_budget:
                 self.close()
-                break
+                return None
             self.calls += 1
             if item in self.cache:
                 self._feed_value = self.cache[item]
                 continue
             self._pending = item
             return item
-        return None
 
     def close(self) -> None:
         """Deactivate the session.  Its coroutine ends, and with it the
         coroutine frame's reference back to the session, so a dropped
         session, and the nodes it holds, are freed by reference
         counting instead of waiting for the cyclic collector."""
-        self.exhausted = True
         self._gen.close()
 
     def feed(self, result: ExecutionResult) -> None:
@@ -105,60 +104,43 @@ class AnalysisSession:
 
     # -- trace mapping ------------------------------------------------------
 
-    def prefix_agreement(self, trace) -> int:
-        """The greatest k up to the node's depth such that ``trace`` has
-        the path's ids at 0..k and its directions at 0..k-1, or -1 when
-        the trace does not start at the root.  Only the records that
-        differ from the path's are looked at."""
+    def mapped_value(self, result: ExecutionResult) -> Optional[float]:
+        """Branching value at the session node, or None if the trace does
+        not reach it: a trace longer than the node's depth with the path's
+        ids up to the node and its directions before it.  Only the records
+        that differ from the path's are looked at."""
+        trace = result.trace
         base = self.base_trace
+        depth = self.node.depth
+        if len(trace) <= depth:
+            return None
         for p in differing_positions(trace, base):
             rid, direction, _, _, _ = trace[p]
             path_id, path_direction, _, _, _ = base[p]
-            if rid != path_id:
-                return p - 1
-            if direction != path_direction:
-                return p
-        return min(len(trace), len(base)) - 1
+            if rid != path_id or p < depth and direction != path_direction:
+                return None
+        return trace[depth][VALUE]
 
-    def mapped_value(self, result: ExecutionResult) -> Optional[float]:
-        """Branching value at the session node, or None if the trace does
-        not reach the node."""
-        depth = self.node.depth
-        if self.prefix_agreement(result.trace) != depth:
-            return None
-        return result.trace[depth][VALUE]
+    def _value_of(self, result: ExecutionResult) -> float:
+        """|f| at the node, or ``failure_value``."""
+        value = self.mapped_value(result)
+        if value is None or not math.isfinite(value):
+            return self.failure_value
+        return abs(value)
 
     # -- to implement -------------------------------------------------------
 
     def _run(self):
         raise NotImplementedError
 
-    def _value_of(self, result: ExecutionResult):
-        raise NotImplementedError
-
 
 class DescentSession(AnalysisSession):
     """Base for the two gradient-descent analyses, which descend from the
-    best input over the value |f| at the node, ``failure_value`` when a
-    trace misses the node or f is not finite.  Logs accepted values per
-    seed so descent monotonicity is checkable after the run."""
-
-    failure_value: float
+    best input over the session's value.  Logs accepted values per seed
+    so descent monotonicity is checkable after the run."""
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng):
         super().__init__(node, goal_direction)
         self.rng = rng
         self.base = self.best.bytes_read
         self.descent_logs: list[list[float]] = []
-
-    def _value_of(self, result: ExecutionResult) -> float:
-        value = self.mapped_value(result)
-        if value is None or not math.isfinite(value):
-            return self.failure_value
-        return abs(value)
-
-    def _start_seed(self, first_value: float) -> None:
-        self.descent_logs.append([first_value])
-
-    def _log_accept(self, value: float) -> None:
-        self.descent_logs[-1].append(value)

@@ -55,7 +55,7 @@ class BinaryDescentSession(DescentSession):
         for seed in binary_seeds(m, self.rng):
             bits = list(seed)
             current = yield self._encode(bits)
-            self._start_seed(current)
+            self.descent_logs.append([current])
             magnitude = [0.0] * m
             while True:
                 flip_values = []
@@ -69,7 +69,7 @@ class BinaryDescentSession(DescentSession):
                 if flip_values[k] < current:
                     bits[k] ^= 1
                     current = flip_values[k]
-                    self._log_accept(current)
+                    self.descent_logs[-1].append(current)
                     continue
                 # stuck: invert suffixes of the importance order
                 order = sorted(range(m), key=lambda i: (-magnitude[i], i))
@@ -86,6 +86,6 @@ class BinaryDescentSession(DescentSession):
                 if best_value < current:
                     bits = best_bits
                     current = best_value
-                    self._log_accept(current)
+                    self.descent_logs[-1].append(current)
                     continue
                 break

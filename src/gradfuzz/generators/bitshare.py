@@ -9,7 +9,7 @@ the same instruction in another.
 from __future__ import annotations
 
 from ..exec_tree import TreeNode
-from ..target_abi import UID, ExecutionResult, get_bit, set_bit
+from ..target_abi import UID, get_bit, set_bit
 from .base import AnalysisKind, AnalysisSession
 
 
@@ -51,9 +51,6 @@ class BitshareSession(AnalysisSession):
                  store: BitshareStore):
         super().__init__(node, goal_direction)
         self.composed = bitshare_compose(node, goal_direction, store)
-
-    def _value_of(self, result: ExecutionResult):
-        return self.mapped_value(result)
 
     def _run(self):
         if self.composed is not None:

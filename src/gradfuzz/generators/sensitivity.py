@@ -2,10 +2,10 @@
 
 Starting from the node's best input, the session executes every 1-bit
 mutation of the first ``nbytes`` bytes and then extreme-value mutations of
-each typed region.  For a mutated trace agreeing with the node's best trace
-on ids up to index K and directions before K (K is the session's
-``prefix_agreement``), any record k <= K whose branching value changed
-marks bits as sensitive at path(node)[k]:
+each typed region.  Let K be the greatest index up to the node's depth
+such that a mutated trace has the path's ids at 0..K and its directions
+before K: any record k <= K whose branching value changed marks bits as
+sensitive at path(node)[k]:
 
 * a 1-bit mutation marks its flipped bit (bit-precise evidence, kept in
   the session's ``raw_marks`` and widened to the whole byte),

@@ -144,7 +144,6 @@ def _neighbours(tag: TypeTag, value) -> list:
 
 class TypedDescentSession(DescentSession):
     kind = AnalysisKind.TYPED_MINIMIZATION
-    failure_value = math.inf
 
     def __init__(self, node: TreeNode, goal_direction: bool, rng,
                  variables: list[tuple[int, TypeTag]]):
@@ -178,7 +177,7 @@ class TypedDescentSession(DescentSession):
         while True:
             av = yield self._encode(values)
             if math.isfinite(av):
-                self._start_seed(av)
+                self.descent_logs.append([av])
                 values = yield from self._descend(values, av)
                 # the neighbour probe
                 for i, (_, tag) in enumerate(self.variables):
@@ -234,31 +233,25 @@ class TypedDescentSession(DescentSession):
                 if best_av < av:
                     values = best_values
                     av = best_av
-                    self._log_accept(av)
+                    self.descent_logs[-1].append(av)
                     descending = True
                     break
-                inverse = [
-                    math.inf if grads[i] == 0 else 1.0 / (grads[i] ** 2)
-                    for i in range(m) if not locked[i]
-                ]
-                finite = [w for w in inverse if math.isfinite(w)]
+                squares = {i: grads[i] ** 2 for i in range(m) if not locked[i]}
+                # inf where g^2 is 0: g is 0, or its square underflows
+                inverse = {i: 1.0 / g2 if g2 else math.inf
+                           for i, g2 in squares.items()}
+                finite = [w for w in inverse.values() if math.isfinite(w)]
                 if not finite:
                     break
                 low = min(finite)
-                high = max(inverse)
-                threshold = low + 0.6 * (high - low)
-                newly_locked = False
-                for i in range(m):
-                    if locked[i]:
-                        continue
-                    g2 = grads[i] ** 2
-                    inv = math.inf if g2 == 0 else 1.0 / g2
-                    if g2 == 0 or not math.isfinite(inv) or inv < threshold:
-                        grads[i] = 0.0
-                        locked[i] = True
-                        newly_locked = True
-                if not newly_locked:
+                threshold = low + 0.6 * (max(inverse.values()) - low)
+                locking = [i for i, inv in inverse.items()
+                           if not math.isfinite(inv) or inv < threshold]
+                if not locking:
                     break
+                for i in locking:
+                    grads[i] = 0.0
+                    locked[i] = True
         return values
 
     def _partial_delta(self, tag: TypeTag, value) -> Optional[float]:

@@ -33,7 +33,6 @@ the failure), are stored as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .exec_tree import ExecTree, TreeNode
@@ -115,56 +114,45 @@ def biased_index(length: int, rng) -> int:
 
 # --- loop detection ------------------------------------------------------
 
-@dataclass
-class LoopBoundary:
-    entry: TreeNode
-    exit: TreeNode
-    successor: TreeNode
-
-
 def detect_loops(path: Sequence[TreeNode]
-                 ) -> tuple[list[LoopBoundary], dict[int, set[int]]]:
+                 ) -> tuple[list[TreeNode], dict[int, set[int]]]:
     """Find repetitions of instruction uids along a root path, whose node
     at index i has depth i, scanning backwards so loop exits are seen
     first.
 
-    Returns the loop boundaries (entry, exit, successor-of-exit) and a map
-    from loop-head uid to the set of uids in its body.
+    Returns each loop's entry node, moved back over the instructions of
+    its body and its repeated uid just before it, and a map from
+    loop-head uid to the set of uids in its body.
     """
-    loops: list[LoopBoundary] = []
+    loops: list[list] = []  # [entry index, repeated uid]
     heads2bodies: dict[int, set[int]] = {}
-    # stack entries: [exit node, successor node, loops index or None]
+    # stack entries: [uid, loops index or None]
     stack: list[list] = []
     lookup: dict[int, int] = {}
-    last = len(path) - 1
-    for i in range(last, -1, -1):
+    for i in range(len(path) - 1, -1, -1):
         uid = path[i].id[UID]
-        j = min(i + 1, last)
         if uid not in lookup:
             lookup[uid] = len(stack)
-            stack.append([path[i], path[j], None])
+            stack.append([uid, None])
         else:
             k = lookup[uid]
-            if stack[k][2] is None:
-                stack[k][2] = len(loops)
-                loops.append(LoopBoundary(path[i], stack[k][0], stack[k][1]))
+            if stack[k][1] is None:
+                stack[k][1] = len(loops)
+                loops.append([i, uid])
             else:
-                loops[stack[k][2]].entry = path[i]
+                loops[stack[k][1]][0] = i
             while len(stack) > k + 1:
-                body_uid = stack[-1][0].id[UID]
-                heads2bodies.setdefault(stack[k][0].id[UID], set()).add(
-                    body_uid)
+                body_uid = stack.pop()[0]
+                heads2bodies.setdefault(uid, set()).add(body_uid)
                 del lookup[body_uid]
-                stack.pop()
-    for loop in loops:
-        body = heads2bodies.get(loop.exit.id[UID], set())
-        while loop.entry.depth > 0:
-            before = path[loop.entry.depth - 1]
-            if (before.id[UID] != loop.exit.id[UID]
-                    and before.id[UID] not in body):
-                break
-            loop.entry = before
-    return loops, heads2bodies
+    entries = []
+    for i, uid in loops:
+        body = heads2bodies.get(uid, ())
+        while i > 0 and (path[i - 1].id[UID] == uid
+                         or path[i - 1].id[UID] in body):
+            i -= 1
+        entries.append(path[i])
+    return entries, heads2bodies
 
 
 # --- direction statistics for the Monte Carlo walk ------------------------
@@ -346,9 +334,7 @@ class Strategy:
         members = sorted(classes[uid], key=lambda n: iid_key(n, max_bytes))
         pivot = members[biased_index(len(members), self.rng)]
         path = self.tree.path(pivot)
-        loops, _ = detect_loops(path)
-        entries = sorted((loop.entry for loop in loops),
-                         key=lambda n: -n.depth)
+        entries = sorted(detect_loops(path)[0], key=lambda n: -n.depth)
         if entries:
             k = entries[biased_index(len(entries), self.rng)].depth
         else:

@@ -176,7 +176,8 @@ class TestRunFuzzing:
             # closed, so its coroutine no longer refers back to it
             session = deactivated[-1]
             assert session.kind == AnalysisKind.SENSITIVITY
-            assert session.exhausted and session.next_input() is None
+            assert session.next_input() is None
+            assert session.next_input() is None
             assert session.executions > 0
             assert stats.sessions[-1].executions == session.executions
             assert not stats.sessions[-1].achieved

@@ -189,7 +189,7 @@ class TestBitshareCompose:
         node = self._node()
         session = BitshareSession(node, True, BitshareStore())
         assert session.next_input() is None
-        assert session.exhausted
+        assert session.next_input() is None
 
     def test_donor_truncated_to_shorter_side(self):
         node = self._node()
@@ -377,7 +377,31 @@ class TestTypedDescent:
         session = TypedDescentSession(node, True, random.Random(1), variables)
         outcome = drive_session(session, executor, tree)
         assert outcome == "exhausted"
-        assert session.calls <= 100 * len(node.sensitive_bits)
+        assert session.calls == 100 * len(node.sensitive_bits)
+        # closed by its budget: the session stays over
+        assert session.next_input() is None
+        assert session.next_input() is None
+
+    def test_gradient_whose_square_underflows_is_locked(self):
+        # y's partial is about 1e-190, whose square underflows to 0: the
+        # coordinate lock reads it as a zero gradient instead of dividing
+        # by it
+        tag = TypeTag.FLOAT64
+        base = tag.codec.pack(1.0) * 2
+        tree = ExecTree()
+        tree.map_trace(ExecutionResult(
+            TerminationKind.NORMAL, base, (tag, tag),
+            (condition_record((1, 0), False, 1.0, False, 16),)))
+        node = tree.root
+        node.sensitive_bits = set(range(128))
+        session = TypedDescentSession(node, True, random.Random(0),
+                                      [(0, tag), (8, tag)])
+        run = session._run()
+        data = next(run)
+        for _ in range(300):
+            x, y = (tag.codec.unpack_from(data, offset)[0]
+                    for offset in (0, 8))
+            data = run.send(1e-250 + abs(x - 1) + abs(y - 1) * 1e-190)
 
     def test_accepted_values_strictly_decrease(self):
         src = ("int main() { int x = nondet_int();"
@@ -790,7 +814,8 @@ class TestMappedValue:
 
 
 def _loop_prefix_agreement(trace, base_trace):
-    """The record-by-record walk ``prefix_agreement`` replaced."""
+    """The greatest k such that ``trace`` has the ids of ``base_trace`` at
+    0..k and its directions at 0..k-1, by a record-by-record walk."""
     k = -1
     for (rid, direction, _, _, _), (path_id, path_direction, _, _, _) \
             in zip(trace, base_trace):
@@ -890,14 +915,15 @@ class TestWalksOverChangedRecords:
             raw, region = {}, {}
             for _ in range(40):
                 trace = self._mutated(rng, full)
-                assert (session.prefix_agreement(trace)
-                        == _loop_prefix_agreement(trace, base))
+                result = _result(trace)
+                reaches = _loop_prefix_agreement(trace, base) == len(base) - 1
+                assert session.mapped_value(result) == (
+                    trace[len(base) - 1][VALUE] if reaches else None)
                 is_region = rng.random() < 0.3
                 candidates = rng.sample(range(bits), rng.randrange(1, 5))
                 session._candidate_bits = candidates
                 session._candidate_is_region = is_region
                 session._pending = b""
-                result = _result(trace)
                 if session.anchored:
                     session.anchor(result.trace)
                 session.feed(result)

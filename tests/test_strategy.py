@@ -144,39 +144,49 @@ class TestBiasedIndex:
         assert p_value > 0.01
 
 
+def _entry_depths_and_bodies(entries, heads2bodies):
+    return ([n.depth for n in entries],
+            {k: set(v) for k, v in heads2bodies.items()})
+
+
+def _oracle_entry_depths_and_bodies(uids):
+    loops, bodies = oracle_detect_loops(uids)
+    return [entry for entry, _, _ in loops], bodies
+
+
 class TestDetectLoops:
     def test_interleaved_repetition(self):
         uids = ["a", "b", "c", "b", "c", "d"]
         path = chain_from_uids(uids)
-        loops, heads2bodies = detect_loops(path)
-        assert len(loops) == 1
-        # the exit instruction keys the body map; the boundary entry moves
-        # back over the body to the first loop instruction
-        assert loops[0].entry is path[1]
-        assert loops[0].exit is path[4]
-        assert loops[0].successor is path[5]
+        entries, heads2bodies = detect_loops(path)
+        # the exit instruction keys the body map; the entry moves back
+        # over the body to the first loop instruction
+        assert entries == [path[1]]
         assert heads2bodies == {"c": {"b"}}
+        assert _entry_depths_and_bodies(entries, heads2bodies) \
+            == _oracle_entry_depths_and_bodies(uids)
 
     def test_no_repetition(self):
         path = chain_from_uids([1, 2, 3, 4])
-        loops, heads2bodies = detect_loops(path)
-        assert loops == []
+        entries, heads2bodies = detect_loops(path)
+        assert entries == []
         assert heads2bodies == {}
 
     def test_two_disjoint_loops(self):
         uids = [1, 2, 1, 5, 6, 5, 9]
         path = chain_from_uids(uids)
-        loops, heads2bodies = detect_loops(path)
-        assert len(loops) == 2
+        entries, heads2bodies = detect_loops(path)
+        assert len(entries) == 2
         assert heads2bodies == {1: {2}, 5: {6}}
 
     def test_self_loop_has_empty_body(self):
-        path = chain_from_uids([7, 7, 7, 8])
-        loops, heads2bodies = detect_loops(path)
-        assert len(loops) == 1
-        assert loops[0].entry is path[0]
-        assert loops[0].exit is path[2]
+        uids = [7, 7, 7, 8]
+        path = chain_from_uids(uids)
+        entries, heads2bodies = detect_loops(path)
+        assert entries == [path[0]]
         assert heads2bodies == {}
+        assert _entry_depths_and_bodies(entries, heads2bodies) \
+            == _oracle_entry_depths_and_bodies(uids)
 
     def test_matches_oracle_on_random_paths(self):
         rng = random.Random(4)
@@ -185,12 +195,9 @@ class TestDetectLoops:
             alphabet = rng.randrange(1, 9)
             uids = [rng.randrange(alphabet) for _ in range(length)]
             path = chain_from_uids(uids)
-            loops, heads2bodies = detect_loops(path)
-            got = ([(l.entry.depth, l.exit.depth, l.successor.depth)
-                    for l in loops],
-                   {k: set(v) for k, v in heads2bodies.items()})
-            want = oracle_detect_loops(uids)
-            assert got == want
+            entries, heads2bodies = detect_loops(path)
+            assert _entry_depths_and_bodies(entries, heads2bodies) \
+                == _oracle_entry_depths_and_bodies(uids)
             # naive cross-checks on head/body structure
             for head, body in heads2bodies.items():
                 positions = [i for i, u in enumerate(uids) if u == head]
