@@ -5,8 +5,8 @@ termination.
 The strategy owns each node's analysis pipeline: ``select_analysis``
 builds the next ready session (sensitivity, then bitshare, then typed or
 bit-level minimization), and ``finish`` records a deactivated session's
-outcome on its node, on the pivots, on the bitshare store or on the
-recovery records.  The engine only executes the session's inputs.
+outcome on its nodes, on the bitshare store or on the recovery records.
+The engine only executes the session's inputs.
 
 A node's ``stage`` counts its finished analyses in that order: 0 is
 none, 1 sensitivity, 2 bitshare, 3 minimization.  A sensitivity pass
@@ -23,12 +23,13 @@ nodes are eligible anywhere:
 * loop_heads: one representative per input-size bucket of the repeated
   instructions detected along scanned paths (stored),
 * primary candidates: the analysed nodes, then the unanalysed nodes away
-  from pivot locations, by one sort key (derived from the tree),
-* twins: unanalysed nodes sharing an execution id with a pivot but with
-  a strictly smaller |branching value| (stored, FIFO).
+  from pivot locations, by one sort key (derived from the tree).
 
-The pivots and the recovery records, (node, the node's best result at
-the failure), are stored as well.
+When neither yields a node, a Monte Carlo walk from a pivot, an
+uncovered indirectly input-dependent node, finds one.  The pivots are
+derived from the tree at each ``prune_targets``; besides the loop heads,
+only the recovery records, (node, the node's best result at the
+failure), are stored.
 """
 from __future__ import annotations
 
@@ -215,8 +216,7 @@ class Strategy:
         self.tree = tree
         self.rng = rng
         self.loop_heads: list[TreeNode] = []
-        self.twins: list[TreeNode] = []
-        # uncovered indirectly-input-dependent nodes, in registration order
+        # uncovered indirectly-input-dependent nodes, in tree order
         self.pivots: list[TreeNode] = []
         self.recovery_records: list[tuple[TreeNode, ExecutionResult]] = []
         self.bitshare_store = BitshareStore()
@@ -225,12 +225,6 @@ class Strategy:
 
     def _eligible(self, node: TreeNode) -> bool:
         return not node.covered and is_open(node)
-
-    def _twin_member(self, node: TreeNode) -> bool:
-        if not self._eligible(node) or node.stage:
-            return False
-        return any(node.id == pivot.id and abs(node.value) < abs(pivot.value)
-                   for pivot in self.pivots)
 
     def primary_candidates(self) -> list[TreeNode]:
         """Eligible nodes that are analysed, or unanalysed and away from
@@ -241,27 +235,18 @@ class Strategy:
                 and (n.stage or n.id not in locations)]
 
     def prune_targets(self) -> None:
-        """Re-check the stored targets against their membership
-        predicates, dropping violators and admitting new twins."""
-        self.pivots = [n for n in self.pivots
+        """Derive the pivots from the tree and drop the loop heads that
+        are no longer eligible."""
+        self.pivots = [n for n in self.tree.nodes
                        if not n.covered and is_indirectly_input_dependent(n)]
         self.loop_heads = [n for n in self.loop_heads if self._eligible(n)]
-        kept = [n for n in self.twins if self._twin_member(n)]
-        known = set(id(n) for n in kept)
-        for node in self.tree.nodes:
-            if id(node) not in known and self._twin_member(node):
-                kept.append(node)
-        self.twins = kept
 
     def register_examined(self, nodes: Sequence[TreeNode]) -> None:
         """After a sensitivity pass: each examined node has finished
-        sensitivity, and the uncovered IID ones become pivots."""
+        sensitivity."""
         for node in nodes:
             if not node.stage:
                 node.stage = 1
-            if (not node.covered and is_indirectly_input_dependent(node)
-                    and node not in self.pivots):
-                self.pivots.append(node)
 
     def record_failure(self, node: TreeNode) -> None:
         """A minimization ended without reaching its goal."""
@@ -295,35 +280,27 @@ class Strategy:
 
     def select_primary_target(self) -> Optional[TreeNode]:
         """A random loop head, else the first smallest primary candidate,
-        else the oldest twin.  An unscanned pick is first scanned for loop
-        heads, which changes no candidate's eligibility or key."""
-        candidates = self.primary_candidates()
-        max_bytes = self.tree.max_nbytes
-        best = (min(candidates, key=lambda n: su_key(n, max_bytes))
-                if candidates else None)
-        while True:
-            if self.loop_heads:
-                index = self.rng.randrange(len(self.loop_heads))
-                return self.loop_heads.pop(index)
-            if best is not None:
-                node = best
-            elif self.twins:
-                node = self.twins[0]
-            else:
+        scanned first: a loop head that the scan of an unscanned pick
+        finds is taken in its place.  Scanning changes no candidate's
+        eligibility or key."""
+        if not self.loop_heads:
+            candidates = self.primary_candidates()
+            if not candidates:
                 return None
-            if not node.loop_scanned:
-                self._scan_loop_heads(node)
-                continue
-            if node is not best:
-                self.twins.pop(0)
-            return node
+            max_bytes = self.tree.max_nbytes
+            best = min(candidates, key=lambda n: su_key(n, max_bytes))
+            if not best.loop_scanned:
+                self._scan_loop_heads(best)
+            if not self.loop_heads:
+                return best
+        return self.loop_heads.pop(self.rng.randrange(len(self.loop_heads)))
 
     # -- Monte Carlo walk ------------------------------------------------------
 
     def monte_carlo_select(self) -> Optional[TreeNode]:
         """A walk from a pivot's loop entry, steered by the direction
         frequencies of the pivot's partition class.  The pivots are those
-        the last ``prune_targets`` kept."""
+        the last ``prune_targets`` derived."""
         classes: dict[int, list[TreeNode]] = {}
         for node in self.pivots:
             classes.setdefault(node.id[UID], []).append(node)

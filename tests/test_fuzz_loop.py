@@ -394,12 +394,24 @@ STARVATION = """int main() {
   if (y > 5000) { if (y < 5003) { if (y == 5001) { return 1; } } }
   return 0;
 }"""
+# an indirectly input-dependent comparison whose instance closer to zero
+# sits on another path: on the a < 10 side c == 12345 compares the
+# constant 100, on the other side b + 12000, which depends on b
+TWIN_TARGET = """int main() {
+  int a = nondet_int();
+  int b = nondet_int();
+  int c = 0;
+  if (a < 10) { c = 100; } else { c = b + 12000; }
+  if (c == 12345) { abort(); }
+  return 0;
+}"""
 
 LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11,
                    "gen_program_275": GEN_PROGRAM_275,
                    "gen_program_95": GEN_PROGRAM_95, "header": HEADER_TARGET,
                    "xor_gate": XOR_GATE, "xor_variable": XOR_VARIABLE,
-                   "division_first": DIVISION_FIRST, "starvation": STARVATION}
+                   "division_first": DIVISION_FIRST, "starvation": STARVATION,
+                   "twin": TWIN_TARGET}
 
 # the byte-identity sweep: (manifest.json, stats.json) sha256 of every
 # target under benchmarks/ and bench/targets/ and of the four misses, at
@@ -431,17 +443,17 @@ SWEEP_SHA256 = {
         "ba4a0d98935535ab5f0d793e3830e8f96a7d6bdb2788fd46587039e5a937a7e5",
         "de0ff18b63df660498e09f4bb0437188643c859fd4e637e5e1601cda77f2e2bc"),
     "loop_accumulator.mc-seed1-fill0": (
-        "e43d5a65f3201bc464ec6cde37faa510177a2e1fa454372815f7fe0302ab90be",
-        "3b03cb5e2735a104c7ea0261211c7798174d265bd6cec3a295019b6051cb528f"),
+        "43f8ff0f75ca74f141f9ad2026b2b9dfea5014d81f1dccae82879841df9e2ca5",
+        "75104865992a0e5527ec198064c00fdd88af6a527004074f9eafaf58ae47a0fa"),
     "loop_accumulator.mc-seed1-fill85": (
         "c9db0979c2beb6b4cd186f7cc31685c2f2cdf39a621914171a5e045cf0c25df4",
         "c5fc7498b0c3fdb542f97608ba463a1ba40f08664c236d9a510ff0eec5892085"),
     "loop_accumulator.mc-seed2-fill0": (
-        "ebed3063a546ff1afa871c0d64b7bad3ade2e26529068645c740833e55174b55",
-        "1310855bc0086a0c8c862c324b21f1fc647a4dff8bf2e7709604cd56e687e670"),
+        "c5431e883ffd70ec08f01aa2407ccf4512645f94494338ed8e02323f83ad9404",
+        "c6caba627cb92d7c1218c98a11ee2b9fd8d4b0726c7f29bc5b3fc9c204417f04"),
     "loop_accumulator.mc-seed2-fill85": (
-        "beacb87c5d5a8eeb383ba9faa4244022360fe3e7149f28299442bfdff5be815f",
-        "e598594250f5d64668b8c130c16f7263beb0f23bf97d39ef9bbab510f7d54435"),
+        "1e3b235463426b2f97e918b39279b4c39ff95a09e4ee47e683fdf5b2cf7be5f7",
+        "87889e64e9536f091a3231198fdc026e3f91981dc4a35c6545f50be7d17aeca4"),
     "magic_equal.mc-seed1-fill0": (
         "8ccb86409ec0f7317eef4fc2d7dfc37830ac2b1c273895b4a1711840a5596d3e",
         "1e9f7b9e984d9cf09e8a473a03b3c953500fc55d262de0c2e5223ff00a5704ff"),
@@ -516,16 +528,16 @@ SWEEP_SHA256 = {
         "521f552fa65f072020123d168227754f39748d83f933e85bc206e4a7d510c761"),
     "scanner.mc-seed1-fill0": (
         "e56c0c66618daa6dc57d80750483092536e474d14e30ac78ff82acb34fbf216c",
-        "0c79f1e43cc059c7c2b1dd6447ab61a02c8b15c763d3e6a579bd49e9f698e274"),
+        "11db82f54d7c9058970d42a1bae83c391609b60dbfe3e899198b3002272cf475"),
     "scanner.mc-seed1-fill85": (
         "96a8501e3ccf8b622bfee6b5de04e496b8661ec53bc0c612c3620780ffac5c5d",
-        "9d8a12270ad694e71e437e6502494f72801b249ba50a8354cac2a17053b0b5ae"),
+        "61b0e49467521fdb5b2b889f56eb98df0ced878d3ba133b071d98595ce5d4ee3"),
     "scanner.mc-seed2-fill0": (
         "aa4086dbb2d2c55ba6b0c72660880f91915bab2f44eb897c5dadb1e2b4be926c",
-        "2fb244facdc9fcfe604c5b73eced19ff23b313f8989102301b30ab37a87073ac"),
+        "e18e578486a4c30853ab97a1a0c557f81a0e23e60c93118582fcced3ba1848be"),
     "scanner.mc-seed2-fill85": (
         "fe8349c795562027a352c6ac5caf9b2aacf0082063e864f37881baa8d556482f",
-        "63a52ebaebd9d4847a42464f0907658f6639870d0377649f81bfd5338b3de56a"),
+        "e3dfa2fd2c1fd9c5ce8626e0fb4aac2758116bc10c3fa8af78203cc28db2b207"),
     "xor_gate-seed1-fill0": (
         "ecb6c78635f941843f5bb228e2a9c4f15355f13b8163d21a8d0bb4e0bbc02051",
         "5d4f923fab4c6ffe7108de95f57cdddf21f5a2e81a960eb4d6b14c455b0a973c"),
@@ -602,13 +614,14 @@ class TestDeterminism:
 
     # manifest.json sha256 at a fixed seed, seed 5 and fill byte 0
     # unless the case is one of SWEEP_SHA256's.  counted_loop under a
-    # short trace cap keeps an optimizer test; loop_accumulator selects a
-    # twin twice; gen_program_11 takes a node from the Monte Carlo walk
-    # five times; the header target answers 102 of its 322 inputs from
-    # the read-prefix memo, which no target under benchmarks/ reaches;
-    # gen_program_275 and gen_program_95 run the two strategy paths no
-    # other case reaches, recovery and the loop-body streams of the
-    # Monte Carlo walk (test_strategy_paths_pinned counts them).  A
+    # short trace cap keeps an optimizer test; gen_program_11 takes a
+    # node from the Monte Carlo walk five times; the header target
+    # answers 102 of its 322 inputs from the read-prefix memo, which no
+    # target under benchmarks/ reaches; gen_program_275 and
+    # gen_program_95 run the two strategy paths no other case reaches,
+    # recovery and the loop-body streams of the Monte Carlo walk, and
+    # the twin target reaches the other instance of its pivot by the
+    # walk (test_strategy_paths_pinned counts them).  A
     # refactor must keep these; a change meant to alter behaviour records
     # the new values.  STATS_SHA256 pins each case's stats.json beside
     # its manifest: the per-session calls and executions, the session
@@ -616,11 +629,11 @@ class TestDeterminism:
     # while the manifest stays the same.
     STATS_SHA256 = {
         "counted_loop.mc":
-        "ecc34370feb2fbfadb41ea1c9cd65161a249ecb845425bd4f21e9c8624ea6181",
+        "e33cc67d18543734d2cf021ce9d9c4c80b113051a8323a54a44a09961e07af58",
         "four_branch.mc":
         "b0943a653772fc6242843d7f8ac0e1338ee2b3d88987edd27fbd63f84c3384f0",
         "loop_accumulator.mc":
-        "7aa028cdfee8ccfa6a1cfde50ea010109be1c50fa8b475b24d9d3dbf45f22062",
+        "226bab1625ce9c0c89757d913febf560a75e134c192f5d5b853ae44a5b20b6b2",
         "gen_program_11":
         "f5d7cf38a5d394a1ecc1328e0851d9d4d3217e99b7783812c1dcb0f8aa75a20d",
         "header":
@@ -629,16 +642,18 @@ class TestDeterminism:
         "4fc3b5b8769e7fdf3c22e4467371cefaeb1064d5c607e1077e59ae349c9e6ceb",
         "gen_program_95-seed1-fill0":
         "a21ed59d236c20e22db3d4ca08f53fbbde92831e14ca5b7250f2bb78a08d1bb0",
+        "twin-seed1-fill0":
+        "2db908e1e67c151557032708ac558f76e882e6e9d9e780b124d8d6824b8c5823",
         **{case: stats for case, (_, stats) in SWEEP_SHA256.items()},
     }
 
     @pytest.mark.parametrize("name, limits, sha256", [
         ("counted_loop.mc", VmLimits(max_trace_length=40),
-         "80eee41e99390296a4b75f9d685e54012c047dbb41988ab5e12cea4bf8ab2477"),
+         "8da250eac15c68b61db4c37737359c098e344d2cadbfa26345ec449ad037f636"),
         ("four_branch.mc", VmLimits(),
          "9bc7c68e9ccdbaf54c7956044e7a0ee77fa9b40b41e341315f050de8d30c63ec"),
         ("loop_accumulator.mc", VmLimits(),
-         "b9d66800c424886653fa3517e913ce875a6ce99f1fce1c93b4b302cc411fb3b8"),
+         "7ffd91813e9387b44f7320b1ad463810c7db9cc27f6e1e90611410e591b933a7"),
         ("gen_program_11", VmLimits(100, 32, 32, 50_000),
          "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
         ("header", VmLimits(),
@@ -649,6 +664,8 @@ class TestDeterminism:
          "6e49121c7dea732d36d741fd8d418f39614ca7dc5ac939380591bf9b53f1cfa8"),
         *[(case, VmLimits(), manifest)
           for case, (manifest, _) in SWEEP_SHA256.items()],
+        ("twin-seed1-fill0", VmLimits(),
+         "689ca35cde9f9199f97c7e4fa9486d9fe3eed0fe5dddfc9f656ef0ff4b4085b0"),
     ])
     def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
                                              sha256):
@@ -673,19 +690,25 @@ class TestDeterminism:
         assert hashlib.sha256(stats_json).hexdigest() == \
             self.STATS_SHA256[name]
 
-    @pytest.mark.parametrize("target, seed, fill, executions, reopened, "
-                             "body_probabilities", [
-                                 ("gen_program_275", 1, 85, 710, 1, 0),
-                                 ("gen_program_95", 1, 0, 375, 0, 28),
+    @pytest.mark.parametrize("target, seed, fill, limits, executions, "
+                             "reopened, body_probabilities, walks", [
+                                 ("gen_program_275", 1, 85, GENERATED_LIMITS,
+                                  710, 1, 0, 2),
+                                 ("gen_program_95", 1, 0, GENERATED_LIMITS,
+                                  375, 0, 28, 6),
+                                 ("twin", 1, 0, VmLimits(), 137, 0, 0, 1),
                              ])
     def test_strategy_paths_pinned(self, monkeypatch, target, seed, fill,
-                                   executions, reopened, body_probabilities):
-        # what two fingerprint cases are for: the strategy stops each
-        # before the budget, one after recovery reopened a node, the
-        # other after walks that computed loop-body probabilities
+                                   limits, executions, reopened,
+                                   body_probabilities, walks):
+        # what three fingerprint cases are for: the strategy stops each
+        # before the budget, one after recovery reopened a node, one
+        # after walks that computed loop-body probabilities, and the
+        # twin target after one walk reached its pivot's other instance
         from gradfuzz import strategy
-        counts = {"reopened": 0, "body": 0}
+        counts = {"reopened": 0, "body": 0, "walks": 0}
         recover_nodes = strategy.Strategy.recover_nodes
+        monte_carlo_select = strategy.Strategy.monte_carlo_select
         probability = strategy.compute_direction_probability
 
         def counted_recovery(self):
@@ -693,21 +716,39 @@ class TestDeterminism:
             counts["reopened"] += n
             return n
 
+        def counted_walk(self):
+            node = monte_carlo_select(self)
+            counts["walks"] += node is not None
+            return node
+
         def counted_probability(stats, in_loop_body=False):
             counts["body"] += in_loop_body
             return probability(stats, in_loop_body)
 
         monkeypatch.setattr(strategy.Strategy, "recover_nodes",
                             counted_recovery)
+        monkeypatch.setattr(strategy.Strategy, "monte_carlo_select",
+                            counted_walk)
         monkeypatch.setattr(strategy, "compute_direction_probability",
                             counted_probability)
         _, stats = run_fuzzing(
             parse_program(LITERAL_TARGETS[target]),
             FuzzBudget(max_executions=2000),
-            FuzzOptions(limits=GENERATED_LIMITS, seed=seed, fill_byte=fill))
+            FuzzOptions(limits=limits, seed=seed, fill_byte=fill))
         assert stats.terminated_by_strategy
         assert stats.total_executions == executions
-        assert counts == {"reopened": reopened, "body": body_probabilities}
+        assert counts == {"reopened": reopened, "body": body_probabilities,
+                          "walks": walks}
+
+    def test_fingerprint_sweep_campaigns_parse(self):
+        # tests/fingerprint_sweep.py is run by hand; keep its campaign
+        # list from rotting between runs
+        import fingerprint_sweep
+        names = []
+        for name, source, _ in fingerprint_sweep.campaigns():
+            parse_program(source)
+            names.append(name)
+        assert len(names) == len(set(names))
 
     def test_different_seeds_may_differ_but_still_cover(self):
         for seed in range(5):

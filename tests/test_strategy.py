@@ -318,29 +318,6 @@ class TestSelectPrimaryTarget:
         strategy = Strategy(tree, random.Random(0))
         assert strategy.select_primary_target() is analyzed
 
-    def test_twin_stays_first_while_its_scan_hands_out_a_head(self):
-        # loop head 5 repeats along the twin's path; every node is either
-        # covered or unanalysed at the pivot's location, so the twin is
-        # the only primary target until its scan finds the head
-        tree = ExecTree()
-        map_all(tree, [[record(5, True, 1.0), record(6, True, 1.0),
-                        record(5, True, 1.0), record(6, True, 1.0),
-                        record(5, True, 1.0)]])
-        path = tree.path(tree.nodes[-1])
-        for node in path:
-            if node.id[UID] == 6:
-                node.covered = True
-        strategy = Strategy(tree, random.Random(0))
-        strategy.pivots.append(stub_node(uid=5, value=9.0, stage=1))
-        twin = path[-1]
-        strategy.twins.append(twin)
-        assert strategy.primary_candidates() == []
-        head = strategy.select_primary_target()
-        assert head is path[0]
-        assert strategy.twins == [twin]
-        assert strategy.select_primary_target() is twin
-        assert strategy.twins == []
-
 
 class TestSelectAnalysis:
     def _tree_with_root(self, trace_sets):
@@ -462,9 +439,9 @@ class TestMonteCarlo:
                 assert not node.closed
 
     def test_select_analysis_falls_back_to_monte_carlo(self):
-        # primary sets are emptied: shallow nodes covered, the open node
-        # at depth 3 shares the second pivot's id (excluded from the
-        # untouched set) without a smaller |value| (not a twin)
+        # no primary candidate is left: shallow nodes covered, and the
+        # open node at depth 3 shares the second pivot's id, which keeps
+        # it out of the untouched set
         tree, pivot = self._pivot_tree()
         path = tree.path(pivot)
         path[0].covered = True
@@ -472,8 +449,6 @@ class TestMonteCarlo:
         second_pivot = path[2]
         second_pivot.stage = 1
         strategy = Strategy(tree, ScriptedRng(randoms=[0.9, 0.9], seed=1))
-        strategy.pivots.append(pivot)
-        strategy.pivots.append(second_pivot)
         selection = strategy.select_analysis()
         assert selection is not None
         assert selection.kind == AnalysisKind.SENSITIVITY
@@ -571,13 +546,19 @@ class TestRecovery:
 
 
 class TestPruneTargets:
-    def test_register_examined_adds_each_pivot_once(self):
-        strategy = Strategy(ExecTree(), random.Random(0))
-        pivot = stub_node(uid=5, stage=1)
-        direct = stub_node(uid=6, stage=1, bits=(3,))
-        strategy.register_examined([pivot, direct, pivot])
-        strategy.register_examined([pivot])
-        assert strategy.pivots == [pivot]
+    def test_pivots_are_the_uncovered_iid_nodes_in_tree_order(self):
+        tree = ExecTree()
+        map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0),
+                        record(3, True, 1.0), record(4, True, 1.0)]])
+        first, direct, covered, last = tree.path(tree.nodes[-1])
+        strategy = Strategy(tree, random.Random(0))
+        strategy.register_examined([last, covered, direct, first, last])
+        assert [n.stage for n in tree.nodes] == [1, 1, 1, 1]
+        direct.sensitive_bits = {3}
+        covered.covered = True
+        assert strategy.pivots == []
+        strategy.prune_targets()
+        assert strategy.pivots == [first, last]
 
     def test_analyzed_node_stays_a_candidate(self):
         tree = ExecTree()
@@ -601,7 +582,7 @@ class TestPruneTargets:
         strategy.prune_targets()
         assert strategy.loop_heads == []
 
-    def test_twin_leaves_when_pivot_covered(self):
+    def test_pivot_leaves_when_covered(self):
         tree = ExecTree()
         map_all(tree, [
             [record(1, True, 1.0), record(2, True, 5.0)],
@@ -610,18 +591,15 @@ class TestPruneTargets:
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.true_succ
         pivot.stage = 1
-        strategy.pivots.append(pivot)
         strategy.prune_targets()
-        twin = tree.root.false_succ
-        assert twin in strategy.twins
-        # covering the shared execution id retires pivot and twin alike
+        assert strategy.pivots == [pivot]
+        # covering the pivot's execution id retires it
         tree.map_trace(ExecutionResult(
             TerminationKind.NORMAL, b"\x00\x00",
             (TypeTag.UINT8, TypeTag.UINT8),
             (record(1, False, 1.0), record(2, False, 2.0))))
         strategy.prune_targets()
-        assert twin not in strategy.twins
-        assert len(strategy.pivots) == 0
+        assert strategy.pivots == []
 
     def test_pivot_location_excluded_from_untouched(self):
         tree = ExecTree()
@@ -632,12 +610,9 @@ class TestPruneTargets:
         strategy = Strategy(tree, random.Random(0))
         pivot = tree.root.true_succ
         pivot.stage = 1
-        strategy.pivots.append(pivot)
         strategy.prune_targets()
         other = tree.root.false_succ
-        # |9.0| > |5.0|: not a twin
         assert other not in strategy.primary_candidates()
-        assert other not in strategy.twins
 
 
 class TestClassify:
