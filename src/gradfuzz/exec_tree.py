@@ -125,14 +125,13 @@ class TreeNode:
     """One evaluation position along a path.  ``best`` is the node's best
     result, the one that gave it ``best_weight``, and is only ever
     rebound to the result of a strictly lighter trace, which comes from a
-    later execution: a changed ``best`` is a refreshed one.  ``seen`` has
-    bit ``1 << d`` set once a mapped trace took direction ``d`` at the
-    node; ``sensitive_bits`` is immutable and rebound when sensitivity
-    publishes marks, so nodes can share the empty set.  A node links
-    only to its successors (see the module docstring); its ``depth`` is
-    the index of its record in every trace reaching it.  The strategy
-    owns ``stage``, ``closed`` and ``loop_scanned``; the tree only
-    initialises them."""
+    later execution.  ``seen`` has bit ``1 << d`` set once a mapped trace
+    took direction ``d`` at the node; ``sensitive_bits`` is immutable and
+    rebound when sensitivity publishes marks, so nodes can share the
+    empty set.  A node links only to its successors (see the module
+    docstring); its ``depth`` is the index of its record in every trace
+    reaching it.  The strategy owns ``stage``, ``closed`` and
+    ``loop_scanned``; the tree only initialises them."""
 
     __slots__ = (
         "id", "false_succ", "true_succ", "seen", "depth",

@@ -1,21 +1,20 @@
-"""Node and analysis selection: primary targets, loop-head detection,
-the Monte Carlo walk from indirect pivots, and recovery from early
-termination.
+"""Node and analysis selection: primary targets, loop-head detection
+and the Monte Carlo walk from indirect pivots.
 
 The strategy owns each node's analysis pipeline: ``select_analysis``
 builds the next ready session (sensitivity, then bitshare, then typed or
 bit-level minimization), and ``finish`` records a deactivated session's
-outcome on its nodes, on the bitshare store or on the recovery records.
-The engine only executes the session's inputs.
+outcome on its nodes and on the bitshare store.  The engine only
+executes the session's inputs.
 
 A node's ``stage`` counts its finished analyses in that order: 0 is
 none, 1 sensitivity, 2 bitshare, 3 minimization.  A sensitivity pass
-raises each node of its path to at least 1, bitshare sets 2, a
-minimization 3, and recovery 0.  A node is open (``is_open``) while it
-was not seen both ways and is at 0, or below 3 with sensitive bits; it
-is closed once it is not open and no successor is unclosed.  A finished
-session sets closed flags from its node up (``propagate_closed``), and
-recovery alone clears them (``reopen``).
+raises each node of its path to at least 1, bitshare sets 2 and a
+minimization 3, whether or not it reached its goal; a stage only rises.
+A node is open (``is_open``) while it was not seen both ways and is at
+0, or below 3 with sensitive bits; it is closed once it is not open and
+no successor is unclosed.  A finished session sets closed flags from its
+node up (``propagate_closed``), and nothing clears them.
 
 Primary targets are taken in a fixed priority, and only uncovered, open
 nodes are eligible anywhere:
@@ -27,9 +26,8 @@ nodes are eligible anywhere:
 
 When neither yields a node, a Monte Carlo walk from a pivot, an
 uncovered indirectly input-dependent node, finds one.  The pivots are
-derived from the tree at each ``prune_targets``; besides the loop heads,
-only the recovery records, (node, the node's best result at the
-failure), are stored.
+derived from the tree at each ``prune_targets``; only the loop heads
+are stored.
 """
 from __future__ import annotations
 
@@ -47,7 +45,7 @@ from .generators import (
     TypedDescentSession,
     identify_typed_variables,
 )
-from .target_abi import UID, ExecutionResult
+from .target_abi import UID
 
 _POW2_BUCKETS = [2 ** i for i in range(11)]
 
@@ -218,7 +216,6 @@ class Strategy:
         self.loop_heads: list[TreeNode] = []
         # uncovered indirectly-input-dependent nodes, in tree order
         self.pivots: list[TreeNode] = []
-        self.recovery_records: list[tuple[TreeNode, ExecutionResult]] = []
         self.bitshare_store = BitshareStore()
 
     # -- membership predicates -------------------------------------------
@@ -247,10 +244,6 @@ class Strategy:
         for node in nodes:
             if not node.stage:
                 node.stage = 1
-
-    def record_failure(self, node: TreeNode) -> None:
-        """A minimization ended without reaching its goal."""
-        self.recovery_records.append((node, node.best))
 
     # -- loop head detection -----------------------------------------------
 
@@ -377,27 +370,6 @@ class Strategy:
             if not moved:
                 return None
 
-    # -- recovery ----------------------------------------------------------
-
-    def recover_nodes(self) -> int:
-        """Reopen failed-minimization nodes whose best result has been
-        refreshed since the failure; returns how many were reopened."""
-        kept: list[tuple[TreeNode, ExecutionResult]] = []
-        reopened = 0
-        for node, best in self.recovery_records:
-            if node.covered:
-                continue
-            if node.best is best:
-                kept.append((node, best))
-                continue
-            node.stage = 0
-            self.reopen(node)
-            reopened += 1
-        self.recovery_records = kept
-        if reopened:
-            self.prune_targets()
-        return reopened
-
     # -- analysis selection ----------------------------------------------------
 
     def _descend_for_sensitivity(self, node: TreeNode) -> TreeNode:
@@ -414,17 +386,15 @@ class Strategy:
                 return node
 
     def select_analysis(self) -> Optional[AnalysisSession]:
-        """The session of the next (analysis, node) pair, trying recovery
-        before giving up; None means the whole fuzzing loop terminates."""
+        """The session of the next (analysis, node) pair: a primary
+        target, else the Monte Carlo walk's node; None, when neither
+        yields one, means the whole fuzzing loop terminates."""
         self.prune_targets()
-        while True:
-            node = self.select_primary_target()
-            if node is None:
-                node = self.monte_carlo_select()
-            if node is not None:
-                break
-            if not self.recover_nodes():
-                return None
+        node = self.select_primary_target()
+        if node is None:
+            node = self.monte_carlo_select()
+        if node is None:
+            return None
         if node.stage == 0:
             return SensitivitySession(
                 self.tree.path(self._descend_for_sensitivity(node)))
@@ -440,9 +410,9 @@ class Strategy:
 
     def finish(self, session: AnalysisSession) -> None:
         """Record the outcome of a deactivated session on its node and
-        close what it closed.  A minimization's outcome is the session's
-        own ``achieving_input``: the input that observed its goal
-        direction, or None when none did."""
+        close what it closed.  A minimization ends at stage 3 whether or
+        not it reached its goal; its ``achieving_input``, the input that
+        observed its goal direction, becomes a bitshare donor."""
         node = session.node
         if session.kind == AnalysisKind.SENSITIVITY:
             self.register_examined(session.finish())
@@ -450,9 +420,7 @@ class Strategy:
             node.stage = 2
         else:
             node.stage = 3
-            if session.achieving_input is None:
-                self.record_failure(node)
-            else:
+            if session.achieving_input is not None:
                 self.bitshare_store.record(node.id[UID],
                                            session.goal_direction,
                                            session.achieving_input,
@@ -463,18 +431,9 @@ class Strategy:
 
     def propagate_closed(self, start: TreeNode) -> None:
         """Re-evaluate the closed flag from ``start`` towards the root,
-        stopping at the first node that remains non-closed.  Flags are
-        only ever set here; recovery is the one place they are cleared."""
+        stopping at the first node that remains non-closed.  This is the
+        one writer of the flags, and it only sets them."""
         for node in reversed(self.tree.path(start)):
             if not (node.closed or closed_predicate(node)):
                 break
             node.closed = True
-
-    def reopen(self, node: TreeNode) -> None:
-        """Clear the closed flag of ``node`` and re-evaluate ancestors,
-        clearing flags that no longer hold."""
-        node.closed = False
-        for cur in reversed(self.tree.path(node)[:-1]):
-            if not cur.closed or closed_predicate(cur):
-                break
-            cur.closed = False

@@ -113,6 +113,11 @@ class TestMapTrace:
         assert tree.root.best is lighter
         tree.map_trace(result_for((record(1, True, 2.5),), data=b"\x07"))
         assert tree.root.best.bytes_read == b"\x02"
+        # an equal weight, or the same trace again, keeps the best too
+        for again in (result_for((record(1, True, 2.0),), data=b"\x04"),
+                      lighter):
+            tree.map_trace(again)
+            assert tree.root.best is lighter
 
     def test_new_node_takes_first_trace_at_infinite_weight(self):
         tree = ExecTree()

@@ -617,11 +617,12 @@ class TestDeterminism:
     # short trace cap keeps an optimizer test; gen_program_11 takes a
     # node from the Monte Carlo walk five times; the header target
     # answers 102 of its 322 inputs from the read-prefix memo, which no
-    # target under benchmarks/ reaches; gen_program_275 and
-    # gen_program_95 run the two strategy paths no other case reaches,
-    # recovery and the loop-body streams of the Monte Carlo walk, and
-    # the twin target reaches the other instance of its pivot by the
-    # walk (test_strategy_paths_pinned counts them).  A
+    # target under benchmarks/ reaches; gen_program_275 is the campaign
+    # where a failed minimization's best result improves later, and the
+    # strategy stops there all the same; gen_program_95 runs the
+    # loop-body streams of the Monte Carlo walk, which no other case
+    # reaches; and the twin target reaches the other instance of its
+    # pivot by the walk (test_strategy_paths_pinned counts them).  A
     # refactor must keep these; a change meant to alter behaviour records
     # the new values.  STATS_SHA256 pins each case's stats.json beside
     # its manifest: the per-session calls and executions, the session
@@ -639,7 +640,7 @@ class TestDeterminism:
         "header":
         "63839f42d72223ceaaaf1b49c08f96463eeff3456842b4f796b74c266a8b7af9",
         "gen_program_275-seed1-fill85":
-        "4fc3b5b8769e7fdf3c22e4467371cefaeb1064d5c607e1077e59ae349c9e6ceb",
+        "de7690b7dbd19963e39b1204b79635206b4446736f17dacf427d413fd8dbbee7",
         "gen_program_95-seed1-fill0":
         "a21ed59d236c20e22db3d4ca08f53fbbde92831e14ca5b7250f2bb78a08d1bb0",
         "twin-seed1-fill0":
@@ -647,7 +648,7 @@ class TestDeterminism:
         **{case: stats for case, (_, stats) in SWEEP_SHA256.items()},
     }
 
-    @pytest.mark.parametrize("name, limits, sha256", [
+    MANIFEST_SHA256 = [
         ("counted_loop.mc", VmLimits(max_trace_length=40),
          "8da250eac15c68b61db4c37737359c098e344d2cadbfa26345ec449ad037f636"),
         ("four_branch.mc", VmLimits(),
@@ -659,14 +660,17 @@ class TestDeterminism:
         ("header", VmLimits(),
          "0a325df568ae75da994f221f07c09b080d1c39df8157d36c5bf3758bf65a628b"),
         ("gen_program_275-seed1-fill85", GENERATED_LIMITS,
-         "66867c47869a79ab05ca756599d0eb466a1c8cd098ca505d5995771aa8a5f1e8"),
+         "907fc37887ae537f673d4bab71aabd69347d0e065fce4ac747668937780d7f2e"),
         ("gen_program_95-seed1-fill0", GENERATED_LIMITS,
          "6e49121c7dea732d36d741fd8d418f39614ca7dc5ac939380591bf9b53f1cfa8"),
         *[(case, VmLimits(), manifest)
           for case, (manifest, _) in SWEEP_SHA256.items()],
         ("twin-seed1-fill0", VmLimits(),
          "689ca35cde9f9199f97c7e4fa9486d9fe3eed0fe5dddfc9f656ef0ff4b4085b0"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, limits, sha256", [
+        pytest.param(*case, id=case[0]) for case in MANIFEST_SHA256])
     def test_fixed_seed_manifest_fingerprint(self, tmp_path, name, limits,
                                              sha256):
         target, seed, fill = name, 5, 0
@@ -690,31 +694,30 @@ class TestDeterminism:
         assert hashlib.sha256(stats_json).hexdigest() == \
             self.STATS_SHA256[name]
 
+    # (target, seed, fill byte, limits, executions, loop-body
+    # probabilities, walks) of three campaigns the strategy stops early
+    STRATEGY_PATHS = [
+        ("gen_program_275", 1, 85, GENERATED_LIMITS, 503, 0, 2),
+        ("gen_program_95", 1, 0, GENERATED_LIMITS, 375, 28, 6),
+        ("twin", 1, 0, VmLimits(), 137, 0, 1),
+    ]
+
     @pytest.mark.parametrize("target, seed, fill, limits, executions, "
-                             "reopened, body_probabilities, walks", [
-                                 ("gen_program_275", 1, 85, GENERATED_LIMITS,
-                                  710, 1, 0, 2),
-                                 ("gen_program_95", 1, 0, GENERATED_LIMITS,
-                                  375, 0, 28, 6),
-                                 ("twin", 1, 0, VmLimits(), 137, 0, 0, 1),
-                             ])
+                             "body_probabilities, walks", [
+        pytest.param(*case, id="{}-seed{}-fill{}".format(*case))
+        for case in STRATEGY_PATHS])
     def test_strategy_paths_pinned(self, monkeypatch, target, seed, fill,
-                                   limits, executions, reopened,
-                                   body_probabilities, walks):
+                                   limits, executions, body_probabilities,
+                                   walks):
         # what three fingerprint cases are for: the strategy stops each
-        # before the budget, one after recovery reopened a node, one
-        # after walks that computed loop-body probabilities, and the
-        # twin target after one walk reached its pivot's other instance
+        # before the budget, one after a failed minimization's best
+        # result improved, one after walks that computed loop-body
+        # probabilities, and the twin target after one walk reached its
+        # pivot's other instance
         from gradfuzz import strategy
-        counts = {"reopened": 0, "body": 0, "walks": 0}
-        recover_nodes = strategy.Strategy.recover_nodes
+        counts = {"body": 0, "walks": 0}
         monte_carlo_select = strategy.Strategy.monte_carlo_select
         probability = strategy.compute_direction_probability
-
-        def counted_recovery(self):
-            n = recover_nodes(self)
-            counts["reopened"] += n
-            return n
 
         def counted_walk(self):
             node = monte_carlo_select(self)
@@ -725,8 +728,6 @@ class TestDeterminism:
             counts["body"] += in_loop_body
             return probability(stats, in_loop_body)
 
-        monkeypatch.setattr(strategy.Strategy, "recover_nodes",
-                            counted_recovery)
         monkeypatch.setattr(strategy.Strategy, "monte_carlo_select",
                             counted_walk)
         monkeypatch.setattr(strategy, "compute_direction_probability",
@@ -737,8 +738,36 @@ class TestDeterminism:
             FuzzOptions(limits=limits, seed=seed, fill_byte=fill))
         assert stats.terminated_by_strategy
         assert stats.total_executions == executions
-        assert counts == {"reopened": reopened, "body": body_probabilities,
-                          "walks": walks}
+        assert counts == {"body": body_probabilities, "walks": walks}
+
+    @pytest.mark.parametrize("target, seed, fill, limits", [
+        pytest.param(*case[:4], id="{}-seed{}-fill{}".format(*case))
+        for case in STRATEGY_PATHS])
+    def test_stage_and_closed_only_rise(self, monkeypatch, target, seed,
+                                        fill, limits):
+        # on the three strategy-path campaigns, no node's stage falls and
+        # no closed flag is cleared between two select_analysis calls
+        from gradfuzz import strategy
+        select_analysis = strategy.Strategy.select_analysis
+        snapshot: dict = {}
+        falls = []
+
+        def checked_selection(self):
+            for node in self.tree.nodes:
+                state = (node.stage, node.closed)
+                before = snapshot.get(node, state)
+                if state[0] < before[0] or state[1] < before[1]:
+                    falls.append((node.id, before, state))
+                snapshot[node] = state
+            return select_analysis(self)
+
+        monkeypatch.setattr(strategy.Strategy, "select_analysis",
+                            checked_selection)
+        run_fuzzing(parse_program(LITERAL_TARGETS[target]),
+                    FuzzBudget(max_executions=2000),
+                    FuzzOptions(limits=limits, seed=seed, fill_byte=fill))
+        assert len(snapshot) > 0
+        assert falls == []
 
     def test_fingerprint_sweep_campaigns_parse(self):
         # tests/fingerprint_sweep.py is run by hand; keep its campaign

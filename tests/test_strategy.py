@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradfuzz.exec_tree import ExecTree, TreeNode
-from gradfuzz.generators import AnalysisKind
+from gradfuzz.generators import AnalysisKind, SensitivitySession
 from gradfuzz.strategy import (
     Strategy,
     biased_index,
@@ -392,6 +392,79 @@ class TestSelectAnalysis:
         assert strategy.select_analysis() is None
 
 
+class TestFinish:
+    def _minimization(self, stage=2):
+        tree = ExecTree()
+        map_all(tree, [[record(1, True, 3.0)]])
+        node = tree.root
+        node.stage = stage
+        node.sensitive_bits = {0, 1}
+        node.loop_scanned = True
+        strategy = Strategy(tree, random.Random(0))
+        session = strategy.select_analysis()
+        assert session.node is node
+        assert session.goal_direction is False
+        return tree, strategy, session
+
+    def test_failed_minimization_stays_finished(self):
+        # a minimization that never observed its goal ends at stage 3
+        # and closes its node; a later, lighter trace that refreshes the
+        # node's best result gives selection nothing more to hand out
+        tree, strategy, session = self._minimization()
+        node = session.node
+        strategy.finish(session)
+        assert node.stage == 3
+        assert node.closed
+        assert strategy.bitshare_store.lookup(1, False) is None
+        lighter = ExecutionResult(TerminationKind.NORMAL, b"\x00",
+                                  (TypeTag.UINT8,), (record(1, True, 1.5),))
+        tree.map_trace(lighter)
+        assert node.best is lighter
+        assert strategy.select_analysis() is None
+        assert node.stage == 3
+        assert node.closed
+
+    def test_achieved_minimization_records_a_bitshare_donor(self):
+        _, strategy, session = self._minimization()
+        session.achieving_input = b"\x40"
+        strategy.finish(session)
+        assert session.node.stage == 3
+        assert strategy.bitshare_store.lookup(1, False) == (0, 1)
+
+    def test_bitshare_hands_its_node_on_to_minimization(self):
+        # bitshare ends at stage 2 with the node still open, so the next
+        # selection minimizes the same node towards the same goal
+        _, strategy, session = self._minimization(stage=1)
+        assert session.kind == AnalysisKind.BITSHARE
+        node = session.node
+        strategy.finish(session)
+        assert node.stage == 2
+        assert not node.closed
+        selection = strategy.select_analysis()
+        assert selection.node is node
+        assert selection.kind == AnalysisKind.TYPED_MINIMIZATION
+        assert selection.goal_direction is False
+
+    def test_sensitivity_pass_never_lowers_a_stage(self):
+        tree = ExecTree()
+        map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0),
+                        record(3, True, 1.0)]])
+        path = tree.path(tree.nodes[-1])
+        for node, stage in zip(path, (3, 0, 2)):
+            node.stage = stage
+        Strategy(tree, random.Random(0)).finish(SensitivitySession(path))
+        assert [n.stage for n in path] == [3, 1, 2]
+
+    def test_insensitive_pass_closes_its_path(self):
+        # no flip moved a branch: each node is indirectly input dependent,
+        # nothing is left open, and the flags close from the leaf up
+        tree = ExecTree()
+        map_all(tree, [[record(1, True, 1.0), record(2, True, 1.0)]])
+        path = tree.path(tree.nodes[-1])
+        Strategy(tree, random.Random(0)).finish(SensitivitySession(path))
+        assert [(n.stage, n.closed) for n in path] == [(1, True), (1, True)]
+
+
 class TestMonteCarlo:
     def _pivot_tree(self):
         tree = ExecTree()
@@ -453,96 +526,6 @@ class TestMonteCarlo:
         assert selection is not None
         assert selection.kind == AnalysisKind.SENSITIVITY
         assert selection.node.depth >= 3
-
-
-class TestRecovery:
-    def _failed_node(self, tree):
-        node = tree.root
-        node.stage = 3
-        node.sensitive_bits = {0}
-        return node
-
-    def test_covered_record_is_dropped(self):
-        tree = ExecTree()
-        map_all(tree, [[record(1, True, 1.0)], [record(1, False, 1.0)]])
-        strategy = Strategy(tree, random.Random(0))
-        node = self._failed_node(tree)
-        strategy.record_failure(node)
-        assert strategy.recover_nodes() == 0
-        assert strategy.recovery_records == []
-
-    def test_refreshed_best_triple_reopens(self):
-        tree = ExecTree()
-        map_all(tree, [[record(1, True, 3.0)]])
-        strategy = Strategy(tree, random.Random(0))
-        node = self._failed_node(tree)
-        strategy.record_failure(node)
-        # a later, better execution refreshes the best result
-        tree.map_trace(ExecutionResult(
-            TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, True, 1.5),)))
-        assert strategy.recover_nodes() == 1
-        assert node.stage == 0
-        strategy.prune_targets()
-        assert node in strategy.primary_candidates()
-
-    def test_stale_record_is_kept_but_not_reopened(self):
-        tree = ExecTree()
-        map_all(tree, [[record(1, True, 3.0)]])
-        strategy = Strategy(tree, random.Random(0))
-        node = self._failed_node(tree)
-        strategy.record_failure(node)
-        assert strategy.recover_nodes() == 0
-        assert len(strategy.recovery_records) == 1
-        assert node.stage == 3
-
-    def test_same_or_equal_weight_trace_does_not_reopen(self):
-        # the best moves only to a strictly lighter trace: mapping the
-        # failure's best again, its trace from another input, or a trace
-        # of equal weight leaves the record as it was
-        tree = ExecTree()
-        first = ExecutionResult(TerminationKind.NORMAL, b"\x00",
-                                (TypeTag.UINT8,), (record(1, True, 3.0),))
-        tree.map_trace(first)
-        strategy = Strategy(tree, random.Random(0))
-        node = self._failed_node(tree)
-        strategy.record_failure(node)
-        for result in (first,
-                       ExecutionResult(TerminationKind.NORMAL, b"\x01",
-                                       (TypeTag.UINT8,), first.trace),
-                       ExecutionResult(TerminationKind.NORMAL, b"\x02",
-                                       (TypeTag.UINT8,),
-                                       (record(1, True, -3.0),))):
-            tree.map_trace(result)
-            assert node.best is first
-            assert strategy.recover_nodes() == 0
-            assert strategy.recovery_records == [(node, first)]
-            assert node.stage == 3
-
-    def test_empty_records(self):
-        strategy = Strategy(ExecTree(), random.Random(0))
-        assert strategy.recover_nodes() == 0
-
-    def test_selection_continues_after_recovery(self):
-        # two-phase scenario: a failed minimization exhausts the tree,
-        # then a refreshed best result lets recovery hand out one more
-        # session instead of terminating
-        tree = ExecTree()
-        map_all(tree, [[record(1, True, 3.0)]])
-        strategy = Strategy(tree, random.Random(0))
-        node = self._failed_node(tree)
-        node.loop_scanned = True
-        strategy.record_failure(node)
-        tree.map_trace(ExecutionResult(
-            TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, True, 1.5),)))
-        selection = strategy.select_analysis()
-        assert selection is not None
-        assert selection.kind == AnalysisKind.SENSITIVITY
-        assert selection.node is node
-        # with nothing recoverable left, selection terminates
-        node.covered = True
-        assert strategy.select_analysis() is None
 
 
 class TestPruneTargets:
@@ -702,16 +685,4 @@ class TestPropagateClosed:
     def test_root_open_stops_immediately(self):
         tree, strategy = self._chain()
         strategy.propagate_closed(tree.root)
-        assert not tree.root.closed
-
-    def test_reopen_clears_stale_ancestors(self):
-        tree, strategy = self._chain()
-        for node in tree.nodes:
-            node.stage = 1
-        leaf = tree.root.true_succ.true_succ
-        strategy.propagate_closed(leaf)
-        assert tree.root.closed
-        strategy.reopen(leaf)
-        leaf.stage = 0
-        assert not leaf.closed
         assert not tree.root.closed
