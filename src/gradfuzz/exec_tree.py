@@ -130,13 +130,13 @@ class TreeNode:
     rebound when sensitivity publishes marks, so nodes can share the
     empty set.  A node links only to its successors (see the module
     docstring); its ``depth`` is the index of its record in every trace
-    reaching it.  The strategy owns ``stage``, ``closed`` and
-    ``loop_scanned``; the tree only initialises them."""
+    reaching it.  The strategy owns ``stage`` and ``closed``; the tree
+    only initialises them."""
 
     __slots__ = (
         "id", "false_succ", "true_succ", "seen", "depth",
         "best", "best_weight", "sensitive_bits", "stage",
-        "height", "covered", "closed", "loop_scanned",
+        "height", "covered", "closed",
     )
 
     def __init__(self, node_id: ExecutionId, depth: int,
@@ -154,7 +154,6 @@ class TreeNode:
         self.height = height
         self.covered = False
         self.closed = False
-        self.loop_scanned = False
 
     # convenience views of the node's own record in the best trace
     @property

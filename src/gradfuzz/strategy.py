@@ -16,18 +16,17 @@ A node is open (``is_open``) while it was not seen both ways and is at
 no successor is unclosed.  A finished session sets closed flags from its
 node up (``propagate_closed``), and nothing clears them.
 
-Primary targets are taken in a fixed priority, and only uncovered, open
-nodes are eligible anywhere:
+Only uncovered, open nodes are eligible anywhere.  The primary
+candidates are the analysed nodes, then the unanalysed nodes away from
+pivot locations, by one sort key.  The primary target is the first
+smallest candidate, or in its place a random loop head on its root
+path: one eligible instance of the repeated instructions there per
+input-size bucket.
 
-* loop_heads: one representative per input-size bucket of the repeated
-  instructions detected along scanned paths (stored),
-* primary candidates: the analysed nodes, then the unanalysed nodes away
-  from pivot locations, by one sort key (derived from the tree).
-
-When neither yields a node, a Monte Carlo walk from a pivot, an
-uncovered indirectly input-dependent node, finds one.  The pivots are
-derived from the tree at each ``prune_targets``; only the loop heads
-are stored.
+When no candidate is left, a Monte Carlo walk from a pivot, an
+uncovered indirectly input-dependent node, finds one.  The strategy
+stores no targets: the candidates and loop heads are derived from the
+tree at each selection, and the pivots at each ``prune_targets``.
 """
 from __future__ import annotations
 
@@ -65,6 +64,10 @@ def closed_predicate(node: TreeNode) -> bool:
     return not is_open(node) and all(
         succ is None or succ.closed
         for succ in (node.false_succ, node.true_succ))
+
+
+def is_eligible(node: TreeNode) -> bool:
+    return not node.covered and is_open(node)
 
 
 def is_indirectly_input_dependent(node: TreeNode) -> bool:
@@ -154,6 +157,19 @@ def detect_loops(path: Sequence[TreeNode]
     return entries, heads2bodies
 
 
+def heads_on_path(path: Sequence[TreeNode]) -> list[TreeNode]:
+    """The eligible loop-head nodes of a root path, bucketed by the
+    nearest power of two of their read count: the one with the fewest
+    reads, then the shallowest, per bucket, in bucket order."""
+    _, heads2bodies = detect_loops(path)
+    buckets: dict[int, list[TreeNode]] = {}
+    for node in path:
+        if node.id[UID] in heads2bodies and is_eligible(node):
+            buckets.setdefault(_nearest_bucket(node.nbytes), []).append(node)
+    return [min(buckets[w], key=lambda n: (n.nbytes, n.depth))
+            for w in sorted(buckets)]
+
+
 # --- direction statistics for the Monte Carlo walk ------------------------
 
 def direction_counts(path: Sequence[TreeNode]) -> dict[int, list[int]]:
@@ -213,30 +229,23 @@ class Strategy:
     def __init__(self, tree: ExecTree, rng):
         self.tree = tree
         self.rng = rng
-        self.loop_heads: list[TreeNode] = []
         # uncovered indirectly-input-dependent nodes, in tree order
         self.pivots: list[TreeNode] = []
         self.bitshare_store = BitshareStore()
 
-    # -- membership predicates -------------------------------------------
-
-    def _eligible(self, node: TreeNode) -> bool:
-        return not node.covered and is_open(node)
+    # -- primary targets -------------------------------------------------
 
     def primary_candidates(self) -> list[TreeNode]:
         """Eligible nodes that are analysed, or unanalysed and away from
         every pivot location, in tree order."""
         locations = {p.id for p in self.pivots}
         return [n for n in self.tree.nodes
-                if self._eligible(n)
-                and (n.stage or n.id not in locations)]
+                if is_eligible(n) and (n.stage or n.id not in locations)]
 
     def prune_targets(self) -> None:
-        """Derive the pivots from the tree and drop the loop heads that
-        are no longer eligible."""
+        """Derive the pivots from the tree."""
         self.pivots = [n for n in self.tree.nodes
                        if not n.covered and is_indirectly_input_dependent(n)]
-        self.loop_heads = [n for n in self.loop_heads if self._eligible(n)]
 
     def register_examined(self, nodes: Sequence[TreeNode]) -> None:
         """After a sensitivity pass: each examined node has finished
@@ -245,48 +254,16 @@ class Strategy:
             if not node.stage:
                 node.stage = 1
 
-    # -- loop head detection -----------------------------------------------
-
-    def _scan_loop_heads(self, node: TreeNode) -> None:
-        path = self.tree.path(node)
-        _, heads2bodies = detect_loops(path)
-        self.detect_loop_heads(path, heads2bodies)
-        node.loop_scanned = True
-
-    def detect_loop_heads(self, path: Sequence[TreeNode],
-                          heads2bodies: dict[int, set[int]]) -> None:
-        """Bucket open loop-head nodes by the nearest power of two of
-        their read count; the smallest node per bucket joins the targets."""
-        buckets: dict[int, list[TreeNode]] = {}
-        for node in path:
-            if not self._eligible(node):
-                continue
-            if node.id[UID] not in heads2bodies:
-                continue
-            buckets.setdefault(_nearest_bucket(node.nbytes), []).append(node)
-        for w in sorted(buckets):
-            best = min(buckets[w], key=lambda n: (n.nbytes, n.depth))
-            if best not in self.loop_heads:
-                self.loop_heads.append(best)
-
-    # -- primary target selection -------------------------------------------
-
     def select_primary_target(self) -> Optional[TreeNode]:
-        """A random loop head, else the first smallest primary candidate,
-        scanned first: a loop head that the scan of an unscanned pick
-        finds is taken in its place.  Scanning changes no candidate's
-        eligibility or key."""
-        if not self.loop_heads:
-            candidates = self.primary_candidates()
-            if not candidates:
-                return None
-            max_bytes = self.tree.max_nbytes
-            best = min(candidates, key=lambda n: su_key(n, max_bytes))
-            if not best.loop_scanned:
-                self._scan_loop_heads(best)
-            if not self.loop_heads:
-                return best
-        return self.loop_heads.pop(self.rng.randrange(len(self.loop_heads)))
+        """A random loop head on the root path of the first smallest
+        primary candidate, else that candidate."""
+        candidates = self.primary_candidates()
+        if not candidates:
+            return None
+        max_bytes = self.tree.max_nbytes
+        best = min(candidates, key=lambda n: su_key(n, max_bytes))
+        heads = heads_on_path(self.tree.path(best))
+        return self.rng.choice(heads) if heads else best
 
     # -- Monte Carlo walk ------------------------------------------------------
 

@@ -4,13 +4,14 @@ direction) pairs its suite covers and a short digest of their sorted
 list.
 
 Runs the checkout this file sits in, over the 100 generated programs of
-``test_robustness.gen_program`` under their robustness limits, and every
-target under ``benchmarks/`` and ``bench/targets/`` and in
-``test_fuzz_loop.LITERAL_TARGETS`` under the default limits; each at
-(seed, fill byte) (1, 0), (2, 0) and (1, 85), with 2,000 executions.  A
-change that is meant to keep results byte-identical prints the same
-lines as its parent.  Copy this script into the parent's tree, so both
-sides print the same columns:
+``test_robustness.gen_program`` under their robustness limits, every
+target under ``benchmarks/`` and ``bench/targets/`` under the default
+limits, and every target in ``test_fuzz_loop.LITERAL_TARGETS`` under
+the limits its fingerprint pins share (``LITERAL_LIMITS``, else the
+default limits); each at (seed, fill byte) (1, 0), (2, 0) and (1, 85),
+with 2,000 executions.  A change that is meant to keep results
+byte-identical prints the same lines as its parent.  Copy this script
+into the parent's tree, so both sides print the same columns:
 
     python tests/fingerprint_sweep.py > after.txt
     git archive <parent> | tar -x -C parent
@@ -42,7 +43,11 @@ from gradfuzz.fuzz_loop import (  # noqa: E402
 )
 from gradfuzz.exec_tree import uid_pairs  # noqa: E402
 from gradfuzz.minivm import VmLimits, parse_program  # noqa: E402
-from test_fuzz_loop import GENERATED_LIMITS, LITERAL_TARGETS  # noqa: E402
+from test_fuzz_loop import (  # noqa: E402
+    GENERATED_LIMITS,
+    LITERAL_LIMITS,
+    LITERAL_TARGETS,
+)
 from test_robustness import gen_program  # noqa: E402
 
 RUNS = ((1, 0), (2, 0), (1, 85))
@@ -57,7 +62,7 @@ def campaigns():
         for path in sorted(directory.glob("*.mc")):
             yield path.name, path.read_text(), VmLimits()
     for name, source in LITERAL_TARGETS.items():
-        yield name, source, VmLimits()
+        yield name, source, LITERAL_LIMITS.get(name, VmLimits())
 
 
 def fingerprint(source: str, limits: VmLimits, seed: int,

@@ -406,12 +406,21 @@ TWIN_TARGET = """int main() {
   return 0;
 }"""
 
+# the purpose target of loop-head priority: the crash needs seven 'A's
+# in a loop of fewer than ten rounds, whose count is the first byte
+LOOP_COUNT = """int main() {
+  char len = nondet_char(); int i = 0; int sum = 0;
+  while (i < len) { char c = nondet_char(); if (c == 65) { sum = sum + 1; } i = i + 1; }
+  if (sum > 6) { if (len < 10) { abort(); } }
+  return 0;
+}"""
+
 LITERAL_TARGETS = {"gen_program_11": GEN_PROGRAM_11,
                    "gen_program_275": GEN_PROGRAM_275,
                    "gen_program_95": GEN_PROGRAM_95, "header": HEADER_TARGET,
                    "xor_gate": XOR_GATE, "xor_variable": XOR_VARIABLE,
                    "division_first": DIVISION_FIRST, "starvation": STARVATION,
-                   "twin": TWIN_TARGET}
+                   "twin": TWIN_TARGET, "loop_count": LOOP_COUNT}
 
 # the byte-identity sweep: (manifest.json, stats.json) sha256 of every
 # target under benchmarks/ and bench/targets/ and of the four misses, at
@@ -592,6 +601,12 @@ SWEEP_SHA256 = {
 # the caps test_robustness runs generated programs under
 GENERATED_LIMITS = VmLimits(150, 32, 48, 50_000)
 
+# the limits of each literal target not fuzzed under VmLimits(), which
+# the fingerprint pins and tests/fingerprint_sweep.py share
+LITERAL_LIMITS = {"gen_program_11": VmLimits(100, 32, 32, 50_000),
+                  "gen_program_275": GENERATED_LIMITS,
+                  "gen_program_95": GENERATED_LIMITS}
+
 
 class TestDeterminism:
     def test_three_runs_byte_identical(self, tmp_path):
@@ -655,13 +670,13 @@ class TestDeterminism:
          "9bc7c68e9ccdbaf54c7956044e7a0ee77fa9b40b41e341315f050de8d30c63ec"),
         ("loop_accumulator.mc", VmLimits(),
          "7ffd91813e9387b44f7320b1ad463810c7db9cc27f6e1e90611410e591b933a7"),
-        ("gen_program_11", VmLimits(100, 32, 32, 50_000),
+        ("gen_program_11", LITERAL_LIMITS["gen_program_11"],
          "0dbfe8764f157c3fc69d36aef01ab79bb376b81fd28b7c78aad4959ba4ca2c3b"),
         ("header", VmLimits(),
          "0a325df568ae75da994f221f07c09b080d1c39df8157d36c5bf3758bf65a628b"),
-        ("gen_program_275-seed1-fill85", GENERATED_LIMITS,
+        ("gen_program_275-seed1-fill85", LITERAL_LIMITS["gen_program_275"],
          "907fc37887ae537f673d4bab71aabd69347d0e065fce4ac747668937780d7f2e"),
-        ("gen_program_95-seed1-fill0", GENERATED_LIMITS,
+        ("gen_program_95-seed1-fill0", LITERAL_LIMITS["gen_program_95"],
          "6e49121c7dea732d36d741fd8d418f39614ca7dc5ac939380591bf9b53f1cfa8"),
         *[(case, VmLimits(), manifest)
           for case, (manifest, _) in SWEEP_SHA256.items()],
@@ -770,8 +785,8 @@ class TestDeterminism:
         assert falls == []
 
     def test_fingerprint_sweep_campaigns_parse(self):
-        # tests/fingerprint_sweep.py is run by hand; keep its campaign
-        # list from rotting between runs
+        # CI runs tests/fingerprint_sweep.py after the tests; a campaign
+        # that no longer parses fails here first
         import fingerprint_sweep
         names = []
         for name, source, _ in fingerprint_sweep.campaigns():
@@ -785,6 +800,24 @@ class TestDeterminism:
                                    FuzzBudget(max_executions=2000),
                                    small_options(seed=seed))
             assert stats.coverage["uids_covered"] == 1
+
+
+class TestLoopHeads:
+    @pytest.mark.slow
+    def test_loop_count_crashes(self):
+        # the purpose of loop-head priority: analyses at the loop's head
+        # set its round count, and so reach the crash behind a count of
+        # 'A's.  With no loop heads 3 of these 10 runs crash
+        crashes = 0
+        for seed in range(1, 6):
+            for fill in (0, 85):
+                suite, _ = run_fuzzing(
+                    parse_program(LOOP_COUNT),
+                    FuzzBudget(max_executions=5000),
+                    FuzzOptions(seed=seed, fill_byte=fill))
+                crashes += any(t.termination == TerminationKind.CRASH
+                               for t in suite.tests)
+        assert crashes >= 4
 
 
 class TestReplay:

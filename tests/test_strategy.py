@@ -13,6 +13,7 @@ from gradfuzz.strategy import (
     compute_direction_probability,
     detect_loops,
     direction_counts,
+    heads_on_path,
     iid_key,
     is_indirectly_input_dependent,
     is_open,
@@ -208,45 +209,44 @@ class TestDetectLoops:
                                for i in inner)
 
 
-class TestDetectLoopHeads:
-    def _strategy(self):
-        return Strategy(ExecTree(), random.Random(0))
+def sized_chain(uids, sizes):
+    """chain_from_uids, with the record at depth i reading sizes[i]
+    bytes."""
+    path = chain_from_uids(uids)
+    for i, node in enumerate(path):
+        node.best = traced_result(record(uids[j], True, 1.0, sizes[j])
+                                  for j in range(i + 1))
+    return path
 
+
+class TestHeadsOnPath:
     def test_nearby_sizes_share_a_bucket(self):
-        strategy = self._strategy()
-        path = chain_from_uids([1, 1])
-        path[0].best = traced_result((record(1, True, 1.0, nbytes=1000),))
-        path[1].best = traced_result((record(1, True, 1.0, nbytes=1000),
-                                      record(1, True, 1.0, nbytes=1004)))
-        strategy.detect_loop_heads(path, {1: {9}})
-        assert strategy.loop_heads == [path[0]]
+        path = sized_chain([1, 9, 1], [1000, 1002, 1004])
+        assert heads_on_path(path) == [path[0]]
 
     def test_small_sizes_stay_distinct(self):
-        strategy = self._strategy()
-        path = chain_from_uids([1, 1])
-        path[0].best = traced_result((record(1, True, 1.0, nbytes=4),))
-        path[1].best = traced_result((record(1, True, 1.0, nbytes=4),
-                                      record(1, True, 1.0, nbytes=8)))
-        strategy.detect_loop_heads(path, {1: {9}})
-        assert len(strategy.loop_heads) == 2
+        path = sized_chain([1, 9, 1], [4, 6, 8])
+        assert heads_on_path(path) == [path[0], path[2]]
 
-    def test_no_open_heads_inserts_nothing(self):
-        strategy = self._strategy()
-        path = chain_from_uids([1, 1])
-        for node in path:
-            node.covered = True
-        strategy.detect_loop_heads(path, {1: set()})
-        assert strategy.loop_heads == []
+    def test_only_eligible_heads(self):
+        # the fewest reads, then the shallowest, of the eligible heads:
+        # a finished, a covered and a both-ways node are passed over
+        path = chain_from_uids([1, 9, 1, 9, 1])
+        assert heads_on_path(path) == [path[0]]
+        path[0].stage = 3
+        assert heads_on_path(path) == [path[2]]
+        path[2].covered = True
+        assert heads_on_path(path) == [path[4]]
+        path[4].seen = 3
+        assert heads_on_path(path) == []
+
+    def test_self_loop_is_no_head(self):
+        assert heads_on_path(chain_from_uids([1, 1, 1])) == []
 
     def test_at_most_eleven_buckets(self):
-        strategy = self._strategy()
-        uids = [1] * 40
-        path = chain_from_uids(uids)
-        for i, node in enumerate(path):
-            node.best = traced_result(
-                record(1, True, 1.0, nbytes=1 + 27 * j) for j in range(i + 1))
-        strategy.detect_loop_heads(path, {1: {2}})
-        assert len(strategy.loop_heads) <= 11
+        uids = [1, 2] * 20
+        path = sized_chain(uids, [1 + 27 * j for j in range(len(uids))])
+        assert 1 < len(heads_on_path(path)) <= 11
 
 
 class TestDirectionProbability:
@@ -282,28 +282,41 @@ class TestSelectPrimaryTarget:
         strategy = Strategy(ExecTree(), random.Random(0))
         assert strategy.select_primary_target() is None
 
-    def test_loop_heads_take_precedence(self):
+    def _loop_tree(self):
+        # a while-loop shaped trace: head 5 and body 6 twice, head 5
+        # again, then 7, which is analysed and so the smallest candidate
         tree = ExecTree()
+        map_all(tree, [[record(uid, True, 1.0)
+                        for uid in (5, 6, 5, 6, 5, 7)]])
+        path = tree.path(tree.nodes[-1])
+        best = path[-1]
+        best.stage = 1
+        best.sensitive_bits = {0}
         strategy = Strategy(tree, random.Random(0))
-        node = stub_node()
-        strategy.loop_heads.append(node)
-        assert strategy.select_primary_target() is node
-        assert strategy.loop_heads == []
+        assert min(strategy.primary_candidates(),
+                   key=lambda n: su_key(n, 1)) is best
+        return strategy, path
 
-    def test_scan_restart_prefers_discovered_head(self):
-        # a while-loop shaped trace: selection from the untouched set
-        # first scans the path, discovers the loop head, and restarts
-        tree = ExecTree()
-        head, body = 5, 6
-        trace = [record(head, True, 1.0), record(body, True, 1.0),
-                 record(head, True, 1.0), record(body, True, 1.0),
-                 record(head, True, 1.0)]
-        map_all(tree, [trace])
-        strategy = Strategy(tree, random.Random(0))
-        assert strategy.primary_candidates()
-        selected = strategy.select_primary_target()
-        assert selected.id[UID] == head
-        assert selected.depth == 0
+    def test_head_on_best_path_replaces_best(self):
+        strategy, path = self._loop_tree()
+        assert strategy.select_primary_target() is path[0]
+
+    def test_open_head_is_handed_out_again(self):
+        # a head that an analysis left open comes back on the next call;
+        # a finished or a covered one gives way to the next head, and
+        # with none left the smallest candidate is returned
+        strategy, path = self._loop_tree()
+        head = path[0]
+        assert strategy.select_primary_target() is head
+        head.stage = 1
+        head.sensitive_bits = {0, 1}
+        assert strategy.select_primary_target() is head
+        head.stage = 3
+        assert strategy.select_primary_target() is path[2]
+        path[2].covered = True
+        assert strategy.select_primary_target() is path[4]
+        path[4].stage = 3
+        assert strategy.select_primary_target() is path[5]
 
     def test_analyzed_candidate_beats_smaller_unanalyzed_one(self):
         tree = ExecTree()
@@ -312,8 +325,6 @@ class TestSelectPrimaryTarget:
         analyzed = untouched.true_succ
         analyzed.stage = 1
         analyzed.sensitive_bits = {0}
-        for node in tree.nodes:
-            node.loop_scanned = True
         assert su_key(untouched, 1)[1:] < su_key(analyzed, 1)[1:]
         strategy = Strategy(tree, random.Random(0))
         assert strategy.select_primary_target() is analyzed
@@ -345,7 +356,6 @@ class TestSelectAnalysis:
         node.stage = 1
         node.sensitive_bits = {0, 1}
         strategy = Strategy(tree, random.Random(0))
-        node.loop_scanned = True
         selection = strategy.select_analysis()
         assert selection.kind == AnalysisKind.BITSHARE
         assert selection.node is node
@@ -359,7 +369,6 @@ class TestSelectAnalysis:
         node = tree.root
         node.stage = 2
         node.sensitive_bits = {0, 1}
-        node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
         selection = strategy.select_analysis()
         assert selection.kind == AnalysisKind.MINIMIZATION
@@ -369,7 +378,6 @@ class TestSelectAnalysis:
         node = tree.root
         node.stage = 2
         node.sensitive_bits = {0, 1}
-        node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
         selection = strategy.select_analysis()
         assert selection.kind == AnalysisKind.TYPED_MINIMIZATION
@@ -382,7 +390,6 @@ class TestSelectAnalysis:
         node = tree.root
         node.stage = 2
         node.sensitive_bits = {0, 1}
-        node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
         selection = strategy.select_analysis()
         assert selection.kind == AnalysisKind.MINIMIZATION
@@ -399,7 +406,6 @@ class TestFinish:
         node = tree.root
         node.stage = stage
         node.sensitive_bits = {0, 1}
-        node.loop_scanned = True
         strategy = Strategy(tree, random.Random(0))
         session = strategy.select_analysis()
         assert session.node is node
@@ -553,17 +559,6 @@ class TestPruneTargets:
         node.sensitive_bits = {0}
         strategy.prune_targets()
         assert strategy.primary_candidates() == [node]
-
-    def test_covered_node_leaves_loop_heads(self):
-        tree = ExecTree()
-        map_all(tree, [[record(1, True, 1.0)]])
-        strategy = Strategy(tree, random.Random(0))
-        strategy.loop_heads.append(tree.root)
-        tree.map_trace(ExecutionResult(
-            TerminationKind.NORMAL, b"\x00", (TypeTag.UINT8,),
-            (record(1, False, 1.0),)))
-        strategy.prune_targets()
-        assert strategy.loop_heads == []
 
     def test_pivot_leaves_when_covered(self):
         tree = ExecTree()
